@@ -1,0 +1,80 @@
+"""Golden CLI outputs: stdout (or the ``-o`` dump of ``build``) must match
+the files in tests/golden/ byte for byte at ``--seed 0``.
+
+The files pin the whole observable output of the CLI on kS3, kQ8 and D(S3):
+every ``build`` dump, every ``compute`` target, ``verify --suite all`` on kS3
+and kQ8, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  A
+refactor that changes any byte of them changes behaviour.  D(S3)
+``verify --suite all`` is pinned by perfbench/golden.json instead, because it
+alone would double the run time of this file.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from hopfcomm.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SPECS = GOLDEN / "specs"
+
+INSTANCES = {"ks3": ("group", "S3"), "kq8": ("group", "Q8"), "ds3": ("double", "S3")}
+TARGETS = ("z", "frob", "fn", "root", "iterated", "hprime", "classdata")
+
+
+def _run(capsys, argv: list[str]) -> bytes:
+    assert main(argv + ["--seed", "0"]) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+def _golden(name: str) -> bytes:
+    return (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """Each instance's ``build`` dump, built once for the module."""
+    out = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for inst, (kind, group) in INSTANCES.items():
+        path = out / f"{inst}.json"
+        assert main(["build", kind, str(SPECS / f"{group}.json"),
+                     "-o", str(path), "--seed", "0"]) == 0
+        paths[inst] = path
+    return paths
+
+
+@pytest.mark.parametrize("inst", sorted(INSTANCES))
+def test_build_dump(dumps, inst):
+    assert dumps[inst].read_bytes() == _golden(f"build_{inst}.json")
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("inst", sorted(INSTANCES))
+def test_compute(dumps, capsys, inst, target):
+    got = _run(capsys, ["compute", target, "--hopf", str(dumps[inst])])
+    assert got == _golden(f"compute_{target}_{inst}.json")
+
+
+@pytest.mark.parametrize("inst", ["ks3", "kq8"])
+def test_verify_all(dumps, capsys, inst):
+    got = _run(capsys, ["verify", "--suite", "all", "--hopf", str(dumps[inst])])
+    assert got == _golden(f"verify_all_{inst}.json")
+
+
+def test_chartab_json(capsys):
+    got = _run(capsys, ["chartab", str(SPECS / "S3.json")])
+    assert got == _golden("chartab_S3.json")
+
+
+def test_chartab_markdown(capsys):
+    got = _run(capsys, ["chartab", str(SPECS / "S3.json"), "--markdown"])
+    assert got == _golden("chartab_S3.md")
+
+
+def test_oracle_against_frob(capsys):
+    got = _run(capsys, ["oracle", str(SPECS / "S3.json"), "--word", "[x1,x2]",
+                        "--against", "frob"])
+    assert got == _golden("oracle_S3_commutator_frob.json")
