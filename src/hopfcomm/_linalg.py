@@ -1,43 +1,16 @@
 """Exact sparse linear algebra over any field-like scalar (CycNum, Fraction).
 
-Vectors are dicts {index: nonzero scalar}.  Echelon keeps a reduced row
-echelon basis, so a subspace has exactly one representation and subspace
-equality is plain row comparison.
+Vectors are dicts {index: nonzero scalar}; a tensor is a vector keyed by
+tuples.  vec_axpy is the one accumulation loop of the package.  Echelon
+keeps a reduced row echelon basis, so a subspace has exactly one
+representation and subspace equality is plain row comparison.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 Vec = dict
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for j, x in b.items():
-        if j in out:
-            s = out[j] + x
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        else:
-            out[j] = x
-    return out
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for j, x in b.items():
-        if j in out:
-            s = out[j] - x
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        else:
-            out[j] = -x
-    return out
 
 
 def vec_scale(a: Vec, c) -> Vec:
@@ -46,27 +19,32 @@ def vec_scale(a: Vec, c) -> Vec:
     return {j: x * c for j, x in a.items()}
 
 
-def vec_axpy(out: Vec, c, a: Vec) -> None:
-    # out += c*a, in place
-    if not c:
-        return
-    for j, x in a.items():
+def vec_axpy(out: Vec, c, terms) -> None:
+    """out += c*x for every (key, x) pair of ``terms``, in place.
+
+    ``terms`` is any iterable of pairs: ``dict.items()`` or stored structure
+    constants.  A key whose sum is zero is deleted, so no zero is ever stored.
+    """
+    for j, x in terms:
         v = c * x
-        if j in out:
-            s = out[j] + v
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        else:
+        s = out.get(j)
+        if s is not None:
+            v = s + v
+        if v:
             out[j] = v
+        elif s is not None:
+            del out[j]
 
 
 class Echelon:
-    """A growing reduced-row-echelon basis; rows indexed by pivot column."""
+    """A growing reduced-row-echelon basis."""
 
     def __init__(self):
-        self.rows: dict = {}  # pivot column -> row vec (pivot coefficient 1)
+        # pivot column -> its row without the pivot entry (whose coefficient
+        # is 1).  A reduced row is zero in every other pivot column, so
+        # elimination may visit the pivots in any order.
+        self.rows: dict = {}
+        self._one = None
 
     @property
     def rank(self) -> int:
@@ -75,25 +53,10 @@ class Echelon:
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating all pivot columns."""
         out = dict(v)
-        # Reduced rows only touch columns >= their pivot, so one ascending
-        # pass over the pivots present suffices.
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if c:
-                row = self.rows[p]
-                for j, x in row.items():
-                    if j == p:
-                        continue
-                    cx = c * x
-                    if j in out:
-                        s = out[j] - cx
-                        if s:
-                            out[j] = s
-                        else:
-                            del out[j]
-                    else:
-                        out[j] = -cx
-                del out[p]
+        for p, tail in self.rows.items():
+            c = out.pop(p, None)
+            if c is not None:
+                vec_axpy(out, -c, tail.items())
         return out
 
     def insert(self, v: Vec) -> bool:
@@ -102,32 +65,22 @@ class Echelon:
         if not r:
             return False
         p = min(r)
-        c = r[p]
-        row = {j: x / c for j, x in r.items()}
-        for q, other in self.rows.items():
-            f = other.get(p)
-            if f:
-                for j, x in row.items():
-                    if j == p:
-                        del other[p]
-                        continue
-                    fx = f * x
-                    if j in other:
-                        s = other[j] - fx
-                        if s:
-                            other[j] = s
-                        else:
-                            del other[j]
-                    else:
-                        other[j] = -fx
-        self.rows[p] = row
+        c = r.pop(p)
+        if self._one is None:
+            self._one = c / c
+        tail = vec_scale(r, 1 / c)
+        for other in self.rows.values():
+            f = other.pop(p, None)
+            if f is not None:
+                vec_axpy(other, -f, tail.items())
+        self.rows[p] = tail
         return True
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
     def basis(self) -> list[Vec]:
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        return [{p: self._one, **self.rows[p]} for p in sorted(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Echelon):
@@ -135,100 +88,39 @@ class Echelon:
         return self.rows == other.rows
 
     def __le__(self, other: "Echelon") -> bool:
-        return all(other.contains(row) for row in self.rows.values())
+        return all(other.contains(row) for row in self.basis())
 
 
 class Solver:
-    """Echelon with combination tracking: expresses vectors in an inserted
-    spanning set."""
+    """Expresses vectors in an inserted independent set.
+
+    An Echelon over augmented rows: v inserted under ``tag`` is stored as
+    v + e_tag, with every tag column sorting after the data columns.  A data
+    vector w = sum a_t v_t then reduces to exactly -sum a_t e_t.
+    """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot -> (row, combo over tags)
+        self.ech = Echelon()
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: Vec):
-        out = dict(v)
-        combo: dict = {}
-        for p in sorted(self.rows):
-            c = out.get(p)
-            if c:
-                row, rc = self.rows[p]
-                for j, x in row.items():
-                    if j == p:
-                        continue
-                    cx = c * x
-                    if j in out:
-                        s = out[j] - cx
-                        if s:
-                            out[j] = s
-                        else:
-                            del out[j]
-                    else:
-                        out[j] = -cx
-                del out[p]
-                for t, x in rc.items():
-                    cx = c * x
-                    if t in combo:
-                        s = combo[t] + cx
-                        if s:
-                            combo[t] = s
-                        else:
-                            del combo[t]
-                    else:
-                        combo[t] = cx
-        return out, combo
-
-    def insert(self, v: Vec, tag: Hashable) -> bool:
-        res, combo = self._reduce(v)
-        if not res:
+    def insert(self, v: Vec, tag: int) -> bool:
+        """Insert v under ``tag`` unless it depends on the inserted vectors;
+        returns True if it was inserted.  Tags are distinct and mutually
+        ordered, like the int indices every caller uses."""
+        r = self.ech.reduce({**_data(v), (1, tag): 1})
+        if min(r)[0] == 1:
             return False
-        p = min(res)
-        c = res[p]
-        row = {j: x / c for j, x in res.items()}
-        # res = v - sum(combo*b); row combo = (e_tag - combo)/c
-        rcombo = {t: -x / c for t, x in combo.items()}
-        one = c / c
-        rcombo[tag] = rcombo.get(tag, one - one) + one / c
-        if not rcombo[tag]:
-            del rcombo[tag]
-        for q, (other, oc) in self.rows.items():
-            f = other.get(p)
-            if f:
-                for j, x in row.items():
-                    if j == p:
-                        del other[p]
-                        continue
-                    fx = f * x
-                    if j in other:
-                        s = other[j] - fx
-                        if s:
-                            other[j] = s
-                        else:
-                            del other[j]
-                    else:
-                        other[j] = -fx
-                for t, x in rcombo.items():
-                    fx = f * x
-                    if t in oc:
-                        s = oc[t] - fx
-                        if s:
-                            oc[t] = s
-                        else:
-                            del oc[t]
-                    else:
-                        oc[t] = -fx
-        self.rows[p] = (row, rcombo)
-        return True
+        return self.ech.insert(r)
 
     def express(self, v: Vec) -> Optional[dict]:
         """Coefficients writing v in the inserted set, or None."""
-        res, combo = self._reduce(v)
-        if res:
+        r = self.ech.reduce(_data(v))
+        if r and min(r)[0] == 0:
             return None
-        return combo
+        return {tag: -x for (_, tag), x in r.items()}
+
+
+def _data(v: Vec) -> Vec:
+    return {(0, j): x for j, x in v.items()}
 
 
 def rank(vecs: Iterable[Vec]) -> int:
@@ -238,22 +130,27 @@ def rank(vecs: Iterable[Vec]) -> int:
     return ech.rank
 
 
-def nullspace(constraint_rows: Iterable[Vec], ncols: int, one) -> list[Vec]:
-    """Basis of {x in k^ncols : row . x = 0 for every constraint row}.
+def nullspace(maps: Iterable[Iterable[Vec]], ncols: int, one) -> list[Vec]:
+    """Basis of {x in k^ncols : A x = 0 for every map A in ``maps``}.
 
+    Each map is given by its columns, the images of the ncols basis vectors.
     ``one`` is the multiplicative unit of the scalar field.
     """
     ech = Echelon()
-    for row in constraint_rows:
-        ech.insert(row)
-    pivots = set(ech.rows)
+    for columns in maps:
+        rows: dict = {}
+        for j, col in enumerate(columns):
+            for k, c in col.items():
+                rows.setdefault(k, {})[j] = c
+        for row in rows.values():
+            ech.insert(row)
     basis = []
     for f in range(ncols):
-        if f in pivots:
+        if f in ech.rows:
             continue
         vec: Vec = {f: one}
-        for p, row in ech.rows.items():
-            c = row.get(f)
+        for p, tail in ech.rows.items():
+            c = tail.get(f)
             if c:
                 vec[p] = -c
         basis.append(vec)

@@ -34,6 +34,7 @@ class ClassAlgebra:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    group_name: str
     classes: ClassPartition
     class_labels: tuple[str, ...]
     degrees: tuple[int, ...]
@@ -63,15 +64,16 @@ class CharacterTable:
         }
 
     def markdown(self) -> str:
-        head = ["chi \\ class"] + [
-            f"{lbl} ({sz})"
-            for lbl, sz in zip(self.class_labels, self.classes.sizes)
-        ]
-        lines = ["| " + " | ".join(head) + " |",
-                 "|" + "---|" * len(head)]
-        for i, row in enumerate(self.values):
-            cells = [f"chi_{i}"] + [str(v) for v in row]
-            lines.append("| " + " | ".join(cells) + " |")
+        """A markdown table with padded columns and the group name in the
+        corner."""
+        head = [self.group_name] + [
+            f"{lbl} ({sz})" for lbl, sz in zip(self.class_labels, self.classes.sizes)]
+        rows = [head] + [[f"chi_{i}"] + [str(v) for v in row]
+                         for i, row in enumerate(self.values)]
+        widths = [max(len(r[c]) for r in rows) for c in range(len(head))]
+        lines = ["| " + " | ".join(s.ljust(w) for s, w in zip(r, widths)) + " |"
+                 for r in rows]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
         return "\n".join(lines)
 
 
@@ -268,6 +270,7 @@ def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
                 runlog.record("dixon", group=G.name, prime=p, outcome="ok")
                 labels = tuple(G.labels[r] for r in algebra.classes.reps)
                 return CharacterTable(
+                    group_name=G.name,
                     classes=algebra.classes,
                     class_labels=labels,
                     degrees=degrees,
@@ -283,24 +286,11 @@ def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
 # central primitive idempotents of kG
 
 
-def _convolve(G: FiniteGroup, u: list[CycNum], v: list[CycNum]) -> list[CycNum]:
-    zero = CycNum.rational(0)
-    out = [zero] * G.order
-    for g, cu in enumerate(u):
-        if not cu:
-            continue
-        row = G.table[g]
-        for h, cv in enumerate(v):
-            if cv:
-                k = row[h]
-                out[k] = out[k] + cu * cv
-    return out
-
-
 def group_central_idempotents(G: FiniteGroup, table: CharacterTable) -> list[list[CycNum]]:
     """Central primitive idempotents E_i = (d_i/|G|) sum_g chi_i(g^-1) g of
     the group algebra, as coefficient vectors over the group-element basis.
-    Verified exactly: pairwise orthogonal idempotents summing to 1."""
+    Not checked here: on the build path _verify_irred checks that they are
+    orthogonal central idempotents summing to 1, among other invariants."""
     conj = table.classes
     order = G.order
     idempotents = []
@@ -309,17 +299,4 @@ def group_central_idempotents(G: FiniteGroup, table: CharacterTable) -> list[lis
         vec = [scale * table.values[i][conj.class_of[G.inverse(g)]]
                for g in range(order)]
         idempotents.append(vec)
-    zero = CycNum.rational(0)
-    total = [zero] * order
-    for i, ei in enumerate(idempotents):
-        for j, ej in enumerate(idempotents):
-            prod = _convolve(G, ei, ej)
-            want = ei if i == j else [zero] * order
-            if prod != want:
-                raise VerificationFailed(f"idempotent product E_{i}E_{j} is wrong")
-        total = [a + b for a, b in zip(total, ei)]
-    unit = [zero] * order
-    unit[G.identity] = CycNum.rational(1)
-    if total != unit:
-        raise VerificationFailed("central idempotents do not sum to 1")
     return idempotents

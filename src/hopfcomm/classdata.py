@@ -31,6 +31,7 @@ from .hopf import (
     HElem,
     HFunc,
     HopfAlgebra,
+    _entry,
     Tensor,
     frobenius_psi,
     func_antipode_s,
@@ -118,32 +119,13 @@ def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
                 raise NotAlmostCocommutative(
                     f"chi_{i} chi_{j} != chi_{j} chi_{i}")
 
-    solver = _character_solver(H)
-
-    def to_rh(vec: Vec):
-        combo = solver.express(vec)
-        if combo is None:
-            raise VerificationFailed("character span is not multiplicatively closed")
-        return [combo.get(t, _ZERO) for t in range(m)]
-
-    def from_rh(coords) -> Vec:
-        out: Vec = {}
-        for t, c in enumerate(coords):
-            if c:
-                vec_axpy(out, c, ir.characters[t].vec)
-        return out
-
-    def mul_rh(x, y):
-        return to_rh(H.func_mul_raw(from_rh(x), from_rh(y)))
-
-    unit_coords = [_ONE] + [_ZERO] * (m - 1)  # chi_0 = eps is the unit of R(H)
-    idem_coords = split_commutative(mul_rh, unit_coords, m, H.cyc_order,
-                                    random.Random(seed))
+    idems = split_commutative([chi.vec for chi in ir.characters], H.func_mul_raw,
+                              H.counit_vec, H.cyc_order, random.Random(seed))
 
     integral, lam = integrals(H)
     inv_d = CycNum.rational(Fraction(1, d))
     f0_vec = {k: c * inv_d for k, c in lam.vec.items()}
-    funcs = [HFunc(H, from_rh(coords)) for coords in idem_coords]
+    funcs = [HFunc(H, vec) for vec in idems]
     first = [f for f in funcs if f.vec == f0_vec]
     if len(first) != 1:
         raise VerificationFailed("no primitive idempotent of R(H) equals lambda/d")
@@ -179,7 +161,7 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
     integral, lam = integrals(H)
     total: Vec = {}
     for i in range(m):
-        vec_axpy(total, _ONE, data.F[i].vec)
+        vec_axpy(total, _ONE, data.F[i].vec.items())
         for j in range(m):
             prod = H.func_mul_raw(data.F[i].vec, data.F[j].vec)
             want = data.F[i].vec if i == j else {}
@@ -259,17 +241,6 @@ def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc, j: int):
         raise LemmaViolation(
             f"class {j}: pairing says {by_pairing}, subspace says {by_subspace}")
     return by_pairing, by_subspace
-
-
-# ---------------------------------------------------------------------------
-# report helpers
-
-
-def _entry(report, name, ok, witness=None):
-    item = {"check": name, "status": "pass" if ok else "fail"}
-    if witness is not None and not ok:
-        item["witness"] = witness
-    report.append(item)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +333,7 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     acc: Vec = {}
     for i in range(m):
         prod = data.eta[i] * HElem(H, H.antipode_raw(data.eta[i].vec))
-        vec_axpy(acc, CycNum.rational(Fraction(data.class_dims[i], d)), prod.vec)
+        vec_axpy(acc, CycNum.rational(Fraction(data.class_dims[i], d)), prod.vec.items())
     _entry(report, "z2_expands_in_eta_dual_basis", HElem(H, acc) == z2)
 
     ok = True
@@ -474,61 +445,26 @@ class RMatrixData:
     factorizable: bool
 
 
-def _t3(key_fn, tensor: Tensor) -> dict:
-    return {key_fn(i, j): c for (i, j), c in tensor.items()}
-
-
 def _t3_mult(H: HopfAlgebra, s: dict, t: dict) -> dict:
+    """Componentwise product in H (x) H (x) H."""
     out: dict = {}
     for ka, ca in s.items():
         for kb, cb in t.items():
-            legs = []
-            dead = False
-            for a, b in zip(ka, kb):
-                term = H.mult.get((a, b))
-                if not term:
-                    dead = True
-                    break
-                legs.append(term)
-            if dead:
-                continue
-            coeff = ca * cb
-            def expand(idx, key, c):
-                if idx == 3:
-                    prev = out.get(key)
-                    val = c if prev is None else prev + c
-                    if val:
-                        out[key] = val
-                    elif prev is not None:
-                        del out[key]
-                    return
-                for k, ck in legs[idx]:
-                    expand(idx + 1, key + (k,), c * ck)
-            expand(0, (), coeff)
+            legs = [H.mult.get(ab) for ab in zip(ka, kb)]
+            if all(legs):
+                vec_axpy(out, ca * cb, [((k1, k2, k3), c1 * c2 * c3)
+                                        for k1, c1 in legs[0] for k2, c2 in legs[1]
+                                        for k3, c3 in legs[2]])
     return out
 
 
-def _embed_13(H: HopfAlgebra, R: Tensor) -> dict:
+def _embed(H: HopfAlgebra, R: Tensor, slot: int) -> dict:
+    """R with the unit inserted as leg ``slot`` (0, 1 or 2) of H (x) H (x) H:
+    slot 2 gives R_12, slot 1 gives R_13 and slot 0 gives R_23."""
     out: dict = {}
-    for (i, j), c in R.items():
+    for ij, c in R.items():
         for u, cu in H.unit_vec.items():
-            out[(i, u, j)] = c * cu
-    return out
-
-
-def _embed_23(H: HopfAlgebra, R: Tensor) -> dict:
-    out: dict = {}
-    for (i, j), c in R.items():
-        for u, cu in H.unit_vec.items():
-            out[(u, i, j)] = c * cu
-    return out
-
-
-def _embed_12(H: HopfAlgebra, R: Tensor) -> dict:
-    out: dict = {}
-    for (i, j), c in R.items():
-        for u, cu in H.unit_vec.items():
-            out[(i, j, u)] = c * cu
+            out[ij[:slot] + (u,) + ij[slot:]] = c * cu
     return out
 
 
@@ -543,37 +479,21 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     eps_first: Vec = {}
     eps_second: Vec = {}
     for (i, j), c in R.items():
-        vec_axpy(eps_first, c * H.counit_raw({i: _ONE}), {j: _ONE})
-        vec_axpy(eps_second, c * H.counit_raw({j: _ONE}), {i: _ONE})
+        vec_axpy(eps_first, c, ((j, H.counit_raw({i: _ONE})),))
+        vec_axpy(eps_second, c, ((i, H.counit_raw({j: _ONE})),))
     if eps_first != H.unit_vec or eps_second != H.unit_vec:
         raise NotQuasitriangular("(eps (x) id)R or (id (x) eps)R != 1")
 
     lhs: dict = {}
     for (i, j), c in R.items():
-        for (a, b), cc in H.comult_raw({i: _ONE}).items():
-            key = (a, b, j)
-            prev = lhs.get(key)
-            val = c * cc if prev is None else prev + c * cc
-            if val:
-                lhs[key] = val
-            elif prev is not None:
-                del lhs[key]
-    rhs = _t3_mult(H, _embed_13(H, R), _embed_23(H, R))
-    if lhs != rhs:
+        vec_axpy(lhs, c, [((a, b, j), cc) for (a, b), cc in H.comult.get(i, ())])
+    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 0)):
         raise NotQuasitriangular("(Delta (x) id)R != R_13 R_23")
 
     lhs = {}
     for (i, j), c in R.items():
-        for (a, b), cc in H.comult_raw({j: _ONE}).items():
-            key = (i, a, b)
-            prev = lhs.get(key)
-            val = c * cc if prev is None else prev + c * cc
-            if val:
-                lhs[key] = val
-            elif prev is not None:
-                del lhs[key]
-    rhs = _t3_mult(H, _embed_13(H, R), _embed_12(H, R))
-    if lhs != rhs:
+        vec_axpy(lhs, c, [((i, a, b), cc) for (a, b), cc in H.comult.get(j, ())])
+    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 2)):
         raise NotQuasitriangular("(id (x) Delta)R != R_13 R_12")
 
     for k in range(H.dim):
@@ -634,7 +554,7 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
     chi_ad: Vec = {}
     for i in range(len(ir)):
         vec_axpy(chi_ad, _ONE,
-                 (ir.characters[i] * func_antipode_s(ir.characters[i])).vec)
+                 (ir.characters[i] * func_antipode_s(ir.characters[i])).vec.items())
     chi_ad_f = HFunc(H, chi_ad)
     z2 = z_n(H, 2)
     _entry(report, "adjoint_character_maps_to_z2",

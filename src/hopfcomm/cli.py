@@ -205,7 +205,7 @@ def cmd_chartab(args) -> int:
     G = _load_group_file(args.group)
     table = dixon_character_table(G, args.seed)
     if args.markdown:
-        _print_markdown_table(G, table)
+        print(table.markdown())
         return EXIT_OK
     doc = {
         "command": "chartab",
@@ -219,19 +219,6 @@ def cmd_chartab(args) -> int:
     }
     _emit(doc, args)
     return EXIT_OK
-
-
-def _print_markdown_table(G, table) -> None:
-    heads = [f"{lbl} ({sz})" for lbl, sz in zip(table.class_labels, table.classes.sizes)]
-    rows = [[f"chi_{i}"] + [str(v) for v in row] for i, row in enumerate(table.values)]
-    widths = [max(len(r[c]) for r in rows + [[f"{G.name}"] + heads])
-              for c in range(len(heads) + 1)]
-    line = "| " + " | ".join(s.ljust(w) for s, w in zip([G.name] + heads, widths)) + " |"
-    sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    print(line)
-    print(sep)
-    for r in rows:
-        print("| " + " | ".join(s.ljust(w) for s, w in zip(r, widths)) + " |")
 
 
 def cmd_build(args) -> int:

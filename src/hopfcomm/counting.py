@@ -24,6 +24,9 @@ from .hopf import (
     HElem,
     HFunc,
     HopfAlgebra,
+    _casimir_slide_failure,
+    _entry,
+    _trace_form_failure,
     casimir_tensor,
     frobenius_psi,
     func_antipode_s,
@@ -31,6 +34,7 @@ from .hopf import (
     psi_inv,
     random_functional,
     require_irred,
+    tensor_flatten,
 )
 
 _ONE = CycNum.rational(1)
@@ -44,7 +48,7 @@ def _chi_combination(H: HopfAlgebra, coeffs) -> HFunc:
     for i, c in enumerate(coeffs):
         if not isinstance(c, CycNum):
             c = CycNum.rational(c)
-        vec_axpy(out, c, ir.characters[i].vec)
+        vec_axpy(out, c, ir.characters[i].vec.items())
     return HFunc(H, out)
 
 
@@ -116,7 +120,7 @@ def sweedler_power(H: HopfAlgebra, h: HElem, m: int) -> HElem:
     cache = H.__dict__.setdefault("_sweedler_cache", {})
     out: Vec = {}
     for i, c in h.vec.items():
-        vec_axpy(out, c, _sweedler_basis(H, cache, i, m))
+        vec_axpy(out, c, _sweedler_basis(H, cache, i, m).items())
     return HElem(H, out)
 
 
@@ -128,7 +132,8 @@ def _sweedler_basis(H: HopfAlgebra, cache: dict, i: int, m: int) -> Vec:
     if got is None:
         acc: Vec = {}
         for (j, k), c in H.comult_raw({i: _ONE}).items():
-            vec_axpy(acc, c, H.mul_raw({j: _ONE}, _sweedler_basis(H, cache, k, m - 1)))
+            vec_axpy(acc, c,
+                     H.mul_raw({j: _ONE}, _sweedler_basis(H, cache, k, m - 1)).items())
         cache[key] = got = acc
     return got
 
@@ -247,16 +252,9 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
     if scope not in ("full", "center"):
         raise ValueError(f"unknown scope {scope!r}")
     d = H.dim
-    for i in range(d):
-        bi = H.basis_vec(i)
-        for j in range(i):
-            bj = H.basis_vec(j)
-            lhs = sum((c * t.vec.get(k, _ZERO) for k, c in H.mul_raw(bi, bj).items()),
-                      _ZERO)
-            rhs = sum((c * t.vec.get(k, _ZERO) for k, c in H.mul_raw(bj, bi).items()),
-                      _ZERO)
-            if lhs != rhs:
-                raise ValueError(f"<t, ab> != <t, ba> at basis pair ({i}, {j})")
+    pair = _trace_form_failure(H, t.vec)
+    if pair is not None:
+        raise ValueError(f"<t, ab> != <t, ba> at basis pair {pair}")
 
     ir = require_irred(H)
     alphas = _center_coefficients(H, t)
@@ -269,7 +267,7 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
         uvec: Vec = {}
         for i, a in enumerate(alphas):
             vec_axpy(uvec, a * CycNum.rational(Fraction(1, ir.degrees[i])),
-                     ir.idempotents[i].vec)
+                     ir.idempotents[i].vec.items())
         u = HElem(H, uvec)
         # Lemma check: t <- Z(H) spans exactly the characters.
         hit = Echelon()
@@ -350,16 +348,9 @@ def casimir_of_form(H: HopfAlgebra, form: SymmetricForm):
         for i, a in enumerate(form.alphas):
             scale = CycNum.rational(Fraction(1, ir.degrees[i])) * a.inverse()
             evec = ir.idempotents[i].vec
-            for j, cj in evec.items():
-                for k, ck in evec.items():
-                    prev = tensor.get((j, k))
-                    val = scale * cj * ck
-                    val = val if prev is None else prev + val
-                    if val:
-                        tensor[(j, k)] = val
-                    elif prev is not None:
-                        del tensor[(j, k)]
-            vec_axpy(cas, scale, evec)
+            vec_axpy(tensor, scale, [((j, k), cj * ck) for j, cj in evec.items()
+                                     for k, ck in evec.items()])
+            vec_axpy(cas, scale, evec.items())
         return tensor, HElem(H, cas)
 
     d = H.dim
@@ -381,41 +372,10 @@ def casimir_of_form(H: HopfAlgebra, form: SymmetricForm):
             raise DegenerateForm("Gram matrix of the form is singular")
         for j, c in combo.items():
             tensor[(j, k)] = c
-    _verify_casimir_slides(H, tensor)
-    cas: Vec = {}
-    for (j, k), c in tensor.items():
-        vec_axpy(cas, c, H.mul_raw({j: _ONE}, {k: _ONE}))
-    return tensor, HElem(H, cas)
-
-
-def _verify_casimir_slides(H: HopfAlgebra, tensor: dict):
-    """sum r a (x) l = sum r (x) a l and sum a r (x) l = sum r (x) l a."""
-    for k in range(H.dim):
-        a = {k: _ONE}
-        left1: dict = {}
-        right1: dict = {}
-        left2: dict = {}
-        right2: dict = {}
-        for (i, j), c in tensor.items():
-            for x, cx in H.mul_raw({i: _ONE}, a).items():
-                _tensor_axpy(left1, (x, j), c * cx)
-            for x, cx in H.mul_raw(a, {j: _ONE}).items():
-                _tensor_axpy(right1, (i, x), c * cx)
-            for x, cx in H.mul_raw(a, {i: _ONE}).items():
-                _tensor_axpy(left2, (x, j), c * cx)
-            for x, cx in H.mul_raw({j: _ONE}, a).items():
-                _tensor_axpy(right2, (i, x), c * cx)
-        if left1 != right1 or left2 != right2:
-            raise VerificationFailed(f"Casimir slide move fails at basis {k}")
-
-
-def _tensor_axpy(acc: dict, key, c):
-    prev = acc.get(key)
-    val = c if prev is None else prev + c
-    if val:
-        acc[key] = val
-    elif prev is not None:
-        del acc[key]
+    k = _casimir_slide_failure(H, tensor)
+    if k is not None:
+        raise VerificationFailed(f"Casimir slide move fails at basis {k}")
+    return tensor, HElem(H, tensor_flatten(H, tensor))
 
 
 def higman_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
@@ -433,7 +393,7 @@ def higman_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
         cache[n] = tensor
     out: Vec = {}
     for (i, j), c in tensor.items():
-        vec_axpy(out, c, H.mul_raw(H.mul_raw({i: _ONE}, h.vec), {j: _ONE}))
+        vec_axpy(out, c, H.mul_raw(H.mul_raw({i: _ONE}, h.vec), {j: _ONE}).items())
     return HElem(H, out)
 
 
@@ -462,11 +422,7 @@ def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]
         if got != CycNum.rational(counts[g]):
             mismatches.append({"element": H.labels[g], "functional": str(got),
                                "count": counts[g]})
-    item = {"check": f"functional_matches_count[{label}]",
-            "status": "pass" if not mismatches else "fail"}
-    if mismatches:
-        item["witness"] = mismatches[:3]
-    report.append(item)
+    _entry(report, f"functional_matches_count[{label}]", not mismatches, mismatches[:3])
 
     uw: Vec = {}
     inv_order = CycNum.rational(Fraction(1, G.order))
@@ -477,27 +433,17 @@ def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]
     nw: Vec = {}
     for i in range(len(ir)):
         coeff = func_antipode_s(ir.characters[i])(HElem(H, uw))
-        vec_axpy(nw, coeff, ir.characters[i].vec)
+        vec_axpy(nw, coeff, ir.characters[i].vec.items())
     expansion_ok = all(
         nw.get(g, _ZERO) == CycNum.rational(counts[g]) for g in range(G.order)
     )
-    item = {"check": f"character_expansion_matches_count[{label}]",
-            "status": "pass" if expansion_ok else "fail"}
-    if not expansion_ok:
-        item["witness"] = {"expansion": {H.labels[g]: str(c) for g, c in nw.items()}}
-    report.append(item)
+    _entry(report, f"character_expansion_matches_count[{label}]", expansion_ok,
+           {"expansion": {H.labels[g]: str(c) for g, c in nw.items()}})
     return report
 
 
 # ---------------------------------------------------------------------------
 # theorem suite
-
-
-def _entry(report, name, ok, witness=None):
-    item = {"check": name, "status": "pass" if ok else "fail"}
-    if witness is not None and not ok:
-        item["witness"] = witness
-    report.append(item)
 
 
 def _characters_commute(H: HopfAlgebra) -> bool:

@@ -404,8 +404,6 @@ class CycNum:
         compatible with ``zeta_image`` having that exact multiplicative order.
         """
         n = self.order if order is None else order
-        if n % self.order:
-            raise BadPrime(f"value of order {self.order} cannot reduce at order {n}")
         if (p - 1) % n:
             raise BadPrime(f"p={p} is not 1 mod {n}")
         if zeta_image is None:
@@ -416,16 +414,26 @@ class CycNum:
             w = zeta_image.value if isinstance(zeta_image, PrimeFieldElem) else int(zeta_image)
             if _mult_order(w, p) != n:
                 raise BadPrime(f"zeta_image {w} does not have order {n} mod {p}")
-        step = pow(w, n // self.order, p) if self.order > 1 else 1
+        return PrimeFieldElem(self.residue(w, n, p), p)
+
+    def residue(self, w: int, ambient: int, modulus: int) -> int:
+        """Image in Z/modulus under zeta_ambient -> w.  The order must divide
+        ``ambient``, and every denominator must be invertible mod ``modulus``."""
+        if ambient % self.order:
+            raise BadPrime(f"value of order {self.order} outside Q(zeta_{ambient})")
+        step = pow(w, ambient // self.order, modulus)
         acc = 0
         power = 1
         for c in self.coeffs:
             if c:
-                if c.denominator % p == 0:
-                    raise DenominatorCollision(f"denominator {c.denominator} vanishes mod {p}")
-                acc = (acc + c.numerator * pow(c.denominator, -1, p) % p * power) % p
-            power = power * step % p
-        return PrimeFieldElem(acc % p, p)
+                try:
+                    inv = pow(c.denominator, -1, modulus)
+                except ValueError:
+                    raise DenominatorCollision(
+                        f"denominator {c.denominator} not invertible mod {modulus}")
+                acc += c.numerator * inv * power
+            power = power * step % modulus
+        return acc % modulus
 
     # --- serialization ---
 

@@ -64,18 +64,38 @@ class FiniteGroup:
         return tuple(self.table[a].index(e) for a in range(self.order))
 
     def _validate_associative(self):
+        """Light's associativity test.
+
+        The elements b with (a*b)*c = a*(b*c) for all a and c form a set
+        closed under products, so it suffices to test b on a generating set.
+        Generators are chosen greedily: each element outside the closure of
+        the earlier ones becomes one, so together they generate the table.
+        """
         n = self.order
-        if n > 256:
-            # Beyond desk scale the exhaustive n^3 sweep is skipped; loads of
-            # this size come from generator closures, which are associative
-            # by construction.
-            return
         t = self.table
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
+        members = [self.identity]
+        closure = {self.identity}
+        gens = []
+        for g in range(n):
+            if g in closure:
+                continue
+            gens.append(g)
+            closure.add(g)
+            members.append(g)
+            queue = [g]
+            while queue:
+                x = queue.pop()
+                for y in members:
+                    for z in (t[x][y], t[y][x]):
+                        if z not in closure:
+                            closure.add(z)
+                            members.append(z)
+                            queue.append(z)
+        for b in gens:
+            tb = t[b]
+            for a in range(n):
+                ta = t[a]
                 tab = t[ta[b]]
-                tb = t[b]
                 if list(tab) != [ta[x] for x in tb]:
                     c = next(c for c in range(n) if tab[c] != ta[tb[c]])
                     raise NotAssociative(

@@ -56,6 +56,16 @@ def _cy(x) -> CycNum:
     return CycNum.rational(x)
 
 
+def _dot(p: Vec, terms) -> CycNum:
+    """sum x * p[j] over the (j, x) pairs of ``terms`` whose j is in p."""
+    acc = _ZERO
+    for j, x in terms:
+        pj = p.get(j)
+        if pj is not None:
+            acc = acc + x * pj
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the algebra
 
@@ -116,49 +126,24 @@ class HopfAlgebra:
         for i, cu in u.items():
             for j, cv in v.items():
                 terms = mult.get((i, j))
-                if not terms:
-                    continue
-                c = cu * cv
-                for k, ck in terms:
-                    s = out.get(k)
-                    s = c * ck if s is None else s + c * ck
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                if terms:
+                    vec_axpy(out, cu * cv, terms)
         return out
 
     def comult_raw(self, u: Vec) -> Tensor:
         out: Tensor = {}
         for i, cu in u.items():
-            for jk, c in self.comult.get(i, ()):
-                s = out.get(jk)
-                s = cu * c if s is None else s + cu * c
-                if s:
-                    out[jk] = s
-                elif jk in out:
-                    del out[jk]
+            vec_axpy(out, cu, self.comult.get(i, ()))
         return out
 
     def antipode_raw(self, u: Vec) -> Vec:
         out: Vec = {}
         for i, cu in u.items():
-            for j, c in self.antipode.get(i, ()):
-                s = out.get(j)
-                s = cu * c if s is None else s + cu * c
-                if s:
-                    out[j] = s
-                elif j in out:
-                    del out[j]
+            vec_axpy(out, cu, self.antipode.get(i, ()))
         return out
 
     def counit_raw(self, u: Vec) -> CycNum:
-        acc = _ZERO
-        for i, cu in u.items():
-            c = self.counit_vec.get(i)
-            if c is not None:
-                acc = acc + cu * c
-        return acc
+        return _dot(self.counit_vec, u.items())
 
     # -- functional (H*) operations --
 
@@ -183,11 +168,7 @@ class HopfAlgebra:
         # <s(p), e_i> = <p, S(e_i)>
         out: Vec = {}
         for i in range(self.dim):
-            acc = _ZERO
-            for j, c in self.antipode.get(i, ()):
-                pj = p.get(j)
-                if pj is not None:
-                    acc = acc + c * pj
+            acc = _dot(p, self.antipode.get(i, ()))
             if acc:
                 out[i] = acc
         return out
@@ -198,80 +179,34 @@ class HopfAlgebra:
         # h <- p = sum <p, h_1> h_2
         out: Vec = {}
         for i, ci in h.items():
-            for (j, k), c in self.comult.get(i, ()):
-                pj = p.get(j)
-                if pj is None:
-                    continue
-                s = out.get(k)
-                t = ci * c * pj
-                s = t if s is None else s + t
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+            vec_axpy(out, ci, [(k, c * pj) for (j, k), c in self.comult.get(i, ())
+                               if (pj := p.get(j)) is not None])
         return out
 
     def left_hit_raw(self, p: Vec, h: Vec) -> Vec:
         # p -> h = sum h_1 <p, h_2>
         out: Vec = {}
         for i, ci in h.items():
-            for (j, k), c in self.comult.get(i, ()):
-                pk = p.get(k)
-                if pk is None:
-                    continue
-                s = out.get(j)
-                t = ci * c * pk
-                s = t if s is None else s + t
-                if s:
-                    out[j] = s
-                elif j in out:
-                    del out[j]
+            vec_axpy(out, ci, [(j, c * pk) for (j, k), c in self.comult.get(i, ())
+                               if (pk := p.get(k)) is not None])
         return out
 
     def func_right_hit_raw(self, p: Vec, a: Vec) -> Vec:
         # <p <- a, a'> = <p, a a'>
         out: Vec = {}
+        mult = self.mult
         for i, ci in a.items():
-            for j in range(self.dim):
-                terms = self.mult.get((i, j))
-                if not terms:
-                    continue
-                acc = _ZERO
-                for k, c in terms:
-                    pk = p.get(k)
-                    if pk is not None:
-                        acc = acc + c * pk
-                if acc:
-                    t = ci * acc
-                    s = out.get(j)
-                    s = t if s is None else s + t
-                    if s:
-                        out[j] = s
-                    elif j in out:
-                        del out[j]
+            vec_axpy(out, ci, [(j, x) for j in range(self.dim)
+                               if (x := _dot(p, mult.get((i, j), ())))])
         return out
 
     def func_left_hit_raw(self, a: Vec, p: Vec) -> Vec:
         # <a -> p, a'> = <p, a' a>
         out: Vec = {}
+        mult = self.mult
         for i, ci in a.items():
-            for j in range(self.dim):
-                terms = self.mult.get((j, i))
-                if not terms:
-                    continue
-                acc = _ZERO
-                for k, c in terms:
-                    pk = p.get(k)
-                    if pk is not None:
-                        acc = acc + c * pk
-                if acc:
-                    t = ci * acc
-                    s = out.get(j)
-                    s = t if s is None else s + t
-                    if s:
-                        out[j] = s
-                    elif j in out:
-                        del out[j]
+            vec_axpy(out, ci, [(j, x) for j in range(self.dim)
+                               if (x := _dot(p, mult.get((j, i), ())))])
         return out
 
     def adjoint_raw(self, h: Vec, a: Vec) -> Vec:
@@ -281,7 +216,7 @@ class HopfAlgebra:
             for (j, k), c in self.comult.get(i, ()):
                 left = self.mul_raw({j: _ONE}, a)
                 term = self.mul_raw(left, dict(self.antipode.get(k, ())))
-                vec_axpy(out, ci * c, term)
+                vec_axpy(out, ci * c, term.items())
         return out
 
     def basis_vec(self, i: int) -> Vec:
@@ -313,8 +248,10 @@ def _format_vec(vec: Vec, labels) -> str:
     return " + ".join(parts)
 
 
-class HElem:
-    """An element of H: sparse coefficient vector over the algebra basis."""
+class _Vector:
+    """Arithmetic shared by HElem and HFunc: a sparse coefficient vector over
+    the basis of H (or its dual basis).  Each subclass supplies its product
+    ``_mul_raw`` and its ``_unit``."""
 
     __slots__ = ("H", "vec")
 
@@ -322,114 +259,81 @@ class HElem:
         self.H = H
         self.vec = vec
 
-    def coeff(self, i: int) -> CycNum:
-        return self.vec.get(i, _ZERO)
-
     def coeff_list(self) -> list[CycNum]:
         return [self.vec.get(i, _ZERO) for i in range(self.H.dim)]
 
-    def __add__(self, other: "HElem") -> "HElem":
+    def _axpy(self, c, other):
         _same(self, other)
         out = dict(self.vec)
-        vec_axpy(out, _ONE, other.vec)
-        return HElem(self.H, out)
+        vec_axpy(out, c, other.vec.items())
+        return type(self)(self.H, out)
 
-    def __sub__(self, other: "HElem") -> "HElem":
-        _same(self, other)
-        out = dict(self.vec)
-        vec_axpy(out, -_ONE, other.vec)
-        return HElem(self.H, out)
+    def __add__(self, other):
+        return self._axpy(_ONE, other)
 
-    def __neg__(self) -> "HElem":
-        return HElem(self.H, vec_scale(self.vec, -_ONE))
+    def __sub__(self, other):
+        return self._axpy(-_ONE, other)
+
+    def __neg__(self):
+        return type(self)(self.H, vec_scale(self.vec, -_ONE))
 
     def __mul__(self, other):
-        if isinstance(other, HElem):
+        if isinstance(other, type(self)):
             _same(self, other)
-            return HElem(self.H, self.H.mul_raw(self.vec, other.vec))
-        return HElem(self.H, vec_scale(self.vec, _cy(other)))
+            return type(self)(self.H, self._mul_raw(self.vec, other.vec))
+        return type(self)(self.H, vec_scale(self.vec, _cy(other)))
 
     def __rmul__(self, other):
-        return HElem(self.H, vec_scale(self.vec, _cy(other)))
+        return type(self)(self.H, vec_scale(self.vec, _cy(other)))
 
-    def __pow__(self, n: int) -> "HElem":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers require an explicit inverse")
-        acc = self.H.one()
+        acc = self._unit()
         for _ in range(n):
             acc = acc * self
         return acc
 
     def __eq__(self, other):
-        return (isinstance(other, HElem) and self.H.dim == other.H.dim
+        return (type(other) is type(self) and self.H.dim == other.H.dim
                 and self.vec == other.vec)
 
     def __bool__(self):
         return bool(self.vec)
+
+
+class HElem(_Vector):
+    """An element of H: sparse coefficient vector over the algebra basis."""
+
+    __slots__ = ()
+
+    def _mul_raw(self, u: Vec, v: Vec) -> Vec:
+        return self.H.mul_raw(u, v)
+
+    def _unit(self) -> "HElem":
+        return self.H.one()
+
+    def coeff(self, i: int) -> CycNum:
+        return self.vec.get(i, _ZERO)
 
     def __repr__(self):
         return _format_vec(self.vec, self.H.labels)
 
 
-class HFunc:
+class HFunc(_Vector):
     """A functional on H: <p, e_i> = vec[i]; callable on HElem."""
 
-    __slots__ = ("H", "vec")
+    __slots__ = ()
 
-    def __init__(self, H: HopfAlgebra, vec: Vec):
-        self.H = H
-        self.vec = vec
+    def _mul_raw(self, p: Vec, q: Vec) -> Vec:
+        return self.H.func_mul_raw(p, q)
+
+    def _unit(self) -> "HFunc":
+        return self.H.eps()
 
     def __call__(self, a: HElem) -> CycNum:
         _same(self, a)
-        acc = _ZERO
-        for i, c in a.vec.items():
-            pi = self.vec.get(i)
-            if pi is not None:
-                acc = acc + pi * c
-        return acc
-
-    def coeff_list(self) -> list[CycNum]:
-        return [self.vec.get(i, _ZERO) for i in range(self.H.dim)]
-
-    def __add__(self, other: "HFunc") -> "HFunc":
-        _same(self, other)
-        out = dict(self.vec)
-        vec_axpy(out, _ONE, other.vec)
-        return HFunc(self.H, out)
-
-    def __sub__(self, other: "HFunc") -> "HFunc":
-        _same(self, other)
-        out = dict(self.vec)
-        vec_axpy(out, -_ONE, other.vec)
-        return HFunc(self.H, out)
-
-    def __neg__(self) -> "HFunc":
-        return HFunc(self.H, vec_scale(self.vec, -_ONE))
-
-    def __mul__(self, other):
-        if isinstance(other, HFunc):
-            _same(self, other)
-            return HFunc(self.H, self.H.func_mul_raw(self.vec, other.vec))
-        return HFunc(self.H, vec_scale(self.vec, _cy(other)))
-
-    def __rmul__(self, other):
-        return HFunc(self.H, vec_scale(self.vec, _cy(other)))
-
-    def __pow__(self, n: int) -> "HFunc":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        acc = self.H.eps()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, HFunc) and self.H.dim == other.H.dim
-                and self.vec == other.vec)
-
-    def __bool__(self):
-        return bool(self.vec)
+        return _dot(self.vec, a.vec.items())
 
     def __repr__(self):
         return "func: " + _format_vec(self.vec, self.H.labels)
@@ -514,57 +418,32 @@ def tensor_of(a: HElem, b: HElem) -> Tensor:
 def tensor_mult(H: HopfAlgebra, s: Tensor, t: Tensor) -> Tensor:
     """Componentwise product in H (x) H."""
     out: Tensor = {}
+    mult = H.mult
     for (a, b), cs in s.items():
         for (c, d), ct in t.items():
-            left = H.mult.get((a, c))
+            left = mult.get((a, c))
             if not left:
                 continue
-            right = H.mult.get((b, d))
+            right = mult.get((b, d))
             if not right:
                 continue
-            coeff = cs * ct
-            for k1, c1 in left:
-                for k2, c2 in right:
-                    key = (k1, k2)
-                    v = out.get(key)
-                    w = coeff * c1 * c2
-                    v = w if v is None else v + w
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+            vec_axpy(out, cs * ct, [((k1, k2), c1 * c2)
+                                    for k1, c1 in left for k2, c2 in right])
     return out
 
 
 def tensor_flatten(H: HopfAlgebra, t: Tensor) -> Vec:
     """Apply multiplication: sum t[(i,j)] e_i e_j."""
     out: Vec = {}
-    for (i, j), c in t.items():
-        term = H.mult.get((i, j))
-        if term:
-            for k, ck in term:
-                s = out.get(k)
-                w = c * ck
-                s = w if s is None else s + w
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+    for ij, c in t.items():
+        vec_axpy(out, c, H.mult.get(ij, ()))
     return out
 
 
 def tensor_antipode_right(H: HopfAlgebra, t: Tensor) -> Tensor:
     out: Tensor = {}
     for (i, j), c in t.items():
-        for k, ck in H.antipode.get(j, ()):
-            key = (i, k)
-            v = out.get(key)
-            w = c * ck
-            v = w if v is None else v + w
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        vec_axpy(out, c, [((i, k), ck) for k, ck in H.antipode.get(j, ())])
     return out
 
 
@@ -577,32 +456,8 @@ def tensor_pair_first(p: HFunc, t: Tensor) -> Vec:
     out: Vec = {}
     for (i, j), c in t.items():
         pi = p.vec.get(i)
-        if pi is None:
-            continue
-        s = out.get(j)
-        w = pi * c
-        s = w if s is None else s + w
-        if s:
-            out[j] = s
-        elif j in out:
-            del out[j]
-    return out
-
-
-def tensor_pair_second(t: Tensor, p: HFunc) -> Vec:
-    """(id (x) p)(t) as a vector."""
-    out: Vec = {}
-    for (i, j), c in t.items():
-        pj = p.vec.get(j)
-        if pj is None:
-            continue
-        s = out.get(i)
-        w = pj * c
-        s = w if s is None else s + w
-        if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
+        if pi is not None:
+            vec_axpy(out, pi, ((j, c),))
     return out
 
 
@@ -617,12 +472,17 @@ def casimir_tensor(H: HopfAlgebra) -> Tensor:
 # axiom verification
 
 
+def _entry(report, name, ok, witness=None):
+    """Append one pass/fail suite entry; a failure carries its witness."""
+    item = {"check": name, "status": "pass" if ok else "fail"}
+    if witness is not None and not ok:
+        item["witness"] = witness
+    report.append(item)
+
+
 def _check_all(name, it, report):
-    for witness, ok in it:
-        if not ok:
-            report.append({"check": name, "status": "fail", "witness": witness})
-            return
-    report.append({"check": name, "status": "pass"})
+    witness = next((w for w, ok in it if not ok), None)
+    _entry(report, name, witness is None, witness)
 
 
 def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
@@ -655,42 +515,28 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
             left: dict = {}
             right: dict = {}
             for (j, k), c in H.comult.get(i, ()):
-                for (a, b), c2 in H.comult.get(j, ()):
-                    key = (a, b, k)
-                    left[key] = left.get(key, _ZERO) + c * c2
-                for (a, b), c2 in H.comult.get(k, ()):
-                    key = (j, a, b)
-                    right[key] = right.get(key, _ZERO) + c * c2
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+                vec_axpy(left, c, [((a, b, k), c2) for (a, b), c2 in H.comult.get(j, ())])
+                vec_axpy(right, c, [((j, a, b), c2) for (a, b), c2 in H.comult.get(k, ())])
             yield i, left == right
 
     _check_all("coassociativity", coassoc(), report)
 
     def counit_law():
+        eps = H.counit_vec
         for i in range(d):
             lhs: Vec = {}
             rhs: Vec = {}
             for (j, k), c in H.comult.get(i, ()):
-                ej = H.counit_vec.get(j)
-                if ej is not None:
-                    w = c * ej
-                    lhs[k] = lhs.get(k, _ZERO) + w
-                ek = H.counit_vec.get(k)
-                if ek is not None:
-                    w = c * ek
-                    rhs[j] = rhs.get(j, _ZERO) + w
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+                if j in eps:
+                    vec_axpy(lhs, c, ((k, eps[j]),))
+                if k in eps:
+                    vec_axpy(rhs, c, ((j, eps[k]),))
             yield i, lhs == basis[i] == rhs
 
     _check_all("counit", counit_law(), report)
 
     def comult_map():
-        one_tensor = {k: v for k, v in
-                      {(i, j): ci * cj for i, ci in H.unit_vec.items()
-                       for j, cj in H.unit_vec.items()}.items() if v}
-        yield "unit", H.comult_raw(H.unit_vec) == one_tensor
+        yield "unit", H.comult_raw(H.unit_vec) == tensor_of(H.one(), H.one())
         for i in range(d):
             di = H.comult_raw(basis[i])
             for j in range(d):
@@ -715,8 +561,8 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
             lhs: Vec = {}
             rhs: Vec = {}
             for (j, k), c in H.comult.get(i, ()):
-                vec_axpy(lhs, c, H.mul_raw(H.antipode_raw(basis[j]), basis[k]))
-                vec_axpy(rhs, c, H.mul_raw(basis[j], H.antipode_raw(basis[k])))
+                vec_axpy(lhs, c, H.mul_raw(H.antipode_raw(basis[j]), basis[k]).items())
+                vec_axpy(rhs, c, H.mul_raw(basis[j], H.antipode_raw(basis[k])).items())
             want = vec_scale(H.unit_vec, H.counit_raw(basis[i]))
             yield i, lhs == want == rhs
 
@@ -745,20 +591,16 @@ def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
         lam_vec, lam_func = H._integral_cache
         return HElem(H, dict(lam_vec)), HFunc(H, dict(lam_func))
     d = H.dim
-    rows = []
-    for i in range(d):
-        eps_i = H.counit_raw(H.basis_vec(i))
-        cols: dict[int, Vec] = {}
+
+    def left_mult_minus_counit(i):
+        # columns of h -> e_i h - eps(e_i) h
+        eps_i = H.counit_raw({i: _ONE})
         for j in range(d):
-            for k, c in H.mult.get((i, j), ()):
-                row = cols.setdefault(k, {})
-                row[j] = row.get(j, _ZERO) + c
-        if eps_i:
-            for k in range(d):
-                row = cols.setdefault(k, {})
-                row[k] = row.get(k, _ZERO) - eps_i
-        rows.extend({j: c for j, c in row.items() if c} for row in cols.values())
-    space = nullspace(rows, d, _ONE)
+            col = H.mul_raw({i: _ONE}, {j: _ONE})
+            vec_axpy(col, -eps_i, ((j, _ONE),))
+            yield col
+
+    space = nullspace((left_mult_minus_counit(i) for i in range(d)), d, _ONE)
     if len(space) != 1:
         raise NoIntegral(
             f"integral space has dimension {len(space)} (expected 1)")
@@ -783,11 +625,7 @@ def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
                     acc = acc + c
         if acc:
             lam_func[i] = acc
-    pairing = _ZERO
-    for i, c in lam_vec.items():
-        t = lam_func.get(i)
-        if t is not None:
-            pairing = pairing + t * c
+    pairing = _dot(lam_func, lam_vec.items())
     if pairing != _ONE:
         raise NoIntegral(f"<lambda, Lambda> = {pairing}, expected 1")
     H._integral_cache = (lam_vec, lam_func)
@@ -830,7 +668,7 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
         raise VerificationFailed("sum of squared degrees != dim")
     total: Vec = {}
     for i in range(n):
-        vec_axpy(total, _ONE, idems[i].vec)
+        vec_axpy(total, _ONE, idems[i].vec.items())
         for j in range(n):
             prod = H.mul_raw(idems[i].vec, idems[j].vec)
             want = idems[i].vec if i == j else {}
@@ -863,38 +701,42 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
         raise VerificationFailed("chi_0 != eps")
 
 
-def _cyc_residue(x: CycNum, w: int, ambient: int, modulus: int) -> int:
-    """Image of x in Z/modulus, sending zeta_ambient -> w (x.order must
-    divide ambient; denominators must be invertible)."""
-    if ambient % x.order:
-        raise BadPrime(f"value of order {x.order} outside Q(zeta_{ambient})")
-    step = ambient // x.order
-    acc = 0
-    for j, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        try:
-            inv = pow(c.denominator, -1, modulus)
-        except ValueError:
-            raise DenominatorCollision(
-                f"denominator {c.denominator} not invertible mod {modulus}")
-        acc += c.numerator * inv * pow(w, j * step, modulus)
-    return acc % modulus
+def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[Vec]:
+    """Primitive idempotents of the commutative semisimple algebra spanned
+    by the independent vectors ``span``, closed under ``mul`` with unit
+    ``unit``.
 
-
-def split_commutative(mul, unit_coords, dim, cyc_order, rng):
-    """Primitive idempotents of a commutative semisimple algebra.
-
-    The algebra is given by ``mul`` on coordinate lists (length ``dim``,
-    CycNum entries, in its own basis) and the coordinates of its unit.
-    Idempotents are found over F_p (p = 1 mod cyc_order), Hensel-lifted
-    to p^k, recognised in Q(zeta_cyc_order) by lattice reduction, and
-    verified exactly; retries move to new primes/precisions.
+    The algebra is split in the coordinates of ``span``: idempotents are
+    found over F_p (p = 1 mod cyc_order), Hensel-lifted to p^k, recognised
+    in Q(zeta_cyc_order) by lattice reduction, and verified exactly;
+    retries move to new primes/precisions.
     """
+    dim = len(span)
+    solver = Solver()
+    for t, v in enumerate(span):
+        solver.insert(v, t)
+
+    def coords(vec: Vec) -> list[CycNum]:
+        combo = solver.express(vec)
+        if combo is None:
+            raise VerificationFailed("the span is not closed under multiplication")
+        return [combo.get(t, _ZERO) for t in range(dim)]
+
+    def vector(xs) -> Vec:
+        out: Vec = {}
+        for t, c in enumerate(xs):
+            if c:
+                vec_axpy(out, c, span[t].items())
+        return out
+
+    def mul_coords(x, y):
+        return coords(mul(vector(x), vector(y)))
+
+    unit_coords = coords(unit)
     if dim == 1:
-        return [list(unit_coords)]
+        return [vector(unit_coords)]
     basis = [[_ONE if i == j else _ZERO for i in range(dim)] for j in range(dim)]
-    struct = [[mul(basis[a], basis[b]) for b in range(dim)] for a in range(dim)]
+    struct = [[mul_coords(basis[a], basis[b]) for b in range(dim)] for a in range(dim)]
     N = max(cyc_order, 1)
     phi = euler_phi(N)
     cpoly = list(cyclotomic_poly(N))
@@ -904,11 +746,11 @@ def split_commutative(mul, unit_coords, dim, cyc_order, rng):
         k = 24 if attempt % 2 == 0 else 48
         try:
             result = _split_attempt(struct, unit_coords, dim, N, phi, cpoly,
-                                    p, k, rng, mul)
+                                    p, k, rng, mul_coords)
             if result is not None:
                 runlog.record("split_commutative", dim=dim, prime=p,
                               precision=k, outcome="ok")
-                return result
+                return [vector(xs) for xs in result]
             last_error = VerificationFailed(f"p={p}, k={k}: reconstruction failed")
             runlog.record("split_commutative", dim=dim, prime=p,
                           precision=k, outcome="reconstruction_failed")
@@ -926,7 +768,7 @@ def _split_attempt(struct, unit_coords, dim, N, phi, cpoly, p, k, rng, mul):
     w1 = element_of_order(N, p, rng)
     mats = []
     for a in range(dim):
-        mat = [[_cyc_residue(struct[a][b][c], w1, N, p) for b in range(dim)]
+        mat = [[struct[a][b][c].residue(w1, N, p) for b in range(dim)]
                for c in range(dim)]
         mats.append(mat)
     vecs = common_eigenvectors(mats, dim, p, rng)
@@ -952,7 +794,7 @@ def _split_attempt(struct, unit_coords, dim, N, phi, cpoly, p, k, rng, mul):
     # Hensel-lift idempotents and the root of unity to mod p^k.
     modulus = p**k
     wk = 1 if N == 1 else lift_root(cpoly, w1, p, k)
-    struct_residues = [[[_cyc_residue(struct[a][b][c], wk, N, modulus)
+    struct_residues = [[[struct[a][b][c].residue(wk, N, modulus)
                          for c in range(dim)] for b in range(dim)]
                        for a in range(dim)]
 
@@ -1054,47 +896,20 @@ def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
     from chi_i(h) = Tr(L_{h E_i}) / d_i.  Everything re-verified exactly.
     """
     d = H.dim
-    rng = random.Random(seed)
-    # center: elements commuting with every basis element
-    rows = []
-    for i in range(d):
-        cols: dict[int, Vec] = {}
+
+    def commutator_with(i):
+        # columns of h -> e_i h - h e_i
         for j in range(d):
-            for k, c in H.mult.get((i, j), ()):
-                row = cols.setdefault(k, {})
-                row[j] = row.get(j, _ZERO) + c
-            for k, c in H.mult.get((j, i), ()):
-                row = cols.setdefault(k, {})
-                row[j] = row.get(j, _ZERO) - c
-        rows.extend({j: c for j, c in row.items() if c} for row in cols.values())
-    center = nullspace(rows, d, _ONE)
-    m = len(center)
-    solver = Solver()
-    for t, z in enumerate(center):
-        solver.insert(z, t)
+            col = H.mul_raw({i: _ONE}, {j: _ONE})
+            vec_axpy(col, -_ONE, H.mul_raw({j: _ONE}, {i: _ONE}).items())
+            yield col
 
-    def to_center(vec: Vec) -> list[CycNum]:
-        combo = solver.express(vec)
-        if combo is None:
-            raise VerificationFailed("center is not multiplicatively closed")
-        return [combo.get(t, _ZERO) for t in range(m)]
-
-    def from_center(coords) -> Vec:
-        out: Vec = {}
-        for t, c in enumerate(coords):
-            if c:
-                vec_axpy(out, c, center[t])
-        return out
-
-    def mul_center(x, y):
-        return to_center(H.mul_raw(from_center(x), from_center(y)))
-
-    unit_coords = to_center(H.unit_vec)
-    idem_coords = split_commutative(mul_center, unit_coords, m, H.cyc_order, rng)
-    integral, lam = integrals(H)
+    center = nullspace((commutator_with(i) for i in range(d)), d, _ONE)
+    idems = split_commutative(center, H.mul_raw, H.unit_vec, H.cyc_order,
+                              random.Random(seed))
+    _, lam = integrals(H)
     entries = []
-    for coords in idem_coords:
-        evec = from_center(coords)
+    for evec in idems:
         tr = lam(HElem(H, evec))  # Tr(L_E) = <lambda, E>
         q = tr.as_rational()
         if q is None or q.denominator != 1 or q <= 0:
@@ -1109,13 +924,20 @@ def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
             if val:
                 chi[j] = val * inv_deg
         entries.append((evec, deg, chi))
+    return _ordered_irred(H, entries)
+
+
+def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
+    """IrredData from (E, degree, character) triples of vectors: the E that
+    equals the integral first, the rest by degree and then character values;
+    verified exactly before it is returned."""
+    integral, _ = integrals(H)
     trivial = [e for e in entries if e[0] == integral.vec]
     if len(trivial) != 1:
         raise VerificationFailed("no idempotent equals the integral")
-    rest = [e for e in entries if e[0] != integral.vec]
-    rest.sort(key=lambda e: (
+    rest = sorted((e for e in entries if e[0] != integral.vec), key=lambda e: (
         e[1],
-        tuple(e[2].get(j, _ZERO).sort_key() for j in range(d)),
+        tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
     ))
     ordered = trivial + rest
     idems = tuple(HElem(H, e[0]) for e in ordered)
@@ -1186,11 +1008,37 @@ def random_functional(H: HopfAlgebra, rng: random.Random) -> HFunc:
 # structure-level theorem suite
 
 
-def _suite_entry(report, name, ok, witness=None):
-    item = {"check": name, "status": "pass" if ok else "fail"}
-    if witness is not None and not ok:
-        item["witness"] = witness
-    report.append(item)
+def _trace_form_failure(H: HopfAlgebra, t: Vec):
+    """The first basis pair (i, j), j < i, with <t, e_i e_j> != <t, e_j e_i>;
+    None when t is a trace form."""
+    for i in range(H.dim):
+        for j in range(i):
+            ij = H.mul_raw({i: _ONE}, {j: _ONE})
+            ji = H.mul_raw({j: _ONE}, {i: _ONE})
+            if _dot(t, ij.items()) != _dot(t, ji.items()):
+                return i, j
+    return None
+
+
+def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
+    """The first basis index k where a slide move of sum r (x) l fails:
+    sum r e_k (x) l = sum r (x) e_k l and sum e_k r (x) l = sum r (x) l e_k.
+    None when both hold on every basis element."""
+    for k in range(H.dim):
+        a = {k: _ONE}
+        slid_l: Tensor = {}
+        slid_r: Tensor = {}
+        moved_l: Tensor = {}
+        moved_r: Tensor = {}
+        for (i, j), c in tensor.items():
+            r, l = {i: _ONE}, {j: _ONE}
+            vec_axpy(slid_l, c, [((x, j), cx) for x, cx in H.mul_raw(r, a).items()])
+            vec_axpy(slid_r, c, [((i, x), cx) for x, cx in H.mul_raw(a, l).items()])
+            vec_axpy(moved_l, c, [((x, j), cx) for x, cx in H.mul_raw(a, r).items()])
+            vec_axpy(moved_r, c, [((i, x), cx) for x, cx in H.mul_raw(l, a).items()])
+        if slid_l != slid_r or moved_l != moved_r:
+            return k
+    return None
 
 
 def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
@@ -1203,7 +1051,7 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
 
     axioms = verify_hopf_axioms(H)
     bad = [a for a in axioms if a["status"] != "pass"]
-    _suite_entry(report, "hopf_axioms_pass", not bad, bad[:1] or None)
+    _entry(report, "hopf_axioms_pass", not bad, bad[:1] or None)
 
     integral, lam = integrals(H)
     ok = integral * integral == integral and all(
@@ -1211,41 +1059,28 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         and integral * H.elem(H.basis_vec(k))
         == integral * H.counit_raw(H.basis_vec(k))
         for k in range(d))
-    _suite_entry(report, "integral_two_sided_idempotent", ok)
-    _suite_entry(report, "integral_pairing_normalized",
-                 lam(integral) == _ONE and H.counit_raw(integral.vec) == _ONE)
-    _suite_entry(report, "antipode_fixes_integrals",
-                 H.antipode_raw(integral.vec) == integral.vec
-                 and H.func_antipode_raw(lam.vec) == lam.vec)
+    _entry(report, "integral_two_sided_idempotent", ok)
+    _entry(report, "integral_pairing_normalized",
+           lam(integral) == _ONE and H.counit_raw(integral.vec) == _ONE)
+    _entry(report, "antipode_fixes_integrals",
+           H.antipode_raw(integral.vec) == integral.vec
+           and H.func_antipode_raw(lam.vec) == lam.vec)
 
-    ok = True
-    witness = None
-    for i in range(d):
-        for j in range(i):
-            bi, bj = H.basis_vec(i), H.basis_vec(j)
-            lhs = sum((c * lam.vec.get(k, _ZERO)
-                       for k, c in H.mul_raw(bi, bj).items()), _ZERO)
-            rhs = sum((c * lam.vec.get(k, _ZERO)
-                       for k, c in H.mul_raw(bj, bi).items()), _ZERO)
-            if lhs != rhs:
-                ok = False
-                witness = {"pair": [i, j]}
-                break
-        if not ok:
-            break
-    _suite_entry(report, "dual_integral_is_trace_form", ok, witness)
+    pair = _trace_form_failure(H, lam.vec)
+    _entry(report, "dual_integral_is_trace_form", pair is None,
+           {"pair": list(pair)} if pair else None)
 
     samples = [H.elem(H.basis_vec(k)) for k in range(d)]
     samples += [random_element(H, rng) for _ in range(5)]
     ok = all(psi_inv(H, frobenius_psi(H, h)) == h for h in samples)
-    _suite_entry(report, "psi_round_trip", ok)
+    _entry(report, "psi_round_trip", ok)
 
     ir = require_irred(H)
     ok = all(
         frobenius_psi(H, ir.idempotents[i])
         == func_antipode_s(ir.characters[i]) * CycNum.rational(ir.degrees[i])
         for i in range(len(ir)))
-    _suite_entry(report, "psi_of_idempotent_is_scaled_character", ok)
+    _entry(report, "psi_of_idempotent_is_scaled_character", ok)
 
     center_image = Echelon()
     for e in ir.idempotents:
@@ -1253,8 +1088,8 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     char_span = Echelon()
     for chi in ir.characters:
         char_span.insert(chi.vec)
-    _suite_entry(report, "psi_carries_center_onto_characters",
-                 center_image == char_span)
+    _entry(report, "psi_carries_center_onto_characters",
+           center_image == char_span)
 
     cas = casimir_tensor(H)
     ok = True
@@ -1263,50 +1098,20 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         bk = H.basis_vec(k)
         acc: Vec = {}
         for (i, j), c in cas.items():
-            w = sum((x * lam.vec.get(m, _ZERO)
-                     for m, x in H.mul_raw(bk, {i: _ONE}).items()), _ZERO)
+            w = _dot(lam.vec, H.mul_raw(bk, {i: _ONE}).items())
             if w:
-                vec_axpy(acc, c * w, {j: _ONE})
+                vec_axpy(acc, c, ((j, w),))
         if acc != bk:
             ok = False
             witness = {"basis": k}
             break
-    _suite_entry(report, "casimir_reproduces_basis", ok, witness)
+    _entry(report, "casimir_reproduces_basis", ok, witness)
 
-    ok = True
-    witness = None
-    for k in range(d):
-        a = {k: _ONE}
-        slid_l: Tensor = {}
-        slid_r: Tensor = {}
-        moved_l: Tensor = {}
-        moved_r: Tensor = {}
-        for (i, j), c in cas.items():
-            for x, cx in H.mul_raw({i: _ONE}, a).items():
-                _tensor_add(slid_l, (x, j), c * cx)
-            for x, cx in H.mul_raw(a, {j: _ONE}).items():
-                _tensor_add(slid_r, (i, x), c * cx)
-            for x, cx in H.mul_raw(a, {i: _ONE}).items():
-                _tensor_add(moved_l, (x, j), c * cx)
-            for x, cx in H.mul_raw({j: _ONE}, a).items():
-                _tensor_add(moved_r, (i, x), c * cx)
-        if slid_l != slid_r or moved_l != moved_r:
-            ok = False
-            witness = {"basis": k}
-            break
-    _suite_entry(report, "casimir_slide_moves", ok, witness)
+    k = _casimir_slide_failure(H, cas)
+    _entry(report, "casimir_slide_moves", k is None, {"basis": k})
 
     report.sort(key=lambda e: e["check"])
     return report
-
-
-def _tensor_add(acc: Tensor, key, c):
-    prev = acc.get(key)
-    val = c if prev is None else prev + c
-    if val:
-        acc[key] = val
-    elif prev is not None:
-        del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -1473,20 +1278,7 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
         s_chi = H.func_antipode_raw(chi)
         evec = vec_scale(H.right_hit_raw(integral.vec, s_chi), CycNum.rational(deg))
         built.append((evec, deg, chi))
-    trivial = [e for e in built if e[0] == integral.vec]
-    if len(trivial) != 1:
-        raise VerificationFailed("double construction: E_0 != Lambda")
-    rest = [e for e in built if e[0] != integral.vec]
-    rest.sort(key=lambda e: (
-        e[1],
-        tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
-    ))
-    ordered = trivial + rest
-    idems = tuple(HElem(H, e[0]) for e in ordered)
-    degrees = tuple(e[1] for e in ordered)
-    chars = tuple(HFunc(H, e[2]) for e in ordered)
-    _verify_irred(H, idems, degrees, chars)
-    return IrredData(idempotents=idems, degrees=degrees, characters=chars)
+    return _ordered_irred(H, built)
 
 
 # ---------------------------------------------------------------------------
@@ -1532,23 +1324,32 @@ def hopf_to_dict(H: HopfAlgebra) -> dict:
 
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
-    """Rebuild an algebra from its JSON dump; runs the full axiom verifier."""
+    """Rebuild an algebra from its JSON dump; runs the full axiom verifier.
+
+    Every basis index must lie in range(dim): an entry outside the basis
+    would never be read by the verifier, so it raises ValueError."""
     try:
         dim = int(data["dim"])
+
+        def ix(x):
+            if x not in range(dim):
+                raise ValueError(f"malformed hopf dump: index {x!r} outside range({dim})")
+            return x
+
         mult: dict = {}
         for i, j, k, c in data["mult"]:
-            mult.setdefault((i, j), []).append((k, _coeff_from_json(c)))
+            mult.setdefault((ix(i), ix(j)), []).append((ix(k), _coeff_from_json(c)))
         comult: dict = {}
         for i, j, k, c in data["comult"]:
-            comult.setdefault(i, []).append(((j, k), _coeff_from_json(c)))
+            comult.setdefault(ix(i), []).append(((ix(j), ix(k)), _coeff_from_json(c)))
         antipode: dict = {}
         for i, j, c in data["antipode"]:
-            antipode.setdefault(i, []).append((j, _coeff_from_json(c)))
-        unit = {i: _coeff_from_json(c) for i, c in data["unit"]}
-        counit = {i: _coeff_from_json(c) for i, c in data["counit"]}
+            antipode.setdefault(ix(i), []).append((ix(j), _coeff_from_json(c)))
+        unit = {ix(i): _coeff_from_json(c) for i, c in data["unit"]}
+        counit = {ix(i): _coeff_from_json(c) for i, c in data["counit"]}
         r_matrix = None
         if "r_matrix" in data:
-            r_matrix = {(i, j): _coeff_from_json(c)
+            r_matrix = {(ix(i), ix(j)): _coeff_from_json(c)
                         for i, j, c in data["r_matrix"]}
         labels = data.get("labels")
         kind = data.get("kind", "custom")

@@ -195,6 +195,15 @@ def test_verify_corrupted_dump_exit3(ks3_dump, tmp_path):
     assert main(["verify", "--suite", "sec1", "--hopf", str(path)]) == 3
 
 
+def test_dump_index_outside_basis_exit2(specdir, tmp_path):
+    path = tmp_path / "kc2.json"
+    assert main(["build", "group", str(specdir / "c2.json"), "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["comult"].append([7, 0, 0, "1"])
+    path.write_text(json.dumps(data))
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+
+
 def test_verify_wrong_schema_exit2(ks3_dump, tmp_path):
     data = json.loads(ks3_dump.read_text())
     data["schema"] = "other/9"

@@ -56,6 +56,19 @@ def test_cayley_validation():
         from_cayley("bad", table)
 
 
+@pytest.mark.parametrize("n", [20, 260])
+def test_intercalate_swap_is_not_associative(n):
+    # Z_n with one intercalate (a 2x2 Latin subsquare) swapped stays a
+    # Latin square with identity 0, but is no longer associative.
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert from_cayley(f"C{n}", table).order == n
+    h = n // 2
+    for row in (1, 1 + h):
+        table[row][1], table[row][1 + h] = table[row][1 + h], table[row][1]
+    with pytest.raises(NotAssociative):
+        from_cayley("bad", table)
+
+
 def test_load_group():
     g = load_group({"name": "C2", "cayley": [[0, 1], [1, 0]]})
     assert g.order == 2 and g.identity == 0

@@ -389,6 +389,22 @@ def test_json_malformed_raises():
         hopf_from_dict({"dim": 2, "mult": []})
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("comult", [7, 0, 0, "1"]),
+    ("mult", [9, 0, 0, "1"]),
+    ("antipode", [0, 3, "1"]),
+    ("unit", [-1, "1"]),
+])
+def test_json_index_outside_basis_raises(field, entry):
+    # The verifier reads only entries inside the basis, so an outside index
+    # must be rejected on load.
+    H, _ = build_group_algebra(cyclic_group(3))
+    data = json.loads(json.dumps(hopf_to_dict(H)))
+    data[field].append(entry)
+    with pytest.raises(ValueError, match="outside range"):
+        hopf_from_dict(data)
+
+
 def test_json_corrupted_tensor_raises(ks3):
     H, _ = ks3
     data = hopf_to_dict(H)
