@@ -2,11 +2,9 @@
 the files in tests/golden/ byte for byte at ``--seed 0``.
 
 The files pin the whole observable output of the CLI on kS3, kQ8 and D(S3):
-every ``build`` dump, every ``compute`` target, ``verify --suite all`` on kS3
-and kQ8, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  A
-refactor that changes any byte of them changes behaviour.  D(S3)
-``verify --suite all`` is pinned by perfbench/golden.json instead, because it
-alone would double the run time of this file.
+every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
+instance, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  A
+refactor that changes any byte of them changes behaviour.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def test_compute(dumps, capsys, inst, target):
     assert got == _golden(f"compute_{target}_{inst}.json")
 
 
-@pytest.mark.parametrize("inst", ["ks3", "kq8"])
+@pytest.mark.parametrize("inst", sorted(INSTANCES))
 def test_verify_all(dumps, capsys, inst):
     got = _run(capsys, ["verify", "--suite", "all", "--hopf", str(dumps[inst])])
     assert got == _golden(f"verify_all_{inst}.json")
