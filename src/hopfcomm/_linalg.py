@@ -37,14 +37,16 @@ def vec_axpy(out: Vec, c, terms) -> None:
 
 
 class Echelon:
-    """A growing reduced-row-echelon basis."""
+    """A growing reduced-row-echelon basis, seeded with the span of ``vecs``."""
 
-    def __init__(self):
+    def __init__(self, vecs: Iterable[Vec] = ()):
         # pivot column -> its row without the pivot entry (whose coefficient
         # is 1).  A reduced row is zero in every other pivot column, so
         # elimination may visit the pivots in any order.
         self.rows: dict = {}
         self._one = None
+        for v in vecs:
+            self.insert(v)
 
     @property
     def rank(self) -> int:
@@ -124,10 +126,7 @@ def _data(v: Vec) -> Vec:
 
 
 def rank(vecs: Iterable[Vec]) -> int:
-    ech = Echelon()
-    for v in vecs:
-        ech.insert(v)
-    return ech.rank
+    return Echelon(vecs).rank
 
 
 def nullspace(maps: Iterable[Iterable[Vec]], ncols: int, one) -> list[Vec]:

@@ -16,9 +16,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, Solver, Vec, vec_axpy
-from .commutator import Subspace, commutator_subalgebra, hopf_commutator, is_left_coideal, z_n
-from .counting import f_iterated, f_n, f_rob, fs_indicator
+from ._linalg import Solver, Vec, rank, vec_axpy
+from .commutator import (
+    Subspace,
+    _left_legs,
+    commutator_subalgebra,
+    hopf_commutator,
+    is_adjoint_stable,
+    is_left_coideal,
+    z_n,
+)
+from .counting import _noncommuting_characters, f_iterated, f_n, f_rob, fs_indicator
 from .errors import (
     LemmaViolation,
     NotAlmostCocommutative,
@@ -31,11 +39,15 @@ from .hopf import (
     HElem,
     HFunc,
     HopfAlgebra,
+    _check_all,
+    _check_idempotents,
+    _combination,
     _entry,
     Tensor,
     frobenius_psi,
     func_antipode_s,
     integrals,
+    memo,
     psi_inv,
     require_irred,
     split_commutative,
@@ -67,6 +79,7 @@ class ClassData:
         return len(self.F)
 
 
+@memo
 def _character_solver(H: HopfAlgebra) -> Solver:
     ir = require_irred(H)
     solver = Solver()
@@ -110,14 +123,11 @@ def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
     result is returned.
     """
     ir = require_irred(H)
-    m = len(ir)
     d = H.dim
-    for i in range(m):
-        for j in range(i):
-            if (ir.characters[i] * ir.characters[j]
-                    != ir.characters[j] * ir.characters[i]):
-                raise NotAlmostCocommutative(
-                    f"chi_{i} chi_{j} != chi_{j} chi_{i}")
+    pair = _noncommuting_characters(H)
+    if pair is not None:
+        i, j = pair
+        raise NotAlmostCocommutative(f"chi_{i} chi_{j} != chi_{j} chi_{i}")
 
     idems = split_commutative([chi.vec for chi in ir.characters], H.func_mul_raw,
                               H.counit_vec, H.cyc_order, random.Random(seed))
@@ -134,13 +144,8 @@ def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
                                       for k in range(d)))
     F = tuple(first + rest)
 
-    class_dims = []
-    for f in F:
-        ech = Echelon()
-        for k in range(d):
-            ech.insert(H.func_mul_raw({k: _ONE}, f.vec))
-        class_dims.append(ech.rank)
-    class_dims = tuple(class_dims)
+    class_dims = tuple(rank(H.func_mul_raw({k: _ONE}, f.vec) for k in range(d))
+                       for f in F)
 
     scale = CycNum.rational(d)
     C = tuple(
@@ -159,16 +164,7 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
     m = len(data)
     d = H.dim
     integral, lam = integrals(H)
-    total: Vec = {}
-    for i in range(m):
-        vec_axpy(total, _ONE, data.F[i].vec.items())
-        for j in range(m):
-            prod = H.func_mul_raw(data.F[i].vec, data.F[j].vec)
-            want = data.F[i].vec if i == j else {}
-            if prod != want:
-                raise VerificationFailed(f"F_{i}F_{j} is not {'F_' + str(i) if i == j else '0'}")
-    if total != H.eps().vec:
-        raise VerificationFailed("sum of F_i != eps")
+    _check_idempotents("F", [f.vec for f in data.F], H.func_mul_raw, H.counit_vec, "eps")
     if data.class_dims[0] != 1:
         raise VerificationFailed(f"dim(F_0 H*) = {data.class_dims[0]} != 1")
     if sum(data.class_dims) != d:
@@ -188,27 +184,22 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
 
 
 def require_classdata(H: HopfAlgebra, seed: int = 0) -> ClassData:
-    cache = H.__dict__.setdefault("_classdata_cache", {})
-    got = cache.get(seed)
-    if got is None:
-        cache[seed] = got = rh_idempotents(H, seed)
-    return got
+    """rh_idempotents(H, seed), computed once per instance and seed."""
+    return _classdata(H, seed)
+
+
+_classdata = memo(rh_idempotents)
 
 
 def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Subspace:
-    """c_i = Lambda <- F_iH*, verified to be an adjoint-stable left coideal."""
+    """c_i = Lambda <- F_iH* = (Lambda <- F_i) <- H*, verified to be an
+    adjoint-stable left coideal."""
     integral, _ = integrals(H)
-    sub = Subspace(H)
-    for k in range(H.dim):
-        p = H.func_mul_raw(data.F[i].vec, {k: _ONE})
-        sub.add(H.right_hit_raw(integral.vec, p))
+    sub = Subspace(H, _left_legs(H, H.right_hit_raw(integral.vec, data.F[i].vec)))
     if not is_left_coideal(H, sub):
         raise VerificationFailed(f"c_{i} is not a left coideal")
-    for j in range(H.dim):
-        bj = {j: _ONE}
-        for v in sub.basis_vecs():
-            if not sub.contains(H.adjoint_raw(bj, v)):
-                raise VerificationFailed(f"c_{i} is not adjoint-stable")
+    if not is_adjoint_stable(H, sub):
+        raise VerificationFailed(f"c_{i} is not adjoint-stable")
     if not sub.contains(data.eta[i].vec):
         raise VerificationFailed(f"eta_{i} is not in c_{i}")
     return sub
@@ -216,14 +207,6 @@ def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Subspace
 
 # ---------------------------------------------------------------------------
 # membership criterion
-
-
-def _hit_span(H: HopfAlgebra, vec: Vec) -> Echelon:
-    """span of v <- H* (all right hits of one element)."""
-    ech = Echelon()
-    for k in range(H.dim):
-        ech.insert(H.right_hit_raw(vec, {k: _ONE}))
-    return ech
 
 
 def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc, j: int):
@@ -235,7 +218,7 @@ def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc, j: int):
     if character_coordinates(H, f) is None:
         raise ValueError("membership_test needs f in the character span")
     by_pairing = f(data.eta[j]) != _ZERO
-    coideal = _hit_span(H, psi_inv(H, f).vec)
+    coideal = Subspace(H, _left_legs(H, psi_inv(H, f).vec))
     by_subspace = coideal.contains(data.eta[j].vec)
     if by_pairing != by_subspace:
         raise LemmaViolation(
@@ -260,11 +243,8 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     report: list[dict] = []
 
     coideals = [conjugacy_class_coideal(H, data, i) for i in range(m)]
-    combined = Echelon()
-    for sub in coideals:
-        for v in sub.basis_vecs():
-            combined.insert(v)
-    ok = combined.rank == d and sum(s.dim for s in coideals) == d
+    combined = rank(v for sub in coideals for v in sub.basis_vecs())
+    ok = combined == d and sum(s.dim for s in coideals) == d
     _entry(report, "class_coideals_decompose_H", ok,
            None if ok else {"ranks": [s.dim for s in coideals]})
 
@@ -281,35 +261,21 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         witness = str(exc)
     _entry(report, "membership_routes_agree", ok, witness)
 
-    z2 = z_n(H, 2)
-    for n in (1, 2):
-        span = _hit_span(H, (z2 ** n).vec)
-        fn = f_n(H, n)
-        ok = True
-        witness = None
+    # eta_j lies in the coideal v <- H* exactly when <Psi(v), eta_j> != 0
+    def coideal_iff_pairing(span, f):
         for j in range(m):
-            in_coideal = span.contains(data.eta[j].vec)
-            pairing_nonzero = fn(data.eta[j]) != _ZERO
-            if in_coideal != pairing_nonzero:
-                ok = False
-                witness = {"class": j, "in_coideal": in_coideal,
-                           "pairing_nonzero": pairing_nonzero}
-                break
-        _entry(report, f"eta_in_z2^{n}_coideal_iff_f{n}_pairing", ok, witness)
+            w = {"class": j, "in_coideal": span.contains(data.eta[j].vec),
+                 "pairing_nonzero": f(data.eta[j]) != _ZERO}
+            yield w, w["in_coideal"] == w["pairing_nonzero"]
 
+    z2 = z_n(H, 2)
+    z2_spans = {n: Subspace(H, _left_legs(H, (z2 ** n).vec)) for n in (1, 2, 3)}
+    for n in (1, 2):
+        _check_all(f"eta_in_z2^{n}_coideal_iff_f{n}_pairing",
+                   coideal_iff_pairing(z2_spans[n], f_n(H, n)), report)
     fit = f_iterated(H)
-    span = _hit_span(H, hopf_commutator(z2, integral).vec)
-    ok = True
-    witness = None
-    for j in range(m):
-        in_coideal = span.contains(data.eta[j].vec)
-        pairing_nonzero = fit(data.eta[j]) != _ZERO
-        if in_coideal != pairing_nonzero:
-            ok = False
-            witness = {"class": j, "in_coideal": in_coideal,
-                       "pairing_nonzero": pairing_nonzero}
-            break
-    _entry(report, "eta_in_iterated_coideal_iff_pairing", ok, witness)
+    _check_all("eta_in_iterated_coideal_iff_pairing", coideal_iff_pairing(
+        Subspace(H, _left_legs(H, hopf_commutator(z2, integral).vec)), fit), report)
 
     # fusion route: coefficient of chi_i in f_iterated is d^2/d_i sum_k m_ki/d_k
     coords = character_coordinates(H, fit)
@@ -330,35 +296,27 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _entry(report, "iterated_coefficients_from_fusion", ok, witness)
 
     # z_2 = (1/d) sum dim(F_iH*) eta_i S(eta_i), and the eta orthogonality
-    acc: Vec = {}
-    for i in range(m):
-        prod = data.eta[i] * HElem(H, H.antipode_raw(data.eta[i].vec))
-        vec_axpy(acc, CycNum.rational(Fraction(data.class_dims[i], d)), prod.vec.items())
-    _entry(report, "z2_expands_in_eta_dual_basis", HElem(H, acc) == z2)
+    prods = [eta * HElem(H, H.antipode_raw(eta.vec)) for eta in data.eta]
+    expansion = _combination([Fraction(k, d) for k in data.class_dims], prods)
+    _entry(report, "z2_expands_in_eta_dual_basis", HElem(H, expansion) == z2)
 
-    ok = True
-    witness = None
-    for i in range(m):
-        si = HElem(H, H.antipode_raw(data.eta[i].vec))
-        for j in range(m):
-            got = lam(data.eta[j] * si)
-            want = (CycNum.rational(Fraction(d, data.class_dims[i]))
-                    if i == j else _ZERO)
-            if got != want:
-                ok = False
-                witness = {"pair": [i, j], "got": str(got)}
-                break
-        if not ok:
-            break
-    _entry(report, "eta_pairs_diagonally_under_lambda", ok, witness)
+    def eta_pairings():
+        for i in range(m):
+            si = HElem(H, H.antipode_raw(data.eta[i].vec))
+            for j in range(m):
+                got = lam(data.eta[j] * si)
+                want = (CycNum.rational(Fraction(d, data.class_dims[i]))
+                        if i == j else _ZERO)
+                yield {"pair": [i, j], "got": str(got)}, got == want
+
+    _check_all("eta_pairs_diagonally_under_lambda", eta_pairings(), report)
 
     # open question: does a nonzero <f_n, eta_j> pairing characterize
     # membership of eta_j in H'?  Logged per class, never asserted.
     hprime = commutator_subalgebra(H)
     probe = {}
     for j in range(m):
-        spans = {n: _hit_span(H, (z2 ** n).vec).contains(data.eta[j].vec)
-                 for n in (1, 2, 3)}
+        spans = {n: z2_spans[n].contains(data.eta[j].vec) for n in (1, 2, 3)}
         pairings = {n: f_n(H, n)(data.eta[j]) != _ZERO for n in (1, 2, 3)}
         probe[f"class_{j}"] = {
             "in_hprime": hprime.contains(data.eta[j].vec),
@@ -408,20 +366,14 @@ def kaplansky_report(H: HopfAlgebra) -> list[dict]:
                         break
             _entry(report, f"integral_coefficients[{name}]", ok, witness)
 
-        ok = True
-        witness = None
-        for i in range(len(ir)):
-            for k, mult in enumerate(fusion_coefficients(H, i)):
-                num = d * d * mult
-                den = ir.degrees[i] * ir.degrees[k]
-                if num % den:
-                    ok = False
-                    witness = {"i": i, "k": k,
-                               "coeff": f"{num}/{den}"}
-                    break
-            if not ok:
-                break
-        _entry(report, "iterated_summands_integral", ok, witness)
+        def summands():
+            for i in range(len(ir)):
+                for k, mult in enumerate(fusion_coefficients(H, i)):
+                    num = d * d * mult
+                    den = ir.degrees[i] * ir.degrees[k]
+                    yield {"i": i, "k": k, "coeff": f"{num}/{den}"}, num % den == 0
+
+        _check_all("iterated_summands_integral", summands(), report)
 
     nu2 = [str(fs_indicator(H, i, 2)) for i in range(len(ir))]
     report.append({"check": "second_indicator_vector", "status": "evidence",
@@ -503,11 +455,9 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
             raise NotQuasitriangular(f"R Delta != Delta^op R at basis {k}")
 
     monodromy = tensor_mult(H, tensor_swap(R), R)
-    ech = Echelon()
-    for k in range(H.dim):
-        ech.insert(tensor_pair_first(HFunc(H, {k: _ONE}), monodromy))
+    image = rank(tensor_pair_first(HFunc(H, {k: _ONE}), monodromy) for k in range(H.dim))
     return RMatrixData(R=dict(R), monodromy=monodromy,
-                       factorizable=ech.rank == H.dim)
+                       factorizable=image == H.dim)
 
 
 def drinfeld_map(H: HopfAlgebra, rdata: RMatrixData, p: HFunc) -> HElem:
@@ -551,18 +501,13 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
                    "status": "evidence",
                    "witness": {"equals_eta_index": hits0[0] if hits0 else None}})
 
-    chi_ad: Vec = {}
-    for i in range(len(ir)):
-        vec_axpy(chi_ad, _ONE,
-                 (ir.characters[i] * func_antipode_s(ir.characters[i])).vec.items())
-    chi_ad_f = HFunc(H, chi_ad)
+    chi_ad_f = HFunc(H, _combination([1] * len(ir), [
+        chi * func_antipode_s(chi) for chi in ir.characters]))
     z2 = z_n(H, 2)
     _entry(report, "adjoint_character_maps_to_z2",
            drinfeld_map(H, rdata, chi_ad_f) == z2 * CycNum.rational(d))
 
-    eta_sum = HElem(H, {})
-    for j in range(len(data)):
-        eta_sum = eta_sum + data.eta[j]
+    eta_sum = HElem(H, _combination([1] * len(data), data.eta))
     _entry(report, "fourier_sends_z2_to_eta_sum",
            drinfeld_map(H, rdata, frobenius_psi(H, z2)) == eta_sum)
 

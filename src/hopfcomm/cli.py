@@ -58,6 +58,7 @@ from .hopf import (
     HElem,
     HopfAlgebra,
     _coeff_to_json,
+    _combination,
     build_drinfeld_double,
     build_dual_group_algebra,
     build_group_algebra,
@@ -249,9 +250,7 @@ def cmd_compute(args) -> int:
         n = args.n
         irred = require_irred(H, args.seed)
         coeffs = [Fraction(1, d ** (n - n % 2)) for d in irred.degrees]
-        from_idempotents = H.elem({})
-        for c, e in zip(coeffs, irred.idempotents):
-            from_idempotents = from_idempotents + c * e
+        from_idempotents = HElem(H, _combination(coeffs, irred.idempotents))
         direct = z_n(H, n)
         agree = direct == from_idempotents
         doc["result"] = {

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, Solver, Vec, vec_axpy
+from ._linalg import Echelon, Solver, Vec, rank, vec_axpy
 from .commutator import Z_n_map, hopf_commutator, z_n
 from .errors import DegenerateForm, FormulaMismatch, VerificationFailed
 from .exactnum import CycNum
@@ -25,12 +25,17 @@ from .hopf import (
     HFunc,
     HopfAlgebra,
     _casimir_slide_failure,
+    _central_failure,
+    _check_all,
+    _combination,
     _entry,
+    _tensor_sandwich,
     _trace_form_failure,
     casimir_tensor,
     frobenius_psi,
     func_antipode_s,
     integrals,
+    memo,
     psi_inv,
     random_functional,
     require_irred,
@@ -43,19 +48,14 @@ _ZERO = CycNum.rational(0)
 
 def _chi_combination(H: HopfAlgebra, coeffs) -> HFunc:
     """sum coeffs[i] * chi_i as a functional."""
-    ir = require_irred(H)
-    out: Vec = {}
-    for i, c in enumerate(coeffs):
-        if not isinstance(c, CycNum):
-            c = CycNum.rational(c)
-        vec_axpy(out, c, ir.characters[i].vec.items())
-    return HFunc(H, out)
+    return HFunc(H, _combination(coeffs, require_irred(H).characters))
 
 
 # ---------------------------------------------------------------------------
 # counting functionals
 
 
+@memo
 def f_rob(H: HopfAlgebra) -> HFunc:
     """sum (d/d_i) chi_i; on kG its value at g counts pairs with [x,y] = g."""
     ir = require_irred(H)
@@ -63,6 +63,7 @@ def f_rob(H: HopfAlgebra) -> HFunc:
     return _chi_combination(H, [Fraction(d, di) for di in ir.degrees])
 
 
+@memo
 def f_n(H: HopfAlgebra, n: int) -> HFunc:
     """sum (d/d_i)^(2n-1) chi_i; on kG counts products of n commutators."""
     if n < 1:
@@ -117,25 +118,21 @@ def sweedler_power(H: HopfAlgebra, h: HElem, m: int) -> HElem:
     """h^[m] = sum h_1 h_2 ... h_m (m-fold comultiplication, then multiply)."""
     if m < 1:
         raise ValueError("Sweedler power needs m >= 1")
-    cache = H.__dict__.setdefault("_sweedler_cache", {})
     out: Vec = {}
     for i, c in h.vec.items():
-        vec_axpy(out, c, _sweedler_basis(H, cache, i, m).items())
+        vec_axpy(out, c, _sweedler_basis(H, i, m).items())
     return HElem(H, out)
 
 
-def _sweedler_basis(H: HopfAlgebra, cache: dict, i: int, m: int) -> Vec:
+@memo
+def _sweedler_basis(H: HopfAlgebra, i: int, m: int) -> Vec:
+    """e_i^[m] as a vector."""
     if m == 1:
         return {i: _ONE}
-    key = (i, m)
-    got = cache.get(key)
-    if got is None:
-        acc: Vec = {}
-        for (j, k), c in H.comult_raw({i: _ONE}).items():
-            vec_axpy(acc, c,
-                     H.mul_raw({j: _ONE}, _sweedler_basis(H, cache, k, m - 1)).items())
-        cache[key] = got = acc
-    return got
+    acc: Vec = {}
+    for (j, k), c in H.comult_raw({i: _ONE}).items():
+        vec_axpy(acc, c, H.mul_raw({j: _ONE}, _sweedler_basis(H, k, m - 1)).items())
+    return acc
 
 
 def fs_indicator(H: HopfAlgebra, i: int, m: int) -> CycNum:
@@ -166,6 +163,7 @@ def root_function(H: HopfAlgebra, m: int) -> HFunc:
 # iterated-commutator functional
 
 
+@memo
 def f_iterated(H: HopfAlgebra) -> HFunc:
     """Counting functional for iterated commutators [[x,y],z], by three routes.
 
@@ -264,36 +262,23 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
         if any(a == _ZERO for a in alphas):
             raise DegenerateForm("t has a vanishing character coefficient")
         # u = sum (alpha_i / d_i) E_i satisfies lambda <- u = sum alpha_i chi_i
-        uvec: Vec = {}
-        for i, a in enumerate(alphas):
-            vec_axpy(uvec, a * CycNum.rational(Fraction(1, ir.degrees[i])),
-                     ir.idempotents[i].vec.items())
-        u = HElem(H, uvec)
+        u = HElem(H, _combination([a * CycNum.rational(Fraction(1, deg))
+                                   for a, deg in zip(alphas, ir.degrees)], ir.idempotents))
         # Lemma check: t <- Z(H) spans exactly the characters.
-        hit = Echelon()
-        for e in ir.idempotents:
-            hit.insert(H.func_right_hit_raw(t.vec, e.vec))
-        span = Echelon()
-        for chi in ir.characters:
-            span.insert(chi.vec)
-        if hit != span:
+        hit = Echelon(H.func_right_hit_raw(t.vec, e.vec) for e in ir.idempotents)
+        if hit != Echelon(chi.vec for chi in ir.characters):
             raise DegenerateForm("t <- Z(H) does not span the characters")
     else:
         u = _solve_connection(H, t)
         if u is None:
             raise VerificationFailed("t is not lambda <- u for any u")
-        mul_rank = Echelon()
-        for k in range(d):
-            mul_rank.insert(H.mul_raw(u.vec, H.basis_vec(k)))
-        if mul_rank.rank != d:
+        if rank(H.mul_raw(u.vec, H.basis_vec(k)) for k in range(d)) != d:
             raise DegenerateForm("t <- H has rank < dim")
     _, lam = integrals(H)
     if HFunc(H, H.func_right_hit_raw(lam.vec, u.vec)) != t:
         raise VerificationFailed("connection t = lambda <- u failed to verify")
-    for k in range(d):
-        bk = H.basis_vec(k)
-        if H.mul_raw(bk, u.vec) != H.mul_raw(u.vec, bk):
-            raise VerificationFailed("connection element u is not central")
+    if _central_failure(H, u.vec) is not None:
+        raise VerificationFailed("connection element u is not central")
     return SymmetricForm(t=t, scope=scope, u=u, alphas=alphas or ())
 
 
@@ -309,6 +294,7 @@ def _solve_connection(H: HopfAlgebra, t: HFunc):
     return HElem(H, dict(combo))
 
 
+@memo
 def t_n_form(H: HopfAlgebra, n: int) -> SymmetricForm:
     """Center-form generated by t_n = sum d_i^(n-1-(n mod 2)) chi_i; t_2 = lambda."""
     if n < 2:
@@ -318,6 +304,7 @@ def t_n_form(H: HopfAlgebra, n: int) -> SymmetricForm:
     return symmetric_form(H, t, scope="center")
 
 
+@memo
 def t_tilde_form(H: HopfAlgebra, n: int) -> SymmetricForm:
     """Full form generated by t~_n = sum d_i^(n+1-(n mod 2)) chi_i = lambda <- z_n^{-1}."""
     if n < 2:
@@ -386,15 +373,14 @@ def higman_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
     """
     if n < 2:
         raise ValueError("Higman maps are defined for n >= 2")
-    cache = H.__dict__.setdefault("_higman_cache", {})
-    tensor = cache.get(n)
-    if tensor is None:
-        tensor, _ = casimir_of_form(H, t_tilde_form(H, n))
-        cache[n] = tensor
-    out: Vec = {}
-    for (i, j), c in tensor.items():
-        vec_axpy(out, c, H.mul_raw(H.mul_raw({i: _ONE}, h.vec), {j: _ONE}).items())
-    return HElem(H, out)
+    return HElem(H, _tensor_sandwich(H, _higman_tensor(H, n), h.vec))
+
+
+@memo
+def _higman_tensor(H: HopfAlgebra, n: int) -> dict:
+    """The dual-basis tensor sum r_a (x) l_a of the full form t~_n."""
+    tensor, _ = casimir_of_form(H, t_tilde_form(H, n))
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +416,7 @@ def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]
         if c:
             uw[g] = inv_order * CycNum.rational(c)
     ir = require_irred(H)
-    nw: Vec = {}
-    for i in range(len(ir)):
-        coeff = func_antipode_s(ir.characters[i])(HElem(H, uw))
-        vec_axpy(nw, coeff, ir.characters[i].vec.items())
+    nw = _chi_combination(H, [func_antipode_s(chi)(HElem(H, uw)) for chi in ir.characters]).vec
     expansion_ok = all(
         nw.get(g, _ZERO) == CycNum.rational(counts[g]) for g in range(G.order)
     )
@@ -446,10 +429,13 @@ def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]
 # theorem suite
 
 
-def _characters_commute(H: HopfAlgebra) -> bool:
-    ir = require_irred(H)
-    return all(ir.characters[i] * ir.characters[j] == ir.characters[j] * ir.characters[i]
-               for i in range(len(ir)) for j in range(i))
+@memo
+def _noncommuting_characters(H: HopfAlgebra):
+    """The first pair (i, j), j < i, with chi_i chi_j != chi_j chi_i; None
+    when the character algebra R(H) is commutative."""
+    chars = require_irred(H).characters
+    return next(((i, j) for i in range(len(chars)) for j in range(i)
+                 if chars[i] * chars[j] != chars[j] * chars[i]), None)
 
 
 def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
@@ -475,7 +461,7 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     ok = all(bullet_power(H, frob, l) == f_n(H, l) for l in (1, 2, 3))
     _entry(report, "bullet_power_matches_fn", ok)
 
-    if _characters_commute(H):
+    if _noncommuting_characters(H) is None:
         ok = all(bullet(H, ir.characters[i], ir.characters[j])
                  == bullet(H, ir.characters[j], ir.characters[i])
                  for i in range(len(ir)) for j in range(i))
@@ -515,15 +501,9 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         * CycNum.rational(Fraction(d) ** 2)
     _entry(report, "iterated_matches_commutator_route", ok)
 
-    ok = True
-    witness = None
-    for n in (2, 3, 4):
-        _, cas = casimir_of_form(H, t_n_form(H, n))
-        if cas != z_n(H, n):
-            ok = False
-            witness = {"n": n}
-            break
-    _entry(report, "center_casimir_is_zn", ok, witness)
+    _check_all("center_casimir_is_zn", (
+        ({"n": n}, casimir_of_form(H, t_n_form(H, n))[1] == z_n(H, n)) for n in (2, 3, 4)),
+        report)
 
     full_lambda = symmetric_form(H, lam, scope="full")
     tensor, cas = casimir_of_form(H, full_lambda)

@@ -16,6 +16,7 @@ exactly before it is returned.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -110,7 +111,7 @@ class HopfAlgebra:
         if r_matrix is not None:
             self.r_matrix = {k: _cy(c) for k, c in r_matrix.items() if _cy(c)}
         self.irred = None  # IrredData, attached by builders or on demand
-        self._integral_cache = None
+        self._memo: dict = {}  # derived data, filled by @memo functions
         if check:
             report = verify_hopf_axioms(self)
             bad = [r for r in report if r["status"] == "fail"]
@@ -345,6 +346,60 @@ def _same(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the per-instance memo, and checks shared by several modules
+
+
+def memo(fn):
+    """Compute ``fn(H, *args)`` once per instance and positional-argument tuple.
+
+    The value is stored in the one dict ``H._memo`` and every later call gets
+    that same object back, so callers treat it as read-only: nothing assigns
+    into the ``.vec`` of a returned HElem/HFunc or adds to a returned
+    Subspace.  An exception is not stored; the next call computes again.
+    Values that read ``H.irred`` assume it is not replaced afterwards (builders
+    and loaders set it before any of them runs).
+    """
+
+    @functools.wraps(fn)
+    def cached(H, *args):
+        key = (fn, *args)
+        if key not in H._memo:
+            H._memo[key] = fn(H, *args)
+        return H._memo[key]
+
+    return cached
+
+
+def _combination(coeffs, elems) -> Vec:
+    """sum coeffs[i] * elems[i] for HElems or HFuncs, as a vector; a
+    coefficient may be an int, a Fraction or a CycNum."""
+    out: Vec = {}
+    for c, x in zip(coeffs, elems):
+        vec_axpy(out, _cy(c), x.vec.items())
+    return out
+
+
+def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
+    """Raise VerificationFailed unless ``vecs`` (name_0, name_1, ...) are
+    orthogonal idempotents under ``mul`` that sum to ``unit``."""
+    total: Vec = {}
+    for i, u in enumerate(vecs):
+        vec_axpy(total, _ONE, u.items())
+        for j, v in enumerate(vecs):
+            if mul(u, v) != (u if i == j else {}):
+                raise VerificationFailed(
+                    f"{name}_{i}{name}_{j} != {name + '_' + str(i) if i == j else '0'}")
+    if total != unit:
+        raise VerificationFailed(f"the {name}_i do not sum to {unit_name}")
+
+
+def _central_failure(H: HopfAlgebra, v: Vec):
+    """The first basis index k with e_k v != v e_k; None when v is central."""
+    return next((k for k in range(H.dim)
+                 if H.mul_raw({k: _ONE}, v) != H.mul_raw(v, {k: _ONE})), None)
+
+
+# ---------------------------------------------------------------------------
 # module-level operations (the public algebra/coalgebra surface)
 
 
@@ -440,6 +495,14 @@ def tensor_flatten(H: HopfAlgebra, t: Tensor) -> Vec:
     return out
 
 
+def _tensor_sandwich(H: HopfAlgebra, t: Tensor, h: Vec) -> Vec:
+    """sum t[(i,j)] e_i h e_j."""
+    out: Vec = {}
+    for (i, j), c in t.items():
+        vec_axpy(out, c, H.mul_raw(H.mul_raw({i: _ONE}, h), {j: _ONE}).items())
+    return out
+
+
 def tensor_antipode_right(H: HopfAlgebra, t: Tensor) -> Tensor:
     out: Tensor = {}
     for (i, j), c in t.items():
@@ -485,6 +548,7 @@ def _check_all(name, it, report):
     _entry(report, name, witness is None, witness)
 
 
+@memo
 def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
     """Exact basis-element verification of all Hopf axioms; returns a
     report with one entry per axiom, failures carrying a witness."""
@@ -580,6 +644,7 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
 # integrals and the Frobenius map
 
 
+@memo
 def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
     """(Lambda, lambda): the idempotent integral and the dual integral.
 
@@ -587,9 +652,6 @@ def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
     normalised by eps(Lambda) = 1; lambda is the regular character
     (trace of left multiplication), which satisfies <lambda, Lambda> = 1.
     """
-    if H._integral_cache is not None:
-        lam_vec, lam_func = H._integral_cache
-        return HElem(H, dict(lam_vec)), HFunc(H, dict(lam_func))
     d = H.dim
 
     def left_mult_minus_counit(i):
@@ -628,8 +690,7 @@ def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
     pairing = _dot(lam_func, lam_vec.items())
     if pairing != _ONE:
         raise NoIntegral(f"<lambda, Lambda> = {pairing}, expected 1")
-    H._integral_cache = (lam_vec, lam_func)
-    return HElem(H, dict(lam_vec)), HFunc(H, dict(lam_func))
+    return HElem(H, lam_vec), HFunc(H, lam_func)
 
 
 def frobenius_psi(H: HopfAlgebra, h: HElem) -> HFunc:
@@ -662,25 +723,14 @@ class IrredData:
 
 
 def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
-    d = H.dim
     n = len(idems)
-    if sum(x * x for x in degrees) != d:
+    if sum(x * x for x in degrees) != H.dim:
         raise VerificationFailed("sum of squared degrees != dim")
-    total: Vec = {}
+    _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1")
     for i in range(n):
-        vec_axpy(total, _ONE, idems[i].vec.items())
-        for j in range(n):
-            prod = H.mul_raw(idems[i].vec, idems[j].vec)
-            want = idems[i].vec if i == j else {}
-            if prod != want:
-                raise VerificationFailed(f"E_{i}E_{j} != {'E_' + str(i) if i == j else '0'}")
-    if total != H.unit_vec:
-        raise VerificationFailed("idempotents do not sum to 1")
-    for k in range(d):
-        bk = H.basis_vec(k)
-        for i in range(n):
-            if H.mul_raw(bk, idems[i].vec) != H.mul_raw(idems[i].vec, bk):
-                raise VerificationFailed(f"E_{i} is not central (basis {k})")
+        k = _central_failure(H, idems[i].vec)
+        if k is not None:
+            raise VerificationFailed(f"E_{i} is not central (basis {k})")
     for i in range(n):
         for j in range(n):
             want = CycNum.rational(degrees[j] if i == j else 0)
@@ -761,7 +811,8 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
         if attempt % 2 == 1:
             p = next_prime_in_ap(p, N)
     raise VerificationFailed(
-        f"could not split commutative algebra after 5 attempts: {last_error}")
+        f"could not split commutative algebra after 5 attempts: {last_error}; "
+        f"cyc_order {cyc_order} may be too small for its idempotents")
 
 
 def _split_attempt(struct, unit_coords, dim, N, phi, cpoly, p, k, rng, mul):
@@ -954,6 +1005,7 @@ def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
     return H.irred
 
 
+@memo
 def grouplike_functionals(H: HopfAlgebra) -> list[HFunc]:
     """The grouplike elements of H*: exactly the degree-1 irreducible
     characters, each verified multiplicative with sigma(1) = 1."""
@@ -994,14 +1046,7 @@ def random_element(H: HopfAlgebra, rng: random.Random, density=1.0) -> HElem:
 
 
 def random_functional(H: HopfAlgebra, rng: random.Random) -> HFunc:
-    vec: Vec = {}
-    for i in range(H.dim):
-        c = rng.randrange(-4, 5)
-        if c:
-            vec[i] = CycNum.rational(c)
-    if not vec:
-        vec[rng.randrange(H.dim)] = _ONE
-    return HFunc(H, vec)
+    return HFunc(H, random_element(H, rng).vec)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,30 +1127,22 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         for i in range(len(ir)))
     _entry(report, "psi_of_idempotent_is_scaled_character", ok)
 
-    center_image = Echelon()
-    for e in ir.idempotents:
-        center_image.insert(frobenius_psi(H, e).vec)
-    char_span = Echelon()
-    for chi in ir.characters:
-        char_span.insert(chi.vec)
+    center_image = Echelon(frobenius_psi(H, e).vec for e in ir.idempotents)
     _entry(report, "psi_carries_center_onto_characters",
-           center_image == char_span)
+           center_image == Echelon(chi.vec for chi in ir.characters))
 
     cas = casimir_tensor(H)
-    ok = True
-    witness = None
-    for k in range(d):
-        bk = H.basis_vec(k)
-        acc: Vec = {}
-        for (i, j), c in cas.items():
-            w = _dot(lam.vec, H.mul_raw(bk, {i: _ONE}).items())
-            if w:
-                vec_axpy(acc, c, ((j, w),))
-        if acc != bk:
-            ok = False
-            witness = {"basis": k}
-            break
-    _entry(report, "casimir_reproduces_basis", ok, witness)
+
+    def reproduced_basis():
+        for k in range(d):
+            acc: Vec = {}
+            for (i, j), c in cas.items():
+                w = _dot(lam.vec, H.mul_raw({k: _ONE}, {i: _ONE}).items())
+                if w:
+                    vec_axpy(acc, c, ((j, w),))
+            yield {"basis": k}, acc == {k: _ONE}
+
+    _check_all("casimir_reproduces_basis", reproduced_basis(), report)
 
     k = _casimir_slide_failure(H, cas)
     _entry(report, "casimir_slide_moves", k is None, {"basis": k})
@@ -1298,6 +1335,16 @@ def _coeff_from_json(x) -> CycNum:
     return CycNum.rational(Fraction(x))
 
 
+def _coeff_in(field: str, x, cyc_order: int) -> CycNum:
+    """A dumped coefficient of ``field``; it must lie in Q(zeta_cyc_order),
+    where every modular step of the package looks for it."""
+    c = _coeff_from_json(x)
+    if cyc_order % c.order:
+        raise ValueError(f"malformed hopf dump: {field} holds a coefficient of order "
+                         f"{c.order}, which does not divide cyc_order {cyc_order}")
+    return c
+
+
 def hopf_to_dict(H: HopfAlgebra) -> dict:
     mult = [[i, j, k, _coeff_to_json(c)]
             for (i, j) in sorted(H.mult) for k, c in H.mult[(i, j)]]
@@ -1327,33 +1374,39 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     """Rebuild an algebra from its JSON dump; runs the full axiom verifier.
 
     Every basis index must lie in range(dim): an entry outside the basis
-    would never be read by the verifier, so it raises ValueError."""
+    would never be read by the verifier, so it raises ValueError.  So does a
+    coefficient outside Q(zeta_cyc_order)."""
     try:
         dim = int(data["dim"])
+        cyc_order = int(data.get("cyc_order", 1))
+        if cyc_order < 1:
+            raise ValueError(f"malformed hopf dump: cyc_order {cyc_order} < 1")
 
         def ix(x):
             if x not in range(dim):
                 raise ValueError(f"malformed hopf dump: index {x!r} outside range({dim})")
             return x
 
+        def cx(field, c):
+            return _coeff_in(field, c, cyc_order)
+
         mult: dict = {}
         for i, j, k, c in data["mult"]:
-            mult.setdefault((ix(i), ix(j)), []).append((ix(k), _coeff_from_json(c)))
+            mult.setdefault((ix(i), ix(j)), []).append((ix(k), cx("mult", c)))
         comult: dict = {}
         for i, j, k, c in data["comult"]:
-            comult.setdefault(ix(i), []).append(((ix(j), ix(k)), _coeff_from_json(c)))
+            comult.setdefault(ix(i), []).append(((ix(j), ix(k)), cx("comult", c)))
         antipode: dict = {}
         for i, j, c in data["antipode"]:
-            antipode.setdefault(ix(i), []).append((ix(j), _coeff_from_json(c)))
-        unit = {ix(i): _coeff_from_json(c) for i, c in data["unit"]}
-        counit = {ix(i): _coeff_from_json(c) for i, c in data["counit"]}
+            antipode.setdefault(ix(i), []).append((ix(j), cx("antipode", c)))
+        unit = {ix(i): cx("unit", c) for i, c in data["unit"]}
+        counit = {ix(i): cx("counit", c) for i, c in data["counit"]}
         r_matrix = None
         if "r_matrix" in data:
-            r_matrix = {(ix(i), ix(j)): _coeff_from_json(c)
+            r_matrix = {(ix(i), ix(j)): cx("r_matrix", c)
                         for i, j, c in data["r_matrix"]}
         labels = data.get("labels")
         kind = data.get("kind", "custom")
-        cyc_order = int(data.get("cyc_order", 1))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed hopf dump: {exc}") from exc
     return HopfAlgebra(
@@ -1385,12 +1438,11 @@ def irred_to_dict(irred: IrredData) -> dict:
 
 
 def irred_from_dict(H: HopfAlgebra, data: dict) -> IrredData:
+    def vec(field, entry):
+        return {i: _coeff_in(f"irred.{field}", c, H.cyc_order) for i, c in entry}
+
     degrees = tuple(int(x) for x in data["degrees"])
-    idems = tuple(
-        HElem(H, {i: _coeff_from_json(c) for i, c in entry})
-        for entry in data["idempotents"])
-    chars = tuple(
-        HFunc(H, {i: _coeff_from_json(c) for i, c in entry})
-        for entry in data["characters"])
+    idems = tuple(HElem(H, vec("idempotents", e)) for e in data["idempotents"])
+    chars = tuple(HFunc(H, vec("characters", e)) for e in data["characters"])
     _verify_irred(H, idems, degrees, chars)
     return IrredData(idempotents=idems, degrees=degrees, characters=chars)

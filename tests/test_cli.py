@@ -15,6 +15,7 @@ from hopfcomm.group import quaternion_group
 
 S3_SPEC = {"name": "S3", "perm_generators": [[[1, 2]], [[1, 2, 3]]]}
 C2_SPEC = {"name": "C2", "cayley": [[0, 1], [1, 0]]}
+C3_SPEC = {"name": "C3", "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,34 @@ def test_dump_index_outside_basis_exit2(specdir, tmp_path):
     data["comult"].append([7, 0, 0, "1"])
     path.write_text(json.dumps(data))
     assert main(["compute", "z", "--hopf", str(path)]) == 2
+
+
+def _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred):
+    spec = tmp_path / "c3.json"
+    spec.write_text(json.dumps(C3_SPEC))
+    path = tmp_path / "kc3.json"
+    assert main(["build", "group", str(spec), "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["cyc_order"] = 1  # the true exponent is 3
+    if not keep_irred:
+        del data["irred"]
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_dump_irred_outside_cyc_order_exit2(tmp_path, capsys):
+    path = _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred=True)
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "irred.idempotents" in err and "cyc_order 1" in err
+
+
+def test_dump_cyc_order_too_small_to_split_exit3(tmp_path, capsys):
+    # Without irred the structure constants are all rational, so the load
+    # passes; the split of the center then fails and names cyc_order.
+    path = _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred=False)
+    assert main(["compute", "classdata", "--hopf", str(path)]) == 3
+    assert "cyc_order 1 may be too small" in capsys.readouterr().err
 
 
 def test_verify_wrong_schema_exit2(ks3_dump, tmp_path):

@@ -212,6 +212,16 @@ def test_com_span_cap():
         com_span(H, 2, cap=5)
 
 
+def test_com_span_cap_checked_on_every_call(ks3, monkeypatch):
+    # com_span(H, 3) is computed once, but a lowered cap still refuses it.
+    H, _ = ks3
+    first = com_span(H, 3)
+    assert com_span(H, 3) is first
+    monkeypatch.setenv("HOPFCOMM_CAP", "enum=100")
+    with pytest.raises(EnumerationCapExceeded):
+        com_span(H, 3)
+
+
 def test_com_span_sampled_lower_bound(ks3):
     H, _ = ks3
     exact = com_span(H, 2)
@@ -277,6 +287,11 @@ def test_hprime_double_s3_routes_agree(ds3):
 def test_hprime_kq8(kq8):
     H, _ = kq8
     assert commutator_subalgebra(H).dim == 2
+
+
+def test_hprime_computed_once(kq8):
+    H, _ = kq8
+    assert commutator_subalgebra(H) is commutator_subalgebra(H)
 
 
 # -- suite and probe --

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import hopfcomm.hopf as hopf_mod
 from hopfcomm.errors import (
     DimMismatch,
     NonIntegerDegree,
@@ -37,12 +38,14 @@ from hopfcomm.hopf import (
     irred_to_dict,
     irreducibles_generic,
     left_hit,
+    memo,
     pair,
     psi_inv,
     random_element,
     random_functional,
     right_hit,
     tensor_flatten,
+    theorem_suite_sec1,
     verify_hopf_axioms,
 )
 
@@ -405,6 +408,36 @@ def test_json_index_outside_basis_raises(field, entry):
         hopf_from_dict(data)
 
 
+def _kc3_dump(cyc_order=3):
+    H, irred = build_group_algebra(cyclic_group(3))
+    data = json.loads(json.dumps(hopf_to_dict(H)))
+    data["cyc_order"] = cyc_order
+    return data, json.loads(json.dumps(irred_to_dict(irred)))
+
+
+def test_json_coefficient_outside_cyc_order_raises():
+    # kC3 with one structure constant turned into zeta_3 and cyc_order 1:
+    # the coefficient lies outside Q(zeta_1), so the load names the field.
+    data, _ = _kc3_dump(cyc_order=1)
+    data["mult"][0][3] = {"order": 3, "coeffs": ["0", "1"]}
+    with pytest.raises(ValueError, match="mult .*cyc_order 1"):
+        hopf_from_dict(data)
+
+
+def test_json_irred_outside_cyc_order_raises():
+    # The kC3 idempotents need zeta_3; a dump that claims cyc_order 1 lies.
+    data, irred = _kc3_dump(cyc_order=1)
+    H = hopf_from_dict(data)  # the structure constants are rational
+    with pytest.raises(ValueError, match="irred.idempotents .*cyc_order 1"):
+        irred_from_dict(H, irred)
+
+
+def test_json_cyc_order_must_be_positive():
+    data, _ = _kc3_dump(cyc_order=0)
+    with pytest.raises(ValueError, match="cyc_order"):
+        hopf_from_dict(data)
+
+
 def test_json_corrupted_tensor_raises(ks3):
     H, _ = ks3
     data = hopf_to_dict(H)
@@ -442,3 +475,55 @@ def test_non_integer_degree_detected():
     )
     with pytest.raises((NonIntegerDegree, VerificationFailed)):
         irreducibles_generic(H)
+
+
+# -- per-instance memo --
+
+
+def test_sec1_reuses_the_axiom_report_of_the_build(ks3, monkeypatch):
+    # A check=True instance verified its axioms when it was built; sec1 reads
+    # that report and runs no second sweep.
+    H, _ = ks3
+    axioms = {e["check"] for e in verify_hopf_axioms(H)}
+    sweeps = []
+    check_all = hopf_mod._check_all
+
+    def counted(name, it, report):
+        sweeps.append(name)
+        return check_all(name, it, report)
+
+    monkeypatch.setattr(hopf_mod, "_check_all", counted)
+    report = theorem_suite_sec1(H)
+    assert axioms.isdisjoint(sweeps)
+    assert {"check": "hopf_axioms_pass", "status": "pass"} in report
+    assert verify_hopf_axioms(H) is verify_hopf_axioms(H)
+
+
+def test_unchecked_instance_verifies_on_demand(s3):
+    H = HopfAlgebra(**_ks3_raw(s3), check=False)
+    assert H._memo == {}
+    assert all(e["status"] == "pass" for e in verify_hopf_axioms(H))
+
+
+def test_memo_keys_by_arguments_and_does_not_store_errors(ks3):
+    H, _ = ks3
+    runs = []
+
+    @memo
+    def probe(H, n):
+        runs.append(n)
+        if n < 0:
+            raise ValueError("negative")
+        return [n]
+
+    assert probe(H, 1) is probe(H, 1)
+    assert probe(H, 2) == [2]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            probe(H, -1)
+    assert runs == [1, 2, -1, -1]
+
+
+def test_integrals_are_shared(ks3):
+    H, _ = ks3
+    assert integrals(H)[0] is integrals(H)[0]
