@@ -292,8 +292,15 @@ def _gso(basis: list[list[int]]):
 def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
     """Textbook LLL with exact rational Gram-Schmidt.
 
-    Recomputes the GSO after every change; fine for the tiny lattices
-    (dimension <= ~8) used for recognising cyclotomic coordinates.
+    The GSO is computed once and then updated in place (H. Cohen, *A Course
+    in Computational Algebraic Number Theory*, Alg. 2.6.3).  Size reduction
+    of row k subtracts the rounded coefficients of its GSO row as they stood
+    before the step, and changes only that row of mu; a swap of rows k-1 and
+    k changes their two norms and columns k-1 and k of mu.  The updates are
+    exact, so every decision is the one a fresh GSO would give.  A swap
+    whose row k has GSO norm zero (the rows are then dependent) recomputes
+    the GSO instead: the swap formulas assume nonzero norms, while the GSO
+    sets mu to 0 against a zero norm.
     """
     b = [list(v) for v in basis]
     n = len(b)
@@ -302,18 +309,31 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     mu, norms = _gso(b)
     k = 1
     while k < n:
-        changed = False
+        row = mu[k]
+        quotients = [round(x) for x in row[:k]]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = quotients[j]
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                changed = True
-        if changed:
-            mu, norms = _gso(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                row[j] -= q
+                for i in range(j):
+                    row[i] -= q * mu[j][i]
+        m = row[k - 1]
+        if norms[k] >= (delta - m ** 2) * norms[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        bk, bk1 = norms[k], norms[k - 1]
+        if not bk:
             mu, norms = _gso(b)
-            k = max(k - 1, 1)
+        else:
+            big = bk + m * m * bk1
+            row[k - 1] = m * bk1 / big
+            norms[k], norms[k - 1] = bk1 * bk / big, big
+            row[:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], row[:k - 1]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + row[k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return b

@@ -1,10 +1,20 @@
 """Exact arithmetic in Q and in cyclotomic fields Q(zeta_N).
 
-Every value is stored in a canonical form: ``order`` is the conductor of the
-value (1 for rationals, never congruent to 2 mod 4) and ``coeffs`` are the
-coordinates in the power basis {zeta^j : 0 <= j < phi(order)} reduced modulo
-the cyclotomic polynomial.  Canonical form makes equality and hashing plain
-coordinate comparisons, even across values built at different orders.
+A value holds its coordinates at an ambient order n: the coordinates in the
+power basis {zeta_n^j : 0 <= j < phi(n)}, reduced modulo the n-th cyclotomic
+polynomial.  Sums and products run at the lcm of the operands' ambient
+orders, and equality compares there: at a fixed order the power basis is
+unique, so no arithmetic step searches for a subfield.  A value whose
+coordinates after the first are all zero is rational and is stored at
+order 1, so ``is_rational`` and ``as_rational`` read the ambient form.
+
+The canonical form is the conductor (the smallest order whose field holds
+the value: 1 for rationals, never 2 mod 4) with the coordinates there.  It
+is computed on demand, once per value, and only where it can be seen:
+``order``, ``coeffs``, ``hash``, ``sort_key``, ``str``, ``to_dict``,
+``galois``, ``lies_in`` and ``residue`` when the ambient order does not
+divide the one asked for.  This is the lazy layout of Antic's ``nf_elem``
+(W. Hart, "ANTIC: Algebraic Number Theory in C", 2015).
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import add
 from typing import Optional, Union
 
 from .errors import BadPrime, DenominatorCollision, DivisionByZero
@@ -144,68 +156,70 @@ def _project_to_subfield(n: int, m: int, vec: tuple[Fraction, ...]) -> Optional[
     return tuple(out)
 
 
-def _canonical(n: int, vec: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+def _canonical(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
     # Shrink to the conductor: smallest divisor m of n (m != 2 mod 4)
-    # whose cyclotomic field contains the value.
+    # whose cyclotomic field contains the value.  A value stored at n > 1 is
+    # irrational, so Q itself is never tried; for n = 2 mod 4 the odd
+    # divisor n/2 always holds the value.
     if n == 1:
-        return 1, (vec[0],)
-    if not any(vec[1:]):
-        return 1, (vec[0],)
-    for m in divisors(n):
-        if m == n or m % 4 == 2:
+        return 1, vec
+    for m in divisors(n)[1:-1]:
+        if m % 4 == 2:
             continue
-        proj = _project_to_subfield(n, m, tuple(vec))
+        proj = _project_to_subfield(n, m, vec)
         if proj is not None:
             return m, proj
-    if n % 4 == 2:
-        proj = _project_to_subfield(n, n // 2, tuple(vec))
-        assert proj is not None  # Q(zeta_n) = Q(zeta_{n/2}) for n = 2 mod 4
-        return n // 2, proj
-    return n, tuple(vec)
+    return n, vec
 
 
-def _reduce_power_coeffs(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    # Fold coordinates on zeta^k (k >= phi(n)) back into the power basis.
+@lru_cache(maxsize=None)
+def _sparse_power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # _power_rows(n) without its zero entries: row k lists (j, c) with c != 0.
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in _power_rows(n))
+
+
+def _reduce_power_coeffs(n: int, coeffs) -> tuple[Fraction, ...]:
+    # Coordinates at order n of sum_k coeffs[k] zeta_n^k: coordinates on
+    # zeta^k (k >= phi(n)) fold back into the power basis.
     deg = euler_phi(n)
-    rows = _power_rows(n)
-    out = list(coeffs[:deg]) + [_ZERO] * max(0, deg - len(coeffs))
+    out = list(coeffs[:deg])
+    if len(out) < deg:
+        out += [_ZERO] * (deg - len(out))
+    rows = _sparse_power_rows(n)
     for k in range(deg, len(coeffs)):
         c = coeffs[k]
         if c:
-            row = rows[k % n] if k >= n else rows[k]
-            for j, rj in enumerate(row):
-                if rj:
-                    out[j] += c * rj
-    return out
+            for j, r in rows[k % n]:
+                out[j] += c * r
+    return tuple(out)
 
 
 class CycNum:
-    """An element of a cyclotomic field, always in canonical form."""
+    """An element of a cyclotomic field, held at an ambient order.
 
-    __slots__ = ("order", "coeffs")
+    ``_v`` are the power-basis coordinates at the ambient order ``_n``;
+    ``_n`` is 1 exactly when the value is rational.  ``order`` and ``coeffs``
+    are the canonical form (conductor and coordinates there), computed on
+    first use and kept in ``_canon``; the module docstring lists where.
+    """
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...], _canonical_input: bool = False):
-        if _canonical_input:
-            self.order = order
-            self.coeffs = coeffs
-            return
+    __slots__ = ("_n", "_v", "_canon")
+
+    def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
+        """sum_k coeffs[k] zeta_order^k, for any number of coefficients."""
         n = int(order)
         if n < 1:
             raise ValueError("order must be positive")
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > euler_phi(n):
-            vec = _reduce_power_coeffs(n, vec)
-        elif len(vec) < euler_phi(n):
-            vec = vec + [_ZERO] * (euler_phi(n) - len(vec))
-        o, v = _canonical(n, vec)
-        self.order = o
-        self.coeffs = v
+        return _value(n, _reduce_power_coeffs(n, [Fraction(c) for c in coeffs]))
+
+    def __reduce__(self):
+        return CycNum, (self._n, self._v)
 
     # --- constructors ---
 
     @staticmethod
     def rational(q) -> "CycNum":
-        return CycNum(1, (Fraction(q),), _canonical_input=True)
+        return _make(1, (Fraction(q),))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycNum":
@@ -213,7 +227,6 @@ class CycNum:
         if n < 1:
             raise ValueError("order must be positive")
         k %= n
-        from math import gcd
         g = gcd(k, n) if k else n
         n2, k2 = n // g, k // g
         vec = [_ZERO] * (k2 + 1)
@@ -231,23 +244,46 @@ class CycNum:
         return None
 
     def _aligned(self, other: "CycNum"):
-        if self.order == other.order:
-            return self.order, list(self.coeffs), list(other.coeffs)
-        n = _lcm(self.order, other.order)
+        # Both operands' coordinates at the lcm of their ambient orders.
+        n = self._n
+        if n == other._n:
+            return n, self._v, other._v
+        n = _lcm(n, other._n)
         return n, _embed(self, n), _embed(other, n)
+
+    def _canonical_form(self) -> tuple[int, tuple[Fraction, ...]]:
+        c = self._canon
+        if c is None:
+            c = self._canon = _canonical(self._n, self._v)
+        return c
 
     # --- predicates and conversions ---
 
+    @property
+    def order(self) -> int:
+        """The conductor: the smallest N (never 2 mod 4) with the value in Q(zeta_N)."""
+        return self._canonical_form()[0]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates at the conductor ``order``."""
+        return self._canonical_form()[1]
+
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._v)
 
     @property
     def is_rational(self) -> bool:
-        return self.order == 1
+        return self._n == 1
 
     def as_rational(self) -> Optional[Fraction]:
         """The rational value, or None if the value is irrational."""
-        return self.coeffs[0] if self.order == 1 else None
+        return self._v[0] if self._n == 1 else None
+
+    def lies_in(self, n: int) -> bool:
+        """Whether the value lies in Q(zeta_n).  The conductor is read only
+        when the ambient order does not divide n."""
+        return n % self._n == 0 or n % self.order == 0
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation (zeta -> zeta^-1)."""
@@ -255,17 +291,16 @@ class CycNum:
 
     def galois(self, k: int) -> "CycNum":
         """The Galois twist zeta -> zeta^k; k must be prime to the order."""
-        n = self.order
+        n, coeffs = self._canonical_form()
         if n == 1:
             return self
-        from math import gcd
         k %= n
         if gcd(k, n) != 1:
             raise ValueError(f"galois exponent {k} not prime to order {n}")
         vec = [_ZERO] * n
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(coeffs):
             vec[(j * k) % n] += c
-        return CycNum(n, tuple(vec))
+        return _value(n, _reduce_power_coeffs(n, vec))
 
     # --- arithmetic ---
 
@@ -273,15 +308,15 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.order == 1 and o.order == 1:
-            return CycNum(1, (self.coeffs[0] + o.coeffs[0],), _canonical_input=True)
+        if self._n == 1 and o._n == 1:
+            return _make(1, (self._v[0] + o._v[0],))
         n, a, b = self._aligned(o)
-        return CycNum(n, tuple(x + y for x, y in zip(a, b)))
+        return _value(n, tuple(map(add, a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, tuple(-c for c in self.coeffs), _canonical_input=True)
+        return _make(self._n, tuple(-c for c in self._v))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -299,14 +334,14 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.order == 1 and o.order == 1:
-            return CycNum(1, (self.coeffs[0] * o.coeffs[0],), _canonical_input=True)
-        if self.order == 1:
-            q = self.coeffs[0]
+        if self._n == 1:
+            q = self._v[0]
+            if o._n == 1:
+                return _make(1, (q * o._v[0],))
             if not q:
                 return CycNum.rational(0)
-            return CycNum(o.order, tuple(q * c for c in o.coeffs), _canonical_input=True)
-        if o.order == 1:
+            return _make(o._n, tuple(q * c for c in o._v))
+        if o._n == 1:
             return o.__mul__(self)
         n, a, b = self._aligned(o)
         prod = [_ZERO] * (len(a) + len(b) - 1)
@@ -315,17 +350,18 @@ class CycNum:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return CycNum(n, tuple(prod))
+        return _value(n, _reduce_power_coeffs(n, prod))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.order == 1:
-            return CycNum(1, (1 / self.coeffs[0],), _canonical_input=True)
-        inv = _poly_inverse(list(self.coeffs), cyclotomic_poly(self.order))
-        return CycNum(self.order, tuple(inv))
+        n = self._n
+        if n == 1:
+            return _make(1, (1 / self._v[0],))
+        inv = _poly_inverse(list(self._v), cyclotomic_poly(n))
+        return _value(n, _reduce_power_coeffs(n, inv))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -361,27 +397,34 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.order == o.order and self.coeffs == o.coeffs
+        n, m = self._n, o._n
+        if n == m:
+            return self._v == o._v
+        if n == 1 or m == 1:
+            return False  # a value stored at an order above 1 is irrational
+        n = _lcm(n, m)
+        return _embed(self, n) == _embed(o, n)
 
     def __hash__(self):
-        if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        if self._n == 1:
+            return hash(self._v[0])
+        return hash(self._canonical_form())
 
     def __repr__(self):
         return f"CycNum({self})"
 
     def __str__(self):
-        if self.order == 1:
-            return str(self.coeffs[0])
+        order, coeffs = self._canonical_form()
+        if order == 1:
+            return str(coeffs[0])
         parts = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(coeffs):
             if not c:
                 continue
             if j == 0:
                 parts.append(str(c))
             else:
-                mono = f"z{self.order}" if j == 1 else f"z{self.order}^{j}"
+                mono = f"z{order}" if j == 1 else f"z{order}^{j}"
                 if c == 1:
                     parts.append(mono)
                 elif c == -1:
@@ -392,7 +435,8 @@ class CycNum:
         return out.replace("+ -", "- ")
 
     def sort_key(self):
-        return (self.order,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
+        order, coeffs = self._canonical_form()
+        return (order,) + tuple((c.numerator, c.denominator) for c in coeffs)
 
     # --- reduction to a prime field ---
 
@@ -417,14 +461,21 @@ class CycNum:
         return PrimeFieldElem(self.residue(w, n, p), p)
 
     def residue(self, w: int, ambient: int, modulus: int) -> int:
-        """Image in Z/modulus under zeta_ambient -> w.  The order must divide
-        ``ambient``, and every denominator must be invertible mod ``modulus``."""
-        if ambient % self.order:
-            raise BadPrime(f"value of order {self.order} outside Q(zeta_{ambient})")
-        step = pow(w, ambient // self.order, modulus)
+        """Image in Z/modulus under zeta_ambient -> w, where w is a root of the
+        ambient-th cyclotomic polynomial mod ``modulus``.  The value must lie
+        in Q(zeta_ambient), and every denominator must be invertible mod
+        ``modulus``.  The image is the same from any order that holds the
+        value, so the ambient coordinates serve whenever their order divides
+        ``ambient``; the conductor is read only otherwise."""
+        n, coeffs = self._n, self._v
+        if ambient % n:
+            n, coeffs = self._canonical_form()
+            if ambient % n:
+                raise BadPrime(f"value of order {n} outside Q(zeta_{ambient})")
+        step = pow(w, ambient // n, modulus)
         acc = 0
         power = 1
-        for c in self.coeffs:
+        for c in coeffs:
             if c:
                 try:
                     inv = pow(c.denominator, -1, modulus)
@@ -438,31 +489,49 @@ class CycNum:
     # --- serialization ---
 
     def to_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        order, coeffs = self._canonical_form()
+        return {"order": order, "coeffs": [str(c) for c in coeffs]}
 
     @staticmethod
     def from_dict(d: dict) -> "CycNum":
         return CycNum(int(d["order"]), tuple(Fraction(s) for s in d["coeffs"]))
 
 
+_new = object.__new__
+
+
+def _make(n: int, v: tuple[Fraction, ...]) -> CycNum:
+    # A CycNum at ambient order n from its coordinates there; n is 1 exactly
+    # when the value is rational.  Bypasses CycNum.__new__ and its checks.
+    x = _new(CycNum)
+    x._n = n
+    x._v = v
+    x._canon = None
+    return x
+
+
+def _value(n: int, v: tuple[Fraction, ...]) -> CycNum:
+    # As _make, for a result that may have cancelled to a rational.
+    if n != 1 and not any(v[1:]):
+        return _make(1, v[:1])
+    return _make(n, v)
+
+
 def _lcm(a: int, b: int) -> int:
-    from math import gcd
     return a // gcd(a, b) * b
 
 
 def _embed(x: CycNum, n: int) -> list[Fraction]:
-    # Coordinates of x in the power basis at order n (x.order divides n).
-    deg = euler_phi(n)
-    if x.order == 1:
-        return [x.coeffs[0]] + [_ZERO] * (deg - 1)
-    step = n // x.order
-    rows = _power_rows(n)
-    out = [_ZERO] * deg
-    for j, c in enumerate(x.coeffs):
+    # Coordinates of x in the power basis at order n (x's ambient order divides n).
+    if x._n == n:
+        return list(x._v)
+    step = n // x._n
+    rows = _sparse_power_rows(n)
+    out = [_ZERO] * euler_phi(n)
+    for j, c in enumerate(x._v):
         if c:
-            for i, r in enumerate(rows[step * j]):
-                if r:
-                    out[i] += c * r
+            for i, r in rows[step * j]:
+                out[i] += c * r
     return out
 
 

@@ -1339,8 +1339,8 @@ def _coeff_in(field: str, x, cyc_order: int) -> CycNum:
     """A dumped coefficient of ``field``; it must lie in Q(zeta_cyc_order),
     where every modular step of the package looks for it."""
     c = _coeff_from_json(x)
-    if cyc_order % c.order:
-        raise ValueError(f"malformed hopf dump: {field} holds a coefficient of order "
+    if not c.lies_in(cyc_order):
+        raise ValueError(f"{field} holds a coefficient of order "
                          f"{c.order}, which does not divide cyc_order {cyc_order}")
     return c
 
@@ -1374,17 +1374,18 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     """Rebuild an algebra from its JSON dump; runs the full axiom verifier.
 
     Every basis index must lie in range(dim): an entry outside the basis
-    would never be read by the verifier, so it raises ValueError.  So does a
-    coefficient outside Q(zeta_cyc_order)."""
+    would never be read by the verifier, so it raises ValueError.  So do a
+    coefficient outside Q(zeta_cyc_order), a zero denominator and a missing
+    or misshapen field."""
     try:
         dim = int(data["dim"])
         cyc_order = int(data.get("cyc_order", 1))
         if cyc_order < 1:
-            raise ValueError(f"malformed hopf dump: cyc_order {cyc_order} < 1")
+            raise ValueError(f"cyc_order {cyc_order} < 1")
 
         def ix(x):
             if x not in range(dim):
-                raise ValueError(f"malformed hopf dump: index {x!r} outside range({dim})")
+                raise ValueError(f"index {x!r} outside range({dim})")
             return x
 
         def cx(field, c):
@@ -1407,7 +1408,7 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
                         for i, j, c in data["r_matrix"]}
         labels = data.get("labels")
         kind = data.get("kind", "custom")
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed hopf dump: {exc}") from exc
     return HopfAlgebra(
         dim=dim,
@@ -1438,11 +1439,19 @@ def irred_to_dict(irred: IrredData) -> dict:
 
 
 def irred_from_dict(H: HopfAlgebra, data: dict) -> IrredData:
+    """Rebuild the irreducible data of H from its JSON dump and verify it.
+
+    A section that lacks a key, or holds a value of the wrong shape, a zero
+    denominator or a coefficient outside Q(zeta_cyc_order), raises
+    ValueError."""
     def vec(field, entry):
         return {i: _coeff_in(f"irred.{field}", c, H.cyc_order) for i, c in entry}
 
-    degrees = tuple(int(x) for x in data["degrees"])
-    idems = tuple(HElem(H, vec("idempotents", e)) for e in data["idempotents"])
-    chars = tuple(HFunc(H, vec("characters", e)) for e in data["characters"])
+    try:
+        degrees = tuple(int(x) for x in data["degrees"])
+        idems = tuple(HElem(H, vec("idempotents", e)) for e in data["idempotents"])
+        chars = tuple(HFunc(H, vec("characters", e)) for e in data["characters"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed irred section: {exc}") from exc
     _verify_irred(H, idems, degrees, chars)
     return IrredData(idempotents=idems, degrees=degrees, characters=chars)

@@ -11,11 +11,14 @@ import json
 import pytest
 
 from hopfcomm.cli import main
+from hopfcomm.exactnum import CycNum, zeta
 from hopfcomm.group import quaternion_group
+from hopfcomm.hopf import hopf_from_dict
 
 S3_SPEC = {"name": "S3", "perm_generators": [[[1, 2]], [[1, 2, 3]]]}
 C2_SPEC = {"name": "C2", "cayley": [[0, 1], [1, 0]]}
 C3_SPEC = {"name": "C3", "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+C8_SPEC = {"name": "C8", "cayley": [[(a + b) % 8 for b in range(8)] for a in range(8)]}
 
 
 @pytest.fixture(scope="module")
@@ -205,12 +208,16 @@ def test_dump_index_outside_basis_exit2(specdir, tmp_path):
     assert main(["compute", "z", "--hopf", str(path)]) == 2
 
 
-def _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred):
-    spec = tmp_path / "c3.json"
-    spec.write_text(json.dumps(C3_SPEC))
-    path = tmp_path / "kc3.json"
+def _built_dump(tmp_path, spec_doc):
+    spec = tmp_path / f"{spec_doc['name']}.json"
+    spec.write_text(json.dumps(spec_doc))
+    path = tmp_path / f"k{spec_doc['name']}.json"
     assert main(["build", "group", str(spec), "-o", str(path)]) == 0
-    data = json.loads(path.read_text())
+    return path, json.loads(path.read_text())
+
+
+def _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred):
+    path, data = _built_dump(tmp_path, C3_SPEC)
     data["cyc_order"] = 1  # the true exponent is 3
     if not keep_irred:
         del data["irred"]
@@ -231,6 +238,80 @@ def test_dump_cyc_order_too_small_to_split_exit3(tmp_path, capsys):
     path = _kc3_dump_claiming_cyc_order_1(tmp_path, keep_irred=False)
     assert main(["compute", "classdata", "--hopf", str(path)]) == 3
     assert "cyc_order 1 may be too small" in capsys.readouterr().err
+
+
+def _clear_irred(data):
+    data["irred"] = {}
+
+
+def _zero_denominator_in_irred(data):
+    data["irred"]["idempotents"][0][0][1] = "1/0"
+
+
+def _zero_denominator_in_mult(data):
+    data["mult"][0][3] = "1/0"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_clear_irred, "malformed irred section"),
+    (_zero_denominator_in_irred, "malformed irred section"),
+    (_zero_denominator_in_mult, "malformed hopf dump"),
+])
+def test_dump_malformed_section_exit2(tmp_path, capsys, edit, message):
+    path, data = _built_dump(tmp_path, C3_SPEC)
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _at_order_8(c: CycNum):
+    # c in Q(i) written in the power basis of zeta_8, where i = zeta_8^2.
+    q = c.as_rational()
+    if q is not None:
+        return str(q)
+    a, b = c.coeffs  # coordinates on 1 and zeta_4
+    return {"order": 8, "coeffs": [str(a), "0", str(b), "0"]}
+
+
+def _kc8_rescaled(data):
+    """The kC8 dump in the basis i*g, g^2, ..., g^7 (g the generator): the
+    same Hopf algebra, with structure constants in Q(i), each written at
+    order 8, and cyc_order 4."""
+    scale = {1: zeta(4)}
+    s = [scale.get(a, CycNum.rational(1)) for a in range(data["dim"])]
+
+    def c(x):
+        return CycNum.rational(x) if isinstance(x, str) else CycNum.from_dict(x)
+
+    data["mult"] = [[a, b, k, _at_order_8(c(x) * s[a] * s[b] / s[k])]
+                    for a, b, k, x in data["mult"]]
+    data["comult"] = [[a, j, k, _at_order_8(c(x) * s[a] / (s[j] * s[k]))]
+                      for a, j, k, x in data["comult"]]
+    data["antipode"] = [[a, j, _at_order_8(c(x) * s[a] / s[j])]
+                        for a, j, x in data["antipode"]]
+    data["unit"] = [[a, _at_order_8(c(x) / s[a])] for a, x in data["unit"]]
+    data["counit"] = [[a, _at_order_8(c(x) * s[a])] for a, x in data["counit"]]
+    data["cyc_order"] = 4
+    data["kind"] = "custom"
+    del data["irred"]
+    return data
+
+
+def test_dump_coefficient_written_at_a_higher_order_loads(tmp_path, capsys):
+    # A coefficient written at order 8 that lies in Q(zeta_4) is accepted
+    # under cyc_order 4; one truly outside Q(zeta_4) is refused on load.
+    path, data = _built_dump(tmp_path, C8_SPEC)
+    data = _kc8_rescaled(data)
+    written = [e for e in data["mult"] if isinstance(e[3], dict)]
+    assert written and all(e[3]["order"] == 8 for e in written)
+    H = hopf_from_dict(data)
+    assert H.mult[(1, 1)] == ((2, CycNum.rational(-1)),)
+    assert H.mult[(1, 2)] == ((3, zeta(4)),) and H.mult[(1, 2)][0][1].order == 4
+    written[0][3] = {"order": 8, "coeffs": ["0", "1", "0", "0"]}  # zeta_8
+    path.write_text(json.dumps(data))
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    assert "cyc_order 4" in capsys.readouterr().err
 
 
 def test_verify_wrong_schema_exit2(ks3_dump, tmp_path):

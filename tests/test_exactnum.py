@@ -1,5 +1,7 @@
 """Exact cyclotomic scalar arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,61 @@ def test_conductor_normalization():
     assert (zeta(12, 3)).order == 4
 
 
+def _written_at(n, k):
+    # zeta_n^k as the public constructor takes it at order n, unreduced.
+    return CycNum(n, [0] * k + [1])
+
+
+def test_equal_values_at_different_orders_compare_and_hash_equal():
+    # 1 + 2*zeta_3, written at orders 24, 12 and 3.
+    at24 = 1 + 2 * _written_at(24, 8)
+    at12 = 1 + 2 * _written_at(12, 4)
+    at3 = 1 + 2 * zeta(3)
+    assert at24 == at12 == at3 and at3 == at24
+    assert hash(at24) == hash(at12) == hash(at3)
+    assert len({at24, at12, at3}) == 1
+    assert at24.order == at12.order == at3.order == 3
+    assert at24.coeffs == at3.coeffs
+    assert at24 != at3 + _written_at(24, 1)
+    assert zeta(24) ** 8 == zeta(3) and hash(zeta(24) ** 8) == hash(zeta(3))
+
+
+def test_cancellation_to_a_rational():
+    a, b = _written_at(24, 8), _written_at(24, 16)  # zeta_3, zeta_3^2
+    for x, q in ((a + b, -1), (a * b, 1), ((zeta(8) + Fraction(3, 2)) - zeta(8), Fraction(3, 2))):
+        assert x.is_rational and x.order == 1 and x.coeffs == (q,)
+        assert x.as_rational() == q and x == q and hash(x) == hash(Fraction(q))
+    assert not (zeta(8) - zeta(8)) and (zeta(8) - zeta(8)).order == 1
+
+
+def test_residue_reads_the_conductor_when_the_written_order_is_not_in_the_field():
+    # zeta_3 written at order 24; 24 does not divide 12 or 3, but 3 does.
+    x = _written_at(24, 8)
+    assert x.reduce_mod_p(7, 2, order=3).value == 2
+    assert x.reduce_mod_p(7, 2).value == 2
+    assert x.residue(6, 12, 13) == pow(6, 4, 13)  # 6 has order 12 mod 13
+    zeta6 = _written_at(24, 4)
+    assert (x + zeta6).residue(6, 12, 13) == (pow(6, 4, 13) + pow(6, 2, 13)) % 13
+    with pytest.raises(BadPrime):
+        _written_at(24, 3).residue(6, 12, 13)  # zeta_8 is not in Q(zeta_12)
+
+
+def test_lies_in():
+    i8 = _written_at(8, 2)  # zeta_4 = i
+    assert i8.lies_in(4) and i8.lies_in(8) and i8.lies_in(12)
+    assert not i8.lies_in(3) and not zeta(8).lies_in(4)
+    assert cyc(5).lies_in(1)
+
+
+def test_galois_on_values_written_above_their_conductor():
+    x = _written_at(24, 8)  # zeta_3
+    assert x.galois(2) == zeta(3, 2)  # 2 is prime to the conductor, not to 24
+    assert x.conjugate() == zeta(3, 2) and (x + 1).conjugate() == 1 + zeta(3, 2)
+    assert _written_at(12, 3).galois(7) == zeta(4, 3)
+    with pytest.raises(ValueError):
+        x.galois(3)
+
+
 def test_division():
     a = zeta(5) + 2
     assert a / a == 1
@@ -108,6 +165,7 @@ def test_serialization_round_trip():
         d = v.to_dict()
         assert set(d) == {"order", "coeffs"}
         assert CycNum.from_dict(d) == v
+        assert pickle.loads(pickle.dumps(v)) == v and copy.deepcopy(v) == v
 
 
 def test_str_forms():

@@ -1,11 +1,15 @@
 """Tests for the internal mod-p linear algebra helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from hopfcomm import _modp
 from hopfcomm._modp import (
+    _gso,
     charpoly,
+    element_of_order,
     identity_matrix,
     is_prime,
     lift_root,
@@ -20,6 +24,7 @@ from hopfcomm._modp import (
     solve,
 )
 from hopfcomm.errors import BadPrime
+from hopfcomm.exactnum import cyclotomic_poly, euler_phi
 
 
 def test_is_prime():
@@ -130,3 +135,112 @@ def test_lll_custom_delta():
     basis = [[7, 2], [3, 9]]
     out = lll_reduce(basis, delta=Fraction(99, 100))
     assert len(out) == 2
+
+
+def _recompute_lll(basis, delta=Fraction(3, 4)):
+    """LLL that recomputes the whole GSO after every size reduction and
+    swap: the oracle for the in-place GSO updates of lll_reduce."""
+    b = [list(v) for v in basis]
+    n = len(b)
+    if n <= 1:
+        return b
+    mu, norms = _gso(b)
+    k = 1
+    while k < n:
+        changed = False
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                changed = True
+        if changed:
+            mu, norms = _gso(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = _gso(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def _random_lattice(rng, dependent):
+    dim = rng.randint(2, 6)
+    rows = [[rng.randint(-40, 40) for _ in range(dim)]
+            for _ in range(rng.randint(2, dim))]
+    if dependent:
+        # An integer combination of earlier rows, a copy, or a zero row,
+        # inserted anywhere: the GSO then has a zero norm.
+        a, b = rng.choice(rows), rng.choice(rows)
+        extra = rng.choice([
+            [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)],
+            list(a),
+            [0] * dim,
+        ])
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    return rows
+
+
+def _counting_gso(monkeypatch):
+    calls = []
+
+    def counted(basis):
+        calls.append(len(basis))
+        return _gso(basis)
+
+    monkeypatch.setattr(_modp, "_gso", counted)
+    return calls
+
+
+@pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(99, 100)])
+@pytest.mark.parametrize("dependent", [False, True])
+def test_lll_matches_recompute_oracle_on_random_lattices(delta, dependent, monkeypatch):
+    rng = random.Random(f"lll/{delta}/{dependent}")
+    calls = _counting_gso(monkeypatch)
+    recomputed = 0
+    for _ in range(60):
+        basis = _random_lattice(rng, dependent)
+        del calls[:]
+        assert _modp.lll_reduce(basis, delta) == _recompute_lll(basis, delta)
+        recomputed += len(calls) > 1
+    # Dependent rows reach the zero-norm fallback; independent rows never do.
+    assert (recomputed > 0) == dependent
+
+
+def _recognition_lattice(N, k, rng, short):
+    # The shape recognise() in hopf.split_commutative reduces: short vectors
+    # (a_0..a_{phi-1}, b) with sum a_j w^j = b * c (mod p^k).
+    p = next_prime_in_ap(max(16, N), N)
+    w = lift_root(list(cyclotomic_poly(N)), element_of_order(N, p, rng), p, k)
+    modulus = p**k
+    phi = euler_phi(N)
+    if short:
+        num = sum(rng.randint(-9, 9) * pow(w, j, modulus) for j in range(phi))
+        c = num * pow(rng.randint(1, 9), -1, modulus) % modulus
+    else:
+        c = rng.randrange(modulus)
+    rows = [[0] * (phi + 1) for _ in range(phi + 1)]
+    rows[0][0] = modulus
+    for j in range(1, phi):
+        rows[j][0] = (-pow(w, j, modulus)) % modulus
+        rows[j][j] = 1
+    rows[phi][0] = c
+    rows[phi][phi] = 1
+    return rows
+
+
+@pytest.mark.parametrize("N", [3, 4, 8, 12])  # phi = 2, 2, 4, 4
+@pytest.mark.parametrize("k", [24, 48])
+def test_lll_matches_recompute_oracle_on_recognition_lattices(N, k):
+    rng = random.Random(f"recognise/{N}/{k}")
+    for short in (True, True, False):
+        basis = _recognition_lattice(N, k, rng, short)
+        assert lll_reduce(basis) == _recompute_lll(basis)
+
+
+def test_lll_computes_the_gso_once_on_a_full_rank_input(monkeypatch):
+    basis = _recognition_lattice(8, 48, random.Random(1), short=True)
+    calls = _counting_gso(monkeypatch)
+    reduced = _modp.lll_reduce(basis)
+    assert calls == [5]
+    assert reduced != basis and reduced == _recompute_lll(basis)
