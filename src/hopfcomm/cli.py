@@ -148,8 +148,9 @@ def _load_hopf(args) -> tuple[HopfAlgebra, str]:
         if data.get("schema") != SCHEMA:
             raise ValueError(
                 f"unsupported dump schema {data.get('schema')!r}, expected {SCHEMA!r}")
-        _check_dim_cap(int(data.get("dim", 0)))
-        H = hopf_from_dict(data)
+        if type(data.get("dim")) is int:
+            _check_dim_cap(data["dim"])
+        H = hopf_from_dict(data)  # refuses a dim that is not an integer
         if H.kind == "group":
             H.group = _group_from_mult(H, str(data.get("group_name", "G")))
         if "irred" in data:

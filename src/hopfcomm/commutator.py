@@ -25,6 +25,7 @@ from .hopf import (
     HElem,
     HopfAlgebra,
     _central_failure,
+    _closed_basis,
     _combination,
     _entry,
     _tensor_sandwich,
@@ -241,10 +242,12 @@ def is_left_coideal(H: HopfAlgebra, space: Subspace) -> bool:
 
 
 def is_adjoint_stable(H: HopfAlgebra, space: Subspace) -> bool:
-    """h .ad v lies in the space for every basis element h and basis vector v."""
+    """h .ad v lies in the space for every basis vector v and every h in
+    ``_closed_basis(H)``: (hk) .ad v = h .ad (k .ad v), so the h that keep
+    the space form a set closed under products."""
     basis = space.basis_vecs()
     return all(space.contains(H.adjoint_raw({k: _ONE}, v))
-               for k in range(H.dim) for v in basis)
+               for k in _closed_basis(H) for v in basis)
 
 
 @memo

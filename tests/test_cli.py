@@ -265,6 +265,54 @@ def test_dump_malformed_section_exit2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _negated_degree_and_character(irred):
+    # -d_1 and -chi_1 pass every pairing check that d_1 and chi_1 pass
+    irred["degrees"][1] = -irred["degrees"][1]
+    irred["characters"][1] = [[i, str(-CycNum.rational(c).as_rational())]
+                              for i, c in irred["characters"][1]]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda irred: irred["degrees"].__setitem__(0, 1.5),
+    lambda irred: irred["degrees"].__setitem__(0, True),
+    lambda irred: irred["degrees"].__setitem__(0, "1"),
+    _negated_degree_and_character,
+    lambda irred: irred["characters"][1].append([99, "0"]),
+    lambda irred: irred["idempotents"][1].append([99, "0"]),
+    lambda irred: irred["characters"][1].append([-1, "1"]),
+    lambda irred: irred["characters"][1][0].__setitem__(0, 0.0),
+], ids=["degree-float", "degree-bool", "degree-string", "degree-negative",
+        "character-key-99", "idempotent-key-99", "character-key-negative",
+        "character-key-float"])
+def test_dump_irred_types_and_keys_exit2(ks3_dump, tmp_path, capsys, edit):
+    data = json.loads(ks3_dump.read_text())
+    edit(data["irred"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    assert "malformed irred section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["mult"][0].__setitem__(0, 0.0),
+    lambda data: data["mult"][0].__setitem__(2, True),
+    lambda data: data["comult"][1].__setitem__(1, 1.0),
+    lambda data: data["unit"][0].__setitem__(0, float(data["unit"][0][0])),
+    lambda data: data.__setitem__("dim", 6.0),
+    lambda data: data.__setitem__("dim", "6"),
+    lambda data: data.__setitem__("dim", [6]),
+    lambda data: data.__setitem__("cyc_order", "6"),
+], ids=["mult-float", "mult-bool", "comult-float", "unit-float", "dim-float",
+        "dim-string", "dim-list", "cyc-order-string"])
+def test_dump_index_and_dim_types_exit2(ks3_dump, tmp_path, capsys, edit):
+    data = json.loads(ks3_dump.read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    assert "malformed hopf dump" in capsys.readouterr().err
+
+
 def _at_order_8(c: CycNum):
     # c in Q(i) written in the power basis of zeta_8, where i = zeta_8^2.
     q = c.as_rational()

@@ -18,6 +18,7 @@ from hopfcomm.commutator import (
     com_span_sampled,
     commutator_subalgebra,
     hopf_commutator,
+    is_adjoint_stable,
     is_central,
     is_left_coideal,
     n_commutator,
@@ -343,3 +344,19 @@ def test_probe_never_fails(kq8):
     H, _ = kq8
     for entry in probe_question_31(H):
         assert entry["status"] == "evidence"
+
+
+def test_adjoint_stability_and_centrality_on_every_element(ks3, s3, ds3):
+    # checked on generators, the verdicts must match the whole basis
+    H, _ = ks3
+    t = s3.labels.index("(1 2)")
+    transpositions = [g for g in range(6) if s3.element_order(g) == 2]
+    assert not is_adjoint_stable(H, Subspace(H, [{t: ONE}]))
+    assert is_adjoint_stable(H, Subspace(H, [{g: ONE} for g in transpositions]))
+    assert not is_central(H, {t: ONE})
+    assert is_central(H, {g: ONE for g in transpositions})
+    H, _ = ds3
+    for k in range(H.dim):
+        v = {k: ONE}
+        central = all(H.mul_raw({j: ONE}, v) == H.mul_raw(v, {j: ONE}) for j in range(H.dim))
+        assert is_central(H, v) == central

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import hopfcomm.hopf as hopf_mod
+from hopfcomm._linalg import Echelon, vec_axpy, vec_scale
 from hopfcomm.errors import (
     DimMismatch,
     NonIntegerDegree,
@@ -30,6 +31,7 @@ from hopfcomm.hopf import (
     func_left_hit,
     func_mult,
     func_right_hit,
+    generators,
     grouplike_functionals,
     hopf_from_dict,
     hopf_to_dict,
@@ -527,3 +529,276 @@ def test_memo_keys_by_arguments_and_does_not_store_errors(ks3):
 def test_integrals_are_shared(ks3):
     H, _ = ks3
     assert integrals(H)[0] is integrals(H)[0]
+
+
+# -- generating sets, and the full sweep as an oracle for the verifier --
+
+
+def _full_sweep_report(H):
+    """Every Hopf axiom on every basis pair and triple: the d^3/d^2 sweep
+    that verify_hopf_axioms replaced by checks on generators, kept as the
+    oracle for its pass/fail verdicts."""
+    d = H.dim
+    report = []
+    basis = [H.basis_vec(i) for i in range(d)]
+    check_all = hopf_mod._check_all
+
+    def assoc():
+        for i in range(d):
+            for j in range(d):
+                ij = H.mul_raw(basis[i], basis[j])
+                for k in range(d):
+                    left = H.mul_raw(ij, basis[k])
+                    right = H.mul_raw(basis[i], H.mul_raw(basis[j], basis[k]))
+                    yield (i, j, k), left == right
+
+    check_all("associativity", assoc(), report)
+
+    def unit_law():
+        one = H.unit_vec
+        for i in range(d):
+            yield i, H.mul_raw(one, basis[i]) == basis[i] == H.mul_raw(basis[i], one)
+
+    check_all("unit", unit_law(), report)
+
+    def coassoc():
+        for i in range(d):
+            left, right = {}, {}
+            for (j, k), c in H.comult.get(i, ()):
+                vec_axpy(left, c, [((a, b, k), c2) for (a, b), c2 in H.comult.get(j, ())])
+                vec_axpy(right, c, [((j, a, b), c2) for (a, b), c2 in H.comult.get(k, ())])
+            yield i, left == right
+
+    check_all("coassociativity", coassoc(), report)
+
+    def counit_law():
+        eps = H.counit_vec
+        for i in range(d):
+            lhs, rhs = {}, {}
+            for (j, k), c in H.comult.get(i, ()):
+                if j in eps:
+                    vec_axpy(lhs, c, ((k, eps[j]),))
+                if k in eps:
+                    vec_axpy(rhs, c, ((j, eps[k]),))
+            yield i, lhs == basis[i] == rhs
+
+    check_all("counit", counit_law(), report)
+
+    def comult_map():
+        yield "unit", H.comult_raw(H.unit_vec) == hopf_mod.tensor_of(H.one(), H.one())
+        for i in range(d):
+            di = H.comult_raw(basis[i])
+            for j in range(d):
+                lhs = H.comult_raw(H.mul_raw(basis[i], basis[j]))
+                rhs = hopf_mod.tensor_mult(H, di, H.comult_raw(basis[j]))
+                yield (i, j), lhs == rhs
+
+    check_all("comult_algebra_map", comult_map(), report)
+
+    def counit_map():
+        yield "unit", H.counit_raw(H.unit_vec) == ONE
+        for i in range(d):
+            ei = H.counit_raw(basis[i])
+            for j in range(d):
+                lhs = H.counit_raw(H.mul_raw(basis[i], basis[j]))
+                yield (i, j), lhs == ei * H.counit_raw(basis[j])
+
+    check_all("counit_algebra_map", counit_map(), report)
+
+    def antipode_axiom():
+        for i in range(d):
+            lhs, rhs = {}, {}
+            for (j, k), c in H.comult.get(i, ()):
+                vec_axpy(lhs, c, H.mul_raw(H.antipode_raw(basis[j]), basis[k]).items())
+                vec_axpy(rhs, c, H.mul_raw(basis[j], H.antipode_raw(basis[k])).items())
+            want = vec_scale(H.unit_vec, H.counit_raw(basis[i]))
+            yield i, lhs == want == rhs
+
+    check_all("antipode", antipode_axiom(), report)
+
+    def s_squared():
+        for i in range(d):
+            yield i, H.antipode_raw(H.antipode_raw(basis[i])) == basis[i]
+
+    check_all("antipode_involutive", s_squared(), report)
+    return report
+
+
+def _verdicts(report):
+    return [(e["check"], e["status"]) for e in report]
+
+
+def _closure_rank(H, gens, with_unit=True):
+    """Rank of the span of all products of the generators (and of the unit),
+    closed under multiplication on both sides."""
+    queue = [{g: ONE} for g in gens] + ([H.unit_vec] if with_unit else [])
+    span = Echelon(queue)
+    while queue:
+        w = queue.pop()
+        for g in gens:
+            for p in (H.mul_raw(w, {g: ONE}), H.mul_raw({g: ONE}, w)):
+                if span.insert(p):
+                    queue.append(p)
+    return span.rank
+
+
+def _rebuilt(H, check=True):
+    """A fresh instance with the structure constants of H."""
+    return HopfAlgebra(dim=H.dim, mult=H.mult, comult=H.comult, unit=H.unit_vec,
+                       counit=H.counit_vec, antipode=H.antipode,
+                       cyc_order=H.cyc_order, check=check)
+
+
+@pytest.fixture(scope="module")
+def ks4c2():
+    G = from_perm_generators("S4xC2", [[[1, 2]], [[1, 2, 3, 4]], [[5, 6]]])
+    return build_group_algebra(G)
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ks4c2", "ds3", "dual_s3", "reloaded"])
+def test_generators_generate_and_are_deterministic(which, request, ks3):
+    if which == "reloaded":
+        H = hopf_from_dict(json.loads(json.dumps(hopf_to_dict(ks3[0]))))
+        again = hopf_from_dict(json.loads(json.dumps(hopf_to_dict(ks3[0]))))
+    else:
+        H, _ = request.getfixturevalue(which)
+        again = _rebuilt(H)
+    gens = generators(H)
+    assert _closure_rank(H, gens) == H.dim
+    assert generators(again) == gens
+    assert list(gens) == sorted(set(gens))
+    # greedy: no generator lies in the closure of the ones before it (for an
+    # associative table, left-normed words span the whole closure)
+    for t, g in enumerate(gens):
+        assert _closure_rank(H, gens[:t] + (g,)) > _closure_rank(H, gens[:t])
+
+
+def test_generators_of_small_instances(ks3, dual_s3, s3):
+    H, _ = ks3
+    assert generators(H) == (1, 2)  # (1 2) and (1 2 3); the unit is seeded
+    H, _ = dual_s3
+    assert generators(H) == (0, 1, 2, 3, 4)  # the sixth p_g is 1 - the rest
+
+
+def test_unit_is_not_seeded_when_the_unit_law_fails(s3):
+    raw = _ks3_raw(s3)
+    g = next(i for i in range(6) if i != s3.identity)
+    raw["unit"] = {g: 1}
+    H = HopfAlgebra(**raw, check=False)
+    assert hopf_mod._unit_failure(H) is not None
+    gens = generators(H)
+    assert s3.identity in gens
+    assert _closure_rank(H, gens, with_unit=False) == 6
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "dc2", "ds3"])
+def test_full_sweep_agrees_with_verifier(which, request):
+    H, _ = request.getfixturevalue(which)
+    assert _verdicts(verify_hopf_axioms(H)) == _verdicts(_full_sweep_report(H))
+
+
+def _mult_mutants(s3):
+    raw = _ks3_raw(s3)
+    for (i, j), ((k, _),) in raw["mult"].items():
+        for other in range(6):
+            if other != k:
+                yield dict(raw, mult={**raw["mult"], (i, j): ((other, 1),)})
+
+
+def _scaled_mult_mutants(s3):
+    # e_i e_j = 2 (e_i e_j): associativity fails, and so does
+    # Delta/eps-multiplicativity at (i, j) even when j is not a generator
+    raw = _ks3_raw(s3)
+    for (i, j), ((k, _),) in raw["mult"].items():
+        yield dict(raw, mult={**raw["mult"], (i, j): ((k, 2),)})
+
+
+def _comult_mutants(s3):
+    raw = _ks3_raw(s3)
+    for i in range(6):
+        for k in range(6):
+            if k != i:
+                yield dict(raw, comult={**raw["comult"], i: (((i, k), 1),)})
+
+
+def _unit_and_counit_mutants(s3):
+    raw = _ks3_raw(s3)
+    for g in range(6):
+        if g != s3.identity:
+            yield dict(raw, unit={g: 1})
+        for c in (0, 2):
+            yield dict(raw, counit={**raw["counit"], g: c})
+
+
+@pytest.mark.parametrize("family", [_mult_mutants, _scaled_mult_mutants,
+                                    _comult_mutants, _unit_and_counit_mutants])
+def test_full_sweep_agrees_on_every_single_entry_mutant(family, s3):
+    failed = set()
+    for raw in family(s3):
+        H = HopfAlgebra(**raw, check=False)
+        got = verify_hopf_axioms(H)
+        assert _verdicts(got) == _verdicts(_full_sweep_report(H))
+        fails = [e for e in got if e["status"] == "fail"]
+        assert fails and all("witness" in e for e in fails)
+        failed.update(e["check"] for e in fails)
+    # each family reaches a product-closed check on generators or in fallback
+    assert failed & {"associativity", "comult_algebra_map", "counit_algebra_map"}
+
+
+# A loop of order 5 whose middle nucleus is {0}: (ab)c = a(bc) for all a, c
+# only when b = 0.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_full_sweep_agrees_where_only_a_later_generator_fails():
+    # k[L x C2], (l, x) at index 2l + x: the first generator (0, 1) lies in
+    # the nucleus, so only a later generator can witness non-associativity.
+    def mul(a, b):
+        return 2 * LOOP5[a // 2][b // 2] + (a % 2 ^ b % 2)
+
+    n = 10
+    H = HopfAlgebra(dim=n, mult={(a, b): ((mul(a, b), 1),) for a in range(n) for b in range(n)},
+                    comult={i: (((i, i), 1),) for i in range(n)}, unit={0: 1},
+                    counit={i: 1 for i in range(n)},
+                    antipode={i: ((i, 1),) for i in range(n)}, check=False)
+    gens = generators(H)
+    assert gens[0] == 1
+    report = verify_hopf_axioms(H)
+    assert _verdicts(report) == _verdicts(_full_sweep_report(H))
+    bad = {e["check"]: e for e in report if e["status"] == "fail"}
+    assert bad["associativity"]["witness"][1] in gens[1:]
+
+
+def test_associativity_witness_has_a_generator_in_the_middle(s3):
+    raw = _ks3_raw(s3)
+    g = next(i for i in range(6) if i != s3.identity)
+    raw["mult"] = dict(raw["mult"])
+    raw["mult"][(g, g)] = ((g, 1),)
+    H = HopfAlgebra(**raw, check=False)
+    bad = {e["check"]: e for e in verify_hopf_axioms(H) if e["status"] == "fail"}
+    a, b, c = bad["associativity"]["witness"]
+    assert b in generators(H)
+    assert H.mul_raw(H.mul_raw({a: ONE}, {b: ONE}), {c: ONE}) \
+        != H.mul_raw({a: ONE}, H.mul_raw({b: ONE}, {c: ONE}))
+    # a failed axiom sends every product-closed check back to the whole basis
+    assert hopf_mod._closed_basis(H) == range(6)
+
+
+def test_verifier_multiplies_on_generators_only(ks4c2):
+    H = _rebuilt(ks4c2[0], check=False)
+    calls = []
+    mul_raw = H.mul_raw
+
+    def counted(u, v):
+        calls.append(1)
+        return mul_raw(u, v)
+
+    H.mul_raw = counted
+    report = verify_hopf_axioms(H)
+    assert all(e["status"] == "pass" for e in report)
+    d = H.dim
+    assert len(calls) <= 4 * d * d * len(generators(H))
