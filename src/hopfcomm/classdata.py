@@ -41,8 +41,13 @@ from .hopf import (
     HopfAlgebra,
     _check_all,
     _check_idempotents,
+    _closed_basis,
     _combination,
     _entry,
+    _first_failure,
+    _json_positive,
+    _vec_from_json,
+    _vec_to_json,
     Tensor,
     frobenius_psi,
     func_antipode_s,
@@ -97,6 +102,19 @@ def character_coordinates(H: HopfAlgebra, f: HFunc):
     return [combo.get(i, _ZERO) for i in range(m)]
 
 
+def _is_natural(c: CycNum) -> bool:
+    q = c.as_rational()
+    return q is not None and q.denominator == 1 and q >= 0
+
+
+def _coordinate_checks(coords, ok):
+    """(witness, ok) pairs of ``ok(i, c)`` on each character coordinate c;
+    one failing pair when coords is None (not in the character span)."""
+    if coords is None:
+        return [({"reason": "not in the character span"}, False)]
+    return (({"chi_index": i, "coeff": str(c)}, ok(i, c)) for i, c in enumerate(coords))
+
+
 def fusion_coefficients(H: HopfAlgebra, i: int) -> list:
     """m_{ki}: multiplicities of chi_k in chi_i s(chi_i)."""
     ir = require_irred(H)
@@ -104,14 +122,11 @@ def fusion_coefficients(H: HopfAlgebra, i: int) -> list:
     coords = character_coordinates(H, prod)
     if coords is None:
         raise VerificationFailed(f"chi_{i} s(chi_{i}) is not in the character span")
-    out = []
-    for k, c in enumerate(coords):
-        q = c.as_rational()
-        if q is None or q.denominator != 1 or q < 0:
-            raise VerificationFailed(
-                f"multiplicity of chi_{k} in chi_{i} s(chi_{i}) is {c}")
-        out.append(int(q))
-    return out
+    k = _first_failure((k, _is_natural(c)) for k, c in enumerate(coords))
+    if k is not None:
+        raise VerificationFailed(
+            f"multiplicity of chi_{k} in chi_{i} s(chi_{i}) is {coords[k]}")
+    return [int(c.as_rational()) for c in coords]
 
 
 def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
@@ -164,6 +179,12 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
     m = len(data)
     d = H.dim
     integral, lam = integrals(H)
+    if m != len(require_irred(H)):
+        raise VerificationFailed(f"{m} F_i for {len(require_irred(H))} characters")
+    i = _first_failure((i, character_coordinates(H, f) is not None)
+                       for i, f in enumerate(data.F))
+    if i is not None:
+        raise VerificationFailed(f"F_{i} is not in the character span")
     _check_idempotents("F", [f.vec for f in data.F], H.func_mul_raw, H.counit_vec, "eps")
     if data.class_dims[0] != 1:
         raise VerificationFailed(f"dim(F_0 H*) = {data.class_dims[0]} != 1")
@@ -278,22 +299,13 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         Subspace(H, _left_legs(H, hopf_commutator(z2, integral).vec)), fit), report)
 
     # fusion route: coefficient of chi_i in f_iterated is d^2/d_i sum_k m_ki/d_k
-    coords = character_coordinates(H, fit)
-    ok = coords is not None
-    witness = None
-    if ok:
-        for i in range(len(ir)):
-            mki = fusion_coefficients(H, i)
-            acc = Fraction(0)
-            for k, mult in enumerate(mki):
-                acc += Fraction(mult, ir.degrees[k])
-            want = CycNum.rational(
-                Fraction(d * d, ir.degrees[i]) * acc)
-            if coords[i] != want:
-                ok = False
-                witness = {"chi_index": i}
-                break
-    _entry(report, "iterated_coefficients_from_fusion", ok, witness)
+    def from_fusion(i, c):
+        acc = sum(Fraction(mult, ir.degrees[k])
+                  for k, mult in enumerate(fusion_coefficients(H, i)))
+        return c == CycNum.rational(Fraction(d * d, ir.degrees[i]) * acc)
+
+    _check_all("iterated_coefficients_from_fusion",
+               _coordinate_checks(character_coordinates(H, fit), from_fusion), report)
 
     # z_2 = (1/d) sum dim(F_iH*) eta_i S(eta_i), and the eta orthogonality
     prods = [eta * HElem(H, H.antipode_raw(eta.vec)) for eta in data.eta]
@@ -354,17 +366,8 @@ def kaplansky_report(H: HopfAlgebra) -> list[dict]:
     if not nondiv:
         for name, func in (("frob", f_rob(H)), ("f2", f_n(H, 2)),
                            ("iterated", f_iterated(H))):
-            coords = character_coordinates(H, func)
-            ok = coords is not None
-            witness = None
-            if ok:
-                for i, c in enumerate(coords):
-                    q = c.as_rational()
-                    if q is None or q.denominator != 1 or q < 0:
-                        ok = False
-                        witness = {"chi_index": i, "coeff": str(c)}
-                        break
-            _entry(report, f"integral_coefficients[{name}]", ok, witness)
+            _check_all(f"integral_coefficients[{name}]", _coordinate_checks(
+                character_coordinates(H, func), lambda i, c: _is_natural(c)), report)
 
         def summands():
             for i in range(len(ir)):
@@ -448,11 +451,15 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 2)):
         raise NotQuasitriangular("(id (x) Delta)R != R_13 R_12")
 
-    for k in range(H.dim):
+    def commutes(k):
         delta = H.comult_raw({k: _ONE})
-        flipped = {(j, i): c for (i, j), c in delta.items()}
-        if tensor_mult(H, R, delta) != tensor_mult(H, flipped, R):
-            raise NotQuasitriangular(f"R Delta != Delta^op R at basis {k}")
+        return tensor_mult(H, R, delta) == tensor_mult(H, tensor_swap(delta), R)
+
+    # the b with R Delta(b) = Delta^op(b) R form a subalgebra once Delta is
+    # multiplicative: R Delta(bc) = Delta^op(b) R Delta(c) = Delta^op(bc) R
+    k = _first_failure((k, commutes(k)) for k in _closed_basis(H))
+    if k is not None:
+        raise NotQuasitriangular(f"R Delta != Delta^op R at basis {k}")
 
     monodromy = tensor_mult(H, tensor_swap(R), R)
     image = rank(tensor_pair_first(HFunc(H, {k: _ONE}), monodromy) for k in range(H.dim))
@@ -478,25 +485,19 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
     report: list[dict] = []
     report.append({"check": "drinfeld_map_bijective", "status": "pass"})
 
-    matching: dict[int, int] = {}
-    ok = True
-    witness = None
-    for i in range(1, len(ir)):
-        v = drinfeld_map(H, rdata, ir.characters[i]) \
-            * CycNum.rational(Fraction(1, ir.degrees[i]))
-        hits = [j for j in range(len(data)) if data.eta[j] == v]
-        if len(hits) != 1:
-            ok = False
-            witness = {"chi_index": i}
-            break
-        matching[i] = hits[0]
-    if ok and len(set(matching.values())) != len(matching):
-        ok = False
-        witness = {"reason": "character-to-class matching is not injective"}
-    _entry(report, "drinfeld_map_sends_chi_to_eta", ok, witness)
+    def eta_hits(v):
+        return [j for j in range(len(data)) if data.eta[j] == v]
 
-    v0 = drinfeld_map(H, rdata, ir.characters[0])
-    hits0 = [j for j in range(len(data)) if data.eta[j] == v0]
+    hits = {i: eta_hits(drinfeld_map(H, rdata, ir.characters[i])
+                        * CycNum.rational(Fraction(1, ir.degrees[i])))
+            for i in range(1, len(ir))}
+    witness = _first_failure(({"chi_index": i}, len(h) == 1) for i, h in hits.items())
+    matching = {i: h[0] for i, h in hits.items() if len(h) == 1}
+    if witness is None and len(set(matching.values())) != len(matching):
+        witness = {"reason": "character-to-class matching is not injective"}
+    _entry(report, "drinfeld_map_sends_chi_to_eta", witness is None, witness)
+
+    hits0 = eta_hits(drinfeld_map(H, rdata, ir.characters[0]))
     report.append({"check": "drinfeld_map_on_trivial_character",
                    "status": "evidence",
                    "witness": {"equals_eta_index": hits0[0] if hits0 else None}})
@@ -514,22 +515,16 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
     _entry(report, "dual_fourier_sends_adjoint_character_to_frob",
            frobenius_psi(H, drinfeld_map(H, rdata, chi_ad_f)) == f_rob(H))
 
-    ok = True
-    witness = None
     if len(matching) == len(ir) - 1:
         if hits0:
-            matching = dict(matching)
             matching[0] = hits0[0]
-        for i, j in matching.items():
-            if data.class_dims[j] != ir.degrees[i] ** 2:
-                ok = False
-                witness = {"chi_index": i, "class": j,
-                           "dim": data.class_dims[j]}
-                break
+        _check_all("class_dims_are_degree_squares", (
+            ({"chi_index": i, "class": j, "dim": data.class_dims[j]},
+             data.class_dims[j] == ir.degrees[i] ** 2) for i, j in matching.items()),
+            report)
     else:
-        ok = False
-        witness = {"reason": "no character-to-class matching"}
-    _entry(report, "class_dims_are_degree_squares", ok, witness)
+        _entry(report, "class_dims_are_degree_squares", False,
+               {"reason": "no character-to-class matching"})
 
     report.sort(key=lambda e: e["check"])
     return report
@@ -575,30 +570,35 @@ def theorem_suite_sec4(H: HopfAlgebra, seed: int = 0) -> list[dict]:
 
 
 def classdata_to_dict(data: ClassData) -> dict:
-    from .hopf import _coeff_to_json
-
-    def fvec(v):
-        return [[i, _coeff_to_json(c)] for i, c in sorted(v.items())]
-
     return {
         "class_dims": list(data.class_dims),
-        "F": [fvec(f.vec) for f in data.F],
-        "C": [fvec(c.vec) for c in data.C],
-        "eta": [fvec(e.vec) for e in data.eta],
+        "F": [_vec_to_json(f.vec) for f in data.F],
+        "C": [_vec_to_json(c.vec) for c in data.C],
+        "eta": [_vec_to_json(e.vec) for e in data.eta],
     }
 
 
 def classdata_from_dict(H: HopfAlgebra, payload: dict) -> ClassData:
-    from .hopf import _coeff_from_json
+    """Rebuild the class data of H from its JSON dump and verify it.
 
-    def unvec(entries):
-        return {i: _coeff_from_json(c) for i, c in entries}
-
-    data = ClassData(
-        F=tuple(HFunc(H, unvec(e)) for e in payload["F"]),
-        C=tuple(HElem(H, unvec(e)) for e in payload["C"]),
-        eta=tuple(HElem(H, unvec(e)) for e in payload["eta"]),
-        class_dims=tuple(int(x) for x in payload["class_dims"]),
-    )
+    A missing key, lists of different lengths, a vector that
+    ``_vec_from_json`` refuses, a class dim that is not a positive integer,
+    or a C_i other than dim(F_iH*) eta_i raises ValueError."""
+    try:
+        data = ClassData(
+            F=tuple(H.func(_vec_from_json(H, "classdata.F", e)) for e in payload["F"]),
+            C=tuple(H.elem(_vec_from_json(H, "classdata.C", e)) for e in payload["C"]),
+            eta=tuple(H.elem(_vec_from_json(H, "classdata.eta", e))
+                      for e in payload["eta"]),
+            class_dims=tuple(_json_positive("class_dims", x)
+                             for x in payload["class_dims"]))
+        if not len(data.F) == len(data.C) == len(data.eta) == len(data.class_dims):
+            raise ValueError("F, C, eta and class_dims differ in length")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed classdata: {exc}") from exc
     _verify_classdata(H, data)
+    i = _first_failure((i, c == eta * CycNum.rational(k)) for i, (c, eta, k)
+                       in enumerate(zip(data.C, data.eta, data.class_dims)))
+    if i is not None:
+        raise ValueError(f"C_{i} != dim(F_{i}H*) eta_{i}")
     return data

@@ -59,6 +59,7 @@ from .hopf import (
     HopfAlgebra,
     _coeff_to_json,
     _combination,
+    _vec_to_json,
     build_drinfeld_double,
     build_dual_group_algebra,
     build_group_algebra,
@@ -195,10 +196,6 @@ def _functional_doc(H: HopfAlgebra, f) -> dict:
     }
 
 
-def _vec_doc(vec: dict) -> list:
-    return [[i, _coeff_to_json(c)] for i, c in sorted(vec.items())]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -257,8 +254,8 @@ def cmd_compute(args) -> int:
         doc["result"] = {
             "n": n,
             "e_basis_coefficients": [str(c) for c in coeffs],
-            "direct_route_vector": _vec_doc(direct.vec),
-            "idempotent_route_vector": _vec_doc(from_idempotents.vec),
+            "direct_route_vector": _vec_to_json(direct.vec),
+            "idempotent_route_vector": _vec_to_json(from_idempotents.vec),
             "routes_agree": agree,
         }
         if not agree:
@@ -282,7 +279,7 @@ def cmd_compute(args) -> int:
         sub = commutator_subalgebra(H)
         doc["result"] = {
             "dim": sub.dim,
-            "basis": [_vec_doc(v) for v in sub.basis_vecs()],
+            "basis": [_vec_to_json(v) for v in sub.basis_vecs()],
             "route": ("algebra generated by Com, cross-checked against "
                       "grouplike fixed points"),
         }

@@ -29,6 +29,7 @@ from .hopf import (
     _check_all,
     _combination,
     _entry,
+    _first_failure,
     _tensor_sandwich,
     _trace_form_failure,
     casimir_tensor,
@@ -242,10 +243,11 @@ def _center_coefficients(H: HopfAlgebra, t: HFunc):
 def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricForm:
     """Build and verify a symmetric form from its generating functional.
 
-    Checks the trace property on all basis pairs, recovers the central element
-    u with t = lambda <- u, and verifies non-degeneracy for the given scope
-    (u invertible; additionally t <- Z(H) = R(H) for center-forms and
-    t <- H = H* for full-forms).  Raises DegenerateForm when degenerate.
+    Checks the trace property (on the pairs of ``_trace_form_failure``),
+    recovers the central element u with t = lambda <- u, and verifies
+    non-degeneracy for the given scope (u invertible; additionally
+    t <- Z(H) = R(H) for center-forms and t <- H = H* for full-forms).
+    Raises DegenerateForm when degenerate.
     """
     if scope not in ("full", "center"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -269,9 +271,9 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
         if hit != Echelon(chi.vec for chi in ir.characters):
             raise DegenerateForm("t <- Z(H) does not span the characters")
     else:
-        u = _solve_connection(H, t)
-        if u is None:
-            raise VerificationFailed("t is not lambda <- u for any u")
+        # lambda <- S(Psi^{-1}(t)) = Psi(Psi^{-1}(t)) = t, as S^2 = id; the
+        # check below decides
+        u = HElem(H, H.antipode_raw(psi_inv(H, t).vec))
         if rank(H.mul_raw(u.vec, H.basis_vec(k)) for k in range(d)) != d:
             raise DegenerateForm("t <- H has rank < dim")
     _, lam = integrals(H)
@@ -280,18 +282,6 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
     if _central_failure(H, u.vec) is not None:
         raise VerificationFailed("connection element u is not central")
     return SymmetricForm(t=t, scope=scope, u=u, alphas=alphas or ())
-
-
-def _solve_connection(H: HopfAlgebra, t: HFunc):
-    """u with lambda <- u = t, via the Frobenius bijection column by column."""
-    _, lam = integrals(H)
-    solver = Solver()
-    for k in range(H.dim):
-        solver.insert(H.func_right_hit_raw(lam.vec, H.basis_vec(k)), k)
-    combo = solver.express(t.vec)
-    if combo is None:
-        return None
-    return HElem(H, dict(combo))
 
 
 @memo
@@ -324,7 +314,8 @@ def casimir_of_form(H: HopfAlgebra, form: SymmetricForm):
 
     Full forms invert the Gram matrix on the whole algebra and the resulting
     tensor is checked against the defining slide moves sum r a (x) l =
-    sum r (x) a l and sum a r (x) l = sum r (x) l a on every basis element.
+    sum r (x) a l and sum a r (x) l = sum r (x) l a on the elements of
+    ``_closed_basis(H)`` (see ``_casimir_slide_failure``).
     Center-forms restrict to Z(H), where the idempotent basis diagonalizes the
     form and Cas = sum E_i / (alpha_i d_i).
     """
@@ -434,8 +425,8 @@ def _noncommuting_characters(H: HopfAlgebra):
     """The first pair (i, j), j < i, with chi_i chi_j != chi_j chi_i; None
     when the character algebra R(H) is commutative."""
     chars = require_irred(H).characters
-    return next(((i, j) for i in range(len(chars)) for j in range(i)
-                 if chars[i] * chars[j] != chars[j] * chars[i]), None)
+    return _first_failure(((i, j), chars[i] * chars[j] == chars[j] * chars[i])
+                          for i in range(len(chars)) for j in range(i))
 
 
 def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
@@ -450,13 +441,9 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _entry(report, "frob_matches_psi_z2",
            frob == frobenius_psi(H, z_n(H, 2)) * CycNum.rational(d))
 
-    ok = True
-    for n in range(1, 4):
-        scale = CycNum.rational(Fraction(d) ** (2 * n - 1))
-        if f_n(H, n) != frobenius_psi(H, z_n(H, 2 * n)) * scale:
-            ok = False
-            break
-    _entry(report, "fn_matches_psi_z2n", ok)
+    _check_all("fn_matches_psi_z2n", (
+        ({"n": n}, f_n(H, n) == frobenius_psi(H, z_n(H, 2 * n))
+         * CycNum.rational(Fraction(d) ** (2 * n - 1))) for n in range(1, 4)), report)
 
     ok = all(bullet_power(H, frob, l) == f_n(H, l) for l in (1, 2, 3))
     _entry(report, "bullet_power_matches_fn", ok)
@@ -473,21 +460,19 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
 
     _entry(report, "root_r1_is_counit", root_function(H, 1) == H.eps())
 
-    ok = True
-    witness = None
-    for m in (2, 3):
-        rm = root_function(H, m)  # internal expansion check
-        if H.kind == "group" and H.group is not None:
-            G = H.group
+    rms = {m: root_function(H, m) for m in (2, 3)}  # internal expansion checks
+
+    def root_counts(G):
+        for m, rm in rms.items():
             roots = [0] * G.order
             for x in range(G.order):
                 roots[G.power(x, m)] += 1
             for g in range(G.order):
-                if rm(H.elem({g: _ONE})) != CycNum.rational(roots[g]):
-                    ok = False
-                    witness = {"m": m, "element": H.labels[g]}
-                    break
-    _entry(report, "root_function_counts_roots", ok, witness)
+                yield ({"m": m, "element": H.labels[g]},
+                       rm(H.elem({g: _ONE})) == CycNum.rational(roots[g]))
+
+    _check_all("root_function_counts_roots", root_counts(H.group)
+               if H.kind == "group" and H.group is not None else (), report)
 
     try:
         fit = f_iterated(H)
@@ -522,37 +507,26 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
             break
     _entry(report, "t_tilde_connection_is_zn_inverse", ok, witness)
 
-    ok = True
-    witness = None
-    for n in (2, 3):
-        target = n + 1 - n % 2
-        samples = [H.one()] + [
-            HElem(H, {rng.randrange(d): CycNum.rational(rng.randrange(1, 5))})
-            for _ in range(2)
-        ]
-        for h in samples:
-            if higman_map(H, n, h) != Z_n_map(H, target, h):
-                ok = False
-                witness = {"n": n}
-                break
-    _entry(report, "higman_matches_sandwich_map", ok, witness)
+    # the samples are drawn before the search, which may stop early
+    samples = {n: [H.one()] + [
+        HElem(H, {rng.randrange(d): CycNum.rational(rng.randrange(1, 5))})
+        for _ in range(2)] for n in (2, 3)}
+    _check_all("higman_matches_sandwich_map", (
+        ({"n": n}, higman_map(H, n, h) == Z_n_map(H, n + 1 - n % 2, h))
+        for n, hs in samples.items() for h in hs), report)
 
-    ok = True
-    witness = None
     star = _antipode_permutation(H)
-    for n in (2, 3, 4):
-        form = t_n_form(H, n)
-        if any(form.alphas[i] != form.alphas[star[i]] for i in range(len(ir))):
-            ok = False
-            witness = {"n": n, "reason": "alpha not antipode-symmetric"}
-            break
-        _, cas = casimir_of_form(H, form)
-        want = _chi_combination(H, [a.inverse() for a in form.alphas])
-        if frobenius_psi(H, cas) != want:
-            ok = False
-            witness = {"n": n}
-            break
-    _entry(report, "psi_of_center_casimir_inverts_alphas", ok, witness)
+
+    def center_casimirs():
+        for n in (2, 3, 4):
+            form = t_n_form(H, n)
+            yield ({"n": n, "reason": "alpha not antipode-symmetric"},
+                   all(form.alphas[i] == form.alphas[star[i]] for i in range(len(ir))))
+            _, cas = casimir_of_form(H, form)
+            yield {"n": n}, frobenius_psi(H, cas) == _chi_combination(
+                H, [a.inverse() for a in form.alphas])
+
+    _check_all("psi_of_center_casimir_inverts_alphas", center_casimirs(), report)
 
     report.append(bullet_unit_probe(H, seed))
 

@@ -16,10 +16,14 @@ Checking such a property on each element of a set that generates H as an
 algebra therefore proves it on all of H, exactly.  ``generators`` finds
 that set and verifies that it generates.  Associativity runs on it, and
 the two algebra-map axioms do once associativity holds.  Centrality
-(``_central_failure``), the integral equations, the center and the
-multiplicativity of grouplike functionals run on ``_closed_basis``: the
-generators when every axiom holds, the whole basis otherwise; so does
-``commutator.is_adjoint_stable``.
+(``_central_failure``), the integral equations, the center, the
+multiplicativity of grouplike functionals, the trace property of a form
+(``_trace_form_failure``) and the Casimir slide moves
+(``_casimir_slide_failure``) run on ``_closed_basis``: the generators when
+every axiom holds, the whole basis otherwise; so do
+``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R of
+``classdata.r_matrix_data``.  Every check finds its first failing witness
+through the one search ``_first_failure``.
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
 around sparse coefficient dicts; the module-level operations (mult,
@@ -417,8 +421,8 @@ def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str,
 def _central_failure(H: HopfAlgebra, v: Vec):
     """The first index k of ``_closed_basis(H)`` with e_k v != v e_k; None
     when v is central."""
-    return next((k for k in _closed_basis(H)
-                 if H.mul_raw({k: _ONE}, v) != H.mul_raw(v, {k: _ONE})), None)
+    return _first_failure((k, H.mul_raw({k: _ONE}, v) == H.mul_raw(v, {k: _ONE}))
+                          for k in _closed_basis(H))
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +569,16 @@ def _entry(report, name, ok, witness=None):
     report.append(item)
 
 
+def _first_failure(it):
+    """The witness of the first pair (witness, ok) of ``it`` with ok false,
+    which must not be None; None when every pair passes.  The search stops
+    there, so a check draws its random samples before it."""
+    return next((w for w, ok in it if not ok), None)
+
+
 def _check_all(name, it, report):
-    witness = next((w for w, ok in it if not ok), None)
+    """Append the suite entry of check ``name`` over the pairs of ``it``."""
+    witness = _first_failure(it)
     _entry(report, name, witness is None, witness)
 
 
@@ -575,9 +587,9 @@ def _unit_failure(H: HopfAlgebra):
     """The first basis index i with 1 e_i != e_i or e_i 1 != e_i; None when
     the unit law holds."""
     one = H.unit_vec
-    return next((i for i in range(H.dim)
-                 if not H.mul_raw(one, {i: _ONE}) == {i: _ONE} == H.mul_raw({i: _ONE}, one)),
-                None)
+    return _first_failure(
+        (i, H.mul_raw(one, {i: _ONE}) == {i: _ONE} == H.mul_raw({i: _ONE}, one))
+        for i in range(H.dim))
 
 
 @memo
@@ -817,20 +829,16 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
             raise VerificationFailed(f"E_{i} is not central (basis {k})")
     _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1",
                        commuting=True)
-    for i in range(n):
-        for j in range(n):
-            want = CycNum.rational(degrees[j] if i == j else 0)
-            if chars[i](idems[j]) != want:
-                raise VerificationFailed(f"<chi_{i}, E_{j}> != {want}")
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    bad = _first_failure(((i, j), chars[i](idems[j]) == (degrees[j] if i == j else 0))
+                         for i, j in pairs)
+    if bad is not None:
+        raise VerificationFailed("<chi_{0}, E_{1}> != delta_{0}{1} d_{1}".format(*bad))
     integral, _ = integrals(H)
-    for i in range(n):
-        for j in range(n):
-            sj = func_antipode_s(chars[j])
-            got = (chars[i] * sj)(integral)
-            want = _ONE if i == j else _ZERO
-            if got != want:
-                raise VerificationFailed(
-                    f"<chi_{i} s(chi_{j}), Lambda> = {got}, expected {want}")
+    bad = _first_failure(((i, j), (chars[i] * func_antipode_s(chars[j]))(integral)
+                          == (1 if i == j else 0)) for i, j in pairs)
+    if bad is not None:
+        raise VerificationFailed("<chi_{0} s(chi_{1}), Lambda> != delta_{0}{1}".format(*bad))
     if idems[0] != integral:
         raise VerificationFailed("E_0 != Lambda")
     if chars[0] != H.eps():
@@ -1103,14 +1111,13 @@ def grouplike_functionals(H: HopfAlgebra) -> list[HFunc]:
             continue
         if chi(H.one()) != _ONE:
             raise VerificationFailed("grouplike candidate fails at the unit")
-        for i in range(H.dim):
-            bi = HElem(H, H.basis_vec(i))
-            ci = chi(bi)
-            for j in _closed_basis(H):
-                prod = HElem(H, H.mul_raw(H.basis_vec(i), H.basis_vec(j)))
-                if chi(prod) != ci * chi(HElem(H, H.basis_vec(j))):
-                    raise VerificationFailed(
-                        f"degree-1 character not multiplicative at ({i},{j})")
+        bad = _first_failure(
+            ((i, g), _dot(chi.vec, H.mul_raw({i: _ONE}, {g: _ONE}).items())
+             == chi.vec.get(i, _ZERO) * chi.vec.get(g, _ZERO))
+            for g in _closed_basis(H) for i in range(H.dim))
+        if bad is not None:
+            raise VerificationFailed(
+                f"degree-1 character not multiplicative at ({bad[0]},{bad[1]})")
         out.append(chi)
     return out
 
@@ -1141,22 +1148,23 @@ def random_functional(H: HopfAlgebra, rng: random.Random) -> HFunc:
 
 
 def _trace_form_failure(H: HopfAlgebra, t: Vec):
-    """The first basis pair (i, j), j < i, with <t, e_i e_j> != <t, e_j e_i>;
-    None when t is a trace form."""
-    for i in range(H.dim):
-        for j in range(i):
-            ij = H.mul_raw({i: _ONE}, {j: _ONE})
-            ji = H.mul_raw({j: _ONE}, {i: _ONE})
-            if _dot(t, ij.items()) != _dot(t, ji.items()):
-                return i, j
-    return None
+    """The first pair (i, g), g in ``_closed_basis(H)``, with
+    <t, e_i e_g> != <t, e_g e_i>; None when t is a trace form.  The b with
+    <t, ab> = <t, ba> for all a form a subalgebra: <t, a(bc)> = <t, (bc)a>."""
+    def ok(i, g):
+        return (_dot(t, H.mul_raw({i: _ONE}, {g: _ONE}).items())
+                == _dot(t, H.mul_raw({g: _ONE}, {i: _ONE}).items()))
+
+    return _first_failure(((i, g), ok(i, g)) for g in _closed_basis(H) for i in range(H.dim))
 
 
 def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
-    """The first basis index k where a slide move of sum r (x) l fails:
-    sum r e_k (x) l = sum r (x) e_k l and sum e_k r (x) l = sum r (x) l e_k.
-    None when both hold on every basis element."""
-    for k in range(H.dim):
+    """The first index k of ``_closed_basis(H)`` where a slide move of
+    T = sum r (x) l fails: T(e_k (x) 1) = (1 (x) e_k)T or (e_k (x) 1)T =
+    T(1 (x) e_k); None when both hold.  The a with T(a (x) 1) = (1 (x) a)T
+    form a subalgebra, T(ab (x) 1) = (1 (x) a)T(b (x) 1) = (1 (x) ab)T, and
+    so do those with (a (x) 1)T = T(1 (x) a)."""
+    def ok(k):
         a = {k: _ONE}
         slid_l: Tensor = {}
         slid_r: Tensor = {}
@@ -1168,9 +1176,9 @@ def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
             vec_axpy(slid_r, c, [((i, x), cx) for x, cx in H.mul_raw(a, l).items()])
             vec_axpy(moved_l, c, [((x, j), cx) for x, cx in H.mul_raw(a, r).items()])
             vec_axpy(moved_r, c, [((i, x), cx) for x, cx in H.mul_raw(l, a).items()])
-        if slid_l != slid_r or moved_l != moved_r:
-            return k
-    return None
+        return slid_l == slid_r and moved_l == moved_r
+
+    return _first_failure((k, ok(k)) for k in _closed_basis(H))
 
 
 def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
@@ -1416,6 +1424,11 @@ def _coeff_to_json(c: CycNum):
     return c.to_dict()
 
 
+def _vec_to_json(vec: Vec) -> list:
+    """A sparse vector as the dumped list [[i, c], ...], sorted by index."""
+    return [[i, _coeff_to_json(c)] for i, c in sorted(vec.items())]
+
+
 def _coeff_from_json(x) -> CycNum:
     if isinstance(x, dict):
         return CycNum.from_dict(x)
@@ -1440,11 +1453,42 @@ def _json_int(name: str, x) -> int:
     return x
 
 
+def _json_positive(name: str, x) -> int:
+    """x, which must be a JSON integer >= 1."""
+    if _json_int(name, x) < 1:
+        raise ValueError(f"{name} {x} < 1")
+    return x
+
+
 def _json_index(x, dim: int) -> int:
     """x, which must be an integer basis index in range(dim)."""
     if type(x) is not int or not 0 <= x < dim:
         raise ValueError(f"index {x!r} outside range({dim})")
     return x
+
+
+def _sparse_from_json(field: str, entries, arity: int, dim: int,
+                      cyc_order: int) -> dict:
+    """{key: c} from the dumped list [[k_1, ..., k_arity, c], ...] of
+    ``field``.  Each k must be an integer in range(dim), each key must occur
+    once (a dict would drop a repeat, a sum would add it) and each c must
+    lie in Q(zeta_cyc_order); anything else raises ValueError."""
+    out: dict = {}
+    for entry in entries:
+        if type(entry) is not list or len(entry) != arity + 1:
+            raise ValueError(f"{field} entry {entry!r} is not a list of "
+                             f"{arity} indices and a coefficient")
+        key = tuple(_json_index(x, dim) for x in entry[:arity])
+        if key in out:
+            raise ValueError(f"{field} repeats the key {list(key)}")
+        out[key] = _coeff_in(field, entry[arity], cyc_order)
+    return out
+
+
+def _vec_from_json(H: HopfAlgebra, field: str, entries) -> Vec:
+    """A dumped sparse vector [[i, c], ...] of H, read by ``_sparse_from_json``."""
+    return {i: c for (i,), c in
+            _sparse_from_json(field, entries, 1, H.dim, H.cyc_order).items()}
 
 
 def hopf_to_dict(H: HopfAlgebra) -> dict:
@@ -1462,8 +1506,8 @@ def hopf_to_dict(H: HopfAlgebra) -> dict:
         "labels": list(H.labels),
         "mult": mult,
         "comult": comult,
-        "unit": [[i, _coeff_to_json(c)] for i, c in sorted(H.unit_vec.items())],
-        "counit": [[i, _coeff_to_json(c)] for i, c in sorted(H.counit_vec.items())],
+        "unit": _vec_to_json(H.unit_vec),
+        "counit": _vec_to_json(H.counit_vec),
         "antipode": antipode,
     }
     if H.r_matrix is not None:
@@ -1477,37 +1521,33 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
 
     Every basis index must be an integer in range(dim): an entry outside
     the basis would never be read by the verifier, so it raises ValueError.
-    So do a dim or cyc_order that is not an integer, a coefficient outside
-    Q(zeta_cyc_order), a zero denominator and a missing or misshapen
-    field."""
+    So do a dim or cyc_order that is not an integer, a key repeated within
+    a field, labels that are not a list of dim strings, a coefficient
+    outside Q(zeta_cyc_order), a zero denominator and a missing or
+    misshapen field."""
     try:
         dim = _json_int("dim", data["dim"])
-        cyc_order = _json_int("cyc_order", data.get("cyc_order", 1))
-        if cyc_order < 1:
-            raise ValueError(f"cyc_order {cyc_order} < 1")
+        cyc_order = _json_positive("cyc_order", data.get("cyc_order", 1))
 
-        def ix(x):
-            return _json_index(x, dim)
-
-        def cx(field, c):
-            return _coeff_in(field, c, cyc_order)
+        def read(field, arity):
+            return _sparse_from_json(field, data[field], arity, dim, cyc_order)
 
         mult: dict = {}
-        for i, j, k, c in data["mult"]:
-            mult.setdefault((ix(i), ix(j)), []).append((ix(k), cx("mult", c)))
+        for (i, j, k), c in read("mult", 3).items():
+            mult.setdefault((i, j), []).append((k, c))
         comult: dict = {}
-        for i, j, k, c in data["comult"]:
-            comult.setdefault(ix(i), []).append(((ix(j), ix(k)), cx("comult", c)))
+        for (i, j, k), c in read("comult", 3).items():
+            comult.setdefault(i, []).append(((j, k), c))
         antipode: dict = {}
-        for i, j, c in data["antipode"]:
-            antipode.setdefault(ix(i), []).append((ix(j), cx("antipode", c)))
-        unit = {ix(i): cx("unit", c) for i, c in data["unit"]}
-        counit = {ix(i): cx("counit", c) for i, c in data["counit"]}
-        r_matrix = None
-        if "r_matrix" in data:
-            r_matrix = {(ix(i), ix(j)): cx("r_matrix", c)
-                        for i, j, c in data["r_matrix"]}
+        for (i, j), c in read("antipode", 2).items():
+            antipode.setdefault(i, []).append((j, c))
+        unit = {i: c for (i,), c in read("unit", 1).items()}
+        counit = {i: c for (i,), c in read("counit", 1).items()}
+        r_matrix = read("r_matrix", 2) if "r_matrix" in data else None
         labels = data.get("labels")
+        if labels is not None and (type(labels) is not list
+                                   or [type(x) for x in labels] != [str] * dim):
+            raise ValueError(f"labels must be a list of {dim} strings")
         kind = data.get("kind", "custom")
     except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed hopf dump: {exc}") from exc
@@ -1528,37 +1568,26 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
 def irred_to_dict(irred: IrredData) -> dict:
     return {
         "degrees": list(irred.degrees),
-        "idempotents": [
-            [[i, _coeff_to_json(c)] for i, c in sorted(e.vec.items())]
-            for e in irred.idempotents
-        ],
-        "characters": [
-            [[i, _coeff_to_json(c)] for i, c in sorted(f.vec.items())]
-            for f in irred.characters
-        ],
+        "idempotents": [_vec_to_json(e.vec) for e in irred.idempotents],
+        "characters": [_vec_to_json(f.vec) for f in irred.characters],
     }
 
 
 def irred_from_dict(H: HopfAlgebra, data: dict) -> IrredData:
     """Rebuild the irreducible data of H from its JSON dump and verify it.
 
-    A section that lacks a key, or holds a value of the wrong shape, a
-    degree that is not a positive integer, a key that is not an integer in
-    range(dim), a zero denominator or a coefficient outside
-    Q(zeta_cyc_order), raises ValueError."""
-    def vec(field, entry):
-        return {_json_index(i, H.dim): _coeff_in(f"irred.{field}", c, H.cyc_order)
-                for i, c in entry}
-
-    def degree(x):
-        if _json_int("degree", x) < 1:
-            raise ValueError(f"degree {x} < 1")
-        return x
-
+    A section that lacks a key, or holds a value of the wrong shape, lists
+    of different lengths, a degree that is not a positive integer, a
+    vector that ``_vec_from_json`` refuses, or a zero denominator, raises
+    ValueError."""
     try:
-        degrees = tuple(degree(x) for x in data["degrees"])
-        idems = tuple(H.elem(vec("idempotents", e)) for e in data["idempotents"])
-        chars = tuple(H.func(vec("characters", e)) for e in data["characters"])
+        degrees = tuple(_json_positive("degree", x) for x in data["degrees"])
+        idems = tuple(H.elem(_vec_from_json(H, "irred.idempotents", e))
+                      for e in data["idempotents"])
+        chars = tuple(H.func(_vec_from_json(H, "irred.characters", e))
+                      for e in data["characters"])
+        if not len(degrees) == len(idems) == len(chars):
+            raise ValueError("degrees, idempotents and characters differ in length")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed irred section: {exc}") from exc
     _verify_irred(H, idems, degrees, chars)

@@ -1,6 +1,9 @@
 """Class sums, membership criteria, Kaplansky integrality, and the Drinfeld
 map, anchored on group algebras where everything is classical."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from hopfcomm.classdata import (
@@ -28,7 +31,15 @@ from hopfcomm.errors import (
     VerificationFailed,
 )
 from hopfcomm.exactnum import CycNum
-from hopfcomm.hopf import HElem, HFunc, integrals, tensor_of
+from hopfcomm.hopf import (
+    HElem,
+    HFunc,
+    generators,
+    integrals,
+    tensor_mult,
+    tensor_of,
+    tensor_swap,
+)
 
 ONE = CycNum.rational(1)
 
@@ -102,6 +113,50 @@ def test_classdata_json_round_trip(ks3):
     broken["class_dims"][1] += 1
     with pytest.raises(VerificationFailed):
         classdata_from_dict(H, broken)
+
+
+def _set_entry(field, i, entry):
+    def edit(doc):
+        doc[field][i][0] = entry
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["C"][0].append([99, "5"]), "outside range"),
+    (_set_entry("F", 1, [0.0, "1"]), "outside range"),
+    (lambda doc: doc["F"][1].append(list(doc["F"][1][0])), "repeats the key"),
+    (lambda doc: doc["class_dims"].__setitem__(0, "1"), "not an integer"),
+    (lambda doc: doc["class_dims"].__setitem__(0, 1.9), "not an integer"),
+    (lambda doc: doc["class_dims"].__setitem__(0, 0), "< 1"),
+    (lambda doc: doc.pop("eta"), "malformed classdata"),
+    (lambda doc: doc["eta"].pop(), "differ in length"),
+    (lambda doc: doc["C"].__setitem__(1, [[i, str(2 * Fraction(c))]
+                                          for i, c in doc["C"][1]]), "C_1"),
+], ids=["C-index-99", "F-index-float", "F-key-repeated", "dim-string", "dim-float",
+        "dim-zero", "eta-missing", "eta-short", "C-scaled"])
+def test_classdata_from_dict_refuses_malformed_payload(ks3, edit, message):
+    H, _ = ks3
+    doc = classdata_to_dict(rh_idempotents(H))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        classdata_from_dict(H, doc)
+
+
+def test_classdata_from_dict_refuses_a_partition_finer_than_the_classes(ks3, s3):
+    # The point functions of S3 pass every pairing check of class data: the
+    # F_i must also lie in R(H), one per character.
+    H, _ = ks3
+    order = [s3.identity] + [g for g in range(6) if g != s3.identity]
+    points = [[[g, "1"]] for g in order]
+    doc = {"F": points, "C": points, "eta": points, "class_dims": [1] * 6}
+    with pytest.raises(VerificationFailed, match="6 F_i for 3 characters"):
+        classdata_from_dict(H, doc)
+    cd = classdata_to_dict(rh_idempotents(H))
+    e, t = order[0], order[1]  # a transposition, in a class of three
+    doc = dict(cd, F=[[[e, "1"]], [[t, "1"]],
+                      [[g, "1"] for g in range(6) if g not in (e, t)]])
+    with pytest.raises(VerificationFailed, match="F_1 is not in the character span"):
+        classdata_from_dict(H, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +331,35 @@ def test_broken_r_matrix_rejected(dc2):
     bad[key] = bad[key] * rat(2)
     with pytest.raises(NotQuasitriangular):
         r_matrix_data(H, bad)
+
+
+def _r_delta_failure_on(H, R, basis):
+    """The first k of ``basis`` with R Delta(e_k) != Delta^op(e_k) R."""
+    for k in basis:
+        delta = H.comult_raw({k: ONE})
+        if tensor_mult(H, R, delta) != tensor_mult(H, tensor_swap(delta), R):
+            return k
+    return None
+
+
+def test_r_delta_on_generators_agrees_with_full_sweep(ks3, ds3):
+    # R = 1 (x) 1 satisfies every other axiom, and R Delta = Delta^op R
+    # exactly when H is cocommutative
+    H, _ = ks3
+    R = tensor_of(H.one(), H.one())
+    assert _r_delta_failure_on(H, R, range(H.dim)) is None
+    r_matrix_data(H, R)
+    H, _ = ds3
+    R = tensor_of(H.one(), H.one())
+    assert _r_delta_failure_on(H, R, range(H.dim)) is not None
+    with pytest.raises(NotQuasitriangular, match="Delta\\^op") as err:
+        r_matrix_data(H, R)
+    k = int(re.search(r"at basis (\d+)", str(err.value)).group(1))
+    assert k in generators(H) and _r_delta_failure_on(H, R, [k]) == k
+    # p_e (x) e, the first generator, is cocommutative: a later one fails
+    assert _r_delta_failure_on(H, R, generators(H)[:1]) is None
+    # the double's own R-matrix passes on every basis element
+    assert _r_delta_failure_on(H, H.r_matrix, range(H.dim)) is None
 
 
 def test_missing_r_matrix_rejected(ks3):

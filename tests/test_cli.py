@@ -313,6 +313,57 @@ def test_dump_index_and_dim_types_exit2(ks3_dump, tmp_path, capsys, edit):
     assert "malformed hopf dump" in capsys.readouterr().err
 
 
+def _custom_kind_with_two_labels(data):
+    data["kind"] = "custom"
+    data["labels"] = data["labels"][:2]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.__setitem__("labels", 7),
+    _custom_kind_with_two_labels,
+    lambda data: data.__setitem__("labels", list(range(6))),
+], ids=["labels-int", "labels-two-of-six", "labels-not-strings"])
+def test_dump_labels_must_be_dim_strings_exit2(ks3_dump, tmp_path, capsys, edit):
+    data = json.loads(ks3_dump.read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["compute", "frob", "--hopf", str(path)]) == 2
+    assert "labels must be a list of 6 strings" in capsys.readouterr().err
+
+
+def _repeat_first_entry(field, value):
+    # the entry's key once more, with another coefficient; a dict keeps one
+    # of the two and a sum adds them, both without a word
+    def edit(data):
+        first = data[field][0]
+        data[field].insert(0, first[:-1] + [value])
+    return edit
+
+
+def _r_matrix_with_repeated_key(data):
+    e = data["unit"][0][0]
+    data["r_matrix"] = [[e, e, "5"], [e, e, "1"]]
+
+
+@pytest.mark.parametrize("edit", [
+    _repeat_first_entry("unit", "5"),
+    _repeat_first_entry("counit", "5"),
+    _repeat_first_entry("antipode", "0"),
+    _repeat_first_entry("mult", "0"),
+    _repeat_first_entry("comult", "0"),
+    _r_matrix_with_repeated_key,
+], ids=["unit", "counit", "antipode", "mult", "comult", "r_matrix"])
+def test_dump_repeated_key_exit2(ks3_dump, tmp_path, capsys, edit):
+    data = json.loads(ks3_dump.read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["compute", "frob", "--hopf", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed hopf dump" in err and "repeats the key" in err
+
+
 def _at_order_8(c: CycNum):
     # c in Q(i) written in the power basis of zeta_8, where i = zeta_8^2.
     q = c.as_rational()

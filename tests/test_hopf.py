@@ -5,15 +5,19 @@ Numeric anchors (regular-representation traces, central idempotent
 coefficients, degree multisets) are classical facts rederivable by hand.
 """
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfcomm.hopf as hopf_mod
 from hopfcomm._linalg import Echelon, vec_axpy, vec_scale
+from hopfcomm.classdata import classdata_from_dict, classdata_to_dict, rh_idempotents
 from hopfcomm.errors import (
     DimMismatch,
+    HopfcommError,
     NonIntegerDegree,
     VerificationFailed,
 )
@@ -47,6 +51,8 @@ from hopfcomm.hopf import (
     random_functional,
     right_hit,
     tensor_flatten,
+    tensor_mult,
+    tensor_of,
     theorem_suite_sec1,
     verify_hopf_axioms,
 )
@@ -440,6 +446,52 @@ def test_json_cyc_order_must_be_positive():
         hopf_from_dict(data)
 
 
+@pytest.fixture(scope="module")
+def kc3_doc():
+    H, irred = build_group_algebra(cyclic_group(3))
+    return json.loads(json.dumps({"hopf": hopf_to_dict(H), "irred": irred_to_dict(irred),
+                                  "classdata": classdata_to_dict(rh_idempotents(H))}))
+
+
+def _places(node, out):
+    """Every (container, key) inside a JSON document, depth first."""
+    keys = range(len(node)) if isinstance(node, list) else node.keys()
+    for key in list(keys):
+        out.append((node, key))
+        if isinstance(node[key], (list, dict)):
+            _places(node[key], out)
+    return out
+
+
+_SWAPS = [None, True, 0, -1, 2, 1.5, "x", "1/0", [], {}, [0], [[0, "1"]],
+          {"order": 3}, {"order": "x", "coeffs": ["1"]}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loaders_refuse_mutated_dumps_with_typed_errors(kc3_doc, data):
+    # Swap a value for one of another type, drop or repeat an entry (which
+    # also changes list lengths), a few times over; the three loaders either
+    # accept the result or raise ValueError or a HopfcommError.
+    doc = copy.deepcopy(kc3_doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = _places(doc, [])
+        node, key = places[data.draw(st.integers(0, len(places) - 1))]
+        op = data.draw(st.sampled_from(["swap", "drop", "repeat"]))
+        if op == "swap":
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+    try:
+        H = hopf_from_dict(doc.get("hopf"))
+        H.irred = irred_from_dict(H, doc.get("irred"))
+        classdata_from_dict(H, doc.get("classdata"))
+    except (ValueError, HopfcommError):
+        pass
+
+
 def test_json_corrupted_tensor_raises(ks3):
     H, _ = ks3
     data = hopf_to_dict(H)
@@ -802,3 +854,92 @@ def test_verifier_multiplies_on_generators_only(ks4c2):
     assert all(e["status"] == "pass" for e in report)
     d = H.dim
     assert len(calls) <= 4 * d * d * len(generators(H))
+
+
+def test_first_failure_stops_at_the_first_failing_witness():
+    seen = []
+
+    def pairs():
+        for w, ok in [(0, True), ((1, 2), False), (3, False)]:
+            seen.append(w)
+            yield w, ok
+
+    assert hopf_mod._first_failure(pairs()) == (1, 2)
+    assert seen == [0, (1, 2)]
+    assert hopf_mod._first_failure([(0, False)]) == 0
+    assert hopf_mod._first_failure([(0, True)]) is None
+
+
+# -- trace form and Casimir slide moves on generators, with their full
+# sweeps as oracles --
+
+
+def _trace_form_failure_on(H, t, basis):
+    """The first (i, k), k in ``basis``, with <t, e_i e_k> != <t, e_k e_i>."""
+    for i in range(H.dim):
+        for k in basis:
+            ik = hopf_mod._dot(t, H.mul_raw({i: ONE}, {k: ONE}).items())
+            if ik != hopf_mod._dot(t, H.mul_raw({k: ONE}, {i: ONE}).items()):
+                return i, k
+    return None
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ds3"])
+def test_trace_form_on_generators_agrees_with_full_sweep(which, request):
+    # lambda, and lambda perturbed at each basis index in turn: the verdict
+    # on generators is the verdict of the sweep over every pair
+    H, _ = request.getfixturevalue(which)
+    _, lam = integrals(H)
+    gens = generators(H)
+    assert hopf_mod._trace_form_failure(H, lam.vec) is None
+    assert _trace_form_failure_on(H, lam.vec, range(H.dim)) is None
+    verdicts = set()
+    missed_by_first_generator = 0
+    for k in range(H.dim):
+        t = dict(lam.vec)
+        vec_axpy(t, ONE, ((k, ONE),))
+        got = hopf_mod._trace_form_failure(H, t)
+        full = _trace_form_failure_on(H, t, range(H.dim))
+        assert (got is None) == (full is None)
+        if got is not None:
+            i, g = got
+            assert g in gens and _trace_form_failure_on(H, t, [g]) is not None
+            missed_by_first_generator += _trace_form_failure_on(H, t, gens[:1]) is None
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+    # some perturbation is caught only by a later generator
+    assert missed_by_first_generator
+
+
+def _slide_failure_on(H, T, basis):
+    """The first k of ``basis`` with T(e_k (x) 1) != (1 (x) e_k)T or
+    (e_k (x) 1)T != T(1 (x) e_k), each side a product in H (x) H."""
+    one = H.one()
+    for k in basis:
+        a = HElem(H, {k: ONE})
+        a1, one_a = tensor_of(a, one), tensor_of(one, a)
+        if (tensor_mult(H, T, a1) != tensor_mult(H, one_a, T)
+                or tensor_mult(H, a1, T) != tensor_mult(H, T, one_a)):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ds3"])
+def test_casimir_slide_on_generators_agrees_with_full_sweep(which, request):
+    # the integral Casimir, and the same tensor with one entry doubled
+    H, _ = request.getfixturevalue(which)
+    cas = casimir_tensor(H)
+    gens = generators(H)
+    assert hopf_mod._casimir_slide_failure(H, cas) is None
+    assert _slide_failure_on(H, cas, range(H.dim)) is None
+    missed_by_first_generator = 0
+    for key, c in cas.items():
+        T = {**cas, key: c + c}
+        got = hopf_mod._casimir_slide_failure(H, T)
+        assert got is not None and got in gens
+        assert _slide_failure_on(H, T, range(H.dim)) is not None
+        assert _slide_failure_on(H, T, [got]) == got
+        missed_by_first_generator += _slide_failure_on(H, T, gens[:1]) is None
+    if which == "ds3":
+        # p_e (x) e, the first generator, kills most single entries
+        assert missed_by_first_generator
