@@ -46,6 +46,7 @@ from .hopf import (
     _entry,
     _first_failure,
     _json_positive,
+    _require_axioms,
     _vec_from_json,
     _vec_to_json,
     Tensor,
@@ -170,12 +171,12 @@ def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
     eta = tuple(c * CycNum.rational(Fraction(1, dim_i))
                 for c, dim_i in zip(C, class_dims))
 
-    data = ClassData(F=F, C=C, eta=eta, class_dims=class_dims)
-    _verify_classdata(H, data)
-    return data
+    return _verify_classdata(H, ClassData(F=F, C=C, eta=eta, class_dims=class_dims))
 
 
-def _verify_classdata(H: HopfAlgebra, data: ClassData):
+def _verify_classdata(H: HopfAlgebra, data: ClassData) -> ClassData:
+    """``data``, once every class-data invariant holds exactly."""
+    _require_axioms(H)  # the precondition of _check_idempotents
     m = len(data)
     d = H.dim
     integral, lam = integrals(H)
@@ -188,8 +189,6 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
     _check_idempotents("F", [f.vec for f in data.F], H.func_mul_raw, H.counit_vec, "eps")
     if data.class_dims[0] != 1:
         raise VerificationFailed(f"dim(F_0 H*) = {data.class_dims[0]} != 1")
-    if sum(data.class_dims) != d:
-        raise VerificationFailed("sum of dim(F_i H*) != dim H")
     for i in range(m):
         for j in range(m):
             got = data.F[i](data.eta[j])
@@ -202,6 +201,7 @@ def _verify_classdata(H: HopfAlgebra, data: ClassData):
                          for k, c in data.F[i].vec.items()})
         if frobenius_psi(H, data.eta[i]) != want:
             raise VerificationFailed(f"Psi(eta_{i}) != (d/dim) F_{i}")
+    return data
 
 
 def require_classdata(H: HopfAlgebra, seed: int = 0) -> ClassData:

@@ -103,10 +103,7 @@ def _check_dim_cap(dim: int) -> None:
 
 
 def _load_group_file(path: str):
-    spec = _read_json(path)
-    if not isinstance(spec, dict):
-        raise ValueError("group spec must be a JSON object")
-    return load_group(spec)
+    return load_group(_read_json(path))
 
 
 def _group_from_mult(H: HopfAlgebra, name: str):

@@ -293,14 +293,29 @@ def from_cayley(name: str, table: Sequence[Sequence[int]],
     return FiniteGroup(name, table, labels)
 
 
+def _json_lists(x, depth: int, leaf=int) -> bool:
+    """Whether x is a list nested ``depth`` deep of ``leaf`` (not bool) leaves."""
+    if depth == 0:
+        return type(x) is leaf
+    return type(x) is list and all(_json_lists(y, depth - 1, leaf) for y in x)
+
+
 def load_group(spec: dict, cap: Optional[int] = None) -> FiniteGroup:
-    """Build a group from a GroupSpec mapping."""
+    """Build a group from a GroupSpec mapping: a string name and a ``cayley``
+    table of integers with optional string labels, or ``perm_generators``,
+    cycles of integer points >= 1.  Other JSON types raise ValueError."""
     if not isinstance(spec, dict):
         raise ValueError("group spec must be a JSON object")
-    name = spec.get("name", "G")
+    name, labels = spec.get("name", "G"), spec.get("labels")
+    if not _json_lists(name, 0, str) or not (labels is None or _json_lists(labels, 1, str)):
+        raise ValueError("group spec name and labels must be strings")
     if "cayley" in spec:
-        return from_cayley(name, spec["cayley"], spec.get("labels"))
+        if not _json_lists(spec["cayley"], 2):
+            raise ValueError("'cayley' must be a list of rows of integers")
+        return from_cayley(name, spec["cayley"], labels)
     if "perm_generators" in spec:
+        if not _json_lists(spec["perm_generators"], 3):
+            raise ValueError("'perm_generators' must be lists of cycles of integer points")
         return from_perm_generators(name, spec["perm_generators"], cap=cap)
     raise ValueError("group spec needs a 'cayley' table or 'perm_generators'")
 

@@ -23,7 +23,9 @@ multiplicativity of grouplike functionals, the trace property of a form
 every axiom holds, the whole basis otherwise; so do
 ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R of
 ``classdata.r_matrix_data``.  Every check finds its first failing witness
-through the one search ``_first_failure``.
+through the one search ``_first_failure``.  Idempotent families (the E_i, the
+F_i of R(H), the candidates of ``split_commutative``) are checked by their
+squares and sum alone; ``_check_idempotents`` proves them orthogonal.
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
 around sparse coefficient dicts; the module-level operations (mult,
@@ -134,11 +136,7 @@ class HopfAlgebra:
         self.irred = None  # IrredData, attached by builders or on demand
         self._memo: dict = {}  # derived data, filled by @memo functions
         if check:
-            report = verify_hopf_axioms(self)
-            bad = [r for r in report if r["status"] == "fail"]
-            if bad:
-                raise VerificationFailed(
-                    f"Hopf axiom '{bad[0]['check']}' fails at {bad[0]['witness']}")
+            _require_axioms(self)
 
     # -- raw sparse operations (dict in, dict out) --
 
@@ -400,20 +398,21 @@ def _combination(coeffs, elems) -> Vec:
     return out
 
 
-def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str,
-                       commuting: bool = False):
+def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
     """Raise VerificationFailed unless ``vecs`` (name_0, name_1, ...) are
-    orthogonal idempotents under ``mul`` that sum to ``unit``.  When the
-    vecs are known to commute (central ones), only the pairs i <= j are
-    multiplied."""
+    idempotents under ``mul`` that sum to ``unit``; one product per vector.
+
+    They are then orthogonal if ``mul`` is associative with two-sided unit
+    ``unit`` in characteristic 0, as ``_verify_irred`` and ``_verify_classdata``
+    (which every split result reaches) require first: the L_i = L_{e_i} are
+    idempotent operators summing to the identity, so their traces are ranks
+    summing to dim and their images form a direct sum; for i != j, L_i kills
+    im L_j, and e_i e_j = L_i L_j 1 = 0."""
     total: Vec = {}
     for i, u in enumerate(vecs):
+        if mul(u, u) != u:
+            raise VerificationFailed(f"{name}_{i}{name}_{i} != {name}_{i}")
         vec_axpy(total, _ONE, u.items())
-        for j in range(i if commuting else 0, len(vecs)):
-            v = vecs[j]
-            if mul(u, v) != (u if i == j else {}):
-                raise VerificationFailed(
-                    f"{name}_{i}{name}_{j} != {name + '_' + str(i) if i == j else '0'}")
     if total != unit:
         raise VerificationFailed(f"the {name}_i do not sum to {unit_name}")
 
@@ -633,11 +632,21 @@ def generators(H: HopfAlgebra) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _axiom_failure(H: HopfAlgebra):
+    """The first failing entry of H's memoized axiom report, or None."""
+    return next((e for e in verify_hopf_axioms(H) if e["status"] == "fail"), None)
+
+
+def _require_axioms(H: HopfAlgebra):
+    if (bad := _axiom_failure(H)) is not None:
+        raise VerificationFailed(f"Hopf axiom '{bad['check']}' fails at {bad['witness']}")
+
+
 def _closed_basis(H: HopfAlgebra):
     """The basis indices a product-closed check of H runs on: generators(H)
     when every Hopf axiom holds, so that the closure lemma of the module
     docstring applies; else the whole basis."""
-    if all(e["status"] == "pass" for e in verify_hopf_axioms(H)):
+    if _axiom_failure(H) is None:
         return generators(H)
     return range(H.dim)
 
@@ -767,9 +776,7 @@ def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
     scale = H.counit_raw(cand)
     if not scale:
         raise NoIntegral("integral candidate has vanishing counit")
-    lam_vec = vec_scale(cand, scale.inverse())
-    if H.mul_raw(lam_vec, lam_vec) != lam_vec:
-        raise NoIntegral("normalised integral is not idempotent")
+    lam_vec = vec_scale(cand, scale.inverse())  # so Lambda^2 = eps(Lambda) Lambda = Lambda
     for i in rows:
         want = vec_scale(lam_vec, H.counit_raw(H.basis_vec(i)))
         if H.mul_raw(lam_vec, H.basis_vec(i)) != want:
@@ -819,7 +826,9 @@ class IrredData:
         return len(self.degrees)
 
 
-def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
+def _verify_irred(H: HopfAlgebra, idems, degrees, chars) -> IrredData:
+    """The IrredData of these tuples, once every invariant holds exactly."""
+    _require_axioms(H)  # the precondition of _check_idempotents
     n = len(idems)
     if sum(x * x for x in degrees) != H.dim:
         raise VerificationFailed("sum of squared degrees != dim")
@@ -827,8 +836,7 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
         k = _central_failure(H, idems[i].vec)
         if k is not None:
             raise VerificationFailed(f"E_{i} is not central (basis {k})")
-    _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1",
-                       commuting=True)
+    _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1")
     pairs = [(i, j) for i in range(n) for j in range(n)]
     bad = _first_failure(((i, j), chars[i](idems[j]) == (degrees[j] if i == j else 0))
                          for i, j in pairs)
@@ -843,6 +851,7 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars):
         raise VerificationFailed("E_0 != Lambda")
     if chars[0] != H.eps():
         raise VerificationFailed("chi_0 != eps")
+    return IrredData(idempotents=idems, degrees=degrees, characters=chars)
 
 
 def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[Vec]:
@@ -873,14 +882,9 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
                 vec_axpy(out, c, span[t].items())
         return out
 
-    def mul_coords(x, y):
-        return coords(mul(vector(x), vector(y)))
-
-    unit_coords = coords(unit)
     if dim == 1:
-        return [vector(unit_coords)]
-    basis = [[_ONE if i == j else _ZERO for i in range(dim)] for j in range(dim)]
-    struct = [[mul_coords(basis[a], basis[b]) for b in range(dim)] for a in range(dim)]
+        return [vector(coords(unit))]
+    struct = [[coords(mul(u, v)) for v in span] for u in span]
     N = max(cyc_order, 1)
     phi = euler_phi(N)
     cpoly = list(cyclotomic_poly(N))
@@ -889,12 +893,17 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
     for attempt in range(5):
         k = 24 if attempt % 2 == 0 else 48
         try:
-            result = _split_attempt(struct, unit_coords, dim, N, phi, cpoly,
-                                    p, k, rng, mul_coords)
+            result = _split_attempt(struct, dim, N, phi, cpoly, p, k, rng)
+            if result is not None:
+                idems = [vector(xs) for xs in result]
+                try:
+                    _check_idempotents("e", idems, mul, unit, "the unit")
+                except VerificationFailed:
+                    result = None
             if result is not None:
                 runlog.record("split_commutative", dim=dim, prime=p,
                               precision=k, outcome="ok")
-                return [vector(xs) for xs in result]
+                return idems
             last_error = VerificationFailed(f"p={p}, k={k}: reconstruction failed")
             runlog.record("split_commutative", dim=dim, prime=p,
                           precision=k, outcome="reconstruction_failed")
@@ -909,7 +918,8 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
         f"cyc_order {cyc_order} may be too small for its idempotents")
 
 
-def _split_attempt(struct, unit_coords, dim, N, phi, cpoly, p, k, rng, mul):
+def _split_attempt(struct, dim, N, phi, cpoly, p, k, rng):
+    # Coordinates of candidate idempotents, which the caller verifies; or None.
     w1 = element_of_order(N, p, rng)
     mats = []
     for a in range(dim):
@@ -1018,19 +1028,6 @@ def _split_attempt(struct, unit_coords, dim, N, phi, cpoly, p, k, rng, mul):
                 return None
             coords.append(val)
         exact.append(coords)
-    # Exact verification in the commutative algebra.
-    zero = [_ZERO] * dim
-    total = list(zero)
-    for t, e in enumerate(exact):
-        if mul(e, e) != e:
-            return None
-        total = [a + b for a, b in zip(total, e)]
-        for s in range(t + 1, dim):
-            prod = mul(e, exact[s])
-            if any(prod):
-                return None
-    if total != list(unit_coords):
-        return None
     return exact
 
 
@@ -1088,8 +1085,7 @@ def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
     idems = tuple(HElem(H, e[0]) for e in ordered)
     degrees = tuple(e[1] for e in ordered)
     chars = tuple(HFunc(H, e[2]) for e in ordered)
-    _verify_irred(H, idems, degrees, chars)
-    return IrredData(idempotents=idems, degrees=degrees, characters=chars)
+    return _verify_irred(H, idems, degrees, chars)
 
 
 def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
@@ -1189,9 +1185,8 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     report: list[dict] = []
     d = H.dim
 
-    axioms = verify_hopf_axioms(H)
-    bad = [a for a in axioms if a["status"] != "pass"]
-    _entry(report, "hopf_axioms_pass", not bad, bad[:1] or None)
+    bad = _axiom_failure(H)
+    _entry(report, "hopf_axioms_pass", bad is None, [bad])
 
     integral, lam = integrals(H)
     ok = integral * integral == integral and all(
@@ -1277,11 +1272,8 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
         HFunc(H, {g: table.values[i][cls[g]] for g in range(n)
                   if table.values[i][cls[g]]})
         for i in range(len(table.degrees)))
-    irred = IrredData(idempotents=idems, degrees=tuple(table.degrees),
-                      characters=chars)
-    _verify_irred(H, idems, irred.degrees, chars)
-    H.irred = irred
-    return H, irred
+    H.irred = _verify_irred(H, idems, tuple(table.degrees), chars)
+    return H, H.irred
 
 
 def build_dual_group_algebra(G: FiniteGroup):
@@ -1312,10 +1304,8 @@ def build_dual_group_algebra(G: FiniteGroup):
     order = [G.identity] + [g for g in range(n) if g != G.identity]
     idems = tuple(HElem(H, {g: _ONE}) for g in order)
     chars = tuple(HFunc(H, {g: _ONE}) for g in order)
-    irred = IrredData(idempotents=idems, degrees=(1,) * n, characters=chars)
-    _verify_irred(H, idems, irred.degrees, chars)
-    H.irred = irred
-    return H, irred
+    H.irred = _verify_irred(H, idems, (1,) * n, chars)
+    return H, H.irred
 
 
 def build_drinfeld_double(G: FiniteGroup, seed: int = 0):
@@ -1367,9 +1357,8 @@ def build_drinfeld_double(G: FiniteGroup, seed: int = 0):
         kind="double",
         group=G,
     )
-    irred = _double_irreducibles(G, H, seed)
-    H.irred = irred
-    return H, irred
+    H.irred = _double_irreducibles(G, H, seed)
+    return H, H.irred
 
 
 def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData:
@@ -1430,9 +1419,15 @@ def _vec_to_json(vec: Vec) -> list:
 
 
 def _coeff_from_json(x) -> CycNum:
-    if isinstance(x, dict):
-        return CycNum.from_dict(x)
-    return CycNum.rational(Fraction(x))
+    """A coefficient as ``_coeff_to_json`` writes it: a string, or an {order,
+    coeffs} dict of an integer order >= 1 and strings; else ValueError."""
+    if type(x) is str:
+        return CycNum.rational(Fraction(x))
+    if (type(x) is not dict or x.keys() != {"order", "coeffs"} or type(x["coeffs"]) is not list
+            or any(type(s) is not str for s in x["coeffs"])):
+        raise ValueError(f"coefficient {x!r} is not a string or an {{order, coeffs}} dict")
+    _json_positive("coefficient order", x["order"])
+    return CycNum.from_dict(x)
 
 
 def _coeff_in(field: str, x, cyc_order: int) -> CycNum:
@@ -1590,5 +1585,4 @@ def irred_from_dict(H: HopfAlgebra, data: dict) -> IrredData:
             raise ValueError("degrees, idempotents and characters differ in length")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed irred section: {exc}") from exc
-    _verify_irred(H, idems, degrees, chars)
-    return IrredData(idempotents=idems, degrees=degrees, characters=chars)
+    return _verify_irred(H, idems, degrees, chars)

@@ -4,14 +4,18 @@ The S3/Q8/C2 expectations are classical results, rederivable by hand from
 orthogonality; degree multisets for S4/D4/A4 are standard.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hopfcomm.chartab import (
     CharacterTable,
+    _verify_table,
     class_structure_constants,
     dixon_character_table,
     group_central_idempotents,
 )
+from hopfcomm.errors import VerificationFailed
 from hopfcomm.exactnum import CycNum, cyc, zeta
 from hopfcomm.group import (
     cyclic_group,
@@ -181,3 +185,65 @@ def test_idempotents_q8():
     t = dixon_character_table(G)
     idems = group_central_idempotents(G, t)
     assert len(idems) == 5
+
+
+# -- row orthogonality implies column orthogonality --
+
+
+def _column_orthogonality_failure(G, algebra, values):
+    """The column check that _verify_table no longer runs, kept as its
+    oracle: the first (j, j2) with sum_i chi_i(g_j) chi_i(g_j2^-1) !=
+    delta_{j j2} |G|/|C_j|; None when the relation holds.  At the identity
+    class, j = j2 = 0, it reads sum_i d_i^2 = |G|, the other dropped check."""
+    conj = algebra.classes
+    n = conj.n_classes
+    for j in range(n):
+        for j2 in range(n):
+            acc = cyc(0)
+            for i in range(n):
+                acc = acc + values[i][j] * values[i][conj.inverse_class[j2]]
+            if acc != cyc(Fraction(G.order, conj.sizes[j]) if j == j2 else 0):
+                return j, j2
+    return None
+
+
+def _table_refused(G, algebra, degrees, values):
+    try:
+        _verify_table(G, algebra, degrees, values)
+    except VerificationFailed:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("G", [
+    from_perm_generators("S3", S3_GENS),
+    quaternion_group(),
+    from_perm_generators("A4", A4_GENS),
+], ids=["S3", "Q8", "A4"])
+def test_verify_table_refuses_what_the_column_check_refuses(G):
+    # Every single-entry mutant (v + 1, -v, zeta_e v of one value, d + 1 of
+    # one degree): the old verdict (degree squares, rows, columns, central
+    # characters) is refusal by _verify_table, by the degree squares or by
+    # the column oracle; it must equal the verdict of _verify_table alone.
+    table = dixon_character_table(G)
+    algebra = class_structure_constants(G)
+    assert not _table_refused(G, algebra, table.degrees, table.values)
+    assert _column_orthogonality_failure(G, algebra, table.values) is None
+    w = zeta(G.exponent())
+    mutants = [(table.degrees[:i] + (d + 1,) + table.degrees[i + 1:], table.values)
+               for i, d in enumerate(table.degrees)]
+    for i, row in enumerate(table.values):
+        for j, v in enumerate(row):
+            for new in {v + cyc(1), -v, w * v} - {v}:
+                values = [list(r) for r in table.values]
+                values[i][j] = new
+                mutants.append((table.degrees, values))
+    column_failures = 0
+    for degrees, values in mutants:
+        refused = _table_refused(G, algebra, degrees, values)
+        columns_fail = _column_orthogonality_failure(G, algebra, values) is not None
+        old_refused = (refused or columns_fail
+                       or sum(d * d for d in degrees) != G.order)
+        assert refused == old_refused
+        column_failures += columns_fail
+    assert column_failures

@@ -81,6 +81,24 @@ def test_chartab_bad_spec_exit2(specdir, tmp_path):
     assert main(["chartab", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"name": "X", "perm_generators": [[1, 2]]},
+    {"name": "X", "perm_generators": 7},
+    {"name": "X", "cayley": 7},
+    {"name": "X", "perm_generators": [[[1, None]]]},
+    {"name": "X", "perm_generators": [[[1.7, 2]]]},
+    {"name": "X", "cayley": [[0, 1.5], [1, 0]]},
+], ids=["generator-not-cycles", "generators-int", "cayley-int", "null-point",
+        "float-point", "float-entry"])
+def test_chartab_spec_types_exit2(tmp_path, capsys, spec):
+    # Each of these ended in a TypeError traceback or loaded as another
+    # group: [[[1.7, 2]]] as (1 2), the float table as C2.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["chartab", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # build
 

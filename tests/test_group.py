@@ -1,10 +1,12 @@
 """Finite groups, the word DSL, and the brute-force counting oracle."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcomm.errors import (ArityMismatch, ClosureCapExceeded,
-                             EnumerationCapExceeded, NotAssociative,
+                             EnumerationCapExceeded, HopfcommError, NotAssociative,
                              NotLatinSquare, WordSyntaxError)
 from hopfcomm.group import (Commutator, Concat, Inverse, Letter, arity,
                             count_word, cyclic_group, eval_word, from_cayley,
@@ -76,6 +78,63 @@ def test_load_group():
     assert g.order == 6
     with pytest.raises(ValueError):
         load_group({"name": "nothing"})
+
+
+_SPEC_SWAPS = [None, True, 0, -1, 1, 2, 3, 1.5, "x", [], {}, [1], [[1]], [[[1]]]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_group_refuses_mutated_specs_with_typed_errors(data):
+    # An S3 spec, and a C3 table with labels, with a value swapped for one
+    # of another type, an entry dropped or repeated, a few times over; the
+    # loader either builds a group or raises ValueError or a HopfcommError.
+    # Points stay small, so no closure is large.
+    spec = data.draw(st.sampled_from([
+        {"name": "S3", "perm_generators": [[[1, 2]], [[1, 2, 3]]]},
+        {"name": "C3", "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+         "labels": ["e", "a", "b"]},
+    ]))
+    spec = copy.deepcopy(spec)
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = _places(spec, [])
+        if not places:  # every entry dropped; the empty spec is loaded below
+            break
+        node, key = places[data.draw(st.integers(0, len(places) - 1))]
+        op = data.draw(st.sampled_from(["swap", "drop", "repeat"]))
+        if op == "swap":
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_SPEC_SWAPS)))
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+    try:
+        load_group(spec)
+    except (ValueError, HopfcommError):
+        pass
+
+
+def _places(node, out):
+    """Every (container, key) inside a JSON document, depth first."""
+    keys = range(len(node)) if isinstance(node, list) else node.keys()
+    for key in list(keys):
+        out.append((node, key))
+        if isinstance(node[key], (list, dict)):
+            _places(node[key], out)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": 7, "cayley": [[0]]},
+    {"cayley": [[0, 1], [1, 0]], "labels": 7},
+    {"cayley": [[0, 1], [1, 0]], "labels": ["e", 1]},
+    {"cayley": [[0, True], [True, 0]]},
+    {"perm_generators": [[[True, 2]]]},  # read as (1 2)
+    {"perm_generators": [[["1", "2"]]]},
+])
+def test_load_group_refuses_other_json_types(spec):
+    with pytest.raises(ValueError):
+        load_group(spec)
 
 
 def test_quaternion_group():

@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import hopfcomm.hopf as hopf_mod
 from hopfcomm._linalg import Echelon, vec_axpy, vec_scale
-from hopfcomm.classdata import classdata_from_dict, classdata_to_dict, rh_idempotents
+from hopfcomm.classdata import (
+    _verify_classdata,
+    classdata_from_dict,
+    classdata_to_dict,
+    require_classdata,
+    rh_idempotents,
+)
 from hopfcomm.errors import (
     DimMismatch,
     HopfcommError,
@@ -443,6 +449,22 @@ def test_json_irred_outside_cyc_order_raises():
 def test_json_cyc_order_must_be_positive():
     data, _ = _kc3_dump(cyc_order=0)
     with pytest.raises(ValueError, match="cyc_order"):
+        hopf_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mult", True),
+    ("mult", 1.0),
+    ("unit", {"order": "1", "coeffs": ["1"]}),
+    ("unit", {"order": 1.9, "coeffs": ["1"]}),
+    ("unit", {"order": 1, "coeffs": [1.0]}),
+], ids=["mult-true", "mult-float", "order-string", "order-float", "coeffs-float"])
+def test_json_coefficient_must_be_written_as_dumps_write_it(field, value):
+    # Dumps write a coefficient as a string or an {order, coeffs} dict with
+    # an integer order and string coeffs; each edit keeps the value 1.
+    data, _ = _kc3_dump()
+    data[field][0][-1] = value
+    with pytest.raises(ValueError, match="coefficient"):
         hopf_from_dict(data)
 
 
@@ -943,3 +965,99 @@ def test_casimir_slide_on_generators_agrees_with_full_sweep(which, request):
     if which == "ds3":
         # p_e (x) e, the first generator, kills most single entries
         assert missed_by_first_generator
+
+
+# -- idempotent families: squares and sum, with the pairwise check as oracle --
+
+
+def _pairwise_idempotent_failure(vecs, mul, unit):
+    """The check that ``_check_idempotents`` replaced, kept as its oracle:
+    every product e_i e_j (e_i when i == j, else 0), then the sum.  The
+    first failing pair (i, j), or "sum"; None when the family passes."""
+    for i, u in enumerate(vecs):
+        for j, v in enumerate(vecs):
+            if mul(u, v) != (u if i == j else {}):
+                return i, j
+    total = {}
+    for u in vecs:
+        vec_axpy(total, ONE, u.items())
+    return None if total == unit else "sum"
+
+
+def _passes_check_idempotents(vecs, mul, unit):
+    try:
+        hopf_mod._check_idempotents("e", vecs, mul, unit, "1")
+    except VerificationFailed:
+        return False
+    return True
+
+
+def _idempotent_family(H, family):
+    if family == "E":
+        return [e.vec for e in H.irred.idempotents], H.mul_raw, H.unit_vec
+    return [f.vec for f in require_classdata(H).F], H.func_mul_raw, H.counit_vec
+
+
+_FAMILIES = [("ks3", "E"), ("kq8", "E"), ("dual_s3", "E"), ("ds3", "E"),
+             ("ks3", "F"), ("ds3", "F")]
+
+
+@pytest.mark.parametrize("which, family", _FAMILIES)
+def test_check_idempotents_agrees_with_pairwise_check(which, family, request):
+    # The family itself, and every compensated single-coefficient mutant:
+    # e_k added to E_i and taken from E_{i+1}, so the sum still holds.
+    # Where e_k is itself an idempotent summand of E_{i+1} (the point
+    # functions of k^S3 and of the F_i, the p_g (x) e of D(S3)), the mutant
+    # is again a family of orthogonal idempotents, so both verdicts occur.
+    H, _ = request.getfixturevalue(which)
+    vecs, mul, unit = _idempotent_family(H, family)
+    assert _pairwise_idempotent_failure(vecs, mul, unit) is None
+    assert _passes_check_idempotents(vecs, mul, unit)
+    verdicts = set()
+    n = len(vecs)
+    for i in range(n):
+        j = (i + 1) % n
+        for k in range(H.dim):
+            mutant = list(vecs)
+            mutant[i], mutant[j] = dict(vecs[i]), dict(vecs[j])
+            vec_axpy(mutant[i], ONE, [(k, ONE)])
+            vec_axpy(mutant[j], -ONE, [(k, ONE)])
+            ok = _pairwise_idempotent_failure(mutant, mul, unit) is None
+            assert _passes_check_idempotents(mutant, mul, unit) == ok
+            verdicts.add(ok)
+    assert verdicts == ({False} if which in ("ks3", "kq8") and family == "E"
+                        else {True, False})
+
+
+@pytest.mark.parametrize("which", ["ks3", "ds3", "ks4c2"])
+def test_check_idempotents_makes_one_product_per_vector(which, request):
+    H, irred = request.getfixturevalue(which)
+    vecs = [e.vec for e in irred.idempotents]
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return H.mul_raw(u, v)
+
+    hopf_mod._check_idempotents("E", vecs, counted, H.unit_vec, "1")
+    assert len(calls) == len(vecs)
+
+
+def _antipode_mutant(s3):
+    # kS3 with S(g) = g for an element g of order 3: the algebra and its
+    # idempotents are untouched, but the antipode axiom fails.
+    raw = _ks3_raw(s3)
+    g = next(i for i in range(6) if s3.inverse(i) != i)
+    raw["antipode"] = {**raw["antipode"], g: ((g, 1),)}
+    return HopfAlgebra(**raw, check=False)
+
+
+def test_verify_irred_refuses_an_instance_that_fails_an_axiom(ks3, s3):
+    _, irred = ks3
+    H = _antipode_mutant(s3)
+    idems = tuple(H.elem(e.vec) for e in irred.idempotents)
+    chars = tuple(H.func(f.vec) for f in irred.characters)
+    with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
+        hopf_mod._verify_irred(H, idems, irred.degrees, chars)
+    with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
+        _verify_classdata(H, require_classdata(ks3[0]))
