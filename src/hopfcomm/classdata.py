@@ -400,29 +400,6 @@ class RMatrixData:
     factorizable: bool
 
 
-def _t3_mult(H: HopfAlgebra, s: dict, t: dict) -> dict:
-    """Componentwise product in H (x) H (x) H."""
-    out: dict = {}
-    for ka, ca in s.items():
-        for kb, cb in t.items():
-            legs = [H.mult.get(ab) for ab in zip(ka, kb)]
-            if all(legs):
-                vec_axpy(out, ca * cb, [((k1, k2, k3), c1 * c2 * c3)
-                                        for k1, c1 in legs[0] for k2, c2 in legs[1]
-                                        for k3, c3 in legs[2]])
-    return out
-
-
-def _embed(H: HopfAlgebra, R: Tensor, slot: int) -> dict:
-    """R with the unit inserted as leg ``slot`` (0, 1 or 2) of H (x) H (x) H:
-    slot 2 gives R_12, slot 1 gives R_13 and slot 0 gives R_23."""
-    out: dict = {}
-    for ij, c in R.items():
-        for u, cu in H.unit_vec.items():
-            out[ij[:slot] + (u,) + ij[slot:]] = c * cu
-    return out
-
-
 def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     """Verify the quasitriangular axioms for R (default: the instance's
     R-matrix) and compute the monodromy and the factorizability flag."""
@@ -430,6 +407,8 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
         R = H.r_matrix
     if R is None:
         raise ValueError("instance carries no R-matrix")
+    # the unit law turns R_13 R_23 and R_13 R_12 into the outer products below
+    _require_axioms(H)
 
     eps_first: Vec = {}
     eps_second: Vec = {}
@@ -439,16 +418,22 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     if eps_first != H.unit_vec or eps_second != H.unit_vec:
         raise NotQuasitriangular("(eps (x) id)R or (id (x) eps)R != 1")
 
-    lhs: dict = {}
+    # R = sum r_a (x) l_a; each side is |R|^2 basis products
+    delta_first: dict = {}
+    delta_second: dict = {}
+    r13r23: dict = {}
+    r13r12: dict = {}
     for (i, j), c in R.items():
-        vec_axpy(lhs, c, [((a, b, j), cc) for (a, b), cc in H.comult.get(i, ())])
-    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 0)):
+        vec_axpy(delta_first, c, [((a, b, j), x) for (a, b), x in H.comult.get(i, ())])
+        vec_axpy(delta_second, c, [((i, a, b), x) for (a, b), x in H.comult.get(j, ())])
+        for (k, l), cc in R.items():
+            # R_13 R_23 = sum r_a (x) r_b (x) l_a l_b
+            vec_axpy(r13r23, c * cc, [((i, k, m), x) for m, x in H.mult.get((j, l), ())])
+            # R_13 R_12 = sum r_a r_b (x) l_b (x) l_a
+            vec_axpy(r13r12, c * cc, [((m, l, j), x) for m, x in H.mult.get((i, k), ())])
+    if delta_first != r13r23:
         raise NotQuasitriangular("(Delta (x) id)R != R_13 R_23")
-
-    lhs = {}
-    for (i, j), c in R.items():
-        vec_axpy(lhs, c, [((i, a, b), cc) for (a, b), cc in H.comult.get(j, ())])
-    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 2)):
+    if delta_second != r13r12:
         raise NotQuasitriangular("(id (x) Delta)R != R_13 R_12")
 
     def commutes(k):

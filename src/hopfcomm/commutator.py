@@ -146,9 +146,10 @@ def com_span(H: HopfAlgebra, n: int, cap=None) -> Subspace:
     """Span of all n-th commutators (n = 2 gives Com).
 
     Multilinearity reduces the span to basis tuples; the U-tensor trick
-    reduces those to products of novel tensors, so the work is bounded
-    by rank growth rather than dim^n.  The nominal dim^n tuple count is
-    still capped, on every call.
+    reduces those to products of an echelon basis of each intermediate
+    level in H (x) H with the U(e_i), so the work is bounded by rank
+    growth rather than dim^n.  The last level is flattened into H as it
+    is made.  The nominal dim^n tuple count is still capped, on every call.
     """
     if n < 2:
         raise ValueError("com_span needs n >= 2")
@@ -161,23 +162,18 @@ def com_span(H: HopfAlgebra, n: int, cap=None) -> Subspace:
 @memo
 def _com_span(H: HopfAlgebra, n: int) -> Subspace:
     gens = [_u_tensor(H, {i: _ONE}) for i in range(H.dim)]
-    level = Echelon()
-    novel = []
-    for g in gens:
-        if level.insert(g):
-            novel.append(g)
-    for _ in range(n - 1):
+    level = gens
+    for _ in range(n - 2):
         nxt = Echelon()
-        nxt_novel = []
-        for t in novel:
+        for t in level:
             for g in gens:
-                prod = tensor_mult(H, t, g)
-                if nxt.insert(prod):
-                    nxt_novel.append(prod)
-        level, novel = nxt, nxt_novel
+                nxt.insert(tensor_mult(H, t, g))
+        level = nxt.basis()
+    # only the image in H of the last level is read
     out = Subspace(H)
-    for row in level.basis():
-        out.add(tensor_flatten(H, row))
+    for t in level:
+        for g in gens:
+            out.add(tensor_flatten(H, tensor_mult(H, t, g)))
     return out
 
 

@@ -218,13 +218,16 @@ def power_map(G: FiniteGroup, class_index: int, t: int) -> int:
 
 # --- construction ---
 
-def _perm_from_cycles(cycles: Sequence[Sequence[int]], npoints: int) -> tuple[int, ...]:
+def _perm_from_cycles(cycles: Sequence[Sequence[int]], npoints: int,
+                      position: dict) -> tuple[int, ...]:
+    """The permutation of range(npoints) that ``cycles`` make, each point p
+    at index position[p]."""
     perm = list(range(npoints))
     used: set = set()
     for cycle in cycles:
-        pts = [int(p) - 1 for p in cycle]
-        if any(p < 0 for p in pts):
+        if any(int(p) < 1 for p in cycle):
             raise ValueError(f"cycle points are 1-based, got {list(cycle)}")
+        pts = [position[int(p)] for p in cycle]
         if len(set(pts)) != len(pts) or used & set(pts):
             raise ValueError(f"cycles of one generator must be disjoint: {list(cycle)}")
         used.update(pts)
@@ -233,7 +236,7 @@ def _perm_from_cycles(cycles: Sequence[Sequence[int]], npoints: int) -> tuple[in
     return tuple(perm)
 
 
-def _cycle_notation(perm: tuple[int, ...]) -> str:
+def _cycle_notation(perm: tuple[int, ...], points: Sequence[int]) -> str:
     seen = [False] * len(perm)
     parts = []
     for start in range(len(perm)):
@@ -247,20 +250,22 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
             cyc.append(nxt)
             seen[nxt] = True
             nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+        parts.append("(" + " ".join(str(points[p]) for p in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
 def from_perm_generators(name: str, generators: Sequence[Sequence[Sequence[int]]],
                          cap: Optional[int] = None) -> FiniteGroup:
-    """Closure of permutation generators (cycles, 1-based points)."""
+    """Closure of permutation generators (cycles, 1-based points).
+
+    Only the points that occur are permuted, at their indices in sorted
+    order, so the size of a permutation is the number of those points, not
+    the largest of them; the labels print the points themselves."""
     cap = caps.dim_cap() if cap is None else cap
-    npoints = 1
-    for gen in generators:
-        for cycle in gen:
-            for p in cycle:
-                npoints = max(npoints, int(p))
-    gens = [_perm_from_cycles(g, npoints) for g in generators]
+    points = sorted({int(p) for gen in generators for cycle in gen for p in cycle})
+    position = {p: i for i, p in enumerate(points)}
+    npoints = len(points)
+    gens = [_perm_from_cycles(g, npoints, position) for g in generators]
     ident = tuple(range(npoints))
     index = {ident: 0}
     elems = [ident]
@@ -285,7 +290,7 @@ def from_perm_generators(name: str, generators: Sequence[Sequence[Sequence[int]]
             pq = tuple(p[q[i]] for i in range(npoints))  # (p.q)(x) = p(q(x))
             row.append(index[pq])
         table.append(row)
-    return FiniteGroup(name, table, [_cycle_notation(p) for p in elems], _trusted=True)
+    return FiniteGroup(name, table, [_cycle_notation(p, points) for p in elems], _trusted=True)
 
 
 def from_cayley(name: str, table: Sequence[Sequence[int]],
@@ -452,22 +457,29 @@ class _Parser:
         start = self.pos
         if self.pos < len(self.src) and self.src[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
+        self.skip_digits()
         if self.pos == start or self.src[start:self.pos] == "-":
             self.error("expected an integer exponent")
         return int(self.src[start:self.pos])
+
+    def skip_digits(self):
+        # ASCII only: str.isdigit() also takes digits int() refuses, like '²'
+        while self.pos < len(self.src) and self.src[self.pos] in "0123456789":
+            self.pos += 1
 
     def parse_atom(self) -> Word:
         c = self.peek()
         if c == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
-                self.pos += 1
+            self.skip_digits()
             if self.pos == start:
                 self.error("expected digits after 'x'")
-            return Letter(int(self.src[start:self.pos]))
+            index = int(self.src[start:self.pos])
+            if index == 0:
+                self.pos = start
+                self.error("letters are numbered from x1")
+            return Letter(index)
         if c == "[":
             self.pos += 1
             left = self.parse_word(stop=",")

@@ -104,7 +104,8 @@ class HopfAlgebra:
     every basis element, associativity on the triples (a, g, c) and the
     algebra-map axioms on the pairs (i, g), for g in ``generators`` (see
     the module docstring).  Pass ``check=False`` only to build deliberately
-    broken instances for the negative tests of the verifier.
+    broken instances for the negative tests of the verifier, or to build
+    ``_dual(H)``, whose axioms are those of H read backwards.
     """
 
     def __init__(self, *, dim, mult, comult, unit, counit, antipode,
@@ -165,33 +166,13 @@ class HopfAlgebra:
     def counit_raw(self, u: Vec) -> CycNum:
         return _dot(self.counit_vec, u.items())
 
-    # -- functional (H*) operations --
+    # -- functional (H*) operations, run as H operations on _dual(self) --
 
     def func_mul_raw(self, p: Vec, q: Vec) -> Vec:
-        # <pq, e_i> = sum <p, e_i(1)><q, e_i(2)>
-        out: Vec = {}
-        for i, terms in self.comult.items():
-            acc = _ZERO
-            for (j, k), c in terms:
-                pj = p.get(j)
-                if pj is None:
-                    continue
-                qk = q.get(k)
-                if qk is None:
-                    continue
-                acc = acc + c * pj * qk
-            if acc:
-                out[i] = acc
-        return out
+        return _dual(self).mul_raw(p, q)
 
     def func_antipode_raw(self, p: Vec) -> Vec:
-        # <s(p), e_i> = <p, S(e_i)>
-        out: Vec = {}
-        for i in range(self.dim):
-            acc = _dot(p, self.antipode.get(i, ()))
-            if acc:
-                out[i] = acc
-        return out
+        return _dual(self).antipode_raw(p)
 
     # -- hit actions --
 
@@ -212,22 +193,12 @@ class HopfAlgebra:
         return out
 
     def func_right_hit_raw(self, p: Vec, a: Vec) -> Vec:
-        # <p <- a, a'> = <p, a a'>
-        out: Vec = {}
-        mult = self.mult
-        for i, ci in a.items():
-            vec_axpy(out, ci, [(j, x) for j in range(self.dim)
-                               if (x := _dot(p, mult.get((i, j), ())))])
-        return out
+        # <p <- a, a'> = <p, a a'>: the right hit of H* on its dual H
+        return _dual(self).right_hit_raw(p, a)
 
     def func_left_hit_raw(self, a: Vec, p: Vec) -> Vec:
         # <a -> p, a'> = <p, a' a>
-        out: Vec = {}
-        mult = self.mult
-        for i, ci in a.items():
-            vec_axpy(out, ci, [(j, x) for j in range(self.dim)
-                               if (x := _dot(p, mult.get((j, i), ())))])
-        return out
+        return _dual(self).left_hit_raw(a, p)
 
     def adjoint_raw(self, h: Vec, a: Vec) -> Vec:
         # h .ad a = sum h_1 a S(h_2)
@@ -387,6 +358,27 @@ def memo(fn):
         return H._memo[key]
 
     return cached
+
+
+@memo
+def _dual(H: HopfAlgebra) -> HopfAlgebra:
+    """H* on the basis dual to H's, its tables the transposes of H's.
+
+    delta_j delta_k = sum_i <Delta e_i, e_j (x) e_k> delta_i, Delta delta_k =
+    sum_(i,j) <e_i e_j, e_k> delta_i (x) delta_j, s(delta_j) = sum_i <S e_i,
+    e_j> delta_i; the unit is eps and the counit is evaluation at 1.  The
+    H* operations of H are the H operations of this instance."""
+    def transpose(table):
+        out: dict = {}
+        for key, terms in table.items():
+            for k, c in terms:
+                out.setdefault(k, []).append((key, c))
+        return out
+
+    return HopfAlgebra(dim=H.dim, mult=transpose(H.comult), comult=transpose(H.mult),
+                       unit=H.counit_vec, counit=H.unit_vec,
+                       antipode=transpose(H.antipode), cyc_order=H.cyc_order,
+                       kind="dual", check=False)
 
 
 def _combination(coeffs, elems) -> Vec:

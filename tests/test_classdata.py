@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcomm._linalg import vec_axpy
 from hopfcomm.classdata import (
     ClassData,
     classdata_from_dict,
@@ -360,6 +361,95 @@ def test_r_delta_on_generators_agrees_with_full_sweep(ks3, ds3):
     assert _r_delta_failure_on(H, R, generators(H)[:1]) is None
     # the double's own R-matrix passes on every basis element
     assert _r_delta_failure_on(H, H.r_matrix, range(H.dim)) is None
+
+
+def _t3_mult(H, s, t):
+    """Componentwise product in H (x) H (x) H."""
+    out = {}
+    for ka, ca in s.items():
+        for kb, cb in t.items():
+            legs = [H.mult.get(ab) for ab in zip(ka, kb)]
+            if all(legs):
+                vec_axpy(out, ca * cb, [((k1, k2, k3), c1 * c2 * c3)
+                                        for k1, c1 in legs[0] for k2, c2 in legs[1]
+                                        for k3, c3 in legs[2]])
+    return out
+
+
+def _embed(H, R, slot):
+    """R with the unit inserted as leg ``slot`` of H (x) H (x) H: slot 2
+    gives R_12, slot 1 gives R_13 and slot 0 gives R_23."""
+    out = {}
+    for ij, c in R.items():
+        for u, cu in H.unit_vec.items():
+            out[ij[:slot] + (u,) + ij[slot:]] = c * cu
+    return out
+
+
+def _r_axiom_failure_by_t3(H, R):
+    """The quasitriangular check with R_13 R_23 and R_13 R_12 multiplied out
+    in H (x) H (x) H, and R Delta = Delta^op R on the whole basis: the
+    message of the first failing axiom, or None.  ``r_matrix_data`` checked
+    the products so before it wrote them as outer products."""
+    eps_first, eps_second = {}, {}
+    for (i, j), c in R.items():
+        vec_axpy(eps_first, c, ((j, H.counit_raw({i: ONE})),))
+        vec_axpy(eps_second, c, ((i, H.counit_raw({j: ONE})),))
+    if eps_first != H.unit_vec or eps_second != H.unit_vec:
+        return "(eps (x) id)R or (id (x) eps)R != 1"
+    lhs = {}
+    for (i, j), c in R.items():
+        vec_axpy(lhs, c, [((a, b, j), x) for (a, b), x in H.comult.get(i, ())])
+    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 0)):
+        return "(Delta (x) id)R != R_13 R_23"
+    lhs = {}
+    for (i, j), c in R.items():
+        vec_axpy(lhs, c, [((i, a, b), x) for (a, b), x in H.comult.get(j, ())])
+    if lhs != _t3_mult(H, _embed(H, R, 1), _embed(H, R, 2)):
+        return "(id (x) Delta)R != R_13 R_12"
+    if _r_delta_failure_on(H, R, range(H.dim)) is not None:
+        return "R Delta != Delta^op R"
+    return None
+
+
+def _r_matrix_verdict(H, R):
+    try:
+        r_matrix_data(H, R)
+    except NotQuasitriangular as exc:
+        return str(exc).split(" at basis")[0]
+    return None
+
+
+def _r_mutants(H):
+    """Every R-matrix with one entry of H's scaled by 2 or moved to the key
+    whose second leg is the next basis index."""
+    R = H.r_matrix
+    for (i, j), c in R.items():
+        yield {**R, (i, j): c * rat(2)}
+        moved = {key: x for key, x in R.items() if key != (i, j)}
+        vec_axpy(moved, ONE, (((i, (j + 1) % H.dim), c),))
+        yield moved
+
+
+def _second_leg_conjugate(H):
+    """(1 (x) u) R (1 (x) u^-1) for u = 1 + P, P = p_h (x) e with h != e in
+    D(G): it keeps the counit laws and (Delta (x) id)R = R_13 R_23, and
+    breaks the other unless u commutes with the 1 (x) g."""
+    k = next(i for i in H.unit_vec if not H.counit_raw({i: ONE}))
+    u = H.one() + H.elem({k: ONE})
+    u_inv = H.one() - H.elem({k: rat(Fraction(1, 2))})
+    return tensor_mult(H, tensor_of(H.one(), u),
+                       tensor_mult(H, H.r_matrix, tensor_of(H.one(), u_inv)))
+
+
+def test_r_axioms_as_outer_products_agree_with_the_t3_products(ks3, dc2, ds3):
+    cases = [(H, R) for H in (dc2[0], ds3[0]) for R in _r_mutants(H)]
+    cases += [(H, tensor_of(H.one(), H.one())) for H in (ks3[0], ds3[0])]
+    cases.append((ds3[0], _second_leg_conjugate(ds3[0])))
+    verdicts = [_r_matrix_verdict(H, R) for H, R in cases]
+    assert verdicts == [_r_axiom_failure_by_t3(H, R) for H, R in cases]
+    assert None in verdicts
+    assert {"(Delta (x) id)R != R_13 R_23", "(id (x) Delta)R != R_13 R_12"} <= set(verdicts)
 
 
 def test_missing_r_matrix_rejected(ks3):

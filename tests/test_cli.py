@@ -498,6 +498,12 @@ def test_oracle_word_syntax_exit2(specdir):
     assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2"]) == 2
 
 
+def test_oracle_letter_zero_exit2(specdir, capsys):
+    assert main(["oracle", str(specdir / "s3.json"), "--word", "x0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "offset 1" in err
+
+
 def test_oracle_unknown_functional_exit2(specdir):
     assert main(["oracle", str(specdir / "s3.json"), "--word", "x1^2",
                  "--against", "nope"]) == 2

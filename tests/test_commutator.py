@@ -9,8 +9,10 @@ import random
 
 import pytest
 
+from hopfcomm._linalg import Echelon
 from hopfcomm.commutator import (
     Subspace,
+    _u_tensor,
     Z_n_map,
     algebra_closure,
     coideal_closure,
@@ -28,7 +30,7 @@ from hopfcomm.commutator import (
 )
 from hopfcomm.errors import EnumerationCapExceeded
 from hopfcomm.exactnum import cyc
-from hopfcomm.hopf import HElem, integrals, random_element
+from hopfcomm.hopf import HElem, integrals, random_element, tensor_flatten, tensor_mult
 
 ONE = cyc(1)
 
@@ -221,6 +223,32 @@ def test_com_span_cap_checked_on_every_call(ks3, monkeypatch):
     monkeypatch.setenv("HOPFCOMM_CAP", "enum=100")
     with pytest.raises(EnumerationCapExceeded):
         com_span(H, 3)
+
+
+def _com_span_by_levels(H, n):
+    """Com_n with every level, the last included, reduced in H (x) H and
+    only the novel products carried on: the route ``com_span`` took before
+    it flattened the last level into H as it made it."""
+    gens = [_u_tensor(H, {i: ONE}) for i in range(H.dim)]
+    level = Echelon()
+    novel = [g for g in gens if level.insert(g)]
+    for _ in range(n - 1):
+        nxt = Echelon()
+        nxt_novel = []
+        for t in novel:
+            for g in gens:
+                prod = tensor_mult(H, t, g)
+                if nxt.insert(prod):
+                    nxt_novel.append(prod)
+        level, novel = nxt, nxt_novel
+    return Subspace(H, [tensor_flatten(H, row) for row in level.basis()])
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
+def test_com_span_agrees_with_the_level_route(request, which):
+    H, _ = request.getfixturevalue(which)
+    for n in (2, 3):
+        assert com_span(H, n) == _com_span_by_levels(H, n)
 
 
 def test_com_span_sampled_lower_bound(ks3):

@@ -5,6 +5,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcomm import group as group_mod
 from hopfcomm.errors import (ArityMismatch, ClosureCapExceeded,
                              EnumerationCapExceeded, HopfcommError, NotAssociative,
                              NotLatinSquare, WordSyntaxError)
@@ -29,6 +30,33 @@ def test_perm_closure_orders():
     assert from_perm_generators("S4", S4_GENS).order == 24
     assert from_perm_generators("A4", A4_GENS).order == 12
     assert from_perm_generators("triv", []).order == 1
+
+
+def test_permutations_are_sized_by_the_points_that_occur(monkeypatch):
+    # The spy stops the build at the first permutation, so nothing of the
+    # size of the largest point is allocated on the way.
+    sizes = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(cycles, npoints, *rest):
+        sizes.append(npoints)
+        raise Stop
+
+    with monkeypatch.context() as m:
+        m.setattr(group_mod, "_perm_from_cycles", spy)
+        with pytest.raises(Stop):
+            from_perm_generators("C2", [[[1, 300000]]])
+    assert sizes == [2]
+    G = from_perm_generators("C2", [[[1, 300000]]])
+    assert G.order == 2 and G.labels == ("()", "(1 300000)")
+    # gaps between the points change neither the table nor, up to the
+    # points' names, the labels
+    H = from_perm_generators("S3", [[[5, 9]], [[5, 9, 12]]])
+    assert H.table == s3().table
+    rename = str.maketrans({"1": "5", "2": "9", "3": "12"})
+    assert H.labels == tuple(lab.translate(rename) for lab in s3().labels)
 
 
 def test_closure_cap():
@@ -191,7 +219,10 @@ def test_parse_trivials():
 
 
 def test_parse_errors_carry_offset():
-    for src, offset in [("", 0), ("y1", 0), ("[x1x2]", 5), ("x1^", 3), ("x1)", 2)]:
+    # x0 is refused at its digits; '²' passes str.isdigit() but not int()
+    for src, offset in [("", 0), ("y1", 0), ("[x1x2]", 5), ("x1^", 3), ("x1)", 2),
+                        ("x0", 1), ("[x1, x00]", 6), ("x1^2 x0^-1", 6),
+                        ("x²", 1), ("x1^²", 3)]:
         with pytest.raises(WordSyntaxError) as exc:
             parse_word(src)
         assert exc.value.offset == offset
@@ -276,3 +307,24 @@ def test_count_word_invariants(w):
     for idx in range(cl.n_classes):
         vals = {n[g] for g in cl.elements[idx]}
         assert len(vals) == 1  # N_w is a class function
+
+
+# Tokens of the word DSL, letters x0-x12 (x0 is not a letter), exponents of
+# at most two digits, and junk, including digits that str.isdigit() takes
+# and int() refuses.
+_word_tokens = st.one_of(
+    st.integers(0, 12).map(lambda i: f"x{i}"),
+    st.from_regex(r"\^-?[0-9]{0,2}", fullmatch=True),
+    st.sampled_from(["[", "]", ",", "(", ")", " ", "x", "-", "²", "٣"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_word_tokens, max_size=8).map("".join))
+def test_word_fuzz_ends_in_typed_errors(src):
+    # Any string either counts on S3 or raises one of the three word errors.
+    try:
+        count_word(s3(), parse_word(src), cap=10 ** 4)
+    except (WordSyntaxError, ArityMismatch, EnumerationCapExceeded):
+        pass

@@ -1061,3 +1061,67 @@ def test_verify_irred_refuses_an_instance_that_fails_an_axiom(ks3, s3):
         hopf_mod._verify_irred(H, idems, irred.degrees, chars)
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
         _verify_classdata(H, require_classdata(ks3[0]))
+
+
+# -- H* on the transposed table, with the scans it replaced as oracles --
+
+
+def _func_mul_scan(H, p, q):
+    # <pq, e_i> = sum <p, e_i(1)><q, e_i(2)>, over every comult term
+    out = {}
+    for i, terms in H.comult.items():
+        acc = cyc(0)
+        for (j, k), c in terms:
+            if j in p and k in q:
+                acc = acc + c * p[j] * q[k]
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _func_antipode_scan(H, p):
+    # <s(p), e_i> = <p, S(e_i)>
+    out = {}
+    for i in range(H.dim):
+        acc = cyc(0)
+        for j, c in H.antipode.get(i, ()):
+            if j in p:
+                acc = acc + c * p[j]
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _func_hit_scan(H, p, a, right):
+    # <p <- a, a'> = <p, a a'> (right) and <a -> p, a'> = <p, a' a> (left)
+    out = {}
+    for i, ci in a.items():
+        for j in range(H.dim):
+            terms = H.mult.get((i, j) if right else (j, i), ())
+            x = sum((c * p[k] for k, c in terms if k in p), cyc(0))
+            if x:
+                vec_axpy(out, ci, ((j, x),))
+    return out
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
+def test_dual_operations_agree_with_the_scans(request, which):
+    H, _ = request.getfixturevalue(which)
+    rng = random.Random(5)
+    for density in (0.2, 1.0):
+        for _ in range(4):
+            p, q, a = (random_element(H, rng, density).vec for _ in range(3))
+            assert H.func_mul_raw(p, q) == _func_mul_scan(H, p, q)
+            assert H.func_antipode_raw(p) == _func_antipode_scan(H, p)
+            assert H.func_right_hit_raw(p, a) == _func_hit_scan(H, p, a, True)
+            assert H.func_left_hit_raw(a, p) == _func_hit_scan(H, p, a, False)
+
+
+@pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])
+def test_dual_is_a_memoized_hopf_algebra(request, which):
+    # built unchecked, its axioms are H's read backwards: they hold
+    H, _ = request.getfixturevalue(which)
+    D = hopf_mod._dual(H)
+    assert hopf_mod._dual(H) is D
+    assert all(e["status"] == "pass" for e in verify_hopf_axioms(D))
+    assert D.unit_vec == H.counit_vec and D.counit_vec == H.unit_vec
