@@ -243,10 +243,10 @@ def cmd_compute(args) -> int:
 
     if args.target == "z":
         n = args.n
+        direct = z_n(H, n)  # refuses n < 0
         irred = require_irred(H, args.seed)
         coeffs = [Fraction(1, d ** (n - n % 2)) for d in irred.degrees]
         from_idempotents = HElem(H, _combination(coeffs, irred.idempotents))
-        direct = z_n(H, n)
         agree = direct == from_idempotents
         doc["result"] = {
             "n": n,

@@ -119,21 +119,27 @@ def sweedler_power(H: HopfAlgebra, h: HElem, m: int) -> HElem:
     """h^[m] = sum h_1 h_2 ... h_m (m-fold comultiplication, then multiply)."""
     if m < 1:
         raise ValueError("Sweedler power needs m >= 1")
+    table = _sweedler_table(H, m)
     out: Vec = {}
     for i, c in h.vec.items():
-        vec_axpy(out, c, _sweedler_basis(H, i, m).items())
+        vec_axpy(out, c, table[i].items())
     return HElem(H, out)
 
 
 @memo
-def _sweedler_basis(H: HopfAlgebra, i: int, m: int) -> Vec:
-    """e_i^[m] as a vector."""
-    if m == 1:
-        return {i: _ONE}
-    acc: Vec = {}
-    for (j, k), c in H.comult_raw({i: _ONE}).items():
-        vec_axpy(acc, c, H.mul_raw({j: _ONE}, _sweedler_basis(H, k, m - 1)).items())
-    return acc
+def _sweedler_table(H: HopfAlgebra, m: int) -> list[Vec]:
+    """e_k^[m] for every basis index k, built one factor at a time:
+    e_k^[t] = sum e_i e_j^[t-1] over Delta(e_k) = sum e_i (x) e_j."""
+    table = [{k: _ONE} for k in range(H.dim)]
+    for _ in range(m - 1):
+        nxt = []
+        for k in range(H.dim):
+            acc: Vec = {}
+            for (i, j), c in H.comult_raw({k: _ONE}).items():
+                vec_axpy(acc, c, H.mul_raw({i: _ONE}, table[j]).items())
+            nxt.append(acc)
+        table = nxt
+    return table
 
 
 def fs_indicator(H: HopfAlgebra, i: int, m: int) -> CycNum:

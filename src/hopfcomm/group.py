@@ -117,11 +117,15 @@ class FiniteGroup:
         return range(self.order)
 
     def power(self, a: int, k: int) -> int:
+        """a^k by square-and-multiply, in O(log |k|) products."""
         if k < 0:
-            return self.power(self.inv[a], -k)
+            a, k = self.inv[a], -k
         acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][a]
+        while k:
+            if k & 1:
+                acc = self.table[acc][a]
+            a = self.table[a][a]
+            k >>= 1
         return acc
 
     def element_order(self, a: int) -> int:
@@ -383,13 +387,19 @@ class Commutator:
     right: "Word"
 
 
-Word = Letter | Inverse | Concat | Commutator
+@dataclass(frozen=True)
+class Power:
+    word: "Word"
+    k: int  # |k| >= 2; x^1 is x itself and x^-1 is an Inverse
+
+
+Word = Letter | Inverse | Concat | Commutator | Power
 
 
 def arity(w: Word) -> int:
     if isinstance(w, Letter):
         return w.index
-    if isinstance(w, Inverse):
+    if isinstance(w, (Inverse, Power)):
         return arity(w.word)
     if isinstance(w, Concat):
         return max(arity(p) for p in w.parts)
@@ -399,11 +409,11 @@ def arity(w: Word) -> int:
 def word_to_str(w: Word) -> str:
     if isinstance(w, Letter):
         return f"x{w.index}"
-    if isinstance(w, Inverse):
+    if isinstance(w, (Inverse, Power)):
         inner = word_to_str(w.word)
-        if isinstance(w.word, (Letter, Commutator)):
-            return f"{inner}^-1"
-        return f"({inner})^-1"
+        if not isinstance(w.word, (Letter, Commutator)):
+            inner = f"({inner})"
+        return f"{inner}^{w.k if isinstance(w, Power) else -1}"
     if isinstance(w, Concat):
         # Nested concatenations keep parentheses so parsing is exact.
         return "".join(
@@ -413,9 +423,12 @@ def word_to_str(w: Word) -> str:
 
 
 class _Parser:
+    MAX_NESTING = 100  # brackets deep; keeps parsing and evaluation off the stack limit
+
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise WordSyntaxError(message, self.pos)
@@ -480,19 +493,23 @@ class _Parser:
                 self.pos = start
                 self.error("letters are numbered from x1")
             return Letter(index)
+        if not c or c not in "[(":
+            self.error("expected 'x<digits>', '[' or '('")
+        if self.depth == self.MAX_NESTING:
+            self.error(f"brackets nested deeper than {self.MAX_NESTING}")
+        self.pos += 1
+        self.depth += 1
         if c == "[":
-            self.pos += 1
             left = self.parse_word(stop=",")
             self.expect(",")
             right = self.parse_word(stop="]")
             self.expect("]")
-            return Commutator(left, right)
-        if c == "(":
-            self.pos += 1
-            inner = self.parse_word(stop=")")
+            atom = Commutator(left, right)
+        else:
+            atom = self.parse_word(stop=")")
             self.expect(")")
-            return inner
-        self.error("expected 'x<digits>', '[' or '('")
+        self.depth -= 1
+        return atom
 
 
 def _power(atom: Word, k: int) -> Word:
@@ -500,9 +517,7 @@ def _power(atom: Word, k: int) -> Word:
         return atom
     if k == -1:
         return Inverse(atom)
-    if k < 0:
-        return Inverse(_power(atom, -k))
-    return Concat(tuple(atom for _ in range(k)))
+    return Power(atom, k)
 
 
 def parse_word(src: str) -> Word:
@@ -521,8 +536,14 @@ def eval_word(w: Word, g_tuple: Sequence[int], G: FiniteGroup) -> int:
 
 
 def _eval(w: Word, t: Sequence[int], G: FiniteGroup) -> int:
+    # Letter and Commutator first: the enumeration runs this once per tuple
     if isinstance(w, Letter):
         return t[w.index - 1]
+    if isinstance(w, Commutator):
+        a = _eval(w.left, t, G)
+        b = _eval(w.right, t, G)
+        # [a, b] = a b a^-1 b^-1
+        return G.table[G.table[G.table[a][b]][G.inv[a]]][G.inv[b]]
     if isinstance(w, Inverse):
         return G.inv[_eval(w.word, t, G)]
     if isinstance(w, Concat):
@@ -530,10 +551,7 @@ def _eval(w: Word, t: Sequence[int], G: FiniteGroup) -> int:
         for p in w.parts:
             acc = G.table[acc][_eval(p, t, G)]
         return acc
-    a = _eval(w.left, t, G)
-    b = _eval(w.right, t, G)
-    # [a, b] = a b a^-1 b^-1
-    return G.table[G.table[G.table[a][b]][G.inv[a]]][G.inv[b]]
+    return G.power(_eval(w.word, t, G), w.k)
 
 
 def count_word(G: FiniteGroup, w: Word, cap: Optional[int] = None) -> tuple[int, ...]:

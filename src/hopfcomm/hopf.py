@@ -1172,8 +1172,9 @@ def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
 def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     """Exact checks of the Frobenius/integral layer: axiom report, two-sided
     idempotent integrals, the trace form of lambda, Psi bijectivity, and the
-    dual-basis (Casimir) identities of the integral tensor."""
-    rng = random.Random(seed)
+    dual-basis (Casimir) identities of the integral tensor.  Every check is
+    on the basis or on generators, so ``seed`` (the suites' common signature)
+    draws nothing here."""
     report: list[dict] = []
     d = H.dim
 
@@ -1197,10 +1198,10 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _entry(report, "dual_integral_is_trace_form", pair is None,
            {"pair": list(pair)} if pair else None)
 
-    samples = [H.elem(H.basis_vec(k)) for k in range(d)]
-    samples += [random_element(H, rng) for _ in range(5)]
-    ok = all(psi_inv(H, frobenius_psi(H, h)) == h for h in samples)
-    _entry(report, "psi_round_trip", ok)
+    # Psi^-1 Psi is linear: the identity on the basis is the identity on H
+    basis = [H.elem(H.basis_vec(k)) for k in range(d)]
+    _entry(report, "psi_round_trip",
+           all(psi_inv(H, frobenius_psi(H, h)) == h for h in basis))
 
     ir = require_irred(H)
     ok = all(

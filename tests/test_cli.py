@@ -9,6 +9,7 @@ failure or refused precondition, 4 cap exceeded.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfcomm.cli import main
 from hopfcomm.exactnum import CycNum, zeta
@@ -171,6 +172,19 @@ def test_compute_classdata_refused_on_dual(specdir):
 
 def test_compute_needs_an_instance():
     assert main(["compute", "z"]) == 2
+
+
+def test_compute_z_negative_n_exit2(ks3_dump, capsys):
+    assert main(["compute", "z", "--n", "-3", "--hopf", str(ks3_dump)]) == 2
+    assert "n must be >= 0" in capsys.readouterr().err
+
+
+def test_compute_root_high_power_has_no_recursion_limit(specdir, capsys):
+    # e^[m] is built one factor at a time, not one stack frame per factor
+    doc = run_json(capsys, ["compute", "root", "--m", "3000",
+                            "--group", str(specdir / "s3.json"), "--kind", "group"])
+    # 6 divides 3000, so all six elements of S3 are 3000-th roots of 1
+    assert doc["result"]["values"][0] == "6"
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +499,27 @@ def test_oracle_iterated_word(specdir, capsys):
     assert doc["arity"] == 3 and doc["tuples"] == 216
 
 
+def test_oracle_high_power_against_root(specdir, capsys):
+    doc = run_json(capsys, ["oracle", str(specdir / "s3.json"),
+                            "--word", "x1^3000", "--against", "root:3000"])
+    assert doc["word"] == "x1^3000"
+    assert doc["checks"] and all(e["status"] == "pass" for e in doc["checks"])
+
+
+def test_oracle_huge_exponent_counts_like_its_residue(specdir, capsys):
+    # 99999999999999 = 3 mod 6, the exponent of S3
+    doc = run_json(capsys, ["oracle", str(specdir / "s3.json"),
+                            "--word", "x1^99999999999999"])
+    want = run_json(capsys, ["oracle", str(specdir / "s3.json"), "--word", "x1^3"])
+    assert doc["counts_by_class"] == want["counts_by_class"]
+
+
+def test_oracle_deep_nesting_exit2(specdir, capsys):
+    assert main(["oracle", str(specdir / "s3.json"),
+                 "--word", "(" * 400 + "x1" + ")" * 400]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
 def test_oracle_wrong_functional_fails(specdir, capsys):
     # cube-root counts are identically 1 on Q8, square counts are not
     code = main(["oracle", str(specdir / "q8.json"),
@@ -521,3 +556,106 @@ def test_build_dim_cap_exit4(specdir, monkeypatch):
 
 def test_bad_subcommand_exit2():
     assert main(["bogus"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main
+
+
+_INT = st.integers(-3, 3000)
+# Words as in the word-DSL fuzzer (letters x0-x12, exponents of at most two
+# digits, brackets and junk), and well-formed words in x1-x3.
+_WORD = st.one_of(
+    st.lists(st.one_of(
+        st.integers(0, 12).map(lambda i: f"x{i}"),
+        st.from_regex(r"\^-?[0-9]{0,2}", fullmatch=True),
+        st.sampled_from(["[", "]", ",", "(", ")", " ", "x", "-"]),
+    ), max_size=8).map("".join),
+    st.recursive(st.integers(1, 3).map(lambda i: f"x{i}"), lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: f"[{ab[0]},{ab[1]}]"),
+        st.tuples(inner, st.integers(-99, 99)).map(lambda wk: f"({wk[0]})^{wk[1]}"),
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+    ), max_leaves=4),
+)
+_AGAINST_ARG = st.one_of(
+    st.sampled_from(["frob", "f2", "iterated", "nope", "fn:", "root:x"]),
+    _INT.map(lambda n: f"fn:{n}"),
+    _INT.map(lambda m: f"root:{m}"),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(specdir, ks3_dump):
+    """The valid inputs; each example may also write a broken copy of one."""
+    return {"s3": specdir / "s3.json", "c2": specdir / "c2.json", "ks3": ks3_dump}
+
+
+def _broken(data, text: str) -> str:
+    how = data.draw(st.sampled_from(["truncate", "mutate", "other"]))
+    if how == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if how == "mutate":
+        i = data.draw(st.integers(0, len(text) - 1))
+        return text[:i] + data.draw(st.sampled_from('0123456789-[]{},:" x')) + text[i + 1:]
+    return data.draw(st.one_of(
+        st.text(max_size=12),
+        st.sampled_from(["null", "[]", "{}", "7", '"S3"', '{"name": "S3"}'])))
+
+
+def _fuzz_argv(data, files, specdir) -> list[str]:
+    def path(*usual):
+        # mostly the kind of file the flag expects, sometimes any other
+        name = data.draw(st.sampled_from([*usual, *usual, "s3", "c2", "ks3", "broken",
+                                          "missing"]))
+        if name == "broken":
+            source = data.draw(st.sampled_from(sorted(files)))
+            target = specdir / "broken.json"
+            target.write_text(_broken(data, files[source].read_text()))
+            return str(target)
+        return str(specdir / "missing.json") if name == "missing" else str(files[name])
+
+    def instance():
+        how = data.draw(st.sampled_from(["hopf", "group", "none"]))
+        if how == "hopf":
+            return ["--hopf", path("ks3")]
+        if how == "group":
+            return ["--group", path("s3", "c2"), "--kind",
+                    data.draw(st.sampled_from(["group", "dualgroup", "double"]))]
+        return []
+
+    cmd = data.draw(st.sampled_from(["chartab", "build", "compute", "verify", "oracle",
+                                     "bogus"]))
+    argv = [cmd]
+    if cmd == "chartab":
+        argv += [path("s3", "c2")] + data.draw(st.sampled_from([[], ["--markdown"]]))
+    elif cmd == "build":
+        argv += [data.draw(st.sampled_from(["group", "dualgroup", "double"])),
+                 path("s3", "c2")]
+        argv += data.draw(st.sampled_from([[], ["-o", str(specdir / "out.json")]]))
+    elif cmd == "compute":
+        argv += [data.draw(st.sampled_from(["z", "frob", "fn", "root", "iterated",
+                                            "hprime", "classdata"]))]
+        argv += instance()
+        for flag in ("--n", "--m"):
+            if data.draw(st.booleans()):
+                argv += [flag, str(data.draw(_INT))]
+    elif cmd == "verify":
+        argv += ["--suite", data.draw(st.sampled_from(["sec1", "sec2", "sec3", "sec4",
+                                                       "all", "sec9"]))]
+        argv += instance()
+    elif cmd == "oracle":
+        argv += [path("s3", "c2"), "--word", data.draw(_WORD)]
+        if data.draw(st.booleans()):
+            argv += ["--against", data.draw(_AGAINST_ARG)]
+    argv += data.draw(st.sampled_from([[], [], [], ["--seed", "1"], ["--timing"],
+                                       ["--seed"], ["--nope"], ["--seed", "x"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_fuzz_ends_in_documented_exit_codes(specdir, fuzz_files, monkeypatch, data):
+    # Every argv ends in an exit code of 0-4; no exception escapes main.
+    monkeypatch.setenv("HOPFCOMM_CAP", "enum=20000,dim=8")
+    assert main(_fuzz_argv(data, fuzz_files, specdir)) in range(5)

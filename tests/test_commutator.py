@@ -10,6 +10,7 @@ import random
 import pytest
 
 from hopfcomm._linalg import Echelon
+from hopfcomm import commutator
 from hopfcomm.commutator import (
     Subspace,
     _u_tensor,
@@ -17,7 +18,6 @@ from hopfcomm.commutator import (
     algebra_closure,
     coideal_closure,
     com_span,
-    com_span_sampled,
     commutator_subalgebra,
     hopf_commutator,
     is_adjoint_stable,
@@ -30,7 +30,15 @@ from hopfcomm.commutator import (
 )
 from hopfcomm.errors import EnumerationCapExceeded
 from hopfcomm.exactnum import cyc
-from hopfcomm.hopf import HElem, integrals, random_element, tensor_flatten, tensor_mult
+from hopfcomm.group import from_perm_generators
+from hopfcomm.hopf import (
+    HElem,
+    build_drinfeld_double,
+    integrals,
+    random_element,
+    tensor_flatten,
+    tensor_mult,
+)
 
 ONE = cyc(1)
 
@@ -251,12 +259,15 @@ def test_com_span_agrees_with_the_level_route(request, which):
         assert com_span(H, n) == _com_span_by_levels(H, n)
 
 
-def test_com_span_sampled_lower_bound(ks3):
-    H, _ = ks3
-    exact = com_span(H, 2)
-    sampled = com_span_sampled(H, 2, seed=0)
-    assert sampled <= exact
-    assert sampled.dim == exact.dim  # saturates on this small instance
+@pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])
+def test_random_triple_commutators_lie_in_com3(request, which):
+    # oracle for the exact span: commutators of random triples lie in it
+    H, _ = request.getfixturevalue(which)
+    com3 = com_span(H, 3)
+    rng = random.Random(5)
+    for _ in range(4):
+        assert com3.contains(n_commutator([random_element(H, rng) for _ in range(3)]))
+    assert com_span(H, 2) <= com3
 
 
 def test_coideal_closure_of_z2(ks3, s3):
@@ -336,6 +347,31 @@ def test_theorem_suite_passes(which, request):
     assert "zn_is_z2_power" in names
     assert "zn_idempotent_expansion" in names
     assert "hprime_from_zn_closures" in names
+
+
+def test_theorem_suite_computes_com3_exactly_above_dim_36():
+    # D(C2^3) has dim 64: Com_3 is the exact span, not a sampled lower bound
+    G = from_perm_generators("C2^3", [[[1, 2]], [[3, 4]], [[5, 6]]])
+    H, _ = build_drinfeld_double(G)
+    report = {r["check"]: r for r in theorem_suite_sec2(H)}
+    assert [r for r in report.values() if r["status"] != "pass"] == []
+    assert "com3_lower_bound_sampled" not in report
+    assert report["com2_in_com3"]["status"] == "pass"
+
+
+def test_zn_recursion_names_the_failing_basis_element(ks3, monkeypatch):
+    H, _ = ks3
+    last = H.dim - 1
+    exact = commutator.Z_n_map
+
+    def skewed(H, n, h):
+        out = exact(H, n, h)
+        return out + H.one() if n == 3 and h.vec == {last: ONE} else out
+
+    monkeypatch.setattr(commutator, "Z_n_map", skewed)
+    report = {r["check"]: r for r in theorem_suite_sec2(H)}
+    assert report["Zn_recursion"]["status"] == "fail"
+    assert report["Zn_recursion"]["witness"] == {"n": 3, "basis": last}
 
 
 def test_theorem_suite_deterministic(ks3):

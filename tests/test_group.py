@@ -9,7 +9,7 @@ from hopfcomm import group as group_mod
 from hopfcomm.errors import (ArityMismatch, ClosureCapExceeded,
                              EnumerationCapExceeded, HopfcommError, NotAssociative,
                              NotLatinSquare, WordSyntaxError)
-from hopfcomm.group import (Commutator, Concat, Inverse, Letter, arity,
+from hopfcomm.group import (Commutator, Concat, Inverse, Letter, Power, arity,
                             count_word, cyclic_group, eval_word, from_cayley,
                             from_perm_generators, load_group, parse_word,
                             power_map, quaternion_group, word_to_str)
@@ -212,10 +212,46 @@ def test_parse_trivials():
     assert parse_word("[[x1,x2],x3]") == Commutator(
         Commutator(Letter(1), Letter(2)), Letter(3))
     assert parse_word("x1^-1") == Inverse(Letter(1))
-    assert parse_word("x1^2") == Concat((Letter(1), Letter(1)))
+    assert parse_word("x1^2") == Power(Letter(1), 2)
+    assert parse_word("(x1x2)^-3") == Power(Concat((Letter(1), Letter(2))), -3)
     assert parse_word("(x1 x2)^-1") == Inverse(Concat((Letter(1), Letter(2))))
     assert parse_word("[x1,x2][x3,x4]") == Concat((
         Commutator(Letter(1), Letter(2)), Commutator(Letter(3), Letter(4))))
+
+
+def test_exponents_print_as_written():
+    # an exponent is one node, not |k| copies of its base
+    assert word_to_str(parse_word("x1^1000000")) == "x1^1000000"
+    for src in ("x1^5", "(x1x2)^-3", "[x1,x2]^2", "((x1^2)^3)^-1", "x1^-2x2^3"):
+        assert word_to_str(parse_word(src)) == src
+
+
+def test_nested_exponents_evaluate_as_the_flat_power():
+    G = s3()
+    nested = parse_word("((x1^99)^99)^-99")
+    assert word_to_str(nested) == "((x1^99)^99)^-99"
+    flat = parse_word("x1^-970299")
+    for g in G.elements():
+        assert eval_word(nested, (g,), G) == eval_word(flat, (g,), G) == G.power(g, -970299)
+    assert count_word(G, parse_word("x1^99999999999999")) == count_word(G, parse_word("x1^3"))
+
+
+def test_power_is_square_and_multiply():
+    G = s3()
+    for g in G.elements():
+        acc = G.identity
+        for k in range(13):
+            assert G.power(g, k) == acc
+            assert G.power(g, -k) == G.inverse(acc)
+            acc = G.mul(acc, g)
+
+
+def test_bracket_nesting_is_bounded():
+    # deep nesting is a syntax error, not a RecursionError
+    assert parse_word("(" * 100 + "x1" + ")" * 100) == Letter(1)
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("[x1," * 101 + "x1" + "]" * 101)
+    assert exc.value.offset == 400
 
 
 def test_parse_errors_carry_offset():
@@ -285,6 +321,7 @@ _words = st.deferred(lambda: st.one_of(
     _words.map(Inverse),
     st.lists(_words, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
     st.tuples(_words, _words).map(lambda ab: Commutator(*ab)),
+    st.tuples(_words, st.integers(2, 12) | st.integers(-12, -2)).map(lambda wk: Power(*wk)),
 ))
 
 
