@@ -16,9 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Solver, Vec, rank, vec_axpy
+from ._linalg import Echelon, Vec, rank, vec_axpy
 from .commutator import (
-    Subspace,
     _left_legs,
     commutator_subalgebra,
     hopf_commutator,
@@ -26,7 +25,14 @@ from .commutator import (
     is_left_coideal,
     z_n,
 )
-from .counting import _noncommuting_characters, f_iterated, f_n, f_rob, fs_indicator
+from .counting import (
+    _noncommuting_characters,
+    character_coordinates,
+    f_iterated,
+    f_n,
+    f_rob,
+    fs_indicator,
+)
 from .errors import (
     LemmaViolation,
     NotAlmostCocommutative,
@@ -83,24 +89,6 @@ class ClassData:
 
     def __len__(self):
         return len(self.F)
-
-
-@memo
-def _character_solver(H: HopfAlgebra) -> Solver:
-    ir = require_irred(H)
-    solver = Solver()
-    for i, chi in enumerate(ir.characters):
-        solver.insert(chi.vec, i)
-    return solver
-
-
-def character_coordinates(H: HopfAlgebra, f: HFunc):
-    """Coordinates of f in the character basis, or None if f is not in R(H)."""
-    combo = _character_solver(H).express(f.vec)
-    if combo is None:
-        return None
-    m = len(require_irred(H))
-    return [combo.get(i, _ZERO) for i in range(m)]
 
 
 def _is_natural(c: CycNum) -> bool:
@@ -212,11 +200,11 @@ def require_classdata(H: HopfAlgebra, seed: int = 0) -> ClassData:
 _classdata = memo(rh_idempotents)
 
 
-def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Subspace:
+def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
     """c_i = Lambda <- F_iH* = (Lambda <- F_i) <- H*, verified to be an
     adjoint-stable left coideal."""
     integral, _ = integrals(H)
-    sub = Subspace(H, _left_legs(H, H.right_hit_raw(integral.vec, data.F[i].vec)))
+    sub = Echelon(_left_legs(H, H.right_hit_raw(integral.vec, data.F[i].vec)))
     if not is_left_coideal(H, sub):
         raise VerificationFailed(f"c_{i} is not a left coideal")
     if not is_adjoint_stable(H, sub):
@@ -239,7 +227,7 @@ def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc, j: int):
     if character_coordinates(H, f) is None:
         raise ValueError("membership_test needs f in the character span")
     by_pairing = f(data.eta[j]) != _ZERO
-    coideal = Subspace(H, _left_legs(H, psi_inv(H, f).vec))
+    coideal = Echelon(_left_legs(H, psi_inv(H, f).vec))
     by_subspace = coideal.contains(data.eta[j].vec)
     if by_pairing != by_subspace:
         raise LemmaViolation(
@@ -264,10 +252,10 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     report: list[dict] = []
 
     coideals = [conjugacy_class_coideal(H, data, i) for i in range(m)]
-    combined = rank(v for sub in coideals for v in sub.basis_vecs())
-    ok = combined == d and sum(s.dim for s in coideals) == d
+    combined = rank(v for sub in coideals for v in sub.basis())
+    ok = combined == d and sum(s.rank for s in coideals) == d
     _entry(report, "class_coideals_decompose_H", ok,
-           None if ok else {"ranks": [s.dim for s in coideals]})
+           None if ok else {"ranks": [s.rank for s in coideals]})
 
     fr = f_rob(H)
     ok = True
@@ -290,13 +278,13 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
             yield w, w["in_coideal"] == w["pairing_nonzero"]
 
     z2 = z_n(H, 2)
-    z2_spans = {n: Subspace(H, _left_legs(H, (z2 ** n).vec)) for n in (1, 2, 3)}
+    z2_spans = {n: Echelon(_left_legs(H, (z2 ** n).vec)) for n in (1, 2, 3)}
     for n in (1, 2):
         _check_all(f"eta_in_z2^{n}_coideal_iff_f{n}_pairing",
                    coideal_iff_pairing(z2_spans[n], f_n(H, n)), report)
     fit = f_iterated(H)
     _check_all("eta_in_iterated_coideal_iff_pairing", coideal_iff_pairing(
-        Subspace(H, _left_legs(H, hopf_commutator(z2, integral).vec)), fit), report)
+        Echelon(_left_legs(H, hopf_commutator(z2, integral).vec)), fit), report)
 
     # fusion route: coefficient of chi_i in f_iterated is d^2/d_i sum_k m_ki/d_k
     def from_fusion(i, c):

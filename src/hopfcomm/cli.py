@@ -22,7 +22,8 @@ is included, so identical input and seed give byte-identical output.  Timing
 is printed to stderr only, unless --timing opts it into the JSON.
 
 Exit codes: 0 success, 1 hard check failure, 2 parse/load error,
-3 verification failure or refused precondition, 4 resource cap exceeded.
+3 verification failure or refused precondition, 4 resource cap exceeded
+(enumeration, dimension, or a number beyond Python's int-to-str digit limit).
 """
 
 from __future__ import annotations
@@ -35,24 +36,27 @@ from fractions import Fraction
 
 from . import caps, runlog
 from .chartab import dixon_character_table
-from .classdata import (
-    character_coordinates,
-    classdata_to_dict,
-    require_classdata,
-    theorem_suite_sec4,
-)
+from .classdata import classdata_to_dict, require_classdata, theorem_suite_sec4
 from .commutator import commutator_subalgebra, theorem_suite_sec2, z_n
-from .counting import f_iterated, f_n, f_rob, oracle_crosscheck, root_function
-from .counting import theorem_suite_sec3
+from .counting import (
+    character_coordinates,
+    f_iterated,
+    f_n,
+    f_rob,
+    oracle_crosscheck,
+    root_function,
+    theorem_suite_sec3,
+)
 from .errors import (
     ArityMismatch,
     ClosureCapExceeded,
+    DigitCapExceeded,
     EnumerationCapExceeded,
     HopfcommError,
     VerificationFailed,
     WordSyntaxError,
 )
-from .exactnum import CycNum
+from .exactnum import CycNum, _rational_str
 from .group import arity, count_word, from_cayley, load_group, parse_word, word_to_str
 from .hopf import (
     HElem,
@@ -250,7 +254,7 @@ def cmd_compute(args) -> int:
         agree = direct == from_idempotents
         doc["result"] = {
             "n": n,
-            "e_basis_coefficients": [str(c) for c in coeffs],
+            "e_basis_coefficients": [_rational_str(c) for c in coeffs],
             "direct_route_vector": _vec_to_json(direct.vec),
             "idempotent_route_vector": _vec_to_json(from_idempotents.vec),
             "routes_agree": agree,
@@ -275,8 +279,8 @@ def cmd_compute(args) -> int:
     elif args.target == "hprime":
         sub = commutator_subalgebra(H)
         doc["result"] = {
-            "dim": sub.dim,
-            "basis": [_vec_to_json(v) for v in sub.basis_vecs()],
+            "dim": sub.rank,
+            "basis": [_vec_to_json(v) for v in sub.basis()],
             "route": ("algebra generated by Com, cross-checked against "
                       "grouplike fixed points"),
         }
@@ -441,7 +445,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.handler(args)
-    except (EnumerationCapExceeded, ClosureCapExceeded) as exc:
+    except (EnumerationCapExceeded, ClosureCapExceeded, DigitCapExceeded) as exc:
         return _error(EXIT_CAP, exc)
     except (WordSyntaxError, ArityMismatch) as exc:
         return _error(EXIT_PARSE, exc)

@@ -30,58 +30,18 @@ from .hopf import (
     _combination,
     _entry,
     _tensor_sandwich,
+    _u_tensor,
     casimir_tensor,
     grouplike_functionals,
     integrals,
     memo,
     random_element,
     require_irred,
-    tensor_antipode_right,
     tensor_flatten,
     tensor_mult,
 )
 
 _ONE = CycNum.rational(1)
-
-
-def _as_vec_list(vecs) -> list[dict]:
-    if isinstance(vecs, Subspace):
-        return vecs.basis_vecs()
-    return [v if isinstance(v, dict) else v.vec for v in vecs]
-
-
-class Subspace:
-    """A subspace of H (or of H*), held as a canonical reduced-echelon
-    basis; equality of subspaces is equality of those bases."""
-
-    def __init__(self, H: HopfAlgebra, vecs=()):
-        self.H = H
-        self.ech = Echelon(_as_vec_list(vecs))
-
-    def add(self, vec) -> bool:
-        return self.ech.insert(vec if isinstance(vec, dict) else vec.vec)
-
-    def contains(self, vec) -> bool:
-        return self.ech.contains(vec if isinstance(vec, dict) else vec.vec)
-
-    @property
-    def dim(self) -> int:
-        return self.ech.rank
-
-    def basis_vecs(self) -> list[dict]:
-        return self.ech.basis()
-
-    def elements(self) -> list[HElem]:
-        return [HElem(self.H, v) for v in self.basis_vecs()]
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.ech == other.ech
-
-    def __le__(self, other: "Subspace") -> bool:
-        return self.ech <= other.ech
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of {self.H.dim})"
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +51,6 @@ class Subspace:
 def hopf_commutator(a: HElem, b: HElem) -> HElem:
     """{a, b} = sum a_1 b_1 S(a_2) S(b_2), the second commutator."""
     return n_commutator([a, b])
-
-
-def _u_tensor(H: HopfAlgebra, vec: dict) -> dict:
-    """U(a) = sum a_1 (x) S(a_2) in H (x) H."""
-    return tensor_antipode_right(H, H.comult_raw(vec))
 
 
 def n_commutator(elems) -> HElem:
@@ -112,13 +67,13 @@ def n_commutator(elems) -> HElem:
 
 @memo
 def z_n(H: HopfAlgebra, n: int) -> HElem:
-    """The n-th commutator of n copies of the integral; z_0 = 1."""
+    """The n-th commutator of n copies of the integral, the image of
+    U(Lambda)^n under multiplication; z_0 = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return H.one()
-    lam, _ = integrals(H)
-    return n_commutator([lam] * n)
+    return HElem(H, tensor_flatten(H, _u_power(H, n)))
 
 
 def Z_n_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
@@ -128,21 +83,26 @@ def Z_n_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
         raise ValueError("n must be >= 0")
     if n == 0:
         return HElem(H, dict(h.vec))
-    return HElem(H, _tensor_sandwich(H, _sandwich_tensor(H, n), h.vec))
+    return HElem(H, _tensor_sandwich(H, _u_power(H, n), h.vec))
 
 
 @memo
-def _sandwich_tensor(H: HopfAlgebra, n: int) -> dict:
-    """U(Lambda)^n in H (x) H, n >= 1: the tensor that Z_n sandwiches h with."""
-    u = casimir_tensor(H)  # U(Lambda)
-    return u if n == 1 else tensor_mult(H, _sandwich_tensor(H, n - 1), u)
+def _u_power(H: HopfAlgebra, n: int) -> dict:
+    """U(Lambda)^n in H (x) H for n >= 1, by squaring: at most 2 log2(n)
+    products, each intermediate power kept in the memo."""
+    if n == 1:
+        return casimir_tensor(H)
+    if n % 2:
+        return tensor_mult(H, _u_power(H, n - 1), _u_power(H, 1))
+    half = _u_power(H, n // 2)
+    return tensor_mult(H, half, half)
 
 
 # ---------------------------------------------------------------------------
 # spans and closures
 
 
-def com_span(H: HopfAlgebra, n: int, cap=None) -> Subspace:
+def com_span(H: HopfAlgebra, n: int, cap=None) -> Echelon:
     """Span of all n-th commutators (n = 2 gives Com).
 
     Multilinearity reduces the span to basis tuples; the U-tensor trick
@@ -160,7 +120,7 @@ def com_span(H: HopfAlgebra, n: int, cap=None) -> Subspace:
 
 
 @memo
-def _com_span(H: HopfAlgebra, n: int) -> Subspace:
+def _com_span(H: HopfAlgebra, n: int) -> Echelon:
     gens = [_u_tensor(H, {i: _ONE}) for i in range(H.dim)]
     level = gens
     for _ in range(n - 2):
@@ -170,39 +130,36 @@ def _com_span(H: HopfAlgebra, n: int) -> Subspace:
                 nxt.insert(tensor_mult(H, t, g))
         level = nxt.basis()
     # only the image in H of the last level is read
-    out = Subspace(H)
+    out = Echelon()
     for t in level:
         for g in gens:
-            out.add(tensor_flatten(H, tensor_mult(H, t, g)))
+            out.insert(tensor_flatten(H, tensor_mult(H, t, g)))
     return out
 
 
-def coideal_closure(H: HopfAlgebra, vecs) -> Subspace:
+def coideal_closure(H: HopfAlgebra, vecs) -> Echelon:
     """Smallest left coideal containing the given vectors: closure under
     all components (p (x) id)(Delta v), i.e. under v <- p for p in H*."""
-    space = Subspace(H, vecs)
-    queue = list(space.basis_vecs())
+    space = Echelon(vecs)
+    queue = space.basis()
     while queue:
         for row in _left_legs(H, queue.pop()):
-            if space.add(row):
+            if space.insert(row):
                 queue.append(row)
     return space
 
 
-def algebra_closure(H: HopfAlgebra, vecs) -> Subspace:
+def algebra_closure(H: HopfAlgebra, vecs) -> Echelon:
     """Smallest unital subalgebra containing the given vectors."""
-    space = Subspace(H, [dict(H.unit_vec)])
-    fresh = []
-    for v in _as_vec_list(vecs):
-        if space.add(v):
-            fresh.append(v)
+    space = Echelon([dict(H.unit_vec)])
+    fresh = [v for v in vecs if space.insert(v)]
     while fresh:
-        basis = space.basis_vecs()
+        basis = space.basis()
         new = []
         for u in basis:
             for v in fresh:
                 for prod in (H.mul_raw(u, v), H.mul_raw(v, u)):
-                    if space.add(prod):
+                    if space.insert(prod):
                         new.append(prod)
         fresh = new
     return space
@@ -216,23 +173,23 @@ def _left_legs(H: HopfAlgebra, v: dict):
     return legs.values()
 
 
-def is_left_coideal(H: HopfAlgebra, space: Subspace) -> bool:
+def is_left_coideal(H: HopfAlgebra, space: Echelon) -> bool:
     """Delta(C) subset of H (x) C, checked leg by leg."""
-    return all(space.contains(row) for v in space.basis_vecs()
+    return all(space.contains(row) for v in space.basis()
                for row in _left_legs(H, v))
 
 
-def is_adjoint_stable(H: HopfAlgebra, space: Subspace) -> bool:
+def is_adjoint_stable(H: HopfAlgebra, space: Echelon) -> bool:
     """h .ad v lies in the space for every basis vector v and every h in
     ``_closed_basis(H)``: (hk) .ad v = h .ad (k .ad v), so the h that keep
     the space form a set closed under products."""
-    basis = space.basis_vecs()
+    basis = space.basis()
     return all(space.contains(H.adjoint_raw({k: _ONE}, v))
                for k in _closed_basis(H) for v in basis)
 
 
 @memo
-def commutator_subalgebra(H: HopfAlgebra) -> Subspace:
+def commutator_subalgebra(H: HopfAlgebra) -> Echelon:
     """H', computed two ways and cross-checked:
 
     route A: the algebra generated by Com;
@@ -243,7 +200,7 @@ def commutator_subalgebra(H: HopfAlgebra) -> Subspace:
     coideal, and stable under the adjoint action.
     """
     com = com_span(H, 2)
-    route_a = algebra_closure(H, com.basis_vecs())
+    route_a = algebra_closure(H, com.basis())
 
     def hit_minus_identity(sigma):
         # columns of h -> sigma -> h - h
@@ -252,17 +209,17 @@ def commutator_subalgebra(H: HopfAlgebra) -> Subspace:
             vec_axpy(col, -_ONE, ((j, _ONE),))
             yield col
 
-    route_b = Subspace(H, nullspace(
+    route_b = Echelon(nullspace(
         (hit_minus_identity(sigma) for sigma in grouplike_functionals(H)),
         H.dim, _ONE))
     if route_a != route_b:
         raise RouteMismatch(
-            f"H' routes disagree: algebra of Com has dim {route_a.dim}, "
-            f"grouplike fixed points dim {route_b.dim}")
+            f"H' routes disagree: algebra of Com has dim {route_a.rank}, "
+            f"grouplike fixed points dim {route_b.rank}")
     space = route_a
     if not space.contains(dict(H.unit_vec)):
         raise VerificationFailed("H' does not contain 1")
-    basis = space.basis_vecs()
+    basis = space.basis()
     if not all(space.contains(H.mul_raw(u, v)) for u in basis for v in basis):
         raise VerificationFailed("H' is not closed under multiplication")
     if not is_left_coideal(H, space):
@@ -272,8 +229,8 @@ def commutator_subalgebra(H: HopfAlgebra) -> Subspace:
     return space
 
 
-def _is_scalar_line(H: HopfAlgebra, space: Subspace) -> bool:
-    return space.dim == 1 and space.contains(dict(H.unit_vec))
+def _is_scalar_line(H: HopfAlgebra, space: Echelon) -> bool:
+    return space.rank == 1 and space.contains(dict(H.unit_vec))
 
 
 def _is_commutative(H: HopfAlgebra) -> bool:
@@ -287,9 +244,9 @@ def is_central(H: HopfAlgebra, vec) -> bool:
     return _central_failure(H, vec if isinstance(vec, dict) else vec.vec) is None
 
 
-def augmentation_ideal_span(H: HopfAlgebra, space: Subspace) -> Subspace:
+def augmentation_ideal_span(H: HopfAlgebra, space: Echelon) -> Echelon:
     """H * S+ where S+ = ker(counit) restricted to the subspace S."""
-    basis = space.basis_vecs()
+    basis = space.basis()
     eps_vals = [H.counit_raw(v) for v in basis]
     plus = []
     anchor = next((t for t, e in enumerate(eps_vals) if e), None)
@@ -301,10 +258,10 @@ def augmentation_ideal_span(H: HopfAlgebra, space: Subspace) -> Subspace:
             vec_axpy(w, -(eps_vals[t] * eps_vals[anchor].inverse()),
                      basis[anchor].items())
             plus.append(w)
-    ideal = Subspace(H)
+    ideal = Echelon()
     for w in plus:
         for k in range(H.dim):
-            ideal.add(H.mul_raw({k: _ONE}, w))
+            ideal.insert(H.mul_raw({k: _ONE}, w))
     return ideal
 
 
@@ -425,15 +382,15 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         _entry(report, "hprime_routes_agree", False, str(exc))
 
     if hprime is not None:
-        ok = all(algebra_closure(H, coideal_closure(H, [z[n].vec])) == hprime
+        ok = all(algebra_closure(H, coideal_closure(H, [z[n].vec]).basis()) == hprime
                  for n in (2, 3, 4))
         _entry(report, "hprime_from_zn_closures", ok)
 
-        ok = all(hprime.contains(v) for v in com3.basis_vecs())
+        ok = all(hprime.contains(v) for v in com3.basis())
         _entry(report, "com3_in_hprime", ok)
 
         ok = all(hprime.contains(H.adjoint_raw({k: _ONE}, v))
-                 for k in range(H.dim) for v in com2.basis_vecs())
+                 for k in range(H.dim) for v in com2.basis())
         _entry(report, "adjoint_maps_com_into_hprime", ok)
 
         ideal = augmentation_ideal_span(H, hprime)
@@ -450,14 +407,14 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _check_all("grouplikes_fix_com", (
         ({"grouplike": s, "com": n}, H.left_hit_raw(sigma.vec, v) == v)
         for s, sigma in enumerate(grouplike_functionals(H))
-        for n, span in ((2, com2), (3, com3)) for v in span.basis_vecs()), report)
+        for n, span in ((2, com2), (3, com3)) for v in span.basis()), report)
 
-    iterated = Subspace(H)
-    for u in com2.basis_vecs():
+    iterated = Echelon()
+    for u in com2.basis():
         for k in range(H.dim):
-            iterated.add(hopf_commutator(HElem(H, u), HElem(H, {k: _ONE})).vec)
+            iterated.insert(hopf_commutator(HElem(H, u), HElem(H, {k: _ONE})).vec)
     iterated_scalar = _is_scalar_line(H, iterated)
-    com_central = all(is_central(H, v) for v in com2.basis_vecs())
+    com_central = all(is_central(H, v) for v in com2.basis())
     _entry(report, "iterated_scalar_iff_com_central",
            iterated_scalar == com_central,
            {"iterated_scalar": iterated_scalar, "com_central": com_central})
@@ -477,8 +434,8 @@ def probe_question_31(H: HopfAlgebra) -> list[dict]:
         "check": "question_com_equals_z2_hit",
         "status": "evidence",
         "witness": {
-            "dim_com": com.dim,
-            "dim_z2_hit": hit.dim,
+            "dim_com": com.rank,
+            "dim_z2_hit": hit.rank,
             "z2_hit_in_com": hit <= com,
             "com_in_z2_hit": com <= hit,
             "equal": com == hit,

@@ -52,16 +52,24 @@ def _chi_combination(H: HopfAlgebra, coeffs) -> HFunc:
     return HFunc(H, _combination(coeffs, require_irred(H).characters))
 
 
+def character_coordinates(H: HopfAlgebra, f: HFunc):
+    """Coordinates c_i = <f, E_i>/d_i of f in the character basis, or None
+    if f is not in R(H).  They rest on <chi_i, E_j> = delta_ij d_j, which
+    ``_verify_irred`` checks on every instance; rebuilding sum c_i chi_i and
+    comparing it with f decides membership in R(H)."""
+    ir = require_irred(H)
+    coords = [f(e) * CycNum.rational(Fraction(1, deg))
+              for e, deg in zip(ir.idempotents, ir.degrees)]
+    return coords if _chi_combination(H, coords) == f else None
+
+
 # ---------------------------------------------------------------------------
 # counting functionals
 
 
-@memo
 def f_rob(H: HopfAlgebra) -> HFunc:
-    """sum (d/d_i) chi_i; on kG its value at g counts pairs with [x,y] = g."""
-    ir = require_irred(H)
-    d = H.dim
-    return _chi_combination(H, [Fraction(d, di) for di in ir.degrees])
+    """f_1 = sum (d/d_i) chi_i; on kG its value at g counts pairs with [x,y] = g."""
+    return f_n(H, 1)
 
 
 @memo
@@ -234,18 +242,6 @@ class SymmetricForm:
         return self.t(a * b)
 
 
-def _center_coefficients(H: HopfAlgebra, t: HFunc):
-    """alphas with t = sum alpha_i chi_i, or None if t is not in the span."""
-    ir = require_irred(H)
-    alphas = []
-    for i in range(len(ir)):
-        val = t(ir.idempotents[i])
-        alphas.append(val * CycNum.rational(Fraction(1, ir.degrees[i])))
-    if _chi_combination(H, alphas) != t:
-        return None
-    return tuple(alphas)
-
-
 def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricForm:
     """Build and verify a symmetric form from its generating functional.
 
@@ -263,7 +259,7 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
         raise ValueError(f"<t, ab> != <t, ba> at basis pair {pair}")
 
     ir = require_irred(H)
-    alphas = _center_coefficients(H, t)
+    alphas = character_coordinates(H, t)
     if scope == "center":
         if alphas is None:
             raise ValueError("center-form functional must lie in the character span")
@@ -287,7 +283,7 @@ def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricFo
         raise VerificationFailed("connection t = lambda <- u failed to verify")
     if _central_failure(H, u.vec) is not None:
         raise VerificationFailed("connection element u is not central")
-    return SymmetricForm(t=t, scope=scope, u=u, alphas=alphas or ())
+    return SymmetricForm(t=t, scope=scope, u=u, alphas=tuple(alphas or ()))
 
 
 @memo

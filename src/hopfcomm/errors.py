@@ -49,6 +49,10 @@ class EnumerationCapExceeded(HopfcommError):
     pass
 
 
+class DigitCapExceeded(HopfcommError):
+    """A number has more decimal digits than Python's int-to-str limit."""
+
+
 # --- algebra construction and verification ---
 
 class VerificationFailed(HopfcommError):

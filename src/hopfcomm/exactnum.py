@@ -19,6 +19,7 @@ divide the one asked for.  This is the lazy layout of Antic's ``nf_elem``
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,13 +27,25 @@ from math import gcd
 from operator import add
 from typing import Optional, Union
 
-from .errors import BadPrime, DenominatorCollision, DivisionByZero
+from .errors import BadPrime, DenominatorCollision, DigitCapExceeded, DivisionByZero
 
 Rational = Fraction
 ScalarLike = Union["CycNum", Fraction, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _rational_str(q: Union[Fraction, int]) -> str:
+    """str(q), or DigitCapExceeded when q has more digits than Python's
+    int-to-str limit.  The limit stays in force: it also bounds the parsing
+    of dumps."""
+    try:
+        return str(q)
+    except ValueError:
+        raise DigitCapExceeded(
+            f"a number has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "Python's limit for int-to-str conversion") from None
 
 
 def divisors(n: int) -> list[int]:
@@ -416,13 +429,13 @@ class CycNum:
     def __str__(self):
         order, coeffs = self._canonical_form()
         if order == 1:
-            return str(coeffs[0])
+            return _rational_str(coeffs[0])
         parts = []
         for j, c in enumerate(coeffs):
             if not c:
                 continue
             if j == 0:
-                parts.append(str(c))
+                parts.append(_rational_str(c))
             else:
                 mono = f"z{order}" if j == 1 else f"z{order}^{j}"
                 if c == 1:
@@ -430,7 +443,7 @@ class CycNum:
                 elif c == -1:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{c}*{mono}")
+                    parts.append(f"{_rational_str(c)}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -490,7 +503,7 @@ class CycNum:
 
     def to_dict(self) -> dict:
         order, coeffs = self._canonical_form()
-        return {"order": order, "coeffs": [str(c) for c in coeffs]}
+        return {"order": order, "coeffs": [_rational_str(c) for c in coeffs]}
 
     @staticmethod
     def from_dict(d: dict) -> "CycNum":

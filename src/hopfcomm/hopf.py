@@ -62,7 +62,7 @@ from .errors import (
     NonIntegerDegree,
     VerificationFailed,
 )
-from .exactnum import CycNum, Rational, cyclotomic_poly, euler_phi
+from .exactnum import CycNum, Rational, _rational_str, cyclotomic_poly, euler_phi
 from .group import FiniteGroup
 
 Vec = dict  # {basis index: nonzero CycNum}
@@ -344,8 +344,8 @@ def memo(fn):
 
     The value is stored in the one dict ``H._memo`` and every later call gets
     that same object back, so callers treat it as read-only: nothing assigns
-    into the ``.vec`` of a returned HElem/HFunc or adds to a returned
-    Subspace.  An exception is not stored; the next call computes again.
+    into the ``.vec`` of a returned HElem/HFunc or inserts into a returned
+    Echelon.  An exception is not stored; the next call computes again.
     Values that read ``H.irred`` assume it is not replaced afterwards (builders
     and loaders set it before any of them runs).
     """
@@ -541,11 +541,16 @@ def tensor_pair_first(p: HFunc, t: Tensor) -> Vec:
     return out
 
 
+def _u_tensor(H: HopfAlgebra, vec: Vec) -> Tensor:
+    """U(a) = sum a_1 (x) S(a_2) in H (x) H."""
+    return tensor_antipode_right(H, H.comult_raw(vec))
+
+
 def casimir_tensor(H: HopfAlgebra) -> Tensor:
-    """sum Lambda_1 (x) S(Lambda_2), the Casimir tensor of the form
+    """U(Lambda) = sum Lambda_1 (x) S(Lambda_2), the Casimir tensor of the form
     beta(h, h') = <lambda, h h'>."""
     lam, _ = integrals(H)
-    return tensor_antipode_right(H, H.comult_raw(lam.vec))
+    return _u_tensor(H, lam.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -1402,7 +1407,7 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
 def _coeff_to_json(c: CycNum):
     q = c.as_rational()
     if q is not None:
-        return str(q)
+        return _rational_str(q)
     return c.to_dict()
 
 

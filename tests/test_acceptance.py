@@ -100,9 +100,9 @@ def test_criterion_02_commutator_suite_and_hprime(ks3, kq8, dual_s3, dc2, ds3):
             assert _no_fail(report)
         H, _ = ks3
         route_closure = commutator_subalgebra(H)
-        route_span = algebra_closure(H, com_span(H, 2))
+        route_span = algebra_closure(H, com_span(H, 2).basis())
         assert route_closure == route_span
-        assert route_closure.dim == 3
+        assert route_closure.rank == 3
 
 
 def test_criterion_03_word_oracle_equivalences(s3, q8, ks3, kq8):

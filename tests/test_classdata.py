@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcomm._linalg import vec_axpy
+from hopfcomm._linalg import Echelon, vec_axpy
 from hopfcomm.classdata import (
     ClassData,
     classdata_from_dict,
@@ -22,7 +22,7 @@ from hopfcomm.classdata import (
     theorem_eta_suite,
     theorem_suite_sec4,
 )
-from hopfcomm.commutator import Subspace, z_n
+from hopfcomm.commutator import z_n
 from hopfcomm.counting import f_rob
 from hopfcomm.errors import (
     LemmaViolation,
@@ -172,7 +172,7 @@ def test_group_coideals_are_class_spans(s3, ks3):
         sub = conjugacy_class_coideal(H, cd, j)
         members = sorted(cd.C[j].vec)
         (ci,) = {cls.class_of[g] for g in members}
-        want = Subspace(H, [{g: ONE} for g in cls.elements[ci]])
+        want = Echelon([{g: ONE} for g in cls.elements[ci]])
         assert sub == want
 
 
@@ -181,7 +181,7 @@ def test_coideal_zero_is_span_of_unit(ds3):
     H, _ = ds3
     cd = rh_idempotents(H)
     sub = conjugacy_class_coideal(H, cd, 0)
-    assert sub.dim == 1
+    assert sub.rank == 1
     assert sub.contains(H.one().vec)
 
 
@@ -189,12 +189,12 @@ def test_double_coideals_decompose(ds3):
     H, _ = ds3
     cd = rh_idempotents(H)
     subs = [conjugacy_class_coideal(H, cd, i) for i in range(len(cd))]
-    assert sum(s.dim for s in subs) == 36
-    total = Subspace(H)
+    assert sum(s.rank for s in subs) == 36
+    total = Echelon()
     for s in subs:
-        for v in s.basis_vecs():
-            total.add(v)
-    assert total.dim == 36
+        for v in s.basis():
+            total.insert(v)
+    assert total.rank == 36
 
 
 # ---------------------------------------------------------------------------

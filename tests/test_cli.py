@@ -7,6 +7,7 @@ failure or refused precondition, 4 cap exceeded.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -185,6 +186,19 @@ def test_compute_root_high_power_has_no_recursion_limit(specdir, capsys):
                             "--group", str(specdir / "s3.json"), "--kind", "group"])
     # 6 divides 3000, so all six elements of S3 are 3000-th roots of 1
     assert doc["result"]["values"][0] == "6"
+
+
+def _digit_cap_refusal(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
+
+def test_compute_fn_beyond_the_digit_limit_exit4(specdir, capsys):
+    # (6/1)^5999 has 4669 digits, over the int-to-str limit that stays in force
+    assert main(["compute", "fn", "--n", "3000",
+                 "--group", str(specdir / "s3.json"), "--kind", "group"]) == 4
+    _digit_cap_refusal(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +526,12 @@ def test_oracle_huge_exponent_counts_like_its_residue(specdir, capsys):
                             "--word", "x1^99999999999999"])
     want = run_json(capsys, ["oracle", str(specdir / "s3.json"), "--word", "x1^3"])
     assert doc["counts_by_class"] == want["counts_by_class"]
+
+
+def test_oracle_against_fn_beyond_the_digit_limit_exit4(specdir, capsys):
+    assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2]",
+                 "--against", "fn:3000"]) == 4
+    _digit_cap_refusal(capsys)
 
 
 def test_oracle_deep_nesting_exit2(specdir, capsys):

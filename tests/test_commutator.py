@@ -6,13 +6,13 @@ Anchors: commutators of S3 span kA3 (dim 3); commutators of Q8 span
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from hopfcomm._linalg import Echelon
 from hopfcomm import commutator
 from hopfcomm.commutator import (
-    Subspace,
     _u_tensor,
     Z_n_map,
     algebra_closure,
@@ -33,7 +33,9 @@ from hopfcomm.exactnum import cyc
 from hopfcomm.group import from_perm_generators
 from hopfcomm.hopf import (
     HElem,
+    _combination,
     build_drinfeld_double,
+    build_group_algebra,
     integrals,
     random_element,
     tensor_flatten,
@@ -169,6 +171,31 @@ def test_z_even_odd_collapse(kq8):
     assert z_n(H, 5) == z2 * z2
 
 
+def test_zn_squares_u_of_the_integral(s3, monkeypatch):
+    # a fresh instance, so no power of U(Lambda) is in the memo yet
+    H, irred = build_group_algebra(s3)
+    products = []
+
+    def counted(*args):
+        products.append(1)
+        return tensor_mult(*args)
+
+    monkeypatch.setattr(commutator, "tensor_mult", counted)
+    z_n(H, 64)
+    assert len(products) <= 12  # 2 log2(64); a chain of U(Lambda) factors takes 63
+    want = _combination([Fraction(1, deg ** 1000) for deg in irred.degrees],
+                        irred.idempotents)
+    assert z_n(H, 1001).vec == want
+
+
+@pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])
+def test_zn_matches_the_chain_of_n_commutators(request, which):
+    H, _ = request.getfixturevalue(which)
+    lam, _ = integrals(H)
+    for n in range(1, 8):
+        assert z_n(H, n) == n_commutator([lam] * n)
+
+
 def test_Zn_insertion(ks3):
     H, _ = ks3
     rng = random.Random(12)
@@ -187,7 +214,7 @@ def test_Zn_insertion(ks3):
 def test_com_span_ks3_is_alternating_span(ks3, s3):
     H, _ = ks3
     com = com_span(H, 2)
-    assert com.dim == 3
+    assert com.rank == 3
     a3 = [g for g in range(6) if any(
         s3.mul(s3.mul(x, y), s3.mul(s3.inverse(x), s3.inverse(y))) == g
         for x in range(6) for y in range(6))]
@@ -199,14 +226,14 @@ def test_com_span_ks3_is_alternating_span(ks3, s3):
 def test_com_span_kq8_dim2(kq8, q8):
     H, _ = kq8
     com = com_span(H, 2)
-    assert com.dim == 2
+    assert com.rank == 2
     assert com.contains({q8.identity: ONE})
 
 
 def test_com_span_commutative_is_scalar(dual_s3):
     H, _ = dual_s3
     com = com_span(H, 2)
-    assert com.dim == 1
+    assert com.rank == 1
     assert com.contains(dict(H.unit_vec))
 
 
@@ -249,7 +276,7 @@ def _com_span_by_levels(H, n):
                 if nxt.insert(prod):
                     nxt_novel.append(prod)
         level, novel = nxt, nxt_novel
-    return Subspace(H, [tensor_flatten(H, row) for row in level.basis()])
+    return Echelon([tensor_flatten(H, row) for row in level.basis()])
 
 
 @pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
@@ -266,37 +293,37 @@ def test_random_triple_commutators_lie_in_com3(request, which):
     com3 = com_span(H, 3)
     rng = random.Random(5)
     for _ in range(4):
-        assert com3.contains(n_commutator([random_element(H, rng) for _ in range(3)]))
+        assert com3.contains(n_commutator([random_element(H, rng) for _ in range(3)]).vec)
     assert com_span(H, 2) <= com3
 
 
 def test_coideal_closure_of_z2(ks3, s3):
     H, _ = ks3
     closure = coideal_closure(H, [z_n(H, 2).vec])
-    assert closure.dim == 3
+    assert closure.rank == 3
     assert closure == com_span(H, 2)
 
 
 def test_closure_of_unit(ks3):
     H, _ = ks3
-    assert coideal_closure(H, [dict(H.unit_vec)]).dim == 1
-    assert algebra_closure(H, [dict(H.unit_vec)]).dim == 1
+    assert coideal_closure(H, [dict(H.unit_vec)]).rank == 1
+    assert algebra_closure(H, [dict(H.unit_vec)]).rank == 1
 
 
 def test_algebra_closure_idempotent(ks3):
     H, _ = ks3
     com = com_span(H, 2)
-    alg = algebra_closure(H, com)
+    alg = algebra_closure(H, com.basis())
     assert alg == com  # span of A3 is already an algebra
-    assert algebra_closure(H, alg) == alg
+    assert algebra_closure(H, alg.basis()) == alg
 
 
 def test_subspace_canonical_equality(ks3):
     H, _ = ks3
-    a = Subspace(H, [{0: ONE, 1: ONE}, {1: ONE}])
-    b = Subspace(H, [{0: ONE}, {0: cyc(3), 1: cyc(-2)}])
+    a = Echelon([{0: ONE, 1: ONE}, {1: ONE}])
+    b = Echelon([{0: ONE}, {0: cyc(3), 1: cyc(-2)}])
     assert a == b
-    assert a.dim == 2
+    assert a.rank == 2
 
 
 # -- H' --
@@ -305,7 +332,7 @@ def test_subspace_canonical_equality(ks3):
 def test_hprime_ks3(ks3):
     H, _ = ks3
     hp = commutator_subalgebra(H)
-    assert hp.dim == 3
+    assert hp.rank == 3
     assert hp == com_span(H, 2)
 
 
@@ -313,7 +340,7 @@ def test_hprime_commutative(dual_s3, dc2):
     for fixture in (dual_s3, dc2):
         H, _ = fixture
         hp = commutator_subalgebra(H)
-        assert hp.dim == 1
+        assert hp.rank == 1
         assert hp.contains(dict(H.unit_vec))
 
 
@@ -326,7 +353,7 @@ def test_hprime_double_s3_routes_agree(ds3):
 
 def test_hprime_kq8(kq8):
     H, _ = kq8
-    assert commutator_subalgebra(H).dim == 2
+    assert commutator_subalgebra(H).rank == 2
 
 
 def test_hprime_computed_once(kq8):
@@ -415,8 +442,8 @@ def test_adjoint_stability_and_centrality_on_every_element(ks3, s3, ds3):
     H, _ = ks3
     t = s3.labels.index("(1 2)")
     transpositions = [g for g in range(6) if s3.element_order(g) == 2]
-    assert not is_adjoint_stable(H, Subspace(H, [{t: ONE}]))
-    assert is_adjoint_stable(H, Subspace(H, [{g: ONE} for g in transpositions]))
+    assert not is_adjoint_stable(H, Echelon([{t: ONE}]))
+    assert is_adjoint_stable(H, Echelon([{g: ONE} for g in transpositions]))
     assert not is_central(H, {t: ONE})
     assert is_central(H, {g: ONE for g in transpositions})
     H, _ = ds3

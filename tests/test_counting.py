@@ -2,12 +2,15 @@
 form / Casimir / Higman layer."""
 
 import json
+import random
 
 import pytest
 
+from hopfcomm._linalg import Solver
 from hopfcomm.commutator import z_n, Z_n_map
 from hopfcomm.counting import (
     bullet,
+    character_coordinates,
     bullet_power,
     bullet_unit_probe,
     casimir_of_form,
@@ -30,10 +33,12 @@ from hopfcomm.group import count_word, cyclic_group, parse_word
 from hopfcomm.hopf import (
     HElem,
     HFunc,
+    _combination,
     adjoint,
     build_group_algebra,
     frobenius_psi,
     integrals,
+    require_irred,
     theorem_suite_sec1,
 )
 
@@ -50,6 +55,41 @@ def at(f, H, g):
 
 def all_pass(report):
     return [e for e in report if e["status"] == "fail"] == []
+
+
+# ---------------------------------------------------------------------------
+# character coordinates
+
+
+def _solver_coordinates(H, f):
+    """Oracle: f in the character basis by elimination, or None."""
+    chars = require_irred(H).characters
+    solver = Solver()
+    for i, chi in enumerate(chars):
+        assert solver.insert(chi.vec, i)
+    combo = solver.express(f.vec)
+    return None if combo is None else [combo.get(i, rat(0)) for i in range(len(chars))]
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
+def test_character_coordinates_match_elimination(request, which):
+    H, _ = request.getfixturevalue(which)
+    chars = require_irred(H).characters
+    rng = random.Random(3)
+    mixes = [HFunc(H, _combination([rng.randint(-3, 3) for _ in chars], chars))
+             for _ in range(3)]
+    deltas = [HFunc(H, {k: ONE}) for k in range(H.dim)]
+    for f in [*chars, f_rob(H), f_n(H, 2), f_iterated(H), *mixes, *deltas]:
+        assert character_coordinates(H, f) == _solver_coordinates(H, f)
+    assert (character_coordinates(H, chars[-1])
+            == [ONE if i == len(chars) - 1 else rat(0) for i in range(len(chars))])
+
+
+def test_functional_outside_the_character_span_has_no_coordinates(ks3, s3):
+    H, _ = ks3
+    delta = HFunc(H, {s3.labels.index("(1 2)"): ONE})
+    assert character_coordinates(H, delta) is None
+    assert _solver_coordinates(H, delta) is None
 
 
 # ---------------------------------------------------------------------------
