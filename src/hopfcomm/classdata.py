@@ -218,21 +218,26 @@ def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
 # membership criterion
 
 
-def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc, j: int):
-    """eta_j in Psi^{-1}(f) <- H*  vs  <f, eta_j> != 0, both computed.
+def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc) -> list[tuple[bool, bool]]:
+    """eta_j in Psi^{-1}(f) <- H*  vs  <f, eta_j> != 0, both computed for
+    every class j.
 
-    The two verdicts must agree; disagreement raises LemmaViolation.  Returns
-    the pair (pairing verdict, subspace verdict).
+    The two verdicts must agree; the first class where they disagree raises
+    LemmaViolation.  Returns the pair (pairing verdict, subspace verdict) of
+    each class, in class order.
     """
     if character_coordinates(H, f) is None:
         raise ValueError("membership_test needs f in the character span")
-    by_pairing = f(data.eta[j]) != _ZERO
     coideal = Echelon(_left_legs(H, psi_inv(H, f).vec))
-    by_subspace = coideal.contains(data.eta[j].vec)
-    if by_pairing != by_subspace:
-        raise LemmaViolation(
-            f"class {j}: pairing says {by_pairing}, subspace says {by_subspace}")
-    return by_pairing, by_subspace
+    verdicts = []
+    for j, eta in enumerate(data.eta):
+        by_pairing = f(eta) != _ZERO
+        by_subspace = coideal.contains(eta.vec)
+        if by_pairing != by_subspace:
+            raise LemmaViolation(
+                f"class {j}: pairing says {by_pairing}, subspace says {by_subspace}")
+        verdicts.append((by_pairing, by_subspace))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +262,11 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _entry(report, "class_coideals_decompose_H", ok,
            None if ok else {"ranks": [s.rank for s in coideals]})
 
-    fr = f_rob(H)
     ok = True
     witness = None
     try:
-        for j in range(m):
-            membership_test(H, data, fr, j)
-            membership_test(H, data, f_n(H, 2), j)
-            membership_test(H, data, f_iterated(H), j)
+        for f in (f_rob(H), f_n(H, 2), f_iterated(H)):
+            membership_test(H, data, f)
     except LemmaViolation as exc:
         ok = False
         witness = str(exc)

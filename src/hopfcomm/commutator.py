@@ -350,10 +350,13 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     def from_commutators(a, b):
         # ab = sum {a_1, b_1} b_2 a_2
         rhs: dict = {}
+        delta_b = H.comult_raw(b.vec).items()
         for (i, j), ca in H.comult_raw(a.vec).items():
-            for (k, l), cb in H.comult_raw(b.vec).items():
-                tail = H.mul_raw({l: _ONE}, {j: _ONE})
-                vec_axpy(rhs, ca * cb, H.mul_raw(basis_commutator(i, k), tail).items())
+            for (k, l), cb in delta_b:
+                com = basis_commutator(i, k)
+                if com:
+                    tail = H.mul_raw({l: _ONE}, {j: _ONE})
+                    vec_axpy(rhs, ca * cb, H.mul_raw(com, tail).items())
         return rhs
 
     # The two bilinear checks sample random pairs: basis pairs would cost

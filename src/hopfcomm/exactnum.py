@@ -1,20 +1,25 @@
 """Exact arithmetic in Q and in cyclotomic fields Q(zeta_N).
 
-A value holds its coordinates at an ambient order n: the coordinates in the
-power basis {zeta_n^j : 0 <= j < phi(n)}, reduced modulo the n-th cyclotomic
-polynomial.  Sums and products run at the lcm of the operands' ambient
-orders, and equality compares there: at a fixed order the power basis is
-unique, so no arithmetic step searches for a subfield.  A value whose
-coordinates after the first are all zero is rational and is stored at
-order 1, so ``is_rational`` and ``as_rational`` read the ambient form.
+A value holds integer numerators over one positive common denominator at an
+ambient order n: the numerators in the power basis {zeta_n^j : 0 <= j <
+phi(n)}, reduced modulo the n-th cyclotomic polynomial, with no factor common
+to all of them and the denominator.  This is the layout of Antic's
+``nf_elem`` and FLINT's ``fmpq_poly`` (W. Hart, "ANTIC: Algebraic Number
+Theory in C", 2015).  A value whose numerators after the first are all zero
+is rational and is stored at order 1 as one integer over its denominator, so
+rational ops are int ops and ``is_rational`` reads the ambient form.  Sums
+and products run at the lcm of the operands' ambient orders; a product is an
+integer convolution reduced once by the cyclotomic polynomial, and an inverse
+is the product of the other Galois conjugates over the norm.  At one order
+equality compares numerators and denominators, since the power basis is
+unique there, so no arithmetic step searches for a subfield.
 
 The canonical form is the conductor (the smallest order whose field holds
-the value: 1 for rationals, never 2 mod 4) with the coordinates there.  It
-is computed on demand, once per value, and only where it can be seen:
-``order``, ``coeffs``, ``hash``, ``sort_key``, ``str``, ``to_dict``,
-``galois``, ``lies_in`` and ``residue`` when the ambient order does not
-divide the one asked for.  This is the lazy layout of Antic's ``nf_elem``
-(W. Hart, "ANTIC: Algebraic Number Theory in C", 2015).
+the value: 1 for rationals, never 2 mod 4) with the ``Fraction`` coordinates
+there.  It stays lazy: it is computed on demand, once per value, and only
+where it can be seen: ``order``, ``coeffs``, the ``hash`` of an irrational
+value, ``sort_key``, ``str``, ``to_dict``, ``galois``, ``lies_in`` and
+``residue`` when the ambient order does not divide the one asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Optional, Union
 
@@ -33,7 +38,6 @@ Rational = Fraction
 ScalarLike = Union["CycNum", Fraction, int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _rational_str(q: Union[Fraction, int]) -> str:
@@ -191,48 +195,63 @@ def _sparse_power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in _power_rows(n))
 
 
-def _reduce_power_coeffs(n: int, coeffs) -> tuple[Fraction, ...]:
-    # Coordinates at order n of sum_k coeffs[k] zeta_n^k: coordinates on
+def _reduce_power_coeffs(n: int, coeffs: list[int]) -> list[int]:
+    # Numerators at order n of sum_k coeffs[k] zeta_n^k: numerators on
     # zeta^k (k >= phi(n)) fold back into the power basis.
     deg = euler_phi(n)
-    out = list(coeffs[:deg])
+    out = coeffs[:deg]
     if len(out) < deg:
-        out += [_ZERO] * (deg - len(out))
+        out += [0] * (deg - len(out))
     rows = _sparse_power_rows(n)
     for k in range(deg, len(coeffs)):
         c = coeffs[k]
         if c:
             for j, r in rows[k % n]:
                 out[j] += c * r
-    return tuple(out)
+    return out
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    # Rationals as integer numerators over the lcm of their denominators.
+    fracs = [Fraction(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (d // c.denominator) for c in fracs], d
 
 
 class CycNum:
     """An element of a cyclotomic field, held at an ambient order.
 
-    ``_v`` are the power-basis coordinates at the ambient order ``_n``;
-    ``_n`` is 1 exactly when the value is rational.  ``order`` and ``coeffs``
-    are the canonical form (conductor and coordinates there), computed on
-    first use and kept in ``_canon``; the module docstring lists where.
+    The value is ``sum_j _v[j] zeta_n^j / _d`` at the ambient order ``_n``:
+    ``_v`` are integer power-basis numerators and ``_d`` is a positive
+    integer with ``gcd(_d, *_v) == 1``, so each value has one ambient form
+    per order.  ``_n`` is 1 exactly when the value is rational; zero is
+    ``(0,)`` over 1.  ``order`` and ``coeffs`` are the canonical form
+    (conductor and ``Fraction`` coordinates there), computed on first use and
+    kept in ``_canon``; the module docstring lists where.
     """
 
-    __slots__ = ("_n", "_v", "_canon")
+    __slots__ = ("_n", "_v", "_d", "_canon")
 
-    def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
-        """sum_k coeffs[k] zeta_order^k, for any number of coefficients."""
+    def __new__(cls, order: int, coeffs):
+        """sum_k coeffs[k] zeta_order^k, for any number of int or Fraction
+        coefficients."""
         n = int(order)
         if n < 1:
             raise ValueError("order must be positive")
-        return _value(n, _reduce_power_coeffs(n, [Fraction(c) for c in coeffs]))
+        v, d = _over_common_denominator(coeffs)
+        return _value(n, _reduce_power_coeffs(n, v), d)
 
     def __reduce__(self):
-        return CycNum, (self._n, self._v)
+        return _make, (self._n, self._v, self._d)
 
     # --- constructors ---
 
     @staticmethod
     def rational(q) -> "CycNum":
-        return _make(1, (Fraction(q),))
+        if type(q) is int:
+            return _make(1, (q,), 1)
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycNum":
@@ -241,10 +260,8 @@ class CycNum:
             raise ValueError("order must be positive")
         k %= n
         g = gcd(k, n) if k else n
-        n2, k2 = n // g, k // g
-        vec = [_ZERO] * (k2 + 1)
-        vec[k2] = _ONE
-        return CycNum(n2, tuple(vec))
+        n2 = n // g
+        return _value(n2, _power_rows(n2)[k // g], 1)
 
     # --- coercion helpers ---
 
@@ -257,18 +274,36 @@ class CycNum:
         return None
 
     def _aligned(self, other: "CycNum"):
-        # Both operands' coordinates at the lcm of their ambient orders.
+        # Both operands' numerators at the lcm of their ambient orders.
         n = self._n
         if n == other._n:
             return n, self._v, other._v
-        n = _lcm(n, other._n)
+        n = lcm(n, other._n)
         return n, _embed(self, n), _embed(other, n)
 
     def _canonical_form(self) -> tuple[int, tuple[Fraction, ...]]:
         c = self._canon
         if c is None:
-            c = self._canon = _canonical(self._n, self._v)
+            d = self._d
+            c = self._canon = _canonical(self._n, tuple(Fraction(x, d) for x in self._v))
         return c
+
+    def _scaled(self, a: int, b: int) -> "CycNum":
+        # self * a/b for a rational a/b in lowest terms, b > 0.
+        if not a:
+            return ZERO
+        v = self._v if a == 1 else tuple(a * x for x in self._v)
+        return _reduced(self._n, v, self._d * b)
+
+    def _twist(self, k: int) -> "CycNum":
+        # zeta_n -> zeta_n^k at the ambient order n, for k prime to n.  An
+        # automorphism of Z[zeta_n] keeps the numerators' content, so the
+        # result is already in lowest terms.
+        n = self._n
+        vec = [0] * n
+        for j, x in enumerate(self._v):
+            vec[j * k % n] = x
+        return _make(n, tuple(_reduce_power_coeffs(n, vec)), self._d)
 
     # --- predicates and conversions ---
 
@@ -283,7 +318,7 @@ class CycNum:
         return self._canonical_form()[1]
 
     def __bool__(self) -> bool:
-        return any(self._v)
+        return self._n != 1 or self._v[0] != 0
 
     @property
     def is_rational(self) -> bool:
@@ -291,7 +326,7 @@ class CycNum:
 
     def as_rational(self) -> Optional[Fraction]:
         """The rational value, or None if the value is irrational."""
-        return self._v[0] if self._n == 1 else None
+        return Fraction(self._v[0], self._d) if self._n == 1 else None
 
     def lies_in(self, n: int) -> bool:
         """Whether the value lies in Q(zeta_n).  The conductor is read only
@@ -313,23 +348,30 @@ class CycNum:
         vec = [_ZERO] * n
         for j, c in enumerate(coeffs):
             vec[(j * k) % n] += c
-        return _value(n, _reduce_power_coeffs(n, vec))
+        return CycNum(n, vec)
 
     # --- arithmetic ---
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, CycNum) else self._coerce(other)
         if o is None:
             return NotImplemented
+        da, db = self._d, o._d
         if self._n == 1 and o._n == 1:
-            return _make(1, (self._v[0] + o._v[0],))
+            if da == db:
+                return _rational(self._v[0] + o._v[0], da)
+            return _rational(self._v[0] * db + o._v[0] * da, da * db)
         n, a, b = self._aligned(o)
-        return _value(n, tuple(map(add, a, b)))
+        if da == db:
+            return _value(n, tuple(map(add, a, b)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _value(n, tuple(x * fa + y * fb for x, y in zip(a, b)), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self._n, tuple(-c for c in self._v))
+        return _make(self._n, tuple(-x for x in self._v), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -344,26 +386,23 @@ class CycNum:
         return o.__add__(-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, CycNum) else self._coerce(other)
         if o is None:
             return NotImplemented
         if self._n == 1:
-            q = self._v[0]
             if o._n == 1:
-                return _make(1, (q * o._v[0],))
-            if not q:
-                return CycNum.rational(0)
-            return _make(o._n, tuple(q * c for c in o._v))
+                return _rational(self._v[0] * o._v[0], self._d * o._d)
+            return o._scaled(self._v[0], self._d)
         if o._n == 1:
-            return o.__mul__(self)
+            return self._scaled(o._v[0], o._d)
         n, a, b = self._aligned(o)
-        prod = [_ZERO] * (len(a) + len(b) - 1)
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return _value(n, _reduce_power_coeffs(n, prod))
+                for j, y in nonzero:
+                    prod[i + j] += x * y
+        return _value(n, _reduce_power_coeffs(n, prod), self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -372,9 +411,18 @@ class CycNum:
             raise DivisionByZero("inverse of zero")
         n = self._n
         if n == 1:
-            return _make(1, (1 / self._v[0],))
-        inv = _poly_inverse(list(self._v), cyclotomic_poly(n))
-        return _value(n, _reduce_power_coeffs(n, inv))
+            a, d = self._v[0], self._d
+            return _make(1, (d,), a) if a > 0 else _make(1, (-d,), -a)
+        # 1/x = c/N(x), where c is the product of the other conjugates of x
+        # over Q and N(x) = x c is its norm, a nonzero rational.
+        c = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                t = self._twist(k)
+                c = t if c is None else c * t
+        norm = self * c
+        a, d = norm._v[0], norm._d
+        return c._scaled(d, a) if a > 0 else c._scaled(-d, -a)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -407,20 +455,21 @@ class CycNum:
     # --- comparisons, hashing, display ---
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, CycNum) else self._coerce(other)
         if o is None:
             return NotImplemented
         n, m = self._n, o._n
         if n == m:
-            return self._v == o._v
+            return self._v == o._v and self._d == o._d
         if n == 1 or m == 1:
             return False  # a value stored at an order above 1 is irrational
-        n = _lcm(n, m)
-        return _embed(self, n) == _embed(o, n)
+        n = lcm(n, m)
+        da, db = self._d, o._d
+        return all(x * db == y * da for x, y in zip(_embed(self, n), _embed(o, n)))
 
     def __hash__(self):
         if self._n == 1:
-            return hash(self._v[0])
+            return hash(self._v[0]) if self._d == 1 else hash(Fraction(self._v[0], self._d))
         return hash(self._canonical_form())
 
     def __repr__(self):
@@ -476,28 +525,28 @@ class CycNum:
     def residue(self, w: int, ambient: int, modulus: int) -> int:
         """Image in Z/modulus under zeta_ambient -> w, where w is a root of the
         ambient-th cyclotomic polynomial mod ``modulus``.  The value must lie
-        in Q(zeta_ambient), and every denominator must be invertible mod
+        in Q(zeta_ambient), and its denominator must be invertible mod
         ``modulus``.  The image is the same from any order that holds the
-        value, so the ambient coordinates serve whenever their order divides
+        value, so the ambient numerators serve whenever their order divides
         ``ambient``; the conductor is read only otherwise."""
-        n, coeffs = self._n, self._v
+        n, v, d = self._n, self._v, self._d
         if ambient % n:
             n, coeffs = self._canonical_form()
             if ambient % n:
                 raise BadPrime(f"value of order {n} outside Q(zeta_{ambient})")
+            v, d = _over_common_denominator(coeffs)
+        try:
+            inv = pow(d, -1, modulus)
+        except ValueError:
+            raise DenominatorCollision(f"denominator {d} not invertible mod {modulus}")
         step = pow(w, ambient // n, modulus)
         acc = 0
         power = 1
-        for c in coeffs:
+        for c in v:
             if c:
-                try:
-                    inv = pow(c.denominator, -1, modulus)
-                except ValueError:
-                    raise DenominatorCollision(
-                        f"denominator {c.denominator} not invertible mod {modulus}")
-                acc += c.numerator * inv * power
+                acc += c * power
             power = power * step % modulus
-        return acc % modulus
+        return acc * inv % modulus
 
     # --- serialization ---
 
@@ -513,34 +562,51 @@ class CycNum:
 _new = object.__new__
 
 
-def _make(n: int, v: tuple[Fraction, ...]) -> CycNum:
-    # A CycNum at ambient order n from its coordinates there; n is 1 exactly
-    # when the value is rational.  Bypasses CycNum.__new__ and its checks.
+def _make(n: int, v: tuple[int, ...], d: int) -> CycNum:
+    # A CycNum from its numerators v over d at ambient order n, which already
+    # meet the class invariants.  Bypasses CycNum.__new__ and its checks.
     x = _new(CycNum)
     x._n = n
     x._v = v
+    x._d = d
     x._canon = None
     return x
 
 
-def _value(n: int, v: tuple[Fraction, ...]) -> CycNum:
-    # As _make, for a result that may have cancelled to a rational.
+def _rational(a: int, d: int) -> CycNum:
+    # The rational a/d in lowest terms, for d > 0.
+    if d != 1:
+        g = gcd(a, d)
+        if g != 1:
+            a //= g
+            d //= g
+    return _make(1, (a,), d)
+
+
+def _reduced(n: int, v: tuple[int, ...], d: int) -> CycNum:
+    # As _make, for numerators that may share a factor with d.
+    if d != 1:
+        g = gcd(d, *v)
+        if g != 1:
+            v = tuple(x // g for x in v)
+            d //= g
+    return _make(n, v, d)
+
+
+def _value(n: int, v, d: int) -> CycNum:
+    # As _reduced, for a result that may have cancelled to a rational.
     if n != 1 and not any(v[1:]):
-        return _make(1, v[:1])
-    return _make(n, v)
+        return _rational(v[0], d)
+    return _reduced(n, tuple(v), d)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _embed(x: CycNum, n: int) -> list[Fraction]:
-    # Coordinates of x in the power basis at order n (x's ambient order divides n).
+def _embed(x: CycNum, n: int) -> tuple[int, ...] | list[int]:
+    # Numerators of x in the power basis at order n (x's ambient order divides n).
     if x._n == n:
-        return list(x._v)
+        return x._v
     step = n // x._n
     rows = _sparse_power_rows(n)
-    out = [_ZERO] * euler_phi(n)
+    out = [0] * euler_phi(n)
     for j, c in enumerate(x._v):
         if c:
             for i, r in rows[step * j]:
@@ -560,56 +626,6 @@ def _mult_order(w: int, p: int) -> int:
         if order > p:
             raise ArithmeticError("not a unit")
     return order
-
-
-def _poly_inverse(a: list[Fraction], modulus: tuple[int, ...]) -> list[Fraction]:
-    # Extended Euclid in Q[x]: find u with a*u = 1 mod Phi.
-    def deg(f):
-        for i in range(len(f) - 1, -1, -1):
-            if f[i]:
-                return i
-        return -1
-
-    def trim(f):
-        d = deg(f)
-        return f[: d + 1] if d >= 0 else []
-
-    def poly_divmod(f, g):
-        f = list(f)
-        dg = deg(g)
-        lead = g[dg]
-        q = [_ZERO] * max(0, len(f) - dg)
-        for i in range(len(f) - dg - 1, -1, -1):
-            c = f[i + dg] / lead
-            if c:
-                q[i] = c
-                for j in range(dg + 1):
-                    f[i + j] -= c * g[j]
-        return q, trim(f)
-
-    r0 = [Fraction(c) for c in modulus]
-    r1 = trim(list(a))
-    s0, s1 = [], [_ONE]
-    while True:
-        q, r = poly_divmod(r0, r1)
-        if deg(r) < 0:
-            break
-        # s_next = s0 - q*s1
-        prod = [_ZERO] * (len(q) + len(s1) - 1 if q and s1 else 0)
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    if y:
-                        prod[i + j] += x * y
-        s_next = [(s0[i] if i < len(s0) else _ZERO) - (prod[i] if i < len(prod) else _ZERO)
-                  for i in range(max(len(s0), len(prod)))]
-        r0, r1 = r1, r
-        s0, s1 = s1, trim(s_next)
-    d = deg(r1)
-    if d != 0:
-        raise DivisionByZero("element is a zero divisor modulo the cyclotomic polynomial")
-    c = r1[0]
-    return [x / c for x in s1]
 
 
 @dataclass(frozen=True)

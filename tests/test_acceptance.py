@@ -150,8 +150,7 @@ def test_criterion_06_class_suite_and_membership_verdicts(ks3, kq8, ds3):
         data = require_classdata(H)
         f1 = f_n(H, 1)
         verdict_by_size = {}
-        for j in range(len(data)):
-            pair_nz, in_coideal = membership_test(H, data, f1, j)
+        for j, (pair_nz, in_coideal) in enumerate(membership_test(H, data, f1)):
             assert pair_nz == in_coideal
             verdict_by_size[data.class_dims[j]] = in_coideal
         # size 1: identity; size 2: the 3-cycles; size 3: the transpositions

@@ -208,9 +208,10 @@ def test_membership_verdicts_on_s3(s3, ks3):
     j_id = class_index_of(s3, cd, "()")
     j_rot = class_index_of(s3, cd, "(1 2 3)")
     j_flip = class_index_of(s3, cd, "(1 2)")
-    assert membership_test(H, cd, fr, j_id) == (True, True)
-    assert membership_test(H, cd, fr, j_rot) == (True, True)
-    assert membership_test(H, cd, fr, j_flip) == (False, False)
+    verdicts = membership_test(H, cd, fr)
+    assert verdicts[j_id] == (True, True)
+    assert verdicts[j_rot] == (True, True)
+    assert verdicts[j_flip] == (False, False)
     assert fr(cd.eta[j_rot]) == rat(9)
     assert fr(cd.eta[j_flip]) == rat(0)
 
@@ -219,7 +220,7 @@ def test_membership_of_trivial_class(ks3):
     H, _ = ks3
     cd = rh_idempotents(H)
     _, lam = integrals(H)
-    assert membership_test(H, cd, lam * rat(6).inverse(), 0) == (True, True)
+    assert membership_test(H, cd, lam * rat(6).inverse())[0] == (True, True)
 
 
 def test_membership_verdicts_on_q8(q8, kq8):
@@ -227,9 +228,9 @@ def test_membership_verdicts_on_q8(q8, kq8):
     cd = rh_idempotents(H)
     fr = f_rob(H)
     verdicts = {}
-    for j in range(len(cd)):
+    for j, (by_pairing, _) in enumerate(membership_test(H, cd, fr)):
         label = H.labels[min(cd.eta[j].vec)]
-        verdicts[label] = membership_test(H, cd, fr, j)[0]
+        verdicts[label] = by_pairing
     assert verdicts == {"1": True, "-1": True, "i": False, "j": False, "k": False}
 
 
@@ -237,7 +238,7 @@ def test_membership_requires_character_span(ks3):
     H, _ = ks3
     cd = rh_idempotents(H)
     with pytest.raises(ValueError):
-        membership_test(H, cd, HFunc(H, {1: ONE}), 0)
+        membership_test(H, cd, HFunc(H, {1: ONE}))
 
 
 # ---------------------------------------------------------------------------

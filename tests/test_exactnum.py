@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,3 +229,180 @@ def test_reduce_mod_p_is_ring_hom(a, b):
 def test_canonical_round_trip(a):
     assert CycNum.from_dict(a.to_dict()) == a
     assert CycNum(a.order, a.coeffs) == a
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the integer-numerator layout against Fraction
+# coordinates.  The oracle holds a value as (ambient order, Fraction power-
+# basis coordinates there) and reduces modulo Phi_n by polynomial long
+# division, independently of the power-row tables the class uses.
+
+
+def _oracle_reduce(n, poly):
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for j, p in enumerate(phi):
+                poly[k - deg + j] -= c * p
+    return tuple(poly[:deg])
+
+
+def _oracle_value(n, coords):
+    # A result that cancelled to a rational is held at order 1.
+    if n != 1 and not any(coords[1:]):
+        return 1, coords[:1]
+    return n, coords
+
+
+def _oracle_embed(x, m):
+    n, coords = x
+    poly = [Fraction(0)] * m
+    for j, c in enumerate(coords):
+        poly[(m // n) * j] += c
+    return _oracle_reduce(m, poly)
+
+
+def _oracle_aligned(x, y):
+    m = x[0] * y[0] // gcd(x[0], y[0])
+    return m, _oracle_embed(x, m), _oracle_embed(y, m)
+
+
+def oracle_add(x, y):
+    m, a, b = _oracle_aligned(x, y)
+    return _oracle_value(m, tuple(s + t for s, t in zip(a, b)))
+
+
+def oracle_mul(x, y):
+    m, a, b = _oracle_aligned(x, y)
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            prod[i + j] += s * t
+    return _oracle_value(m, _oracle_reduce(m, prod))
+
+
+def oracle_residue(x, w, ambient, modulus):
+    # x's ambient order divides ``ambient``.
+    n, coords = x
+    step = pow(w, ambient // n, modulus)
+    acc = 0
+    for j, c in enumerate(coords):
+        if c:
+            try:
+                inv = pow(c.denominator, -1, modulus)
+            except ValueError:
+                raise DenominatorCollision(c.denominator) from None
+            acc += c.numerator * inv * pow(step, j, modulus)
+    return acc % modulus
+
+
+def _ambient(x):
+    # (ambient order, Fraction coordinates there) of a CycNum.
+    return x._n, tuple(Fraction(v, x._d) for v in x._v)
+
+
+def _assert_invariants(x):
+    assert x._d > 0 and all(type(v) is int for v in x._v) and type(x._d) is int
+    assert gcd(x._d, *x._v) == 1
+    assert len(x._v) == euler_phi(x._n)
+    assert (x._n == 1) == (x.order == 1)
+    if x._n == 1:
+        assert x.as_rational() == Fraction(x._v[0], x._d)
+
+
+_any_order = st.integers(min_value=1, max_value=24)
+_small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _operand(draw, orders=_any_order):
+    # (CycNum, oracle value); a quarter of the draws are rational or zero.
+    n = draw(orders)
+    kind = draw(st.sampled_from(("dense", "dense", "dense", "rational")))
+    coords = [draw(_small_fracs)] + [
+        draw(_small_fracs) if kind == "dense" else Fraction(0)
+        for _ in range(euler_phi(n) - 1)]
+    return CycNum(n, coords), _oracle_value(n, _oracle_reduce(n, coords))
+
+
+@st.composite
+def _operand_pairs(draw):
+    # Operands at orders whose lcm is at most 24; or b = q - a, whose sum
+    # with a cancels to q.
+    a, oa = draw(_operand())
+    if draw(st.booleans()):
+        n = oa[0]
+        partners = [m for m in range(1, 25) if n * m // gcd(n, m) <= 24]
+        return (a, oa) + draw(_operand(st.sampled_from(partners)))
+    q = draw(_small_fracs)
+    n, coords = oa
+    b_coords = (q - coords[0],) + tuple(-c for c in coords[1:])
+    return a, oa, CycNum(n, b_coords), _oracle_value(n, b_coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operand_pairs())
+def test_arithmetic_matches_fraction_coordinates(pair):
+    a, oa, b, ob = pair
+    assert _ambient(a) == oa and _ambient(b) == ob
+    for x, want in ((a + b, oracle_add(oa, ob)), (a * b, oracle_mul(oa, ob)),
+                    (a - b, oracle_add(oa, (ob[0], tuple(-c for c in ob[1])))),
+                    (-a, (oa[0], tuple(-c for c in oa[1])))):
+        _assert_invariants(x)
+        assert _ambient(x) == want
+    _, ea, eb = _oracle_aligned(oa, ob)
+    assert (a == b) == (ea == eb)
+    if b:
+        q = a / b
+        _assert_invariants(q)
+        assert q * b == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operand(), st.sampled_from([1, 2, 3, 4]))
+def test_embedding_matches_fraction_coordinates(x, k):
+    a, oa = x
+    n = oa[0] * k
+    lifted = a + zeta(n) - zeta(n)  # the same value, held at order n
+    if a.is_rational:
+        assert lifted._n == 1
+    else:
+        assert _ambient(lifted) == (n, _oracle_embed(oa, n))
+    _assert_invariants(lifted)
+    assert lifted == a and hash(lifted) == hash(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operand(st.sampled_from([1, 2, 3, 6])))
+def test_residue_collides_exactly_where_the_fraction_coordinates_do(x):
+    # 7 = 1 mod 6, and 3 has order 6 mod 7; denominators up to 6 never
+    # collide with 7, so the value is also divided by 7 half the time.
+    a, oa = x
+    for value, coords in ((a, oa), (a / 7, (oa[0], tuple(c / 7 for c in oa[1])))):
+        try:
+            want = oracle_residue(coords, 3, 6, 7)
+        except DenominatorCollision:
+            with pytest.raises(DenominatorCollision):
+                value.residue(3, 6, 7)
+        else:
+            assert value.residue(3, 6, 7) == want
+
+
+@pytest.mark.parametrize("q", [0, 1, -3, Fraction(1, 2), Fraction(-7, 6), 10 ** 30 + 1,
+                               Fraction(2 ** 70, 3)])
+def test_rational_hash_matches_fraction(q):
+    x = cyc(q)
+    _assert_invariants(x)
+    assert hash(x) == hash(q) == hash(Fraction(q))
+    assert hash(x + zeta(5) - zeta(5)) == hash(q)
+
+
+def test_pickle_and_copy_round_trips_keep_the_layout():
+    for x in (cyc(0), cyc(Fraction(-5, 3)), zeta(12) / 3 - 1, _written_at(24, 8) / 7):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert (y._n, y._v, y._d) == (x._n, x._v, x._d)
+            assert y == x and hash(y) == hash(x)
+            _assert_invariants(y)
