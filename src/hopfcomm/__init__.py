@@ -9,13 +9,12 @@ verifies everything exactly — against brute-force word counting on finite
 groups wherever the algebra is a group algebra.
 """
 
-from .exactnum import CycNum, PrimeFieldElem, Rational, cyc, zeta
+from .exactnum import CycNum, Rational, cyc, zeta
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CycNum",
-    "PrimeFieldElem",
     "Rational",
     "cyc",
     "zeta",

@@ -41,10 +41,6 @@ class CharacterTable:
     values: tuple[tuple[CycNum, ...], ...]
 
     @property
-    def n_irreducibles(self) -> int:
-        return len(self.degrees)
-
-    @property
     def group_order(self) -> int:
         return sum(self.classes.sizes)
 

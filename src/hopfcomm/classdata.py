@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ._linalg import Echelon, Vec, rank, vec_axpy
 from .commutator import (
-    _left_legs,
+    coideal_closure,
     commutator_subalgebra,
     hopf_commutator,
     is_adjoint_stable,
@@ -204,7 +204,7 @@ def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
     """c_i = Lambda <- F_iH* = (Lambda <- F_i) <- H*, verified to be an
     adjoint-stable left coideal."""
     integral, _ = integrals(H)
-    sub = Echelon(_left_legs(H, H.right_hit_raw(integral.vec, data.F[i].vec)))
+    sub = coideal_closure(H, [H.right_hit_raw(integral.vec, data.F[i].vec)])
     if not is_left_coideal(H, sub):
         raise VerificationFailed(f"c_{i} is not a left coideal")
     if not is_adjoint_stable(H, sub):
@@ -228,7 +228,7 @@ def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc) -> list[tuple[boo
     """
     if character_coordinates(H, f) is None:
         raise ValueError("membership_test needs f in the character span")
-    coideal = Echelon(_left_legs(H, psi_inv(H, f).vec))
+    coideal = coideal_closure(H, [psi_inv(H, f).vec])
     verdicts = []
     for j, eta in enumerate(data.eta):
         by_pairing = f(eta) != _ZERO
@@ -280,13 +280,13 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
             yield w, w["in_coideal"] == w["pairing_nonzero"]
 
     z2 = z_n(H, 2)
-    z2_spans = {n: Echelon(_left_legs(H, (z2 ** n).vec)) for n in (1, 2, 3)}
+    z2_spans = {n: coideal_closure(H, [(z2 ** n).vec]) for n in (1, 2, 3)}
     for n in (1, 2):
         _check_all(f"eta_in_z2^{n}_coideal_iff_f{n}_pairing",
                    coideal_iff_pairing(z2_spans[n], f_n(H, n)), report)
     fit = f_iterated(H)
     _check_all("eta_in_iterated_coideal_iff_pairing", coideal_iff_pairing(
-        Echelon(_left_legs(H, hopf_commutator(z2, integral).vec)), fit), report)
+        coideal_closure(H, [hopf_commutator(z2, integral).vec]), fit), report)
 
     # fusion route: coefficient of chi_i in f_iterated is d^2/d_i sum_k m_ki/d_k
     def from_fusion(i, c):

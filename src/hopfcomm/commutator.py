@@ -138,15 +138,10 @@ def _com_span(H: HopfAlgebra, n: int) -> Echelon:
 
 
 def coideal_closure(H: HopfAlgebra, vecs) -> Echelon:
-    """Smallest left coideal containing the given vectors: closure under
-    all components (p (x) id)(Delta v), i.e. under v <- p for p in H*."""
-    space = Echelon(vecs)
-    queue = space.basis()
-    while queue:
-        for row in _left_legs(H, queue.pop()):
-            if space.insert(row):
-                queue.append(row)
-    return space
+    """Smallest left coideal containing the given vectors: the span of
+    v <- p for p in H*, i.e. of the legs (e^i (x) id)(Delta v).  One pass
+    suffices: (v <- p) <- q = v <- pq by coassociativity, and v = v <- eps."""
+    return Echelon(row for v in vecs for row in _left_legs(H, v))
 
 
 def algebra_closure(H: HopfAlgebra, vecs) -> Echelon:

@@ -25,7 +25,6 @@ value, ``sort_key``, ``str``, ``to_dict``, ``galois``, ``lies_in`` and
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -500,27 +499,7 @@ class CycNum:
         order, coeffs = self._canonical_form()
         return (order,) + tuple((c.numerator, c.denominator) for c in coeffs)
 
-    # --- reduction to a prime field ---
-
-    def reduce_mod_p(self, p: int, zeta_image: Union[int, "PrimeFieldElem", None] = None,
-                     order: Optional[int] = None) -> "PrimeFieldElem":
-        """Image under the ring map Q(zeta_order) -> F_p, zeta |-> zeta_image.
-
-        ``order`` defaults to the value's own order; it may be any multiple
-        compatible with ``zeta_image`` having that exact multiplicative order.
-        """
-        n = self.order if order is None else order
-        if (p - 1) % n:
-            raise BadPrime(f"p={p} is not 1 mod {n}")
-        if zeta_image is None:
-            if n != 1:
-                raise BadPrime("zeta_image required for non-rational orders")
-            w = 1
-        else:
-            w = zeta_image.value if isinstance(zeta_image, PrimeFieldElem) else int(zeta_image)
-            if _mult_order(w, p) != n:
-                raise BadPrime(f"zeta_image {w} does not have order {n} mod {p}")
-        return PrimeFieldElem(self.residue(w, n, p), p)
+    # --- reduction mod p ---
 
     def residue(self, w: int, ambient: int, modulus: int) -> int:
         """Image in Z/modulus under zeta_ambient -> w, where w is a root of the
@@ -612,49 +591,6 @@ def _embed(x: CycNum, n: int) -> tuple[int, ...] | list[int]:
             for i, r in rows[step * j]:
                 out[i] += c * r
     return out
-
-
-def _mult_order(w: int, p: int) -> int:
-    w %= p
-    if w == 0:
-        return 0
-    order = 1
-    acc = w
-    while acc != 1:
-        acc = acc * w % p
-        order += 1
-        if order > p:
-            raise ArithmeticError("not a unit")
-    return order
-
-
-@dataclass(frozen=True)
-class PrimeFieldElem:
-    """An element of F_p."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __add__(self, other):
-        v = other.value if isinstance(other, PrimeFieldElem) else int(other)
-        return PrimeFieldElem((self.value + v) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        v = other.value if isinstance(other, PrimeFieldElem) else int(other)
-        return PrimeFieldElem(self.value * v % self.modulus, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElem):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
 
 
 ZERO = CycNum.rational(0)

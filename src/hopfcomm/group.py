@@ -141,10 +141,6 @@ class FiniteGroup:
             out = math.lcm(out, self.element_order(a))
         return out
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in self.elements() for b in self.elements())
-
     def centralizer(self, a: int) -> list[int]:
         t = self.table
         return [g for g in self.elements() if t[g][a] == t[a][g]]

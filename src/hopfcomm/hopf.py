@@ -4,7 +4,8 @@ An algebra is given by exact sparse structure constants (multiplication,
 comultiplication, unit, counit, antipode, optional R-matrix) with CycNum
 coefficients.  Every construction path runs the full axiom verifier; the
 three built-in instances are the group algebra kG, its dual k^G, and the
-Drinfeld double D(G).
+Drinfeld double D(G).  All three are smash products k^N # kF, and one table
+builder, ``_smash_tables``, fills their structure constants.
 
 Checks whose passing set is closed under products run on a generating set
 (Light's test; Clifford & Preston, The Algebraic Theory of Semigroups I).
@@ -63,7 +64,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exactnum import CycNum, Rational, _rational_str, cyclotomic_poly, euler_phi
-from .group import FiniteGroup
+from .group import FiniteGroup, cyclic_group
 
 Vec = dict  # {basis index: nonzero CycNum}
 Tensor = dict  # {(i, j): nonzero CycNum}
@@ -1243,19 +1244,42 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
 # built-in instances
 
 
+def _smash_tables(N: FiniteGroup, F: FiniteGroup, act) -> dict:
+    """The structure tables of the smash product k^N # kF, as keywords of
+    ``HopfAlgebra``, on the basis p_n # f indexed n*|F| + f.  F acts on N by
+    automorphisms ``act(f, n)`` (Takeuchi, "Matched pairs of groups and
+    bismash products of Hopf algebras", Comm. Algebra 9, 1981):
+
+        (p_n # f)(p_m # f') = [n = act(f, m)] p_n # ff'
+        Delta(p_n # f)      = sum_{ab = n} (p_a # f) (x) (p_b # f)
+        S(p_n # f)          = p_{act(f^-1, n^-1)} # f^-1
+
+    kG is the case N = 1, k^G the case F = 1, and D(G) the case N = F = G
+    with F acting by conjugation.
+    """
+    nf = F.order
+    mult, comult, antipode = {}, {}, {}
+    for n in range(N.order):
+        for f in range(nf):
+            i = n * nf + f
+            finv = F.inverse(f)
+            m = act(finv, n)
+            for f2 in range(nf):
+                mult[(i, m * nf + f2)] = ((n * nf + F.mul(f, f2), 1),)
+            comult[i] = tuple(((a * nf + f, N.mul(N.inverse(a), n) * nf + f), 1)
+                              for a in range(N.order))
+            antipode[i] = ((act(finv, N.inverse(n)) * nf + finv, 1),)
+    return dict(dim=N.order * nf, mult=mult, comult=comult, antipode=antipode,
+                unit={n * nf + F.identity: 1 for n in range(N.order)},
+                counit={N.identity * nf + f: 1 for f in range(nf)})
+
+
 def build_group_algebra(G: FiniteGroup, seed: int = 0):
-    """kG with grouplike basis, plus IrredData from the character table."""
+    """kG = k^1 # kG with grouplike basis, plus IrredData from the character
+    table."""
     n = G.order
-    mult = {(i, j): ((G.table[i][j], 1),) for i in range(n) for j in range(n)}
-    comult = {i: (((i, i), 1),) for i in range(n)}
-    antipode = {i: ((G.inverse(i), 1),) for i in range(n)}
     H = HopfAlgebra(
-        dim=n,
-        mult=mult,
-        comult=comult,
-        unit={G.identity: 1},
-        counit={i: 1 for i in range(n)},
-        antipode=antipode,
+        **_smash_tables(cyclic_group(1), G, lambda f, m: m),
         cyc_order=G.exponent(),
         labels=G.labels,
         kind="group",
@@ -1275,24 +1299,10 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
 
 
 def build_dual_group_algebra(G: FiniteGroup):
-    """k^G: projections p_g with pointwise product; all degrees 1."""
+    """k^G = k^G # k1: projections p_g with pointwise product; all degrees 1."""
     n = G.order
-    mult = {(i, i): ((i, 1),) for i in range(n)}
-    comult = {}
-    for g in range(n):
-        terms = []
-        for a in range(n):
-            b = G.mul(G.inverse(a), g)
-            terms.append(((a, b), 1))
-        comult[g] = tuple(terms)
-    antipode = {i: ((G.inverse(i), 1),) for i in range(n)}
     H = HopfAlgebra(
-        dim=n,
-        mult=mult,
-        comult=comult,
-        unit={i: 1 for i in range(n)},
-        counit={G.identity: 1},
-        antipode=antipode,
+        **_smash_tables(G, cyclic_group(1), lambda f, m: m),
         cyc_order=1,
         labels=tuple(f"p_{lbl}" for lbl in G.labels),
         kind="dualgroup",
@@ -1307,48 +1317,17 @@ def build_dual_group_algebra(G: FiniteGroup):
 
 
 def build_drinfeld_double(G: FiniteGroup, seed: int = 0):
-    """D(G) on the basis {p_g (x) h}, indexed g*|G| + h, with the canonical
-    R-matrix; IrredData from the centralizer construction, verified exactly.
+    """D(G) = k^G # kG, G acting on itself by conjugation, on the basis
+    {p_g (x) h} indexed g*|G| + h, with the canonical R-matrix; IrredData
+    from the centralizer construction, verified exactly.
     """
     n = G.order
-    dim = n * n
-    mult = {}
-    for g in range(n):
-        for h in range(n):
-            i = g * n + h
-            for h2 in range(n):
-                # (p_g (x) h)(p_g' (x) h') = [g' = h^-1 g h] p_g (x) h h'
-                gp = G.conj(g, G.inverse(h))
-                mult[(i, gp * n + h2)] = ((g * n + G.mul(h, h2), 1),)
-    comult = {}
-    for g in range(n):
-        for h in range(n):
-            terms = []
-            for a in range(n):
-                b = G.mul(G.inverse(a), g)
-                terms.append(((a * n + h, b * n + h), 1))
-            comult[g * n + h] = tuple(terms)
-    antipode = {}
-    for g in range(n):
-        for h in range(n):
-            hinv = G.inverse(h)
-            tg = G.conj(G.inverse(g), hinv)
-            antipode[g * n + h] = ((tg * n + hinv, 1),)
-    unit = {g * n + G.identity: 1 for g in range(n)}
-    counit = {G.identity * n + h: 1 for h in range(n)}
-    r_matrix = {}
-    for g in range(n):
-        for gp in range(n):
-            r_matrix[(g * n + G.identity, gp * n + g)] = _ONE
+    r_matrix = {(g * n + G.identity, gp * n + g): _ONE
+                for g in range(n) for gp in range(n)}
     labels = tuple(
         f"p_{G.labels[g]}*{G.labels[h]}" for g in range(n) for h in range(n))
     H = HopfAlgebra(
-        dim=dim,
-        mult=mult,
-        comult=comult,
-        unit=unit,
-        counit=counit,
-        antipode=antipode,
+        **_smash_tables(G, G, lambda f, m: G.conj(m, f)),
         cyc_order=G.exponent(),
         r_matrix=r_matrix,
         labels=labels,

@@ -90,8 +90,8 @@ def test_cancellation_to_a_rational():
 def test_residue_reads_the_conductor_when_the_written_order_is_not_in_the_field():
     # zeta_3 written at order 24; 24 does not divide 12 or 3, but 3 does.
     x = _written_at(24, 8)
-    assert x.reduce_mod_p(7, 2, order=3).value == 2
-    assert x.reduce_mod_p(7, 2).value == 2
+    assert x.residue(2, 3, 7) == 2
+    assert x.residue(2, x.order, 7) == 2
     assert x.residue(6, 12, 13) == pow(6, 4, 13)  # 6 has order 12 mod 13
     zeta6 = _written_at(24, 4)
     assert (x + zeta6).residue(6, 12, 13) == (pow(6, 4, 13) + pow(6, 2, 13)) % 13
@@ -143,21 +143,11 @@ def test_conjugate_and_galois():
 
 
 def test_reduce_mod_p_examples():
-    one = cyc(1).reduce_mod_p(7)
-    assert one.value == 1
-    z3 = zeta(3).reduce_mod_p(7, 2)
-    assert z3.value == 2  # 2^3 = 1 mod 7
-    s = (1 + zeta(3) + zeta(3) ** 2).reduce_mod_p(7, 2, order=3)
-    assert s.value == 0
-
-
-def test_reduce_mod_p_errors():
-    with pytest.raises(BadPrime):
-        zeta(3).reduce_mod_p(5, 2)  # 5 is not 1 mod 3
-    with pytest.raises(BadPrime):
-        zeta(3).reduce_mod_p(7, 3)  # 3 has order 6 mod 7, not 3
+    assert cyc(1).residue(1, 1, 7) == 1
+    assert zeta(3).residue(2, 3, 7) == 2  # 2^3 = 1 mod 7
+    assert (1 + zeta(3) + zeta(3) ** 2).residue(2, 3, 7) == 0
     with pytest.raises(DenominatorCollision):
-        cyc(Fraction(1, 7)).reduce_mod_p(7)
+        cyc(Fraction(1, 7)).residue(1, 1, 7)
 
 
 def test_serialization_round_trip():
@@ -214,10 +204,10 @@ def test_reduce_mod_p_is_ring_hom(a, b):
     # 13 = 1 mod 12 covers all sampled orders; 6 has order 12 mod 13.
     p, w = 13, 6
     try:
-        ra = a.reduce_mod_p(p, w, order=12).value
-        rb = b.reduce_mod_p(p, w, order=12).value
-        rs = (a + b).reduce_mod_p(p, w, order=12).value
-        rm = (a * b).reduce_mod_p(p, w, order=12).value
+        ra = a.residue(w, 12, p)
+        rb = b.residue(w, 12, p)
+        rs = (a + b).residue(w, 12, p)
+        rm = (a * b).residue(w, 12, p)
     except DenominatorCollision:
         return
     assert rs == (ra + rb) % p

@@ -4,8 +4,8 @@ the files in tests/golden/ byte for byte at ``--seed 0``.
 The files pin the whole observable output of the CLI on kS3, kQ8 and D(S3):
 every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
 instance, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  The
-``build`` dump of kS4xC2 (dim 48, the largest instance pinned here) is pinned
-too.  A refactor that changes any byte of them changes behaviour.
+``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
+k^S3 are pinned too.  A refactor that changes any byte of them changes behaviour.
 """
 
 from __future__ import annotations
@@ -55,6 +55,13 @@ def test_build_dump_ks4c2(tmp_path):
     assert main(["build", "group", str(SPECS / "S4xC2.json"),
                  "-o", str(path), "--seed", "0"]) == 0
     assert path.read_bytes() == _golden("build_ks4c2.json")
+
+
+def test_build_dump_dual_s3(tmp_path):
+    path = tmp_path / "dual_s3.json"
+    assert main(["build", "dualgroup", str(SPECS / "S3.json"),
+                 "-o", str(path), "--seed", "0"]) == 0
+    assert path.read_bytes() == _golden("build_dual_s3.json")
 
 
 @pytest.mark.parametrize("target", TARGETS)

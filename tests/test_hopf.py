@@ -33,6 +33,8 @@ from hopfcomm.hopf import (
     HElem,
     HopfAlgebra,
     adjoint,
+    build_drinfeld_double,
+    build_dual_group_algebra,
     build_group_algebra,
     casimir_tensor,
     counit,
@@ -116,14 +118,76 @@ def test_drinfeld_double_r_matrix_size(dc2):
 # -- axiom verifier catches mutants --
 
 
+def _hand_tables(kind, G):
+    """The tables of kG, k^G or D(G), each written out from that algebra's own
+    product, coproduct and antipode, independently of ``_smash_tables``."""
+    n = G.order
+    inv = G.inverse
+    if kind == "group":
+        return dict(
+            dim=n,
+            mult={(i, j): ((G.table[i][j], 1),) for i in range(n) for j in range(n)},
+            comult={i: (((i, i), 1),) for i in range(n)},
+            antipode={i: ((inv(i), 1),) for i in range(n)},
+            unit={G.identity: 1},
+            counit={i: 1 for i in range(n)})
+    if kind == "dualgroup":
+        # p_a p_b = [a = b] p_a; Delta p_g = sum_a p_a (x) p_{a^-1 g}
+        return dict(
+            dim=n,
+            mult={(i, i): ((i, 1),) for i in range(n)},
+            comult={g: tuple(((a, G.mul(inv(a), g)), 1) for a in range(n))
+                    for g in range(n)},
+            antipode={i: ((inv(i), 1),) for i in range(n)},
+            unit={i: 1 for i in range(n)},
+            counit={G.identity: 1})
+    # D(G) on p_g (x) h, indexed g*n + h:
+    # (p_g (x) h)(p_g' (x) h') = [g' = h^-1 g h] p_g (x) hh'
+    mult = {}
+    for g in range(n):
+        for h in range(n):
+            gp = G.conj(g, inv(h))
+            for h2 in range(n):
+                mult[(g * n + h, gp * n + h2)] = ((g * n + G.mul(h, h2), 1),)
+    return dict(
+        dim=n * n,
+        mult=mult,
+        comult={g * n + h: tuple(((a * n + h, G.mul(inv(a), g) * n + h), 1)
+                                 for a in range(n))
+                for g in range(n) for h in range(n)},
+        antipode={g * n + h: ((G.conj(inv(g), inv(h)) * n + inv(h), 1),)
+                  for g in range(n) for h in range(n)},
+        unit={g * n + G.identity: 1 for g in range(n)},
+        counit={G.identity * n + h: 1 for h in range(n)},
+        r_matrix={(g * n + G.identity, gp * n + g): 1
+                  for g in range(n) for gp in range(n)})
+
+
+@pytest.mark.parametrize("group", ["s3", "q8", "a4"])
+@pytest.mark.parametrize("kind, build", [("group", build_group_algebra),
+                                         ("dualgroup", build_dual_group_algebra),
+                                         ("double", build_drinfeld_double)])
+def test_builders_match_hand_written_tables(kind, build, group, request):
+    G = request.getfixturevalue(group)
+    H, _ = build(G)
+    oracle = HopfAlgebra(**_hand_tables(kind, G), check=False)
+    assert H.dim == oracle.dim
+    assert H.mult == oracle.mult
+    assert H.comult == oracle.comult  # terms compared in order
+    assert H.antipode == oracle.antipode
+    assert H.unit_vec == oracle.unit_vec
+    assert H.counit_vec == oracle.counit_vec
+    assert H.r_matrix == oracle.r_matrix
+
+
+def test_smash_tables_refuse_an_action_not_by_automorphisms(s3):
+    # left translation f.n = fn is a group action, but not by automorphisms
+    with pytest.raises(VerificationFailed, match="comult_algebra_map"):
+        HopfAlgebra(**hopf_mod._smash_tables(s3, s3, s3.mul))
+
+
 def _ks3_raw(s3):
-    n = s3.order
-    mult = {(i, j): ((s3.table[i][j], 1),) for i in range(n) for j in range(n)}
-    comult = {i: (((i, i), 1),) for i in range(n)}
-    antipode = {i: ((s3.inverse(i), 1),) for i in range(n)}
-    return dict(dim=n, mult=mult, comult=comult, unit={s3.identity: 1},
-                counit={i: 1 for i in range(n)}, antipode=antipode,
-                cyc_order=6)
+    return dict(_hand_tables("group", s3), cyc_order=6)
 
 
 def test_mutated_mult_fails_with_witness(s3):
