@@ -1,10 +1,11 @@
-"""Modular-arithmetic workhorses: F_p linear algebra, characteristic
-polynomials, Hensel lifting, and a small integer LLL.
+"""Modular-arithmetic workhorses: primes, a splitter of commutative
+algebras by Frobenius powers, Hensel lifting, and a small integer LLL.
 
 These are internal helpers for splitting commutative algebras (character
-tables, central idempotents).  All matrices are dense lists of lists of
-ints reduced mod p; dimensions stay small (at most a few dozen) so the
-textbook algorithms are the right tool.
+tables, central idempotents).  An algebra is given by sparse integer
+structure constants and its elements by dense lists of ints mod p; there is
+no row reduction here, since the idempotents come from powers of random
+elements.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadPrime
-
-Matrix = list[list[int]]
 
 
 def is_prime(n: int) -> bool:
@@ -50,100 +49,7 @@ def next_prime_in_ap(lower: int, modulus: int, residue: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense F_p linear algebra
-
-
-def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    bt = [[b[i][j] for i in range(inner)] for j in range(cols)]
-    out = []
-    for r in a:
-        out.append([sum(r[i] * col[i] for i in range(inner)) % p for col in bt])
-    return out
-
-
-def mat_vec(a: Matrix, v: list[int], p: int) -> list[int]:
-    return [sum(r[i] * v[i] for i in range(len(v))) % p for r in a]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rref(mat: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def nullspace(mat: Matrix, ncols: int, p: int) -> list[list[int]]:
-    """Basis of {v : mat @ v = 0} over F_p."""
-    if not mat:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = rref(mat, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in zip(rows, pivots):
-            v[c] = (-row[f]) % p
-        basis.append(v)
-    return basis
-
-
-def solve(mat: Matrix, rhs: list[int], p: int) -> list[int] | None:
-    """One solution of mat @ x = rhs over F_p, or None."""
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, p)
-    ncols = len(mat[0]) if mat else 0
-    x = [0] * ncols
-    for row, c in zip(rows, pivots):
-        if c == ncols:
-            return None
-        x[c] = row[-1]
-    return x
-
-
-def charpoly(mat: Matrix, p: int) -> list[int]:
-    """Characteristic polynomial over F_p via Faddeev-LeVerrier.
-
-    Returns ascending coefficients c with det(xI - A) = sum c[i] x^i,
-    c[n] = 1.  Needs p > n so that 1..n are invertible.
-    """
-    n = len(mat)
-    if p <= n:
-        raise BadPrime(f"charpoly needs p > matrix size, got p={p}, n={n}")
-    c = [0] * (n + 1)
-    c[n] = 1
-    mk = [row[:] for row in mat]
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] = (mk[i][i] + c[n - k + 1]) % p
-            mk = mat_mul(mat, mk, p)
-        tr = sum(mk[i][i] for i in range(n)) % p
-        c[n - k] = -tr * pow(k, -1, p) % p
-    return c
+# splitting commutative algebras
 
 
 def poly_eval(coeffs: list[int], x: int, modulus: int) -> int:
@@ -153,73 +59,65 @@ def poly_eval(coeffs: list[int], x: int, modulus: int) -> int:
     return acc
 
 
-def poly_roots(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p by direct scan (p stays small in this package)."""
-    return [x for x in range(p) if poly_eval(coeffs, x, p) == 0]
-
-
-# ---------------------------------------------------------------------------
-# simultaneous diagonalisation of commuting matrices
-
-
-def common_eigenvectors(mats, n, p, rng, rounds=12):
-    """Joint eigenvectors of commuting diagonalisable matrices over F_p.
-
-    Splits the full space by eigenspaces of randomly weighted combinations
-    until every block is one-dimensional.  Returns n vectors, or None when
-    this prime fails to split (caller should retry with another prime)."""
-    if not mats:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)] if n == 1 else None
-    subspaces = [[[1 if i == j else 0 for i in range(n)] for j in range(n)]]
-    for _ in range(rounds):
-        if all(len(b) == 1 for b in subspaces):
-            break
-        weights = [rng.randrange(p) for _ in mats]
-        combo = [
-            [sum(w * m[r][c] for w, m in zip(weights, mats)) % p for c in range(n)]
-            for r in range(n)
-        ]
-        subspaces = _split_round(subspaces, combo, n, p)
-        if subspaces is None:
-            return None
-    if not all(len(b) == 1 for b in subspaces):
-        return None
-    return [b[0] for b in subspaces]
-
-
-def _split_round(subspaces, combo, n, p):
-    result = []
-    for basis in subspaces:
-        dim = len(basis)
-        if dim == 1:
-            result.append(basis)
+def algebra_mul(struct, x: list[int], y: list[int], m: int) -> list[int]:
+    """x y mod m in the algebra with basis products e_a e_b = sum s e_c,
+    given as sparse rows struct[a][b] = ((c, s), ...) with s != 0."""
+    out = [0] * len(x)
+    for a, xa in enumerate(x):
+        if not xa:
             continue
-        images = [mat_vec(combo, b, p) for b in basis]
-        bmat = [[basis[j][r] for j in range(dim)] for r in range(n)]
-        coords = []
-        for u in images:
-            x = solve(bmat, u, p)
-            if x is None:
-                return None
-            coords.append(x)
-        # Restriction matrix: column c holds the coordinates of image c.
-        a = [[coords[c][r] for c in range(dim)] for r in range(dim)]
-        roots = poly_roots(charpoly(a, p), p)
-        found = 0
-        for theta in roots:
-            shifted = [[(a[r][c] - (theta if r == c else 0)) % p for c in range(dim)]
-                       for r in range(dim)]
-            kernel = nullspace(shifted, dim, p)
-            found += len(kernel)
-            if kernel:
-                vecs = [
-                    [sum(y[c] * basis[c][r] for c in range(dim)) % p for r in range(n)]
-                    for y in kernel
-                ]
-                result.append(vecs)
-        if found != dim:
+        row = struct[a]
+        for b, yb in enumerate(y):
+            if yb:
+                f = xa * yb
+                for c, s in row[b]:
+                    out[c] += f * s
+    return [v % m for v in out]
+
+
+def split_idempotents(struct, unit: list[int], p: int, rng) -> list[list[int]] | None:
+    """Primitive idempotents of a commutative F_p-algebra (structure
+    constants as for ``algebra_mul``, odd p > dim), or None when the algebra
+    is not split semisimple at p.
+
+    A split semisimple algebra is F_p^n, where z^((p-1)/2) has coordinates
+    in {0, 1, -1} (Cantor and Zassenhaus, Math. Comp. 36, 1981).  So for a
+    random z in eA and w = z^((p-1)/2), s = w^2, the idempotents e - s,
+    (s + w)/2 and (s - w)/2 split e.  The rank of an idempotent is the trace
+    of multiplication by it, exact mod p because rank <= dim < p; rank 1
+    means primitive.  A w with w^3 != w shows the algebra is not split
+    semisimple, and so do 64 dim rounds that leave some e unsplit.
+    """
+    dim = len(struct)
+    traces = [sum(s for b, row in enumerate(rows) for c, s in row if c == b) % p
+              for rows in struct]
+    half = pow(2, -1, p)
+    todo = [[x % p for x in unit]]
+    done = []
+    for _ in range(64 * dim):
+        if not todo:
+            return done
+        e = todo.pop()
+        r = sum(x * t for x, t in zip(e, traces)) % p
+        if r == 1:
+            done.append(e)
+            continue
+        if r == 0:  # an empty piece
+            continue
+        z = algebra_mul(struct, e, [rng.randrange(p) for _ in range(dim)], p)
+        w, base, k = e, z, (p - 1) // 2
+        while k:
+            if k & 1:
+                w = algebra_mul(struct, w, base, p)
+            base = algebra_mul(struct, base, base, p)
+            k >>= 1
+        s = algebra_mul(struct, w, w, p)
+        if algebra_mul(struct, w, s, p) != w:
             return None
-    return result
+        todo.append([(a - b) % p for a, b in zip(e, s)])
+        todo.append([(a + b) * half % p for a, b in zip(s, w)])
+        todo.append([(a - b) * half % p for a, b in zip(s, w)])
+    return done if not todo else None
 
 
 def element_of_order(e: int, p: int, rng) -> int:

@@ -1,7 +1,8 @@
 """Resource caps, overridable through the HOPFCOMM_CAP environment variable.
 
 HOPFCOMM_CAP accepts either a single integer (applied to every cap) or a
-comma list like ``enum=1000000,dim=64``.
+comma list like ``enum=1000000,dim=64``.  It is the one way to set a cap: no
+function takes one as an argument.
 """
 
 from __future__ import annotations

@@ -1,22 +1,25 @@
 """Exact character tables of finite groups and group-algebra idempotents.
 
-The table is computed by the Burnside-Dixon mod-p method: the commuting
-class-sum matrices are simultaneously diagonalised over F_p (p == 1 mod
-exponent(G), p > 2|G|), degrees and character values are read off mod p,
-and each value is lifted to the cyclotomic field Q(zeta_exponent) by a
-discrete Fourier transform on the eigenvalue multiplicities.  The mod-p
-phase is untrusted scaffolding: every lifted table is re-verified exactly
-(degrees, row orthogonality, which gives the column relation for a square
-table, and the central-character identity) before it is returned.
+The table is computed by the Burnside-Dixon mod-p method: the class
+algebra is split over F_p (p == 1 mod exponent(G), p > 2|G|) into its
+primitive idempotents E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j by Frobenius
+powers of random elements (not diagonalised), degrees and character values
+are read off the coordinates of the E_i mod p, and each value is lifted to
+the cyclotomic field Q(zeta_exponent) by a discrete Fourier transform on the
+eigenvalue multiplicities.  The mod-p phase is untrusted scaffolding: every
+lifted table is re-verified exactly (degrees, row orthogonality, which gives
+the column relation for a square table, and the central-character identity)
+before it is returned.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from . import runlog
-from ._modp import common_eigenvectors, element_of_order, next_prime_in_ap
+from ._modp import element_of_order, next_prime_in_ap, split_idempotents
 from .errors import BadPrime, VerificationFailed
 from .exactnum import CycNum, Rational
 from .group import ClassPartition, FiniteGroup, power_map
@@ -101,64 +104,32 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
 # Dixon lift
 
 
-def _central_character_vectors(mats, n, p, rng):
-    """Joint eigenvectors of the class-sum matrices, normalised so the
-    identity-class coordinate is 1; None when the prime fails to split."""
-    vecs = common_eigenvectors(mats, n, p, rng)
-    if vecs is None:
-        return None
-    out = []
-    for v in vecs:
-        if v[0] % p == 0:
-            return None
-        inv = pow(v[0], -1, p)
-        out.append([x * inv % p for x in v])
-    if len({tuple(v) for v in out}) != n:
-        return None
-    return out
-
-
-def _isqrt_exact(n: int):
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
-
-
 def _lift_table(G, algebra, p, rng):
     """One Dixon attempt at prime p; returns (degrees, values) or None."""
     conj = algebra.classes
     n = conj.n_classes
     order = G.order
     e = G.exponent()
-    mats = []
-    for i in range(1, n):
-        mats.append([[algebra.constants[i][j][k] % p for k in range(n)]
-                     for j in range(n)])
-    if not mats:  # trivial group
-        vecs = [[1]]
-    else:
-        vecs = _central_character_vectors(mats, n, p, rng)
-        if vecs is None:
-            return None
+    struct = [[tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
+              for rows in algebra.constants]
+    idems = split_idempotents(struct, [1] + [0] * (n - 1), p, rng)
+    if idems is None:
+        return None
     z = element_of_order(e, p, rng)
-    zpow = [pow(z, t, p) for t in range(e)]
     zinv = [pow(z, -t % e, p) for t in range(e)]
     inv_e = pow(e, -1, p)
     powers = [[power_map(G, j, s) for s in range(e)] for j in range(n)]
 
+    # E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j: the C_0 coordinate gives
+    # d_i^2 and the coordinate at the inverse class gives chi_i(g_j).
     rows = []
-    for v in vecs:
-        s = sum(v[j] * v[conj.inverse_class[j]] * pow(conj.sizes[j], -1, p)
-                for j in range(n)) % p
-        if s == 0:
+    for idem in idems:
+        dd = order * idem[0] % p
+        d = math.isqrt(dd)
+        if d == 0 or d * d != dd:
             return None
-        dd = order * pow(s, -1, p) % p
-        d = _isqrt_exact(dd) if dd <= order else None
-        if d is None or d == 0:
-            return None
-        theta = [d * v[j] * pow(conj.sizes[j], -1, p) % p for j in range(n)]
+        scale = order * pow(d, -1, p)
+        theta = [scale * idem[conj.inverse_class[j]] % p for j in range(n)]
         values = []
         for j in range(n):
             mults = []

@@ -355,7 +355,7 @@ def cmd_oracle(args) -> int:
     if args.against is not None:
         H, _ = build_group_algebra(G, args.seed)
         f = _select_functional(H, args.against)
-        checks = oracle_crosscheck(G, w, f)
+        checks = oracle_crosscheck(G, w, f, counts)
         doc["checks"] = checks
         if any(e["status"] == "fail" for e in checks):
             code = EXIT_CHECK_FAIL

@@ -102,7 +102,7 @@ def _u_power(H: HopfAlgebra, n: int) -> dict:
 # spans and closures
 
 
-def com_span(H: HopfAlgebra, n: int, cap=None) -> Echelon:
+def com_span(H: HopfAlgebra, n: int) -> Echelon:
     """Span of all n-th commutators (n = 2 gives Com).
 
     Multilinearity reduces the span to basis tuples; the U-tensor trick
@@ -113,7 +113,7 @@ def com_span(H: HopfAlgebra, n: int, cap=None) -> Echelon:
     """
     if n < 2:
         raise ValueError("com_span needs n >= 2")
-    limit = cap if cap is not None else enum_cap()
+    limit = enum_cap()
     if H.dim**n > limit:
         raise EnumerationCapExceeded(f"{H.dim}^{n} basis tuples exceed cap {limit}")
     return _com_span(H, n)

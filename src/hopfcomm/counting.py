@@ -19,7 +19,7 @@ from ._linalg import Echelon, Solver, Vec, rank, vec_axpy
 from .commutator import Z_n_map, hopf_commutator, z_n
 from .errors import DegenerateForm, FormulaMismatch, VerificationFailed
 from .exactnum import CycNum
-from .group import FiniteGroup, Word, count_word, word_to_str
+from .group import FiniteGroup, Word, word_to_str
 from .hopf import (
     HElem,
     HFunc,
@@ -380,10 +380,12 @@ def _higman_tensor(H: HopfAlgebra, n: int) -> dict:
 # group oracle
 
 
-def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]:
-    """Compare a functional on kG with the brute-force word count.
+def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc,
+                      counts: tuple[int, ...]) -> list[dict]:
+    """Compare a functional on kG with the brute-force word count
+    ``counts = count_word(G, w)``.
 
-    Evaluates f at every group element against count_word, and independently
+    Evaluates f at every group element against the counts, and independently
     verifies the character expansion N_w = sum_i <s(chi_i), u_w> chi_i where
     u_w = (1/|G|) sum over tuples of w(...).  Returns a report; never raises
     on mismatch (the entries carry the verdict).
@@ -391,7 +393,6 @@ def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc, cap=None) -> list[dict]
     H = f.H
     if H.kind != "group" or H.group is not G:
         raise ValueError("oracle_crosscheck needs a functional on kG for the same G")
-    counts = count_word(G, w, cap)
     label = word_to_str(w)
     report = []
 

@@ -31,6 +31,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Optional, Union
 
+from ._linalg import Solver
 from .errors import BadPrime, DenominatorCollision, DigitCapExceeded, DivisionByZero
 
 Rational = Fraction
@@ -126,50 +127,21 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _projection(n: int, m: int):
-    """Solver for membership of Q(zeta_n)-vectors in the subfield Q(zeta_m).
-
-    Returns (pivot_cols, reduced_rows) such that applying the stored
-    row-reduction to a vector decides solvability of  A x = v  where the
-    columns of A are the basis powers zeta_m^i embedded into Q(zeta_n).
-    """
-    deg_n, deg_m = euler_phi(n), euler_phi(m)
-    step = n // m
+def _subfield(n: int, m: int) -> Solver:
+    """The basis powers zeta_m^i (i < phi(m)) of Q(zeta_m), embedded in
+    Q(zeta_n) and inserted under their exponents i."""
     rows_n = _power_rows(n)
-    # A has deg_n rows and deg_m columns.
-    a = [[Fraction(rows_n[step * i][r]) for i in range(deg_m)] for r in range(deg_n)]
-    # Augment with identity to record the transform.
-    aug = [row + [Fraction(int(i == r)) for i in range(deg_n)] for r, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(deg_m):
-        pr = next((i for i in range(r, deg_n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(deg_n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    transform = tuple(tuple(row[deg_m:]) for row in aug)
-    return pivots, transform, r
+    solver = Solver()
+    for i in range(euler_phi(m)):
+        solver.insert({r: Fraction(c) for r, c in enumerate(rows_n[n // m * i]) if c}, i)
+    return solver
 
 
 def _project_to_subfield(n: int, m: int, vec: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
-    pivots, transform, rank = _projection(n, m)
-    w = [sum(t * v for t, v in zip(row, vec)) for row in transform]
-    if any(w[rank:]):
+    combo = _subfield(n, m).express({r: x for r, x in enumerate(vec) if x})
+    if combo is None:
         return None
-    deg_m = euler_phi(m)
-    out = [_ZERO] * deg_m
-    for i, c in enumerate(pivots):
-        out[c] = w[i]
-    # Rows below rank already checked; pivot rows give the coordinates.
-    return tuple(out)
+    return tuple(combo.get(i, _ZERO) for i in range(euler_phi(m)))
 
 
 def _canonical(n: int, vec: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:

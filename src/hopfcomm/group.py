@@ -254,14 +254,14 @@ def _cycle_notation(perm: tuple[int, ...], points: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def from_perm_generators(name: str, generators: Sequence[Sequence[Sequence[int]]],
-                         cap: Optional[int] = None) -> FiniteGroup:
+def from_perm_generators(name: str,
+                         generators: Sequence[Sequence[Sequence[int]]]) -> FiniteGroup:
     """Closure of permutation generators (cycles, 1-based points).
 
     Only the points that occur are permuted, at their indices in sorted
     order, so the size of a permutation is the number of those points, not
     the largest of them; the labels print the points themselves."""
-    cap = caps.dim_cap() if cap is None else cap
+    cap = caps.dim_cap()
     points = sorted({int(p) for gen in generators for cycle in gen for p in cycle})
     position = {p: i for i, p in enumerate(points)}
     npoints = len(points)
@@ -305,7 +305,7 @@ def _json_lists(x, depth: int, leaf=int) -> bool:
     return type(x) is list and all(_json_lists(y, depth - 1, leaf) for y in x)
 
 
-def load_group(spec: dict, cap: Optional[int] = None) -> FiniteGroup:
+def load_group(spec: dict) -> FiniteGroup:
     """Build a group from a GroupSpec mapping: a string name and a ``cayley``
     table of integers with optional string labels, or ``perm_generators``,
     cycles of integer points >= 1.  Other JSON types raise ValueError."""
@@ -321,7 +321,7 @@ def load_group(spec: dict, cap: Optional[int] = None) -> FiniteGroup:
     if "perm_generators" in spec:
         if not _json_lists(spec["perm_generators"], 3):
             raise ValueError("'perm_generators' must be lists of cycles of integer points")
-        return from_perm_generators(name, spec["perm_generators"], cap=cap)
+        return from_perm_generators(name, spec["perm_generators"])
     raise ValueError("group spec needs a 'cayley' table or 'perm_generators'")
 
 
@@ -550,9 +550,9 @@ def _eval(w: Word, t: Sequence[int], G: FiniteGroup) -> int:
     return G.power(_eval(w.word, t, G), w.k)
 
 
-def count_word(G: FiniteGroup, w: Word, cap: Optional[int] = None) -> tuple[int, ...]:
+def count_word(G: FiniteGroup, w: Word) -> tuple[int, ...]:
     """N_w: for each group element, the number of tuples mapping to it."""
-    cap = caps.enum_cap() if cap is None else cap
+    cap = caps.enum_cap()
     r = arity(w)
     total = G.order ** r
     if total > cap:

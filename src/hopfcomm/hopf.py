@@ -47,12 +47,12 @@ from fractions import Fraction
 from . import runlog
 from ._linalg import Echelon, Solver, nullspace, vec_axpy, vec_scale
 from ._modp import (
-    common_eigenvectors,
+    algebra_mul,
     element_of_order,
     lift_root,
     lll_reduce,
     next_prime_in_ap,
-    solve as solve_mod,
+    split_idempotents,
 )
 from .chartab import dixon_character_table, group_central_idempotents
 from .errors import (
@@ -858,9 +858,11 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
     ``unit``.
 
     The algebra is split in the coordinates of ``span``: idempotents are
-    found over F_p (p = 1 mod cyc_order), Hensel-lifted to p^k, recognised
-    in Q(zeta_cyc_order) by lattice reduction, and verified exactly;
-    retries move to new primes/precisions.
+    found over F_p (p = 1 mod cyc_order) from Frobenius powers of random
+    elements (``_modp.split_idempotents``; no structure matrix is
+    diagonalised), Hensel-lifted to p^k, recognised in Q(zeta_cyc_order)
+    by lattice reduction, and verified exactly; retries move to new
+    primes/precisions.
     """
     dim = len(span)
     solver = Solver()
@@ -886,12 +888,13 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
     N = max(cyc_order, 1)
     phi = euler_phi(N)
     cpoly = list(cyclotomic_poly(N))
+    unit_coords = coords(unit)
     p = next_prime_in_ap(max(2 * dim, 16, N), N)
     last_error = None
     for attempt in range(5):
         k = 24 if attempt % 2 == 0 else 48
         try:
-            result = _split_attempt(struct, dim, N, phi, cpoly, p, k, rng)
+            result = _split_attempt(struct, unit_coords, N, phi, cpoly, p, k, rng)
             if result is not None:
                 idems = [vector(xs) for xs in result]
                 try:
@@ -916,59 +919,22 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
         f"cyc_order {cyc_order} may be too small for its idempotents")
 
 
-def _split_attempt(struct, dim, N, phi, cpoly, p, k, rng):
+def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
     # Coordinates of candidate idempotents, which the caller verifies; or None.
+    def residues(w, m):  # struct as algebra_mul's sparse rows mod m, zeta_N -> w
+        return [[tuple((c, r) for c, x in enumerate(row)
+                       if x and (r := x.residue(w, N, m))) for row in rows]
+                for rows in struct]
+
     w1 = element_of_order(N, p, rng)
-    mats = []
-    for a in range(dim):
-        mat = [[struct[a][b][c].residue(w1, N, p) for b in range(dim)]
-               for c in range(dim)]
-        mats.append(mat)
-    vecs = common_eigenvectors(mats, dim, p, rng)
-    if vecs is None:
+    idems_mod_p = split_idempotents(
+        residues(w1, p), [x.residue(w1, N, p) for x in unit], p, rng)
+    if idems_mod_p is None:
         return None
-    # Characters of the algebra: phi_t(z_a) = eigenvalue of M_a on v_t.
-    chars = []
-    for v in vecs:
-        pivot = next(j for j in range(dim) if v[j] % p)
-        inv = pow(v[pivot], -1, p)
-        row = []
-        for a in range(dim):
-            img = sum(mats[a][pivot][b] * v[b] for b in range(dim)) % p
-            row.append(img * inv % p)
-        chars.append(row)
-    idems_mod_p = []
-    for t in range(dim):
-        rhs = [1 if s == t else 0 for s in range(dim)]
-        x = solve_mod(chars, rhs, p)
-        if x is None:
-            return None
-        idems_mod_p.append(x)
     # Hensel-lift idempotents and the root of unity to mod p^k.
     modulus = p**k
     wk = 1 if N == 1 else lift_root(cpoly, w1, p, k)
-    struct_residues = [[[struct[a][b][c].residue(wk, N, modulus)
-                         for c in range(dim)] for b in range(dim)]
-                       for a in range(dim)]
-
-    def mul_mod(x, y, m):
-        out = [0] * dim
-        for a in range(dim):
-            xa = x[a]
-            if not xa:
-                continue
-            row = struct_residues[a]
-            for b in range(dim):
-                yb = y[b]
-                if not yb:
-                    continue
-                f = xa * yb
-                col = row[b]
-                for c in range(dim):
-                    if col[c]:
-                        out[c] += f * col[c]
-        return [v % m for v in out]
-
+    struct_residues = residues(wk, modulus)
     lifted = []
     for e in idems_mod_p:
         prec = 1
@@ -976,8 +942,8 @@ def _split_attempt(struct, dim, N, phi, cpoly, p, k, rng):
         while prec < k:
             prec = min(2 * prec, k)
             m = p**prec
-            sq = mul_mod(cur, cur, m)
-            cube = mul_mod(sq, cur, m)
+            sq = algebra_mul(struct_residues, cur, cur, m)
+            cube = algebra_mul(struct_residues, sq, cur, m)
             cur = [(3 * a - 2 * b) % m for a, b in zip(sq, cube)]
         lifted.append(cur)
     # Recognise each coordinate in Q(zeta_N) via the lattice of small

@@ -116,7 +116,8 @@ def test_criterion_03_word_oracle_equivalences(s3, q8, ks3, kq8):
                 ("[x1,x2][x3,x4]", f_n(H, 2)),
             ]
             for word, f in pairs:
-                report = oracle_crosscheck(G, parse_word(word), f)
+                w = parse_word(word)
+                report = oracle_crosscheck(G, w, f, count_word(G, w))
                 assert report and _no_fail(report), (G.name, word)
 
 

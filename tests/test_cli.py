@@ -498,6 +498,24 @@ def test_oracle_commutator_word_against_frob(specdir, capsys):
     assert doc["checks"] and all(e["status"] == "pass" for e in doc["checks"])
 
 
+def test_oracle_against_enumerates_the_tuples_once(specdir, capsys, monkeypatch):
+    import hopfcomm.cli
+    import hopfcomm.counting
+    import hopfcomm.group
+    real, calls = hopfcomm.group.count_word, []
+
+    def spy(G, w):
+        calls.append(w)
+        return real(G, w)
+
+    for module in (hopfcomm.group, hopfcomm.cli, hopfcomm.counting):
+        monkeypatch.setattr(module, "count_word", spy, raising=False)
+    doc = run_json(capsys, ["oracle", str(specdir / "s3.json"),
+                            "--word", "[x1,x2]", "--against", "frob"])
+    assert len(calls) == 1
+    assert doc["checks"] and all(e["status"] == "pass" for e in doc["checks"])
+
+
 def test_oracle_square_word_against_root(specdir, capsys):
     doc = run_json(capsys, ["oracle", str(specdir / "q8.json"),
                             "--word", "x1^2", "--against", "root:2"])

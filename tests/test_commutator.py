@@ -242,12 +242,13 @@ def test_com_chain(ks3):
     assert com_span(H, 2) <= com_span(H, 3)
 
 
-def test_com_span_cap():
+def test_com_span_cap(monkeypatch):
     import hopfcomm.hopf as hopf_mod
     from hopfcomm.group import cyclic_group
     H, _ = hopf_mod.build_group_algebra(cyclic_group(3))
+    monkeypatch.setenv("HOPFCOMM_CAP", "enum=5")
     with pytest.raises(EnumerationCapExceeded):
-        com_span(H, 2, cap=5)
+        com_span(H, 2)
 
 
 def test_com_span_cap_checked_on_every_call(ks3, monkeypatch):

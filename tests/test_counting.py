@@ -57,6 +57,10 @@ def all_pass(report):
     return [e for e in report if e["status"] == "fail"] == []
 
 
+def crosscheck(G, w, f):
+    return oracle_crosscheck(G, w, f, count_word(G, w))
+
+
 # ---------------------------------------------------------------------------
 # character coordinates
 
@@ -106,7 +110,7 @@ def test_f_rob_values_on_s3(ks3):
 
 def test_f_rob_is_commutator_count(s3, ks3, q8, kq8):
     for G, (H, _) in ((s3, ks3), (q8, kq8)):
-        assert all_pass(oracle_crosscheck(G, parse_word("[x1,x2]"), f_rob(H)))
+        assert all_pass(crosscheck(G, parse_word("[x1,x2]"), f_rob(H)))
 
 
 def test_f_rob_at_minus_one_on_q8(kq8):
@@ -132,7 +136,7 @@ def test_f_1_is_f_rob(ks3):
 
 def test_f_2_counts_products_of_two_commutators(s3, ks3):
     H, _ = ks3
-    assert all_pass(oracle_crosscheck(s3, parse_word("[x1,x2][x3,x4]"), f_n(H, 2)))
+    assert all_pass(crosscheck(s3, parse_word("[x1,x2][x3,x4]"), f_n(H, 2)))
 
 
 def test_f_2_equals_generalized_commutator_count(s3, ks3):
@@ -141,7 +145,7 @@ def test_f_2_equals_generalized_commutator_count(s3, ks3):
     H, _ = ks3
     w = parse_word("x1x2x3x4x1^-1x2^-1x3^-1x4^-1")
     assert count_word(s3, w) == count_word(s3, parse_word("[x1,x2][x3,x4]"))
-    assert all_pass(oracle_crosscheck(s3, w, f_n(H, 2)))
+    assert all_pass(crosscheck(s3, w, f_n(H, 2)))
 
 
 def test_f_n_on_commutative_instance(dual_s3):
@@ -241,7 +245,7 @@ def test_root_function_counts_roots(s3, ks3, q8, kq8):
 
 def test_root_oracle_on_q8(q8, kq8):
     H, _ = kq8
-    assert all_pass(oracle_crosscheck(q8, parse_word("x1^2"), root_function(H, 2)))
+    assert all_pass(crosscheck(q8, parse_word("x1^2"), root_function(H, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +254,12 @@ def test_root_oracle_on_q8(q8, kq8):
 
 def test_f_iterated_oracle_s3(s3, ks3):
     H, _ = ks3
-    assert all_pass(oracle_crosscheck(s3, parse_word("[[x1,x2],x3]"), f_iterated(H)))
+    assert all_pass(crosscheck(s3, parse_word("[[x1,x2],x3]"), f_iterated(H)))
 
 
 def test_f_iterated_oracle_q8(q8, kq8):
     H, _ = kq8
-    assert all_pass(oracle_crosscheck(q8, parse_word("[[x1,x2],x3]"), f_iterated(H)))
+    assert all_pass(crosscheck(q8, parse_word("[[x1,x2],x3]"), f_iterated(H)))
 
 
 def test_f_iterated_three_way_on_commutative(dual_s3):
@@ -361,12 +365,12 @@ def test_higman_rejects_small_n(ks3):
 def test_oracle_requires_matching_group(s3, kq8):
     H, _ = kq8
     with pytest.raises(ValueError):
-        oracle_crosscheck(s3, parse_word("[x1,x2]"), f_rob(H))
+        crosscheck(s3, parse_word("[x1,x2]"), f_rob(H))
 
 
 def test_oracle_flags_wrong_functional(s3, ks3):
     H, _ = ks3
-    report = oracle_crosscheck(s3, parse_word("[x1,x2]"), f_n(H, 2))
+    report = crosscheck(s3, parse_word("[x1,x2]"), f_n(H, 2))
     verdicts = {e["check"].split("[")[0]: e["status"] for e in report}
     assert verdicts["functional_matches_count"] == "fail"
     assert verdicts["character_expansion_matches_count"] == "pass"

@@ -5,7 +5,9 @@ The files pin the whole observable output of the CLI on kS3, kQ8 and D(S3):
 every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
 instance, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  The
 ``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
-k^S3 are pinned too.  A refactor that changes any byte of them changes behaviour.
+k^S3 are pinned too, as are the character tables of A4 (values in Q(zeta_3))
+and S4xC2, and ``compute classdata`` on kC15, which splits R(kC15) at
+conductor 15.  A refactor that changes any byte of them changes behaviour.
 """
 
 from __future__ import annotations
@@ -80,6 +82,21 @@ def test_verify_all(dumps, capsys, inst):
 def test_chartab_json(capsys):
     got = _run(capsys, ["chartab", str(SPECS / "S3.json")])
     assert got == _golden("chartab_S3.json")
+
+
+@pytest.mark.parametrize("group", ["A4", "S4xC2"])
+def test_chartab_json_more_groups(capsys, group):
+    got = _run(capsys, ["chartab", str(SPECS / f"{group}.json")])
+    assert got == _golden(f"chartab_{group}.json")
+
+
+def test_compute_classdata_kc15(tmp_path, capsys):
+    path = tmp_path / "kc15.json"
+    assert main(["build", "group", str(SPECS / "C15.json"),
+                 "-o", str(path), "--seed", "0"]) == 0
+    capsys.readouterr()
+    got = _run(capsys, ["compute", "classdata", "--hopf", str(path)])
+    assert got == _golden("compute_classdata_kc15.json")
 
 
 def test_chartab_markdown(capsys):

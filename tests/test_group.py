@@ -59,9 +59,10 @@ def test_permutations_are_sized_by_the_points_that_occur(monkeypatch):
     assert H.labels == tuple(lab.translate(rename) for lab in s3().labels)
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setenv("HOPFCOMM_CAP", "dim=10")
     with pytest.raises(ClosureCapExceeded):
-        from_perm_generators("S4", S4_GENS, cap=10)
+        from_perm_generators("S4", S4_GENS)
 
 
 def test_cayley_validation():
@@ -303,9 +304,10 @@ def test_count_commutator_q8():
     assert n[q8.identity] == 40
 
 
-def test_count_word_cap():
+def test_count_word_cap(monkeypatch):
+    monkeypatch.setenv("HOPFCOMM_CAP", "enum=10")
     with pytest.raises(EnumerationCapExceeded):
-        count_word(s3(), parse_word("[x1,x2]"), cap=10)
+        count_word(s3(), parse_word("[x1,x2]"))
 
 
 def test_square_roots_match_direct_count():
@@ -361,7 +363,10 @@ _word_tokens = st.one_of(
 @given(st.lists(_word_tokens, max_size=8).map("".join))
 def test_word_fuzz_ends_in_typed_errors(src):
     # Any string either counts on S3 or raises one of the three word errors.
-    try:
-        count_word(s3(), parse_word(src), cap=10 ** 4)
-    except (WordSyntaxError, ArityMismatch, EnumerationCapExceeded):
-        pass
+    # A function-scoped monkeypatch fixture would trip Hypothesis's health check.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOPFCOMM_CAP", "enum=10000")
+        try:
+            count_word(s3(), parse_word(src))
+        except (WordSyntaxError, ArityMismatch, EnumerationCapExceeded):
+            pass

@@ -1,27 +1,23 @@
-"""Tests for the internal mod-p linear algebra helpers."""
+"""Tests for the internal mod-p helpers: primes, the splitter of
+commutative algebras, Hensel lifting and LLL."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcomm import _modp
 from hopfcomm._modp import (
     _gso,
-    charpoly,
+    algebra_mul,
     element_of_order,
-    identity_matrix,
     is_prime,
     lift_root,
     lll_reduce,
-    mat_mul,
-    mat_vec,
     next_prime_in_ap,
-    nullspace,
-    poly_eval,
-    poly_roots,
-    rref,
-    solve,
+    split_idempotents,
 )
 from hopfcomm.errors import BadPrime
 from hopfcomm.exactnum import cyclotomic_poly, euler_phi
@@ -42,50 +38,107 @@ def test_next_prime_in_ap():
     assert next_prime_in_ap(12, 3, 2) == 17
 
 
-def test_rref_and_solve():
-    p = 7
-    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    rows, pivots = rref(a, p)
-    assert pivots == [0, 1]
-    x = solve(a, [6, 12 % p, 4], p)
-    assert x is not None
-    assert mat_vec(a, x, p) == [6, 5, 4]
-    assert solve([[1, 1], [1, 1]], [0, 1], p) is None
+def _sparse(dense):
+    """algebra_mul's sparse rows from dense structure constants t[a][b][c]."""
+    return [[tuple((c, s) for c, s in enumerate(col) if s) for col in row]
+            for row in dense]
 
 
-def test_nullspace():
-    p = 11
-    a = [[1, 2, 3], [4, 5, 6]]
-    basis = nullspace(a, 3, p)
-    assert len(basis) == 1
-    for v in basis:
-        assert mat_vec(a, v, p) == [0, 0]
-    assert len(nullspace([], 4, p)) == 4
+def _dense_mul(dense, x, y, m):
+    n = len(x)
+    return [sum(x[a] * y[b] * dense[a][b][c] for a in range(n) for b in range(n)) % m
+            for c in range(n)]
 
 
-def test_charpoly_companion():
-    # Companion matrix of x^2 - x - 1.
-    p = 101
-    a = [[0, 1], [1, 1]]
-    c = charpoly(a, p)
-    assert c == [(-1) % p, (-1) % p, 1]
-    with pytest.raises(BadPrime):
-        charpoly(identity_matrix(5), 5)
+def _inverse_mod(mat, p):
+    """Inverse of an invertible square matrix over F_p (Gauss-Jordan)."""
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    for c in range(n):
+        r = next(i for i in range(c, n) if aug[i][c] % p)
+        aug[c], aug[r] = aug[r], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
-def test_charpoly_diagonal_roots():
-    p = 97
-    diag = [3, 3, 10]
-    a = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
-    c = charpoly(a, p)
-    assert sorted(poly_roots(c, p)) == [3, 10]
-    assert poly_eval(c, 3, p) == 0
+def _product_algebra(n, p, rng):
+    """F_p^n in the basis b_a = sum_i P[i][a] u_i (u_i the coordinate
+    idempotents, P random invertible): its structure constants, the unit in
+    that basis, and the u_i in that basis."""
+    while True:
+        P = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        try:
+            Q = _inverse_mod(P, p)  # u_i = sum_a Q[a][i] b_a
+        except StopIteration:
+            continue
+        break
+    dense = [[[sum(P[i][a] * P[i][b] * Q[c][i] for i in range(n)) % p
+               for c in range(n)] for b in range(n)] for a in range(n)]
+    units = [[Q[a][i] for a in range(n)] for i in range(n)]
+    unit = [sum(u[a] for u in units) % p for a in range(n)]
+    return dense, unit, units
 
 
-def test_mat_mul_identity():
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([7, 11, 13, 31, 97]),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_idempotents_of_a_product_of_fields_in_a_random_basis(n, p, seed):
+    rng = random.Random(seed)
+    dense, unit, units = _product_algebra(n, p, rng)
+    got = split_idempotents(_sparse(dense), unit, p, rng)
+    assert got is not None
+    assert sorted(got) == sorted(units)
+
+
+def test_algebra_mul_matches_dense_product():
+    rng = random.Random(5)
     p = 13
-    a = [[1, 2], [3, 4]]
-    assert mat_mul(a, identity_matrix(2), p) == a
+    dense, _, _ = _product_algebra(4, p, rng)
+    struct = _sparse(dense)
+    for m in (p, p**3):
+        for _ in range(20):
+            x = [rng.randrange(m) for _ in range(4)]
+            y = [rng.randrange(m) for _ in range(4)]
+            assert algebra_mul(struct, x, y, m) == _dense_mul(dense, x, y, m)
+
+
+def test_split_idempotents_refuses_nilpotents_and_unsplit_fields():
+    # Basis (1, x); x^2 = r.  r = 0 is not semisimple; r a non-residue mod
+    # p gives F_{p^2}, which does not split over F_p.
+    def quadratic(r):
+        return _sparse([[[1, 0], [0, 1]], [[0, 1], [r, 0]]])
+
+    for p in (3, 5, 7, 13):
+        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        for seed in range(30):
+            assert split_idempotents(quadratic(0), [1, 0], p, random.Random(seed)) is None
+            assert split_idempotents(quadratic(r), [1, 0], p, random.Random(seed)) is None
+    # x^2 = 0 is refused at the first z with w^3 != w, long before the
+    # 64 dim rounds run out.
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            self.draws += 1
+            return super().randrange(*args)
+
+    rng = CountingRandom(0)
+    assert split_idempotents(quadratic(0), [1, 0], 13, rng) is None
+    assert rng.draws <= 8
+    # A residue r = s^2 splits: the idempotents (1 +- x/s)/2.
+    p, s = 13, 5
+    got = split_idempotents(quadratic(s * s % p), [1, 0], p, random.Random(0))
+    half, t = pow(2, -1, p), pow(s, -1, p)
+    assert sorted(got) == sorted([[half, half * t % p], [half, -half * t % p]])
+
+
+def test_split_idempotents_of_a_one_dimensional_algebra_is_its_unit():
+    assert split_idempotents([[((0, 1),)]], [1], 5, random.Random(0)) == [[1]]
 
 
 def test_lift_root():
