@@ -5,8 +5,8 @@ their duals, Drinfeld doubles), computes the commutator machinery (Hopf
 commutators, the central elements z_n, the commutator subalgebra H'),
 counting functionals (f_rob, f_n, root functions, iterated-commutator
 functionals), class data (R(H) idempotents, class sums, Drinfeld maps), and
-verifies everything exactly — against brute-force word counting on finite
-groups wherever the algebra is a group algebra.
+verifies everything exactly — against exact word counts over the group
+table wherever the algebra is a group algebra.
 """
 
 from .exactnum import CycNum, Rational, cyc, zeta

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-DEFAULT_ENUM_CAP = 10 ** 8   # brute-force word enumeration, in tuples
+DEFAULT_ENUM_CAP = 10 ** 8   # tuples in G^r a counted word ranges over, whatever the route
 DEFAULT_DIM_CAP = 1024       # largest allowed algebra dimension
 
 

@@ -1,5 +1,5 @@
 """Counting functionals, the bullet convolution, symmetric forms with their
-Casimir elements, Higman maps, and brute-force cross-checks on group algebras.
+Casimir elements, Higman maps, and word-count cross-checks on group algebras.
 
 The central objects are functionals in the character span R(H): f_rob (whose
 values on a group algebra count commutator representations), its higher
@@ -382,8 +382,10 @@ def _higman_tensor(H: HopfAlgebra, n: int) -> dict:
 
 def oracle_crosscheck(G: FiniteGroup, w: Word, f: HFunc,
                       counts: tuple[int, ...]) -> list[dict]:
-    """Compare a functional on kG with the brute-force word count
-    ``counts = count_word(G, w)``.
+    """Compare a functional on kG with the word count
+    ``counts = count_word(G, w)``: exact counts of the tuples in G^r that w
+    maps to each element, computed from the group table alone (letter-disjoint
+    subwords convolved, shared letters enumerated), never from H.
 
     Evaluates f at every group element against the counts, and independently
     verifies the character expansion N_w = sum_i <s(chi_i), u_w> chi_i where

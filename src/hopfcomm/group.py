@@ -1,5 +1,7 @@
 """Finite groups as multiplication tables, a free-group word DSL, and the
-brute-force word-counting oracle N_w."""
+word-counting oracle N_w: exact counts of tuples over G^r, computed from the
+group table alone, by convolving letter-disjoint subwords and enumerating
+the letters of subwords whose parts share one."""
 
 from __future__ import annotations
 
@@ -392,14 +394,29 @@ class Power:
 Word = Letter | Inverse | Concat | Commutator | Power
 
 
+def _letter_sets(w: Word) -> dict[int, frozenset[int]]:
+    """The letters under each node of w, keyed by id(node), in one
+    bottom-up walk: each set is built once from its children's."""
+    sets: dict[int, frozenset[int]] = {}
+
+    def walk(v: Word) -> frozenset[int]:
+        if isinstance(v, Letter):
+            s = frozenset((v.index,))
+        elif isinstance(v, (Inverse, Power)):
+            s = walk(v.word)
+        elif isinstance(v, Concat):
+            s = frozenset().union(*map(walk, v.parts))
+        else:
+            s = walk(v.left) | walk(v.right)
+        sets[id(v)] = s
+        return s
+
+    walk(w)
+    return sets
+
+
 def arity(w: Word) -> int:
-    if isinstance(w, Letter):
-        return w.index
-    if isinstance(w, (Inverse, Power)):
-        return arity(w.word)
-    if isinstance(w, Concat):
-        return max(arity(p) for p in w.parts)
-    return max(arity(w.left), arity(w.right))
+    return max(_letter_sets(w)[id(w)])
 
 
 def word_to_str(w: Word) -> str:
@@ -551,13 +568,67 @@ def _eval(w: Word, t: Sequence[int], G: FiniteGroup) -> int:
 
 
 def count_word(G: FiniteGroup, w: Word) -> tuple[int, ...]:
-    """N_w: for each group element, the number of tuples mapping to it."""
+    """N_w: for each group element, the number of tuples in G^r, r = arity(w),
+    that w maps to it.
+
+    The counts are exact and come from the group table alone, in one
+    bottom-up pass over the word: each node counts the tuples of its own
+    letters.  Where the children of a product or commutator share no letter,
+    their coordinates are independent, so the node's counts are the
+    convolution of theirs (Parzanchevski and Schul, Bull. LMS 46, 2014);
+    where they share one, the node's own letters are enumerated.  Letters
+    below r that w does not use multiply every count by |G|.  The cap
+    bounds the |G|^r tuples counted, whatever the route.
+    """
     cap = caps.enum_cap()
-    r = arity(w)
+    letters = _letter_sets(w)
+    r = max(letters[id(w)])
     total = G.order ** r
     if total > cap:
         raise EnumerationCapExceeded(f"{total} tuples exceeds cap {cap}")
-    counts = [0] * G.order
-    for t in itertools.product(G.elements(), repeat=r):
-        counts[_eval(w, t, G)] += 1
-    return tuple(counts)
+    free = G.order ** (r - len(letters[id(w)]))
+    return tuple(c * free for c in _count(w, letters, G))
+
+
+def _count(w: Word, letters: dict[int, frozenset[int]], G: FiniteGroup) -> list[int]:
+    """For each element, the number of tuples of w's own letters mapping to it."""
+    n = G.order
+    if isinstance(w, Letter):
+        return [1] * n
+    if isinstance(w, (Inverse, Power)):
+        image = G.inv if isinstance(w, Inverse) else [G.power(g, w.k) for g in range(n)]
+        out = [0] * n
+        for g, c in enumerate(_count(w.word, letters, G)):
+            out[image[g]] += c
+        return out
+    parts = w.parts if isinstance(w, Concat) else (w.left, w.right)
+    if sum(len(letters[id(p)]) for p in parts) > len(letters[id(w)]):
+        return _enumerate(w, sorted(letters[id(w)]), G)
+    acc = _count(parts[0], letters, G)
+    for p in parts[1:]:
+        acc = _convolve(G, acc, _count(p, letters, G), isinstance(w, Commutator))
+    return acc
+
+
+def _convolve(G: FiniteGroup, x: list[int], y: list[int], commutator: bool) -> list[int]:
+    """Counts of ab, or of [a, b] = a b a^-1 b^-1, for independent a and b
+    counted by x and y."""
+    t, inv = G.table, G.inv
+    out = [0] * G.order
+    for a, ca in enumerate(x):
+        ta, ia = t[a], inv[a]
+        for b, cb in enumerate(y):
+            ab = ta[b]
+            out[t[t[ab][ia]][inv[b]] if commutator else ab] += ca * cb
+    return out
+
+
+def _enumerate(w: Word, idx: list[int], G: FiniteGroup) -> list[int]:
+    """Counts of w over every assignment of the letters idx, one by one."""
+    t = [G.identity] * idx[-1]
+    out = [0] * G.order
+    for vals in itertools.product(G.elements(), repeat=len(idx)):
+        for i, v in zip(idx, vals):
+            t[i - 1] = v
+        out[_eval(w, t, G)] += 1
+    return out

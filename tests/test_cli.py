@@ -8,6 +8,7 @@ failure or refused precondition, 4 cap exceeded.
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,6 +22,7 @@ S3_SPEC = {"name": "S3", "perm_generators": [[[1, 2]], [[1, 2, 3]]]}
 C2_SPEC = {"name": "C2", "cayley": [[0, 1], [1, 0]]}
 C3_SPEC = {"name": "C3", "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
 C8_SPEC = {"name": "C8", "cayley": [[(a + b) % 8 for b in range(8)] for a in range(8)]}
+GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +531,19 @@ def test_oracle_iterated_word(specdir, capsys):
                             "--word", "[[x1,x2],x3]", "--against", "iterated"])
     assert all(e["status"] == "pass" for e in doc["checks"])
     assert doc["arity"] == 3 and doc["tuples"] == 216
+
+
+def test_oracle_iterated_word_on_s5(capsys):
+    doc = run_json(capsys, ["oracle", str(GOLDEN_SPECS / "S5.json"),
+                            "--word", "[[x1,x2],x3]", "--against", "iterated"])
+    assert doc["tuples"] == 120 ** 3
+    assert [e["status"] for e in doc["checks"]] == ["pass", "pass"]
+
+
+def test_oracle_cap_counts_tuples_before_any_work(capsys):
+    # 120^4 tuples is past the default cap, whichever route would count them
+    assert main(["oracle", str(GOLDEN_SPECS / "S5.json"), "--word", "[x1,x2][x3,x4]"]) == 4
+    assert "207360000 tuples" in capsys.readouterr().err
 
 
 def test_oracle_high_power_against_root(specdir, capsys):

@@ -3,7 +3,8 @@ the files in tests/golden/ byte for byte at ``--seed 0``.
 
 The files pin the whole observable output of the CLI on kS3, kQ8 and D(S3):
 every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
-instance, ``chartab`` (JSON and markdown) and one ``oracle`` cross-check.  The
+instance, ``chartab`` (JSON and markdown), one ``oracle`` cross-check, and
+the ``oracle`` counts of the iterated commutator [[x1,x2],x3] over S5.  The
 ``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
 k^S3 are pinned too, as are the character tables of A4 (values in Q(zeta_3))
 and S4xC2, and ``compute classdata`` on kC15, which splits R(kC15) at
@@ -108,3 +109,8 @@ def test_oracle_against_frob(capsys):
     got = _run(capsys, ["oracle", str(SPECS / "S3.json"), "--word", "[x1,x2]",
                         "--against", "frob"])
     assert got == _golden("oracle_S3_commutator_frob.json")
+
+
+def test_oracle_s5_iterated_commutator(capsys):
+    got = _run(capsys, ["oracle", str(SPECS / "S5.json"), "--word", "[[x1,x2],x3]"])
+    assert got == _golden("oracle_S5_iterated_commutator.json")

@@ -1,6 +1,7 @@
-"""Finite groups, the word DSL, and the brute-force counting oracle."""
+"""Finite groups, the word DSL, and the word-counting oracle."""
 
 import copy
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hopfcomm import group as group_mod
 from hopfcomm.errors import (ArityMismatch, ClosureCapExceeded,
                              EnumerationCapExceeded, HopfcommError, NotAssociative,
                              NotLatinSquare, WordSyntaxError)
-from hopfcomm.group import (Commutator, Concat, Inverse, Letter, Power, arity,
+from hopfcomm.group import (Commutator, Concat, Inverse, Letter, Power, _eval, arity,
                             count_word, cyclic_group, eval_word, from_cayley,
                             from_perm_generators, load_group, parse_word,
                             power_map, quaternion_group, word_to_str)
@@ -331,6 +332,47 @@ _words = st.deferred(lambda: st.one_of(
 @given(_words)
 def test_parser_round_trip(w):
     assert parse_word(word_to_str(w)) == w
+
+
+def _count_by_enumeration(G, w):
+    """Reference N_w: evaluate w on every tuple of G^r, one by one."""
+    r = arity(w)
+    counts = [0] * G.order
+    for t in itertools.product(G.elements(), repeat=r):
+        counts[_eval(w, t, G)] += 1
+    return tuple(counts)
+
+
+_SMALL_GROUPS = {"S3": s3(), "Q8": quaternion_group(),
+                 "A4": from_perm_generators("A4", A4_GENS)}
+
+
+@pytest.mark.parametrize("src", [
+    "x1", "x3", "[x2,x4]", "x4^-1", "[x1,x1]", "x1x2x1", "[x1,x1x2]", "[x1,x1x2]x3",
+    "[x1,x2][x3,x4]", "[[x1,x2],x3]", "((x2^2)^-3)^2", "([x1,x3]^2)^-1x4",
+    "[x1^2,(x2x1)^-1]x4", "[x1,x2]^3[x2,x3]", "(x1x2)^2x3^-2"])
+@pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
+def test_count_word_matches_enumeration(name, src):
+    G, w = _SMALL_GROUPS[name], parse_word(src)
+    assert count_word(G, w) == _count_by_enumeration(G, w)
+
+
+_words_x4 = st.recursive(
+    st.integers(1, 4).map(Letter),
+    lambda sub: st.one_of(
+        sub.map(Inverse),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
+        st.tuples(sub, sub).map(lambda ab: Commutator(*ab)),
+        st.tuples(sub, st.integers(2, 7) | st.integers(-7, -2)).map(lambda wk: Power(*wk))),
+    max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SMALL_GROUPS)), _words_x4)
+def test_count_word_matches_enumeration_on_random_words(name, w):
+    # Shared letters, unused lower letters and nested powers all occur.
+    G = _SMALL_GROUPS[name]
+    assert count_word(G, w) == _count_by_enumeration(G, w)
 
 
 @settings(max_examples=25, deadline=None)
