@@ -8,9 +8,15 @@ the commutator subalgebra H' by two independent routes; a theorem
 suite checks every identity of the calculus on a given instance, and a
 probe gathers evidence on the open question whether Com = z_2 <- H*.
 
-Internally an n-th commutator is the multiplication map applied to the
-product U(a^1) ... U(a^n) in H (x) H, where U(a) = sum a_1 (x) S(a_2);
-this keeps the work polynomial in dim H instead of exponential in n.
+The second commutator and Com = Com_2 are read off one memoized table of
+the basis commutators {e_i, e_k}, made from the adjoint table of
+``hopf.adjoint_row`` through {a, b} = sum (a .ad b_1) S(b_2) (S. Montgomery,
+Hopf Algebras and Their Actions on Rings, CBMS 82, 1993), so a pair whose
+commutator is zero is never formed.  For n >= 3, and for the n-th
+commutators and z_n that check it, an n-th commutator is the
+multiplication map applied to the product U(a^1) ... U(a^n) in H (x) H,
+where U(a) = sum a_1 (x) S(a_2); this keeps the work polynomial in dim H
+instead of exponential in n.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .exactnum import CycNum, Rational
 from .hopf import (
     HElem,
     HopfAlgebra,
+    _axpy_times_antipode,
     _central_failure,
     _check_all,
     _closed_basis,
@@ -31,6 +38,7 @@ from .hopf import (
     _entry,
     _tensor_sandwich,
     _u_tensor,
+    adjoint_row,
     casimir_tensor,
     grouplike_functionals,
     integrals,
@@ -49,8 +57,39 @@ _ONE = CycNum.rational(1)
 
 
 def hopf_commutator(a: HElem, b: HElem) -> HElem:
-    """{a, b} = sum a_1 b_1 S(a_2) S(b_2), the second commutator."""
-    return n_commutator([a, b])
+    """{a, b} = sum a_1 b_1 S(a_2) S(b_2), the second commutator, as the
+    bilinear extension of ``_commutator_table``."""
+    H = a.H
+    table = _commutator_table(H)
+    out: dict = {}
+    for i, ci in a.vec.items():
+        for k, ck in b.vec.items():
+            com = table.get((i, k))
+            if com:
+                vec_axpy(out, ci * ck, com)
+    return HElem(H, out)
+
+
+@memo
+def _commutator_table(H: HopfAlgebra) -> dict:
+    """{(i, k): {e_i, e_k}} over the pairs where it is nonzero, each value
+    stored as terms ((m, c), ...) like the structure constants.
+
+    {e_i, e_k} = sum c (e_i .ad e_a) S(e_b) over ((a, b), c) in Delta e_k, so
+    only the nonzero entries of ``adjoint_row(H, i)`` are walked, each through
+    an index from the left coproduct leg a to the (k, b, c) it occurs in."""
+    legs: dict = {}
+    for k, terms in H.comult.items():
+        for (a, b), c in terms:
+            legs.setdefault(a, []).append((k, b, c))
+    table: dict = {}
+    for i in range(H.dim):
+        row: dict = {}
+        for a, ad in adjoint_row(H, i).items():
+            for k, b, c in legs.get(a, ()):
+                _axpy_times_antipode(H, row.setdefault(k, {}), c, ad, b)
+        table.update(((i, k), tuple(v.items())) for k, v in row.items() if v)
+    return table
 
 
 def n_commutator(elems) -> HElem:
@@ -78,12 +117,21 @@ def z_n(H: HopfAlgebra, n: int) -> HElem:
 
 def Z_n_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
     """Z_n(h) = sum L^1_1...L^n_1 h S(L^1_2)...S(L^n_2) with n copies of the
-    integral sandwiching h; Z_0(h) = h."""
+    integral sandwiching h; Z_0(h) = h.  Linear in h: sum h_k Z_n(e_k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return HElem(H, dict(h.vec))
-    return HElem(H, _tensor_sandwich(H, _u_power(H, n), h.vec))
+    out: dict = {}
+    for k, c in h.vec.items():
+        vec_axpy(out, c, _z_column(H, n, k).items())
+    return HElem(H, out)
+
+
+@memo
+def _z_column(H: HopfAlgebra, n: int, k: int) -> dict:
+    """Z_n(e_k) for n >= 1."""
+    return _tensor_sandwich(H, _u_power(H, n), {k: _ONE})
 
 
 @memo
@@ -105,7 +153,8 @@ def _u_power(H: HopfAlgebra, n: int) -> dict:
 def com_span(H: HopfAlgebra, n: int) -> Echelon:
     """Span of all n-th commutators (n = 2 gives Com).
 
-    Multilinearity reduces the span to basis tuples; the U-tensor trick
+    Multilinearity reduces the span to basis tuples.  Com_2 is spanned by
+    the values of ``_commutator_table``.  For n >= 3 the U-tensor trick
     reduces those to products of an echelon basis of each intermediate
     level in H (x) H with the U(e_i), so the work is bounded by rank
     growth rather than dim^n.  The last level is flattened into H as it
@@ -121,6 +170,8 @@ def com_span(H: HopfAlgebra, n: int) -> Echelon:
 
 @memo
 def _com_span(H: HopfAlgebra, n: int) -> Echelon:
+    if n == 2:
+        return Echelon(dict(v) for v in _commutator_table(H).values())
     gens = [_u_tensor(H, {i: _ONE}) for i in range(H.dim)]
     level = gens
     for _ in range(n - 2):
@@ -229,10 +280,9 @@ def _is_scalar_line(H: HopfAlgebra, space: Echelon) -> bool:
 
 
 def _is_commutative(H: HopfAlgebra) -> bool:
-    for (i, j) in H.mult:
-        if i < j and H.mult.get((i, j)) != H.mult.get((j, i)):
-            return False
-    return True
+    """e_i e_j = e_j e_i as vectors, for every stored product."""
+    return all(dict(terms) == dict(H.mult.get((j, i), ()))
+               for (i, j), terms in H.mult.items())
 
 
 def is_central(H: HopfAlgebra, vec) -> bool:
@@ -334,13 +384,7 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         ({"idempotent": i}, is_central(H, hopf_commutator(e, lam)))
         for i, e in enumerate(irred.idempotents)), report)
 
-    pair_cache: dict = {}
-
-    def basis_commutator(i, k):
-        if (i, k) not in pair_cache:
-            pair_cache[(i, k)] = hopf_commutator(
-                HElem(H, {i: _ONE}), HElem(H, {k: _ONE})).vec
-        return pair_cache[(i, k)]
+    table = _commutator_table(H)
 
     def from_commutators(a, b):
         # ab = sum {a_1, b_1} b_2 a_2
@@ -348,10 +392,10 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         delta_b = H.comult_raw(b.vec).items()
         for (i, j), ca in H.comult_raw(a.vec).items():
             for (k, l), cb in delta_b:
-                com = basis_commutator(i, k)
+                com = table.get((i, k))
                 if com:
                     tail = H.mul_raw({l: _ONE}, {j: _ONE})
-                    vec_axpy(rhs, ca * cb, H.mul_raw(com, tail).items())
+                    vec_axpy(rhs, ca * cb, H.mul_raw(dict(com), tail).items())
         return rhs
 
     # The two bilinear checks sample random pairs: basis pairs would cost

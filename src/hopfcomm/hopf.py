@@ -33,7 +33,8 @@ around sparse coefficient dicts; the module-level operations (mult,
 comult, hit actions, adjoint action, integrals, the Frobenius map and
 its inverse, central primitive idempotents with characters) realize the
 standard semisimple structure theory, with all derived data re-verified
-exactly before it is returned.
+exactly before it is returned.  The adjoint action is read off a table of
+the nonzero e_i .ad e_j (``adjoint_row``), made one left index at a time.
 """
 
 from __future__ import annotations
@@ -202,13 +203,14 @@ class HopfAlgebra:
         return _dual(self).left_hit_raw(a, p)
 
     def adjoint_raw(self, h: Vec, a: Vec) -> Vec:
-        # h .ad a = sum h_1 a S(h_2)
+        # h .ad a = sum h_1 a S(h_2), read off the table of e_i .ad e_j
         out: Vec = {}
         for i, ci in h.items():
-            for (j, k), c in self.comult.get(i, ()):
-                left = self.mul_raw({j: _ONE}, a)
-                term = self.mul_raw(left, dict(self.antipode.get(k, ())))
-                vec_axpy(out, ci * c, term.items())
+            row = adjoint_row(self, i)
+            for j, cj in a.items():
+                terms = row.get(j)
+                if terms:
+                    vec_axpy(out, ci * cj, terms)
         return out
 
     def basis_vec(self, i: int) -> Vec:
@@ -380,6 +382,39 @@ def _dual(H: HopfAlgebra) -> HopfAlgebra:
                        unit=H.counit_vec, counit=H.unit_vec,
                        antipode=transpose(H.antipode), cyc_order=H.cyc_order,
                        kind="dual", check=False)
+
+
+@memo
+def _right_partners(H: HopfAlgebra) -> dict:
+    """{a: [(j, terms), ...]}: the nonzero products e_a e_j of each left factor."""
+    out: dict = {}
+    for (a, j), terms in H.mult.items():
+        out.setdefault(a, []).append((j, terms))
+    return out
+
+
+@memo
+def adjoint_row(H: HopfAlgebra, i: int) -> dict:
+    """{j: e_i .ad e_j} over the j where it is nonzero, each value stored as
+    terms ((k, c), ...) like the structure constants, with e_i .ad e_j =
+    sum (e_a e_j) S(e_b) over Delta e_i = sum e_a (x) e_b; each row is made
+    on first use."""
+    partners = _right_partners(H)
+    row: dict = {}
+    for (a, b), c in H.comult.get(i, ()):
+        for j, left in partners.get(a, ()):
+            _axpy_times_antipode(H, row.setdefault(j, {}), c, left, b)
+    return {j: tuple(v.items()) for j, v in row.items() if v}
+
+
+def _axpy_times_antipode(H: HopfAlgebra, acc: Vec, c, terms, b: int) -> None:
+    """acc += c v S(e_b) in place, for the vector v given by its terms."""
+    for m, x in terms:
+        cx = c * x
+        for s, y in H.antipode.get(b, ()):
+            prod = H.mult.get((m, s))
+            if prod:
+                vec_axpy(acc, cx * y, prod)
 
 
 def _combination(coeffs, elems) -> Vec:

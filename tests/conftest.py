@@ -77,3 +77,8 @@ def dc2():
 @pytest.fixture(scope="session")
 def ds3(s3):
     return build_drinfeld_double(s3)
+
+
+@pytest.fixture(scope="session")
+def dq8(q8):
+    return build_drinfeld_double(q8)

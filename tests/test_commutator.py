@@ -9,12 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcomm._linalg import Echelon
 from hopfcomm import commutator
 from hopfcomm.commutator import (
     _u_tensor,
     Z_n_map,
+    _commutator_table,
+    _is_commutative,
+    _u_power,
     algebra_closure,
     coideal_closure,
     com_span,
@@ -33,7 +37,9 @@ from hopfcomm.exactnum import cyc
 from hopfcomm.group import from_perm_generators
 from hopfcomm.hopf import (
     HElem,
+    HopfAlgebra,
     _combination,
+    _tensor_sandwich,
     build_drinfeld_double,
     build_group_algebra,
     integrals,
@@ -104,6 +110,32 @@ def test_n2_matches_hopf_commutator(which, request):
         want = _direct_commutator(a, b)
         assert n_commutator([a, b]) == want
         assert hopf_commutator(a, b) == want
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3", "dq8"])
+def test_hopf_commutator_matches_n_commutator_on_basis_pairs(which, request):
+    H, _ = request.getfixturevalue(which)
+    basis = [HElem(H, {i: ONE}) for i in range(H.dim)]
+    for a in basis:
+        for b in basis:
+            assert hopf_commutator(a, b) == n_commutator([a, b])
+    # only nonzero commutators are stored
+    assert all(_commutator_table(H).values())
+
+
+_DS3_DIM = 36
+_sparse_ds3 = st.dictionaries(
+    st.integers(0, _DS3_DIM - 1),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool).map(cyc),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_ds3, _sparse_ds3)
+def test_hopf_commutator_matches_direct_sum_on_sparse_pairs(ds3, u, v):
+    H, _ = ds3
+    a, b = HElem(H, u), HElem(H, v)
+    assert hopf_commutator(a, b) == _direct_commutator(a, b)
 
 
 def test_n3_on_grouplikes(ks3, s3):
@@ -208,6 +240,17 @@ def test_Zn_insertion(ks3):
         assert is_central(H, Z_n_map(H, 3, h))
 
 
+@pytest.mark.parametrize("which", ["ks3", "ds3"])
+def test_Zn_map_matches_the_sandwich_of_u_powers(request, which):
+    H, _ = request.getfixturevalue(which)
+    rng = random.Random(14)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            h = random_element(H, rng, 0.3)
+            want = _tensor_sandwich(H, _u_power(H, n), h.vec)
+            assert Z_n_map(H, n, h).vec == want
+
+
 # -- spans and closures --
 
 
@@ -235,6 +278,13 @@ def test_com_span_commutative_is_scalar(dual_s3):
     com = com_span(H, 2)
     assert com.rank == 1
     assert com.contains(dict(H.unit_vec))
+
+
+def test_com2_is_spanned_by_the_basis_n_commutators(ds3):
+    H, _ = ds3
+    basis = [HElem(H, {i: ONE}) for i in range(H.dim)]
+    want = Echelon(n_commutator([a, b]).vec for a in basis for b in basis)
+    assert com_span(H, 2) == want
 
 
 def test_com_chain(ks3):
@@ -452,3 +502,21 @@ def test_adjoint_stability_and_centrality_on_every_element(ks3, s3, ds3):
         v = {k: ONE}
         central = all(H.mul_raw({j: ONE}, v) == H.mul_raw(v, {j: ONE}) for j in range(H.dim))
         assert is_central(H, v) == central
+
+
+def _bare_table(mult):
+    # a 3-dim table with no coalgebra, read by _is_commutative only
+    return HopfAlgebra(dim=3, mult=mult, comult={}, unit={}, counit={}, antipode={},
+                       check=False)
+
+
+def test_is_commutative_sees_a_product_stored_only_one_way():
+    # e1 e0 != 0 while e0 e1 = 0
+    H = _bare_table({(1, 0): ((2, 1),)})
+    assert not _is_commutative(H)
+
+
+def test_is_commutative_compares_products_as_vectors():
+    # e0 e1 = e1 + e2 and e1 e0 = e2 + e1, the terms stored in another order
+    H = _bare_table({(0, 1): ((1, 1), (2, 1)), (1, 0): ((2, 1), (1, 1))})
+    assert _is_commutative(H)

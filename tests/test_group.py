@@ -319,13 +319,16 @@ def test_square_roots_match_direct_count():
             assert n[g] == direct
 
 
-_words = st.deferred(lambda: st.one_of(
+# Bounded by leaf count: an unbounded recursive strategy spends seconds
+# drawing words, and deep nesting has its own test above.
+_words = st.recursive(
     st.integers(1, 3).map(Letter),
-    _words.map(Inverse),
-    st.lists(_words, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
-    st.tuples(_words, _words).map(lambda ab: Commutator(*ab)),
-    st.tuples(_words, st.integers(2, 12) | st.integers(-12, -2)).map(lambda wk: Power(*wk)),
-))
+    lambda sub: st.one_of(
+        sub.map(Inverse),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
+        st.tuples(sub, sub).map(lambda ab: Commutator(*ab)),
+        st.tuples(sub, st.integers(2, 12) | st.integers(-12, -2)).map(lambda wk: Power(*wk))),
+    max_leaves=8)
 
 
 @settings(max_examples=120, deadline=None)

@@ -33,6 +33,7 @@ from hopfcomm.hopf import (
     HElem,
     HopfAlgebra,
     adjoint,
+    adjoint_row,
     build_drinfeld_double,
     build_dual_group_algebra,
     build_group_algebra,
@@ -327,6 +328,33 @@ def test_adjoint_group_algebra_is_conjugation(ks3, s3):
         for x in range(6):
             got = adjoint(HElem(H, {g: ONE}), HElem(H, {x: ONE}))
             assert got == HElem(H, {s3.conj(x, g): ONE})
+
+
+def _adjoint_by_loop(H, h, a):
+    """The adjoint action as HopfAlgebra.adjoint_raw computed it before it
+    read the table: sum (e_j a) S(e_k) over Delta h = sum e_j (x) e_k, kept
+    verbatim as a reference."""
+    # h .ad a = sum h_1 a S(h_2)
+    out: dict = {}
+    for i, ci in h.items():
+        for (j, k), c in H.comult.get(i, ()):
+            left = H.mul_raw({j: ONE}, a)
+            term = H.mul_raw(left, dict(H.antipode.get(k, ())))
+            vec_axpy(out, ci * c, term.items())
+    return out
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3", "dq8"])
+def test_adjoint_table_matches_the_loop(request, which):
+    H, _ = request.getfixturevalue(which)
+    rng = random.Random(13)
+    for _ in range(8):
+        h = random_element(H, rng, 0.2).vec
+        a = random_element(H, rng, 0.2).vec
+        assert H.adjoint_raw(h, a) == _adjoint_by_loop(H, h, a)
+    for i in range(H.dim):
+        # only nonzero values are stored
+        assert all(adjoint_row(H, i).values())
 
 
 def test_dim_mismatch_raises(ks3, dc2):
