@@ -4,11 +4,15 @@ Vectors are dicts {index: nonzero scalar}; a tensor is a vector keyed by
 tuples.  vec_axpy is the one accumulation loop of the package.  Echelon
 keeps a reduced row echelon basis, so a subspace has exactly one
 representation and subspace equality is plain row comparison.
+``_check_idempotents`` certifies a family of idempotents under any
+product, by its squares and its sum.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
+
+from .errors import VerificationFailed
 
 Vec = dict
 
@@ -34,6 +38,28 @@ def vec_axpy(out: Vec, c, terms) -> None:
             out[j] = v
         elif s is not None:
             del out[j]
+
+
+def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
+    """Raise VerificationFailed unless ``vecs`` (name_0, name_1, ...) are
+    idempotents under ``mul`` that sum to ``unit``; one product per vector.
+
+    Precondition: ``mul`` is associative with two-sided unit ``unit``, in
+    characteristic 0.  Every caller establishes it first: ``hopf._verify_irred``
+    and ``classdata._verify_classdata`` (which every split result reaches) run
+    the axiom verifier, and the class algebra of ``chartab._verify_table`` is
+    the center of ZG, with exact integer structure constants.  The idempotents
+    are then orthogonal: the L_i = L_{e_i} are idempotent operators summing to
+    the identity, so their traces are ranks summing to dim and their images
+    form a direct sum; for i != j, L_i kills im L_j, and e_i e_j = L_i L_j 1 = 0.
+    """
+    total: Vec = {}
+    for i, u in enumerate(vecs):
+        if mul(u, u) != u:
+            raise VerificationFailed(f"{name}_{i}{name}_{i} != {name}_{i}")
+        vec_axpy(total, 1, u.items())
+    if total != unit:
+        raise VerificationFailed(f"the {name}_i do not sum to {unit_name}")
 
 
 class Echelon:

@@ -1,4 +1,4 @@
-"""Exact character tables of finite groups and group-algebra idempotents.
+"""Exact character tables of finite groups.
 
 The table is computed by the Burnside-Dixon mod-p method: the class
 algebra is split over F_p (p == 1 mod exponent(G), p > 2|G|) into its
@@ -7,9 +7,9 @@ powers of random elements (not diagonalised), degrees and character values
 are read off the coordinates of the E_i mod p, and each value is lifted to
 the cyclotomic field Q(zeta_exponent) by a discrete Fourier transform on the
 eigenvalue multiplicities.  The mod-p phase is untrusted scaffolding: every
-lifted table is re-verified exactly (degrees, row orthogonality, which gives
-the column relation for a square table, and the central-character identity)
-before it is returned.
+lifted table is re-verified exactly before it is returned, by rebuilding
+the E_i from its rows and certifying them with ``_check_idempotents``, the
+check that also certifies the central idempotents of every Hopf algebra.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import runlog
+from ._linalg import _check_idempotents, vec_axpy
 from ._modp import element_of_order, next_prime_in_ap, split_idempotents
 from .errors import BadPrime, VerificationFailed
 from .exactnum import CycNum, Rational
@@ -29,10 +30,22 @@ _MAX_PRIME_RETRIES = 5
 
 @dataclass(frozen=True)
 class ClassAlgebra:
-    """Structure constants of the class algebra: C_i C_j = sum_k a[i][j][k] C_k."""
+    """Structure constants of the class algebra: C_i C_j = sum_k a[i][j][k] C_k,
+    dense in ``constants`` and as the nonzero terms ((k, a[i][j][k]), ...) in
+    ``terms``."""
 
     classes: ClassPartition
     constants: tuple[tuple[tuple[int, ...], ...], ...]
+    terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+    def mul(self, u: dict, v: dict) -> dict:
+        """The product of two sparse {class: coefficient} elements."""
+        out: dict = {}
+        for i, x in u.items():
+            row = self.terms[i]
+            for j, y in v.items():
+                vec_axpy(out, x * y, row[j])
+        return out
 
 
 @dataclass(frozen=True)
@@ -42,25 +55,6 @@ class CharacterTable:
     class_labels: tuple[str, ...]
     degrees: tuple[int, ...]
     values: tuple[tuple[CycNum, ...], ...]
-
-    @property
-    def group_order(self) -> int:
-        return sum(self.classes.sizes)
-
-    def value(self, i: int, class_index: int) -> CycNum:
-        return self.values[i][class_index]
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": {
-                "reps": list(self.classes.reps),
-                "sizes": list(self.classes.sizes),
-                "labels": list(self.class_labels),
-                "inverse_class": list(self.classes.inverse_class),
-            },
-            "degrees": list(self.degrees),
-            "values": [[v.to_dict() for v in row] for row in self.values],
-        }
 
     def markdown(self) -> str:
         """A markdown table with padded columns and the group name in the
@@ -97,7 +91,9 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
                     raise VerificationFailed(
                         f"class product count not class-constant at ({i},{j},{k})")
         const.append(tuple(rows))
-    return ClassAlgebra(classes=conj, constants=tuple(const))
+    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+                  for rows in const)
+    return ClassAlgebra(classes=conj, constants=tuple(const), terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +106,7 @@ def _lift_table(G, algebra, p, rng):
     n = conj.n_classes
     order = G.order
     e = G.exponent()
-    struct = [[tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
-              for rows in algebra.constants]
-    idems = split_idempotents(struct, [1] + [0] * (n - 1), p, rng)
+    idems = split_idempotents(algebra.terms, [1] + [0] * (n - 1), p, rng)
     if idems is None:
         return None
     z = element_of_order(e, p, rng)
@@ -160,6 +154,15 @@ def _lift_table(G, algebra, p, rng):
 
 
 def _verify_table(G, algebra, degrees, values):
+    """Raise VerificationFailed unless the rows are the irreducible characters.
+
+    E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j is rebuilt from each row and the
+    n of them are certified by ``_check_idempotents`` in the n-dimensional
+    class algebra.  Idempotents that sum to C_0 are orthogonal there, and
+    these are nonzero (C_0 coordinate d_i^2/|G|), so they are its n primitive
+    idempotents.  The primitive idempotent of an irreducible chi has C_0
+    coordinate chi(1)^2/|G|, so with chi_i(1) = d_i > 0 each row is the
+    character of its idempotent."""
     conj = algebra.classes
     n = conj.n_classes
     order = G.order
@@ -173,33 +176,12 @@ def _verify_table(G, algebra, degrees, values):
             raise VerificationFailed(f"degree {d} of row {i} does not divide |G|")
         if values[i][0] != CycNum.rational(d):
             raise VerificationFailed(f"row {i} value at identity != degree")
-    # Row orthogonality X D Y^T = |G| I (Y: X at inverse classes, D: sizes) gives
-    # D Y^T X = |G| I for the square table: the column relation and sum d_i^2 = |G|.
     inv = conj.inverse_class
-    for i in range(n):
-        for i2 in range(i, n):
-            acc = CycNum.rational(0)
-            for j in range(n):
-                acc = acc + CycNum.rational(conj.sizes[j]) * values[i][j] * values[i2][inv[j]]
-            want = CycNum.rational(order if i == i2 else 0)
-            if acc != want:
-                raise VerificationFailed(f"row orthogonality fails at ({i},{i2})")
-    # Central characters omega_i(C_j) = size_j chi_i(g_j)/d_i must represent
-    # the class algebra.
-    for i in range(n):
-        d = Rational(1, degrees[i])
-        omega = [CycNum.rational(Rational(conj.sizes[j], 1) * d) * values[i][j]
-                 for j in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc = CycNum.rational(0)
-                for k in range(n):
-                    c = algebra.constants[a][b][k]
-                    if c:
-                        acc = acc + CycNum.rational(c) * omega[k]
-                if acc != omega[a] * omega[b]:
-                    raise VerificationFailed(
-                        f"central character identity fails at row {i}, ({a},{b})")
+    idems = []
+    for d, row in zip(degrees, values):
+        scale = CycNum.rational(Rational(d, order))
+        idems.append({j: scale * row[inv[j]] for j in range(n) if row[inv[j]]})
+    _check_idempotents("E", idems, algebra.mul, {0: one}, "C_0")
 
 
 def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
@@ -239,23 +221,3 @@ def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
     raise VerificationFailed(
         f"character table of {G.name} failed verification after "
         f"{_MAX_PRIME_RETRIES} primes: {last_error}")
-
-
-# ---------------------------------------------------------------------------
-# central primitive idempotents of kG
-
-
-def group_central_idempotents(G: FiniteGroup, table: CharacterTable) -> list[list[CycNum]]:
-    """Central primitive idempotents E_i = (d_i/|G|) sum_g chi_i(g^-1) g of
-    the group algebra, as coefficient vectors over the group-element basis.
-    Not checked here: on the build path _verify_irred checks that they are
-    orthogonal central idempotents summing to 1, among other invariants."""
-    conj = table.classes
-    order = G.order
-    idempotents = []
-    for i, d in enumerate(table.degrees):
-        scale = CycNum.rational(Rational(d, order))
-        vec = [scale * table.values[i][conj.class_of[G.inverse(g)]]
-               for g in range(order)]
-        idempotents.append(vec)
-    return idempotents

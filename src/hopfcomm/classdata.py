@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, Vec, rank, vec_axpy
+from ._linalg import Echelon, Vec, _check_idempotents, rank, vec_axpy
 from .commutator import (
     coideal_closure,
     commutator_subalgebra,
@@ -46,7 +46,6 @@ from .hopf import (
     HFunc,
     HopfAlgebra,
     _check_all,
-    _check_idempotents,
     _closed_basis,
     _combination,
     _entry,

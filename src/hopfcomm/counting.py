@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import Echelon, Solver, Vec, rank, vec_axpy
-from .commutator import Z_n_map, hopf_commutator, z_n
+from .commutator import Z_n_map, hopf_commutator, n_commutator, z_n
 from .errors import DegenerateForm, FormulaMismatch, VerificationFailed
 from .exactnum import CycNum
 from .group import FiniteGroup, Word, word_to_str
@@ -184,7 +184,9 @@ def f_iterated(H: HopfAlgebra) -> HFunc:
 
     Route 1: d^2 sum_{i,j} (1/(d_i d_j)) <chi_i s(chi_i) chi_j, Lambda> chi_i.
     Route 2: d^2 sum_i (1/d_i) <chi_i s(chi_i), z_2> chi_i.
-    Route 3: d^2 Psi({z_2, Lambda}).
+    Route 3: d^2 Psi({z_2, Lambda}), with the commutator taken by the
+    U-tensor route (``n_commutator``), not the commutator table, which
+    sec3 compares it with.
     All three are computed independently and must agree exactly.
     """
     ir = require_irred(H)
@@ -211,7 +213,7 @@ def f_iterated(H: HopfAlgebra) -> HFunc:
         coeffs2.append(d * d * c * CycNum.rational(Fraction(1, ir.degrees[i])))
     route2 = _chi_combination(H, coeffs2)
 
-    route3 = frobenius_psi(H, hopf_commutator(z2, integral)) * (d * d)
+    route3 = frobenius_psi(H, n_commutator([z2, integral])) * (d * d)
 
     if route1 != route2:
         raise FormulaMismatch("iterated functional: idempotent-pairing routes disagree")

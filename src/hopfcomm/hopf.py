@@ -25,12 +25,15 @@ every axiom holds, the whole basis otherwise; so do
 ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R of
 ``classdata.r_matrix_data``.  Every check finds its first failing witness
 through the one search ``_first_failure``.  Idempotent families (the E_i, the
-F_i of R(H), the candidates of ``split_commutative``) are checked by their
-squares and sum alone; ``_check_idempotents`` proves them orthogonal.
+F_i of R(H), the candidates of ``split_commutative``, and in ``chartab`` the
+rows of a character table) are checked by their squares and sum alone;
+``_linalg._check_idempotents`` proves them orthogonal.  Every builder makes
+its E_i from its characters by one formula, E_i = d_i (Lambda <- s(chi_i))
+(``_with_idempotents``).
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
-around sparse coefficient dicts; the module-level operations (mult,
-comult, hit actions, adjoint action, integrals, the Frobenius map and
+around sparse coefficient dicts; the module-level operations (counit,
+pairing, hit actions, adjoint action, integrals, the Frobenius map and
 its inverse, central primitive idempotents with characters) realize the
 standard semisimple structure theory, with all derived data re-verified
 exactly before it is returned.  The adjoint action is read off a table of
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import runlog
-from ._linalg import Echelon, Solver, nullspace, vec_axpy, vec_scale
+from ._linalg import Echelon, Solver, _check_idempotents, nullspace, vec_axpy, vec_scale
 from ._modp import (
     algebra_mul,
     element_of_order,
@@ -55,7 +58,7 @@ from ._modp import (
     next_prime_in_ap,
     split_idempotents,
 )
-from .chartab import dixon_character_table, group_central_idempotents
+from .chartab import dixon_character_table
 from .errors import (
     BadPrime,
     DenominatorCollision,
@@ -426,25 +429,6 @@ def _combination(coeffs, elems) -> Vec:
     return out
 
 
-def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
-    """Raise VerificationFailed unless ``vecs`` (name_0, name_1, ...) are
-    idempotents under ``mul`` that sum to ``unit``; one product per vector.
-
-    They are then orthogonal if ``mul`` is associative with two-sided unit
-    ``unit`` in characteristic 0, as ``_verify_irred`` and ``_verify_classdata``
-    (which every split result reaches) require first: the L_i = L_{e_i} are
-    idempotent operators summing to the identity, so their traces are ranks
-    summing to dim and their images form a direct sum; for i != j, L_i kills
-    im L_j, and e_i e_j = L_i L_j 1 = 0."""
-    total: Vec = {}
-    for i, u in enumerate(vecs):
-        if mul(u, u) != u:
-            raise VerificationFailed(f"{name}_{i}{name}_{i} != {name}_{i}")
-        vec_axpy(total, _ONE, u.items())
-    if total != unit:
-        raise VerificationFailed(f"the {name}_i do not sum to {unit_name}")
-
-
 def _central_failure(H: HopfAlgebra, v: Vec):
     """The first index k of ``_closed_basis(H)`` with e_k v != v e_k; None
     when v is central."""
@@ -454,19 +438,6 @@ def _central_failure(H: HopfAlgebra, v: Vec):
 
 # ---------------------------------------------------------------------------
 # module-level operations (the public algebra/coalgebra surface)
-
-
-def mult(a: HElem, b: HElem) -> HElem:
-    _same(a, b)
-    return a * b
-
-
-def comult(a: HElem) -> Tensor:
-    return a.H.comult_raw(a.vec)
-
-
-def antipode(a: HElem) -> HElem:
-    return HElem(a.H, a.H.antipode_raw(a.vec))
 
 
 def counit(a: HElem) -> CycNum:
@@ -1080,7 +1051,12 @@ def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
         e[1],
         tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
     ))
-    ordered = trivial + rest
+    return _irred_data(H, trivial + rest)
+
+
+def _irred_data(H: HopfAlgebra, ordered) -> IrredData:
+    """IrredData from (E, degree, character) triples in the given order,
+    verified exactly before it is returned."""
     idems = tuple(HElem(H, e[0]) for e in ordered)
     degrees = tuple(e[1] for e in ordered)
     chars = tuple(HFunc(H, e[2]) for e in ordered)
@@ -1287,15 +1263,10 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
         group=G,
     )
     table = dixon_character_table(G, seed)
-    idem_vecs = group_central_idempotents(G, table)
     cls = table.classes.class_of
-    idems = tuple(
-        HElem(H, {g: c for g, c in enumerate(vec) if c}) for vec in idem_vecs)
-    chars = tuple(
-        HFunc(H, {g: table.values[i][cls[g]] for g in range(n)
-                  if table.values[i][cls[g]]})
-        for i in range(len(table.degrees)))
-    H.irred = _verify_irred(H, idems, tuple(table.degrees), chars)
+    H.irred = _irred_data(H, _with_idempotents(H, [
+        (d, {g: row[cls[g]] for g in range(n) if row[cls[g]]})
+        for d, row in zip(table.degrees, table.values)]))
     return H, H.irred
 
 
@@ -1309,11 +1280,9 @@ def build_dual_group_algebra(G: FiniteGroup):
         kind="dualgroup",
         group=G,
     )
-    # E_g = p_g; chi_g = evaluation at g; trivial (= eps) is g = identity.
+    # chi_g = evaluation at g, so E_g = p_g; trivial (= eps) is g = identity.
     order = [G.identity] + [g for g in range(n) if g != G.identity]
-    idems = tuple(HElem(H, {g: _ONE}) for g in order)
-    chars = tuple(HFunc(H, {g: _ONE}) for g in order)
-    H.irred = _verify_irred(H, idems, (1,) * n, chars)
+    H.irred = _irred_data(H, _with_idempotents(H, [(1, {g: _ONE}) for g in order]))
     return H, H.irred
 
 
@@ -1371,13 +1340,17 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
                     if val:
                         chi[g * n + h] = val
             entries.append((deg, chi))
+    return _ordered_irred(H, _with_idempotents(H, entries))
+
+
+def _with_idempotents(H: HopfAlgebra, entries) -> list:
+    """(E, degree, character) triples for (degree, character) pairs, with the
+    central idempotent E = d (Lambda <- s(chi)) of each irreducible character;
+    the one formula that kG, k^G and D(G) make their E_i by."""
     integral, _ = integrals(H)
-    built = []
-    for deg, chi in entries:
-        s_chi = H.func_antipode_raw(chi)
-        evec = vec_scale(H.right_hit_raw(integral.vec, s_chi), CycNum.rational(deg))
-        built.append((evec, deg, chi))
-    return _ordered_irred(H, built)
+    return [(vec_scale(H.right_hit_raw(integral.vec, H.func_antipode_raw(chi)),
+                       CycNum.rational(deg)), deg, chi)
+            for deg, chi in entries]
 
 
 # ---------------------------------------------------------------------------

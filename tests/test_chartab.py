@@ -4,24 +4,28 @@ The S3/Q8/C2 expectations are classical results, rederivable by hand from
 orthogonality; degree multisets for S4/D4/A4 are standard.
 """
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hopfcomm.chartab import (
-    CharacterTable,
+    ClassAlgebra,
     _verify_table,
     class_structure_constants,
     dixon_character_table,
-    group_central_idempotents,
 )
+from hopfcomm.cli import main
 from hopfcomm.errors import VerificationFailed
-from hopfcomm.exactnum import CycNum, cyc, zeta
+from hopfcomm.exactnum import cyc, zeta
 from hopfcomm.group import (
     cyclic_group,
     from_perm_generators,
     quaternion_group,
 )
+from hopfcomm.hopf import build_group_algebra
 
 S3_GENS = [[[1, 2]], [[1, 2, 3]]]
 S4_GENS = [[[1, 2]], [[1, 2, 3, 4]]]
@@ -125,9 +129,10 @@ def test_c4_table_rows_are_multiplicative():
     ("A4", A4_GENS, [1, 1, 1, 3]),
 ])
 def test_degree_multisets(name, gens, expected):
-    t = dixon_character_table(from_perm_generators(name, gens))
+    G = from_perm_generators(name, gens)
+    t = dixon_character_table(G)
     assert sorted(t.degrees) == expected
-    assert sum(d * d for d in t.degrees) == t.group_order
+    assert sum(d * d for d in t.degrees) == G.order
 
 
 def test_a4_has_cube_roots_of_unity():
@@ -143,27 +148,31 @@ def test_table_deterministic_across_seeds():
     assert t0.values == t1.values and t0.degrees == t1.degrees
 
 
-def test_table_serialization_and_markdown():
-    t = dixon_character_table(from_perm_generators("S3", S3_GENS))
-    d = t.to_dict()
+def test_table_serialization_and_markdown(capsys):
+    # The CLI's chartab JSON is the one serialization of a table.
+    spec = Path(__file__).resolve().parent / "golden" / "specs" / "S3.json"
+    assert main(["chartab", str(spec), "--seed", "0"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["degrees"] == [1, 1, 2]
-    assert d["classes"]["sizes"] == [1, 2, 3]
-    assert CycNum.from_dict(d["values"][2][1]) == cyc(-1)
-    md = t.markdown()
+    assert [c["size"] for c in d["classes"]] == [1, 2, 3]
+    assert d["table"][2][1] == "-1"
+    md = dixon_character_table(from_perm_generators("S3", S3_GENS)).markdown()
     assert md.startswith("|") and "chi_2" in md
 
 
+def _group_idempotents(G):
+    """The E_i of the kG build, as dense coefficient lists over G."""
+    return [[e.vec.get(g, cyc(0)) for g in range(G.order)]
+            for e in build_group_algebra(G)[1].idempotents]
+
+
 def test_idempotents_trivial_group():
-    G = cyclic_group(1)
-    t = dixon_character_table(G)
-    (e0,) = group_central_idempotents(G, t)
+    (e0,) = _group_idempotents(cyclic_group(1))
     assert e0 == [cyc(1)]
 
 
 def test_idempotents_c2_frozen():
-    G = cyclic_group(2)
-    t = dixon_character_table(G)
-    e0, e1 = group_central_idempotents(G, t)
+    e0, e1 = _group_idempotents(cyclic_group(2))
     half = cyc("1/2")
     assert e0 == [half, half]
     assert e1 == [half, -half]
@@ -172,7 +181,7 @@ def test_idempotents_c2_frozen():
 def test_idempotents_s3():
     G = from_perm_generators("S3", S3_GENS)
     t = dixon_character_table(G)
-    idems = group_central_idempotents(G, t)
+    idems = _group_idempotents(G)
     assert len(idems) == 3
     sixth = cyc("1/6")
     assert idems[0] == [sixth] * 6  # trivial idempotent = integral of kS3
@@ -181,20 +190,18 @@ def test_idempotents_s3():
 
 
 def test_idempotents_q8():
-    G = quaternion_group()
-    t = dixon_character_table(G)
-    idems = group_central_idempotents(G, t)
+    idems = _group_idempotents(quaternion_group())
     assert len(idems) == 5
 
 
-# -- row orthogonality implies column orthogonality --
+# -- the idempotent certificate against the checks it replaced --
 
 
 def _column_orthogonality_failure(G, algebra, values):
     """The column check that _verify_table no longer runs, kept as its
     oracle: the first (j, j2) with sum_i chi_i(g_j) chi_i(g_j2^-1) !=
     delta_{j j2} |G|/|C_j|; None when the relation holds.  At the identity
-    class, j = j2 = 0, it reads sum_i d_i^2 = |G|, the other dropped check."""
+    class, j = j2 = 0, it reads sum_i d_i^2 = |G|."""
     conj = algebra.classes
     n = conj.n_classes
     for j in range(n):
@@ -207,6 +214,54 @@ def _column_orthogonality_failure(G, algebra, values):
     return None
 
 
+def _row_orthogonality_failure(G, algebra, values):
+    """The row check that _check_idempotents replaced in _verify_table, kept
+    as its oracle: the first (i, i2) with sum_j |C_j| chi_i(g_j)
+    chi_i2(g_j^-1) != delta_{i i2} |G|; None when the relation holds."""
+    conj = algebra.classes
+    n = conj.n_classes
+    for i in range(n):
+        for i2 in range(i, n):
+            acc = cyc(0)
+            for j in range(n):
+                acc = acc + cyc(conj.sizes[j]) * values[i][j] * values[i2][conj.inverse_class[j]]
+            if acc != cyc(G.order if i == i2 else 0):
+                return i, i2
+    return None
+
+
+def _central_character_failure(algebra, degrees, values):
+    """The other replaced check, kept as its oracle: the first (i, a, b) where
+    the central character omega_i(C_j) = |C_j| chi_i(g_j)/d_i does not
+    represent the class algebra, omega_i(C_a) omega_i(C_b) != sum_k a_abk
+    omega_i(C_k); None when every row represents it."""
+    conj = algebra.classes
+    n = conj.n_classes
+    for i in range(n):
+        omega = [cyc(Fraction(conj.sizes[j], degrees[i])) * values[i][j] for j in range(n)]
+        for a in range(n):
+            for b in range(n):
+                acc = cyc(0)
+                for k in range(n):
+                    acc = acc + cyc(algebra.constants[a][b][k]) * omega[k]
+                if acc != omega[a] * omega[b]:
+                    return i, a, b
+    return None
+
+
+def _old_verdict(G, algebra, degrees, values):
+    """True when the verifier before the idempotent certificate refused the
+    table: the checks _verify_table still runs (count, trivial row, degrees,
+    value at the identity), then the row and central-character oracles."""
+    n = algebra.classes.n_classes
+    if len(degrees) != n or any(v != cyc(1) for v in values[0]):
+        return True
+    if any(d <= 0 or G.order % d or values[i][0] != cyc(d) for i, d in enumerate(degrees)):
+        return True
+    return (_row_orthogonality_failure(G, algebra, values) is not None
+            or _central_character_failure(algebra, degrees, values) is not None)
+
+
 def _table_refused(G, algebra, degrees, values):
     try:
         _verify_table(G, algebra, degrees, values)
@@ -215,35 +270,81 @@ def _table_refused(G, algebra, degrees, values):
     return False
 
 
+def _mutants(G, table):
+    """Single-entry mutants (v + 1, -v, zeta_e v of one value; d + 1 of one
+    degree), column swaps, row copies and Galois-twisted rows."""
+    degrees, rows = table.degrees, table.values
+    n = len(rows)
+    e = G.exponent()
+    w = zeta(e)
+    out = [(degrees[:i] + (d + 1,) + degrees[i + 1:], rows) for i, d in enumerate(degrees)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            for new in {v + cyc(1), -v, w * v} - {v}:
+                values = [list(r) for r in rows]
+                values[i][j] = new
+                out.append((degrees, values))
+    for j in range(n):
+        for j2 in range(j + 1, n):
+            values = [list(r) for r in rows]
+            for r in values:
+                r[j], r[j2] = r[j2], r[j]
+            out.append((degrees, values))
+    for i in range(n):
+        for i2 in range(n):
+            if i != i2:
+                out.append((degrees[:i] + (degrees[i2],) + degrees[i + 1:],
+                            rows[:i] + (rows[i2],) + rows[i + 1:]))
+        for k in range(2, e):
+            if math.gcd(k, e) == 1:
+                twisted = tuple(v.galois(k) for v in rows[i])
+                if twisted != rows[i]:
+                    out.append((degrees, rows[:i] + (twisted,) + rows[i + 1:]))
+    return out
+
+
 @pytest.mark.parametrize("G", [
     from_perm_generators("S3", S3_GENS),
     quaternion_group(),
     from_perm_generators("A4", A4_GENS),
-], ids=["S3", "Q8", "A4"])
+    cyclic_group(5),
+], ids=["S3", "Q8", "A4", "C5"])
 def test_verify_table_refuses_what_the_column_check_refuses(G):
-    # Every single-entry mutant (v + 1, -v, zeta_e v of one value, d + 1 of
-    # one degree): the old verdict (degree squares, rows, columns, central
-    # characters) is refusal by _verify_table, by the degree squares or by
-    # the column oracle; it must equal the verdict of _verify_table alone.
+    # On every mutant the idempotent certificate must agree with the old
+    # verifier (row orthogonality and central characters), and refuse every
+    # table whose columns fail orthogonality or whose degree squares do not
+    # sum to |G|.
     table = dixon_character_table(G)
     algebra = class_structure_constants(G)
     assert not _table_refused(G, algebra, table.degrees, table.values)
+    assert not _old_verdict(G, algebra, table.degrees, table.values)
     assert _column_orthogonality_failure(G, algebra, table.values) is None
-    w = zeta(G.exponent())
-    mutants = [(table.degrees[:i] + (d + 1,) + table.degrees[i + 1:], table.values)
-               for i, d in enumerate(table.degrees)]
-    for i, row in enumerate(table.values):
-        for j, v in enumerate(row):
-            for new in {v + cyc(1), -v, w * v} - {v}:
-                values = [list(r) for r in table.values]
-                values[i][j] = new
-                mutants.append((table.degrees, values))
-    column_failures = 0
-    for degrees, values in mutants:
+    column_failures = refusals = 0
+    for degrees, values in _mutants(G, table):
         refused = _table_refused(G, algebra, degrees, values)
+        assert refused == _old_verdict(G, algebra, degrees, values)
         columns_fail = _column_orthogonality_failure(G, algebra, values) is not None
-        old_refused = (refused or columns_fail
-                       or sum(d * d for d in degrees) != G.order)
-        assert refused == old_refused
+        if columns_fail or sum(d * d for d in degrees) != G.order:
+            assert refused
         column_failures += columns_fail
-    assert column_failures
+        refusals += refused
+    assert column_failures and refusals
+
+
+@pytest.mark.parametrize("G", [
+    from_perm_generators("S4", S4_GENS),
+    cyclic_group(24),
+], ids=["S4", "C24"])
+def test_verify_table_makes_one_class_product_per_class(G, monkeypatch):
+    table = dixon_character_table(G)
+    algebra = class_structure_constants(G)
+    calls = []
+    mul = ClassAlgebra.mul
+
+    def counted(self, u, v):
+        calls.append(1)
+        return mul(self, u, v)
+
+    monkeypatch.setattr(ClassAlgebra, "mul", counted)
+    _verify_table(G, algebra, table.degrees, table.values)
+    assert len(calls) == algebra.classes.n_classes

@@ -6,8 +6,9 @@ every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
 instance, ``chartab`` (JSON and markdown), one ``oracle`` cross-check, and
 the ``oracle`` counts of the iterated commutator [[x1,x2],x3] over S5.  The
 ``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
-k^S3 are pinned too, as are the character tables of A4 (values in Q(zeta_3))
-and S4xC2, and ``compute classdata`` on kC15, which splits R(kC15) at
+k^S3 are pinned too, as are the character tables of A4 (values in Q(zeta_3)),
+S4xC2 and C24 (24 classes at conductor 24, the largest table certified
+here), and ``compute classdata`` on kC15, which splits R(kC15) at
 conductor 15.  A refactor that changes any byte of them changes behaviour.
 """
 
@@ -85,7 +86,7 @@ def test_chartab_json(capsys):
     assert got == _golden("chartab_S3.json")
 
 
-@pytest.mark.parametrize("group", ["A4", "S4xC2"])
+@pytest.mark.parametrize("group", ["A4", "S4xC2", "C24"])
 def test_chartab_json_more_groups(capsys, group):
     got = _run(capsys, ["chartab", str(SPECS / f"{group}.json")])
     assert got == _golden(f"chartab_{group}.json")
