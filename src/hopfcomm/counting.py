@@ -54,9 +54,9 @@ def _chi_combination(H: HopfAlgebra, coeffs) -> HFunc:
 
 def character_coordinates(H: HopfAlgebra, f: HFunc):
     """Coordinates c_i = <f, E_i>/d_i of f in the character basis, or None
-    if f is not in R(H).  They rest on <chi_i, E_j> = delta_ij d_j, which
-    ``_verify_irred`` checks on every instance; rebuilding sum c_i chi_i and
-    comparing it with f decides membership in R(H)."""
+    if f is not in R(H).  They rest on <chi_i, E_j> = <lambda, E_j E_i>/d_i =
+    delta_ij d_j, from chi_i = (E_i -> lambda)/d_i as ``_verify_irred``
+    certifies it; comparing sum c_i chi_i with f decides membership in R(H)."""
     ir = require_irred(H)
     coords = [f(e) * CycNum.rational(Fraction(1, deg))
               for e, deg in zip(ir.idempotents, ir.degrees)]

@@ -17,11 +17,10 @@ Checking such a property on each element of a set that generates H as an
 algebra therefore proves it on all of H, exactly.  ``generators`` finds
 that set and verifies that it generates.  Associativity runs on it, and
 the two algebra-map axioms do once associativity holds.  Centrality
-(``_central_failure``), the integral equations, the center, the
-multiplicativity of grouplike functionals, the trace property of a form
-(``_trace_form_failure``) and the Casimir slide moves
-(``_casimir_slide_failure``) run on ``_closed_basis``: the generators when
-every axiom holds, the whole basis otherwise; so do
+(``_central_failure``), the integral equations, the center (``_center``),
+the trace property of a form (``_trace_form_failure``) and the Casimir
+slide moves (``_casimir_slide_failure``) run on ``_closed_basis``: the
+generators when every axiom holds, the whole basis otherwise; so do
 ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R of
 ``classdata.r_matrix_data``.  Every check finds its first failing witness
 through the one search ``_first_failure``.  Idempotent families (the E_i, the
@@ -29,7 +28,8 @@ F_i of R(H), the candidates of ``split_commutative``, and in ``chartab`` the
 rows of a character table) are checked by their squares and sum alone;
 ``_linalg._check_idempotents`` proves them orthogonal.  Every builder makes
 its E_i from its characters by one formula, E_i = d_i (Lambda <- s(chi_i))
-(``_with_idempotents``).
+(``_with_idempotents``), and ``_verify_irred`` reads each (d_i, chi_i) back
+off E_i by one formula (``_degree_and_character``).
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
 around sparse coefficient dicts; the module-level operations (counit,
@@ -831,31 +831,61 @@ class IrredData:
 
 
 def _verify_irred(H: HopfAlgebra, idems, degrees, chars) -> IrredData:
-    """The IrredData of these tuples, once every invariant holds exactly."""
+    """The IrredData of these tuples, once it is certified exactly.
+
+    n central idempotents summing to 1 are orthogonal, so if nonzero (d_i >=
+    1) and n = dim Z(H) they are the primitive idempotents of Z(H).  Each
+    H E_i is then simple, so (d_i, chi_i) must be what
+    ``_degree_and_character`` reads off E_i.  Sum d_i^2 = dim, <chi_i, E_j> =
+    delta_ij d_j and <chi_i s(chi_j), Lambda> = delta_ij follow."""
     _require_axioms(H)  # the precondition of _check_idempotents
     n = len(idems)
-    if sum(x * x for x in degrees) != H.dim:
-        raise VerificationFailed("sum of squared degrees != dim")
     for i in range(n):
         k = _central_failure(H, idems[i].vec)
         if k is not None:
             raise VerificationFailed(f"E_{i} is not central (basis {k})")
     _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1")
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    bad = _first_failure(((i, j), chars[i](idems[j]) == (degrees[j] if i == j else 0))
-                         for i, j in pairs)
-    if bad is not None:
-        raise VerificationFailed("<chi_{0}, E_{1}> != delta_{0}{1} d_{1}".format(*bad))
+    if n != len(_center(H)):
+        raise VerificationFailed(
+            f"{n} idempotents for a center of dimension {len(_center(H))}")
+    for i in range(n):
+        if _degree_and_character(H, idems[i].vec) != (degrees[i], chars[i].vec):
+            raise VerificationFailed(f"(d_{i}, chi_{i}) are not read off E_{i}")
     integral, _ = integrals(H)
-    bad = _first_failure(((i, j), (chars[i] * func_antipode_s(chars[j]))(integral)
-                          == (1 if i == j else 0)) for i, j in pairs)
-    if bad is not None:
-        raise VerificationFailed("<chi_{0} s(chi_{1}), Lambda> != delta_{0}{1}".format(*bad))
     if idems[0] != integral:
         raise VerificationFailed("E_0 != Lambda")
     if chars[0] != H.eps():
         raise VerificationFailed("chi_0 != eps")
     return IrredData(idempotents=idems, degrees=degrees, characters=chars)
+
+
+@memo
+def _center(H: HopfAlgebra) -> list[Vec]:
+    """A basis of the center Z(H): the h with e_k h = h e_k for every k in
+    ``_closed_basis(H)``."""
+    d = H.dim
+
+    def commutator_with(i):
+        # columns of h -> e_i h - h e_i
+        for j in range(d):
+            col = H.mul_raw({i: _ONE}, {j: _ONE})
+            vec_axpy(col, -_ONE, H.mul_raw({j: _ONE}, {i: _ONE}).items())
+            yield col
+
+    return nullspace((commutator_with(i) for i in _closed_basis(H)), d, _ONE)
+
+
+def _degree_and_character(H: HopfAlgebra, evec: Vec) -> tuple[int, Vec]:
+    """(d, chi) of the central primitive idempotent E: d^2 = <lambda, E> =
+    Tr(L_E) and chi = (E -> lambda)/d, i.e. chi(h) = Tr(L_{hE})/d."""
+    _, lam = integrals(H)
+    tr = _dot(lam.vec, evec.items())
+    q = tr.as_rational()
+    deg = math.isqrt(q.numerator) if q is not None and q > 0 and q.denominator == 1 else 0
+    if deg == 0 or deg * deg != q:
+        raise NonIntegerDegree(f"Tr(L_E) = {tr} is not the square of a positive integer")
+    chi = vec_scale(H.func_left_hit_raw(evec, lam.vec), CycNum.rational(Rational(1, deg)))
+    return deg, chi
 
 
 def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[Vec]:
@@ -1004,39 +1034,12 @@ def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
 def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
     """Central primitive idempotents, degrees, and irreducible characters,
     computed from the structure constants alone: the center is split by
-    lift-and-verify, degrees come from d_i^2 = Tr(L_{E_i}), characters
-    from chi_i(h) = Tr(L_{h E_i}) / d_i.  Everything re-verified exactly.
+    lift-and-verify, and each idempotent's degree and character are read
+    off it by ``_degree_and_character``.  Everything re-verified exactly.
     """
-    d = H.dim
-
-    def commutator_with(i):
-        # columns of h -> e_i h - h e_i
-        for j in range(d):
-            col = H.mul_raw({i: _ONE}, {j: _ONE})
-            vec_axpy(col, -_ONE, H.mul_raw({j: _ONE}, {i: _ONE}).items())
-            yield col
-
-    center = nullspace((commutator_with(i) for i in _closed_basis(H)), d, _ONE)
-    idems = split_commutative(center, H.mul_raw, H.unit_vec, H.cyc_order,
+    idems = split_commutative(_center(H), H.mul_raw, H.unit_vec, H.cyc_order,
                               random.Random(seed))
-    _, lam = integrals(H)
-    entries = []
-    for evec in idems:
-        tr = lam(HElem(H, evec))  # Tr(L_E) = <lambda, E>
-        q = tr.as_rational()
-        if q is None or q.denominator != 1 or q <= 0:
-            raise NonIntegerDegree(f"Tr(L_E) = {tr} is not a positive integer")
-        deg = math.isqrt(q.numerator)
-        if deg * deg != q.numerator:
-            raise NonIntegerDegree(f"Tr(L_E) = {q.numerator} is not a perfect square")
-        chi: Vec = {}
-        inv_deg = CycNum.rational(Rational(1, deg))
-        for j in range(d):
-            val = lam(HElem(H, H.mul_raw(H.basis_vec(j), evec)))
-            if val:
-                chi[j] = val * inv_deg
-        entries.append((evec, deg, chi))
-    return _ordered_irred(H, entries)
+    return _ordered_irred(H, [(e, *_degree_and_character(H, e)) for e in idems])
 
 
 def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
@@ -1070,27 +1073,13 @@ def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
     return H.irred
 
 
-@memo
 def grouplike_functionals(H: HopfAlgebra) -> list[HFunc]:
     """The grouplike elements of H*: exactly the degree-1 irreducible
-    characters, each verified multiplicative (on the pairs (i, g), g in
-    ``_closed_basis(H)``) with sigma(1) = 1."""
+    characters.  ``_verify_irred`` certifies chi_i as the character of the
+    simple module H E_i, one-dimensional when d_i = 1, so such a chi_i is an
+    algebra map."""
     irred = require_irred(H)
-    out = []
-    for deg, chi in zip(irred.degrees, irred.characters):
-        if deg != 1:
-            continue
-        if chi(H.one()) != _ONE:
-            raise VerificationFailed("grouplike candidate fails at the unit")
-        bad = _first_failure(
-            ((i, g), _dot(chi.vec, H.mul_raw({i: _ONE}, {g: _ONE}).items())
-             == chi.vec.get(i, _ZERO) * chi.vec.get(g, _ZERO))
-            for g in _closed_basis(H) for i in range(H.dim))
-        if bad is not None:
-            raise VerificationFailed(
-                f"degree-1 character not multiplicative at ({bad[0]},{bad[1]})")
-        out.append(chi)
-    return out
+    return [chi for deg, chi in zip(irred.degrees, irred.characters) if deg == 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ every ``build`` dump, every ``compute`` target, ``verify --suite all`` on each
 instance, ``chartab`` (JSON and markdown), one ``oracle`` cross-check, and
 the ``oracle`` counts of the iterated commutator [[x1,x2],x3] over S5.  The
 ``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
-k^S3 are pinned too, as are the character tables of A4 (values in Q(zeta_3)),
+k^S3 are pinned too, as are ``verify --suite all`` on k^S3 (all six
+characters grouplike), the character tables of A4 (values in Q(zeta_3)),
 S4xC2 and C24 (24 classes at conductor 24, the largest table certified
 here), and ``compute classdata`` on kC15, which splits R(kC15) at
 conductor 15.  A refactor that changes any byte of them changes behaviour.
@@ -79,6 +80,12 @@ def test_compute(dumps, capsys, inst, target):
 def test_verify_all(dumps, capsys, inst):
     got = _run(capsys, ["verify", "--suite", "all", "--hopf", str(dumps[inst])])
     assert got == _golden(f"verify_all_{inst}.json")
+
+
+def test_verify_all_dual_s3(capsys):
+    got = _run(capsys, ["verify", "--suite", "all", "--group", str(SPECS / "S3.json"),
+                        "--kind", "dualgroup"])
+    assert got == _golden("verify_all_dual_s3.json")
 
 
 def test_chartab_json(capsys):

@@ -7,13 +7,17 @@ coefficients, degree multisets) are classical facts rederivable by hand.
 
 import copy
 import json
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfcomm.hopf as hopf_mod
 from hopfcomm._linalg import Echelon, vec_axpy, vec_scale
+from hopfcomm.cli import main
 from hopfcomm.classdata import (
     _verify_classdata,
     classdata_from_dict,
@@ -28,7 +32,7 @@ from hopfcomm.errors import (
     VerificationFailed,
 )
 from hopfcomm.exactnum import cyc
-from hopfcomm.group import cyclic_group, from_perm_generators
+from hopfcomm.group import cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import (
     HElem,
     HopfAlgebra,
@@ -467,6 +471,132 @@ def test_grouplikes_ka3():
 def test_grouplikes_dual(dual_s3):
     H, _ = dual_s3
     assert len(grouplike_functionals(H)) == 6
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
+def test_grouplikes_are_algebra_maps(which, request):
+    # The multiplicativity sweep that grouplike_functionals no longer makes,
+    # as an oracle over every basis pair.
+    H, irred = request.getfixturevalue(which)
+    gl = grouplike_functionals(H)
+    assert len(gl) == irred.degrees.count(1)
+    for sigma in gl:
+        assert sigma(H.one()) == ONE
+        for i in range(H.dim):
+            for j in range(H.dim):
+                prod = HElem(H, H.mul_raw({i: ONE}, {j: ONE}))
+                assert sigma(prod) == sigma.vec.get(i, cyc(0)) * sigma.vec.get(j, cyc(0))
+
+
+# -- the irreducible-data certificate --
+
+
+def _irred_pairing_failure(H, idems, degrees, chars):
+    """The checks ``_verify_irred`` made before it read (d_i, chi_i) off each
+    E_i, kept as an oracle: sum d_i^2 = dim, <chi_i, E_j> = delta_ij d_j and
+    <chi_i s(chi_j), Lambda> = delta_ij.  The first failure, or None."""
+    n = len(idems)
+    if sum(x * x for x in degrees) != H.dim:
+        return "sum of squared degrees"
+    integral, _ = integrals(H)
+    for i in range(n):
+        for j in range(n):
+            if chars[i](idems[j]) != (degrees[j] if i == j else 0):
+                return f"<chi_{i}, E_{j}>"
+            if (chars[i] * func_antipode_s(chars[j]))(integral) != (1 if i == j else 0):
+                return f"<chi_{i} s(chi_{j}), Lambda>"
+    return None
+
+
+def _certificate_refuses(H, idems, degrees, chars):
+    try:
+        hopf_mod._verify_irred(H, idems, degrees, chars)
+    except (VerificationFailed, NonIntegerDegree):
+        return True
+    return False
+
+
+def _irred_mutants(H, irred):
+    """(idems, degrees, chars) with one character coefficient changed, two
+    different degrees swapped, or one E_i scaled by 2."""
+    idems, degrees, chars = irred.idempotents, irred.degrees, irred.characters
+    n = len(degrees)
+    for i, chi in enumerate(chars):
+        for k in range(H.dim):
+            vec = dict(chi.vec)
+            vec_axpy(vec, ONE, [(k, ONE)])
+            yield idems, degrees, chars[:i] + (H.func(vec),) + chars[i + 1:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if degrees[i] != degrees[j]:
+                swapped = list(degrees)
+                swapped[i], swapped[j] = degrees[j], degrees[i]
+                yield idems, tuple(swapped), chars
+    for i in range(n):
+        scaled = H.elem(vec_scale(idems[i].vec, cyc(2)))
+        yield idems[:i] + (scaled,) + idems[i + 1:], degrees, chars
+
+
+def _irred_tuples(irred):
+    return irred.idempotents, irred.degrees, irred.characters
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3"])
+def test_certificate_refuses_what_the_pairing_loops_refuse(which, request):
+    H, irred = request.getfixturevalue(which)
+    assert _irred_pairing_failure(H, *_irred_tuples(irred)) is None
+    assert not _certificate_refuses(H, *_irred_tuples(irred))
+    accepted_by_oracle = 0
+    for mutant in _irred_mutants(H, irred):
+        if _irred_pairing_failure(H, *mutant) is None:
+            accepted_by_oracle += 1
+        assert _certificate_refuses(H, *mutant)
+    # The loops read a character only where some E_j or Lambda has support:
+    # on D(S3) they accept each of the 8 characters changed at any of the 18
+    # basis elements p_g h with gh != hg.
+    assert accepted_by_oracle == (8 * 18 if which == "ds3" else 0)
+
+
+@pytest.fixture(scope="module")
+def ka5():
+    spec = json.loads((Path(__file__).resolve().parent / "golden" / "specs"
+                       / "A5.json").read_text())
+    return build_group_algebra(load_group(spec))
+
+
+def _merged_irred(irred, a, b):
+    """Irreducible data with irreducibles a and b merged into one of degree
+    d_c = sqrt(d_a^2 + d_b^2): E = E_a + E_b and chi = (d_a chi_a + d_b
+    chi_b)/d_c, which passes every check of the pairing oracle."""
+    da, db = irred.degrees[a], irred.degrees[b]
+    dc = math.isqrt(da * da + db * db)
+    assert dc * dc == da * da + db * db
+    E = irred.idempotents[a] + irred.idempotents[b]
+    chi = (cyc(Fraction(da, dc)) * irred.characters[a]
+           + cyc(Fraction(db, dc)) * irred.characters[b])
+
+    def merge(xs, x):
+        return tuple(x if k == a else y for k, y in enumerate(xs) if k != b)
+
+    return hopf_mod.IrredData(idempotents=merge(irred.idempotents, E),
+                              degrees=merge(irred.degrees, dc),
+                              characters=merge(irred.characters, chi))
+
+
+def test_certificate_refuses_merged_irreducibles_of_ka5(ka5, tmp_path):
+    # kA5 has degrees 1, 3, 3, 4, 5; a 3 and the 4 merged into a fake 5
+    # (3^2 + 4^2 = 5^2) pass the pairing loops, but four idempotents do not
+    # split a five-dimensional center.
+    H, irred = ka5
+    assert irred.degrees == (1, 3, 3, 4, 5)
+    merged = _merged_irred(irred, 1, 3)
+    assert _irred_pairing_failure(H, *_irred_tuples(merged)) is None
+    doc = irred_to_dict(merged)
+    with pytest.raises(VerificationFailed, match="4 idempotents for a center of dimension 5"):
+        irred_from_dict(H, doc)
+    path = tmp_path / "ka5_merged.json"
+    path.write_text(json.dumps(dict(hopf_to_dict(H), irred=doc)))
+    assert main(["compute", "frob", "--hopf", str(path)]) == 3
 
 
 # -- JSON round trip --
