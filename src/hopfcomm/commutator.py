@@ -36,6 +36,8 @@ from .hopf import (
     _closed_basis,
     _combination,
     _entry,
+    _require_axioms,
+    _right_closure,
     _tensor_sandwich,
     _u_tensor,
     adjoint_row,
@@ -196,19 +198,14 @@ def coideal_closure(H: HopfAlgebra, vecs) -> Echelon:
 
 
 def algebra_closure(H: HopfAlgebra, vecs) -> Echelon:
-    """Smallest unital subalgebra containing the given vectors."""
-    space = Echelon([dict(H.unit_vec)])
-    fresh = [v for v in vecs if space.insert(v)]
-    while fresh:
-        basis = space.basis()
-        new = []
-        for u in basis:
-            for v in fresh:
-                for prod in (H.mul_raw(u, v), H.mul_raw(v, u)):
-                    if space.insert(prod):
-                        new.append(prod)
-        fresh = new
-    return space
+    """Smallest unital subalgebra containing the given vectors: the span of
+    1 closed under right multiplication by them (``_right_closure``).  H is
+    associative (its axioms are verified), so the words 1 v_1 ... v_k span
+    that subalgebra."""
+    _require_axioms(H)
+    span = Echelon([H.unit_vec])
+    _right_closure(H, span, [H.unit_vec], [0], list(vecs))
+    return span
 
 
 def _left_legs(H: HopfAlgebra, v: dict):

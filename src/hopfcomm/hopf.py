@@ -19,11 +19,13 @@ that set and verifies that it generates.  Associativity runs on it, and
 the two algebra-map axioms do once associativity holds.  Centrality
 (``_central_failure``), the integral equations, the center (``_center``),
 the trace property of a form (``_trace_form_failure``) and the Casimir
-slide moves (``_casimir_slide_failure``) run on ``_closed_basis``: the
-generators when every axiom holds, the whole basis otherwise; so do
-``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R of
-``classdata.r_matrix_data``.  Every check finds its first failing witness
-through the one search ``_first_failure``.  Idempotent families (the E_i, the
+slide moves (``_casimir_slide_failure``) run on ``_closed_basis``, the
+generators of an instance that passes every axiom (any other is refused);
+so do ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R
+of ``classdata.r_matrix_data``.  ``generators`` and
+``commutator.algebra_closure`` close a span by one loop, ``_right_closure``.
+Every check finds its first failing witness through the one search
+``_first_failure``.  Idempotent families (the E_i, the
 F_i of R(H), the candidates of ``split_commutative``, and in ``chartab`` the
 rows of a character table) are checked by their squares and sum alone;
 ``_linalg._check_idempotents`` proves them orthogonal.  Every builder makes
@@ -595,16 +597,34 @@ def _unit_failure(H: HopfAlgebra):
         for i in range(H.dim))
 
 
+def _right_closure(H: HopfAlgebra, span: Echelon, words: list[Vec], done: list[int],
+                   gens: list[Vec]) -> None:
+    """Close ``span`` under right multiplication by the vectors ``gens``, so
+    that it is spanned by the words (..(w g_1)..) g_k, w in ``words``, for any
+    table.  ``words`` are the vectors inserted into ``span`` in order, and
+    words[t] g already lies in it for g in gens[:done[t]]."""
+    t = 0
+    while t < len(words) and span.rank < H.dim:
+        for g in gens[done[t]:]:
+            w = H.mul_raw(words[t], g)
+            if span.insert(w):
+                words.append(w)
+                done.append(0)
+        done[t] = len(gens)
+        t += 1
+
+
 @memo
 def generators(H: HopfAlgebra) -> tuple[int, ...]:
     """Basis indices that generate H as an algebra, chosen greedily.
 
     Each e_i (in index order) outside the span found so far becomes a
     generator, and the span is closed under right multiplication by the
-    generators: it is spanned by left-normed words (..(g_1 g_2)..) g_k,
-    which are products of generators for any table, associative or not,
-    and by the unit once the unit law holds.  The loop ends when the span
-    has rank dim; at worst every basis element is a generator.
+    generators (``_right_closure``): it is spanned by left-normed words
+    (..(g_1 g_2)..) g_k, which are products of generators for any table,
+    associative or not, and by the unit once the unit law holds.  The loop
+    ends when the span has rank dim; at worst every basis element is a
+    generator.
     """
     d = H.dim
     span = Echelon()
@@ -624,15 +644,9 @@ def generators(H: HopfAlgebra) -> tuple[int, ...]:
     for i in range(d):
         if span.rank == d:
             break
-        if not add({i: _ONE}):
-            continue
-        gens.append(i)
-        t = 0
-        while t < len(words) and span.rank < d:
-            for g in gens[done[t]:]:
-                add(H.mul_raw(words[t], {g: _ONE}))
-            done[t] = len(gens)
-            t += 1
+        if add({i: _ONE}):
+            gens.append(i)
+            _right_closure(H, span, words, done, [{g: _ONE} for g in gens])
     return tuple(gens)
 
 
@@ -647,12 +661,11 @@ def _require_axioms(H: HopfAlgebra):
 
 
 def _closed_basis(H: HopfAlgebra):
-    """The basis indices a product-closed check of H runs on: generators(H)
-    when every Hopf axiom holds, so that the closure lemma of the module
-    docstring applies; else the whole basis."""
-    if _axiom_failure(H) is None:
-        return generators(H)
-    return range(H.dim)
+    """The basis indices a product-closed check of H runs on: generators(H),
+    once every Hopf axiom holds, so that the closure lemma of the module
+    docstring applies.  An instance that fails an axiom is refused."""
+    _require_axioms(H)
+    return generators(H)
 
 
 @memo
@@ -752,49 +765,35 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
 # integrals and the Frobenius map
 
 
+def _regular_character(K: HopfAlgebra) -> Vec:
+    """{i: Tr(L_{e_i})}, read off K.mult: the e_j-coefficients of e_i e_j, summed."""
+    tr: Vec = {}
+    for (i, j), terms in K.mult.items():
+        vec_axpy(tr, _ONE, [(i, c) for k, c in terms if k == j])
+    return dict(sorted(tr.items()))
+
+
 @memo
 def integrals(H: HopfAlgebra) -> tuple[HElem, HFunc]:
     """(Lambda, lambda): the idempotent integral and the dual integral.
 
-    Lambda is the one-dimensional solution space of h*Lambda = eps(h)*Lambda,
-    normalised by eps(Lambda) = 1; lambda is the regular character
-    (trace of left multiplication), which satisfies <lambda, Lambda> = 1.
-    Both integral equations are imposed for h in ``_closed_basis(H)``.
+    lambda is the regular character of H and Lambda that of H* over dim H.
+    S^2 = id in characteristic 0 makes H semisimple and cosemisimple (Larson
+    & Radford, J. Algebra 117, 1988), so these are integrals with
+    <lambda, Lambda> = 1, and integrals are unique up to a scalar (Larson &
+    Sweedler, Amer. J. Math. 91, 1969).  Each check of the certificate
+    raises NoIntegral: eps(Lambda) = 1, h Lambda = eps(h) Lambda = Lambda h
+    for h in ``_closed_basis(H)`` (so for every h), and <lambda, Lambda> = 1.
     """
-    d = H.dim
     rows = _closed_basis(H)
-
-    def left_mult_minus_counit(i):
-        # columns of h -> e_i h - eps(e_i) h
-        eps_i = H.counit_raw({i: _ONE})
-        for j in range(d):
-            col = H.mul_raw({i: _ONE}, {j: _ONE})
-            vec_axpy(col, -eps_i, ((j, _ONE),))
-            yield col
-
-    space = nullspace((left_mult_minus_counit(i) for i in rows), d, _ONE)
-    if len(space) != 1:
-        raise NoIntegral(
-            f"integral space has dimension {len(space)} (expected 1)")
-    cand = space[0]
-    scale = H.counit_raw(cand)
-    if not scale:
-        raise NoIntegral("integral candidate has vanishing counit")
-    lam_vec = vec_scale(cand, scale.inverse())  # so Lambda^2 = eps(Lambda) Lambda = Lambda
+    lam_vec = vec_scale(_regular_character(_dual(H)), CycNum.rational(Rational(1, H.dim)))
+    if (scale := H.counit_raw(lam_vec)) != _ONE:
+        raise NoIntegral(f"eps(Lambda) = {scale}, expected 1")
     for i in rows:
         want = vec_scale(lam_vec, H.counit_raw(H.basis_vec(i)))
-        if H.mul_raw(lam_vec, H.basis_vec(i)) != want:
-            raise NoIntegral(f"integral is not two-sided (basis {i})")
-    # regular character: <lambda, e_i> = Tr(L_{e_i})
-    lam_func: Vec = {}
-    for i in range(d):
-        acc = _ZERO
-        for j in range(d):
-            for k, c in H.mult.get((i, j), ()):
-                if k == j:
-                    acc = acc + c
-        if acc:
-            lam_func[i] = acc
+        if not H.mul_raw(H.basis_vec(i), lam_vec) == want == H.mul_raw(lam_vec, H.basis_vec(i)):
+            raise NoIntegral(f"Lambda is not a two-sided integral (basis {i})")
+    lam_func = _regular_character(H)
     pairing = _dot(lam_func, lam_vec.items())
     if pairing != _ONE:
         raise NoIntegral(f"<lambda, Lambda> = {pairing}, expected 1")

@@ -369,6 +369,39 @@ def test_algebra_closure_idempotent(ks3):
     assert algebra_closure(H, alg.basis()) == alg
 
 
+def _two_sided_closure(H, vecs):
+    # the two-sided closure that algebra_closure replaced: every basis
+    # vector times every new vector, on both sides, until nothing is new
+    space = Echelon([dict(H.unit_vec)])
+    fresh = [v for v in vecs if space.insert(v)]
+    while fresh:
+        basis = space.basis()
+        new = []
+        for u in basis:
+            for v in fresh:
+                for prod in (H.mul_raw(u, v), H.mul_raw(v, u)):
+                    if space.insert(prod):
+                        new.append(prod)
+        fresh = new
+    return space
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ds3", "dq8"])
+def test_algebra_closure_matches_two_sided_closure(which, request):
+    H, _ = request.getfixturevalue(which)
+    seeds = [com_span(H, 2).basis()]
+    seeds += [coideal_closure(H, [z_n(H, n).vec]).basis() for n in (2, 3)]
+    for vecs in seeds:
+        assert algebra_closure(H, vecs) == _two_sided_closure(H, vecs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_sparse_ds3, min_size=1, max_size=3))
+def test_algebra_closure_matches_two_sided_closure_on_sparse_sets(ds3, vecs):
+    H, _ = ds3
+    assert algebra_closure(H, vecs) == _two_sided_closure(H, vecs)
+
+
 def test_subspace_canonical_equality(ks3):
     H, _ = ks3
     a = Echelon([{0: ONE, 1: ONE}, {1: ONE}])

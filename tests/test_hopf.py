@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfcomm.hopf as hopf_mod
-from hopfcomm._linalg import Echelon, vec_axpy, vec_scale
+from hopfcomm._linalg import Echelon, nullspace, vec_axpy, vec_scale
 from hopfcomm.cli import main
 from hopfcomm.classdata import (
     _verify_classdata,
@@ -258,6 +258,43 @@ def test_integrals_double(dc2):
     half = cyc("1/2")
     assert lam.vec == {0 * 2 + h: half for h in range(2)}
     assert pair(dual, lam) == ONE
+
+
+def _integral_by_nullspace(H):
+    # the derivation that integrals replaced: Lambda spans the nullspace of
+    # h -> e_i h - eps(e_i) h over the generators, scaled to eps(Lambda) = 1,
+    # and lambda is summed off the table one (i, j) pair at a time
+    d = H.dim
+    rows = hopf_mod._closed_basis(H)
+
+    def left_mult_minus_counit(i):
+        eps_i = H.counit_raw({i: ONE})
+        for j in range(d):
+            col = H.mul_raw({i: ONE}, {j: ONE})
+            vec_axpy(col, -eps_i, ((j, ONE),))
+            yield col
+
+    space = nullspace((left_mult_minus_counit(i) for i in rows), d, ONE)
+    assert len(space) == 1
+    cand = space[0]
+    lam_vec = vec_scale(cand, H.counit_raw(cand).inverse())
+    lam_func = {}
+    for i in range(d):
+        acc = cyc(0)
+        for j in range(d):
+            for k, c in H.mult.get((i, j), ()):
+                if k == j:
+                    acc = acc + c
+        if acc:
+            lam_func[i] = acc
+    return lam_vec, lam_func
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "dual_s3", "ds3", "dq8", "ks4c2"])
+def test_integrals_match_the_nullspace_solve(which, request):
+    H, _ = request.getfixturevalue(which)
+    lam, dual = integrals(H)
+    assert (lam.vec, dual.vec) == _integral_by_nullspace(H)
 
 
 def test_casimir_tensor_flattens_to_unit(ks3, dc2):
@@ -758,8 +795,9 @@ def test_json_corrupted_irred_raises(ks3):
 
 def test_non_integer_degree_detected():
     # The 2x2 split algebra k x k with a scaled trace cannot occur from a
-    # Hopf algebra; force the error through a fake instance with check=False
-    # and a unit that is not the sum of honest idempotent traces.
+    # Hopf algebra; Delta is not multiplicative on this fake instance, so it
+    # is refused before any idempotent is split or any degree is read (the
+    # test below reaches NonIntegerDegree on a checked instance).
     H = HopfAlgebra(
         dim=2,
         mult={(0, 0): ((0, 1),), (0, 1): ((1, 1),),
@@ -771,8 +809,18 @@ def test_non_integer_degree_detected():
         cyc_order=1,
         check=False,
     )
-    with pytest.raises((NonIntegerDegree, VerificationFailed)):
+    with pytest.raises(VerificationFailed, match="Hopf axiom 'comult_algebra_map'"):
         irreducibles_generic(H)
+
+
+def test_non_integer_degree_detected_on_a_checked_instance(ks3):
+    # E_1 + E_2 of kS3 is a central idempotent but not a primitive one:
+    # Tr(L_E) = 1 + 4 = 5 is not a square
+    H, irred = ks3
+    assert irred.degrees[1:] == (1, 2)
+    e = irred.idempotents[1] + irred.idempotents[2]
+    with pytest.raises(NonIntegerDegree, match="Tr\\(L_E\\) = 5 "):
+        hopf_mod._degree_and_character(H, e.vec)
 
 
 # -- per-instance memo --
@@ -969,11 +1017,31 @@ def test_generators_generate_and_are_deterministic(which, request, ks3):
         assert _closure_rank(H, gens[:t] + (g,)) > _closure_rank(H, gens[:t])
 
 
-def test_generators_of_small_instances(ks3, dual_s3, s3):
+def test_generators_of_small_instances(ks3, dual_s3, kq8, ks4c2, ds3):
     H, _ = ks3
     assert generators(H) == (1, 2)  # (1 2) and (1 2 3); the unit is seeded
     H, _ = dual_s3
     assert generators(H) == (0, 1, 2, 3, 4)  # the sixth p_g is 1 - the rest
+    assert generators(kq8[0]) == (1, 2, 4)
+    assert generators(ks4c2[0]) == (1, 2, 3)
+    assert generators(ds3[0]) == (0, 1, 2, 6, 7, 8, 10, 12, 13, 14, 18, 19, 20, 24, 25, 31)
+
+
+@pytest.mark.parametrize("which", ["ks4c2", "ds3"])
+def test_generators_multiply_each_word_by_each_generator_once(which, request):
+    # 2d products for the unit law, then at most one product per (word,
+    # generator) pair, and there are at most d independent words
+    H = _rebuilt(request.getfixturevalue(which)[0], check=False)
+    calls = []
+    mul_raw = H.mul_raw
+
+    def counted(u, v):
+        calls.append(1)
+        return mul_raw(u, v)
+
+    H.mul_raw = counted
+    gens = generators(H)
+    assert len(calls) <= 2 * H.dim + H.dim * len(gens)
 
 
 def test_unit_is_not_seeded_when_the_unit_law_fails(s3):
@@ -1080,8 +1148,9 @@ def test_associativity_witness_has_a_generator_in_the_middle(s3):
     assert b in generators(H)
     assert H.mul_raw(H.mul_raw({a: ONE}, {b: ONE}), {c: ONE}) \
         != H.mul_raw({a: ONE}, H.mul_raw({b: ONE}, {c: ONE}))
-    # a failed axiom sends every product-closed check back to the whole basis
-    assert hopf_mod._closed_basis(H) == range(6)
+    # a failed axiom refuses every product-closed check
+    with pytest.raises(VerificationFailed, match="Hopf axiom 'associativity'"):
+        hopf_mod._closed_basis(H)
 
 
 def test_verifier_multiplies_on_generators_only(ks4c2):
