@@ -46,7 +46,7 @@ def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
 
     Precondition: ``mul`` is associative with two-sided unit ``unit``, in
     characteristic 0.  Every caller establishes it first: ``hopf._verify_irred``
-    and ``classdata._verify_classdata`` (which every split result reaches) run
+    and ``classdata._classdata_of`` (the certificates of every split) run
     the axiom verifier, and the class algebra of ``chartab._verify_table`` is
     the center of ZG, with exact integer structure constants.  The idempotents
     are then orthogonal: the L_i = L_{e_i} are idempotent operators summing to

@@ -22,7 +22,6 @@ from .commutator import (
     commutator_subalgebra,
     hopf_commutator,
     is_adjoint_stable,
-    is_left_coideal,
     z_n,
 )
 from .counting import (
@@ -77,9 +76,9 @@ _ZERO = CycNum.rational(0)
 
 @dataclass(frozen=True)
 class ClassData:
-    """Primitive idempotents F_i of commutative R(H) with F_0 = lambda/d,
-    class sums C_i = Lambda <- dF_i, normalized class sums
-    eta_i = C_i / dim(F_iH*), and the ranks dim(F_iH*)."""
+    """Primitive idempotents F_i of commutative R(H) with F_0 = lambda/d, and
+    what ``_class_of`` reads off each: the ranks dim(F_iH*) = d<F_i, Lambda>,
+    class sums C_i = Lambda <- dF_i and eta_i = C_i / dim(F_iH*)."""
 
     F: tuple
     C: tuple
@@ -118,12 +117,12 @@ def fusion_coefficients(H: HopfAlgebra, i: int) -> list:
 
 
 def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
-    """Split commutative R(H) into primitive idempotents and derive class data.
+    """Split commutative R(H) into primitive idempotents, lambda/d first and
+    the rest by their values, and read the class data off them.
 
     Refuses with NotAlmostCocommutative when the characters do not commute.
-    dim(F_iH*) is computed as the rank of right multiplication by F_i on H*,
-    never assumed; every ClassData invariant is verified exactly before the
-    result is returned.
+    dim(F_iH*) is read off F_i as the rank of L_{F_i} on H* (``_class_of``),
+    never assumed; ``_classdata_of`` certifies each split family once.
     """
     ir = require_irred(H)
     d = H.dim
@@ -131,63 +130,52 @@ def rh_idempotents(H: HopfAlgebra, seed: int = 0) -> ClassData:
     if pair is not None:
         i, j = pair
         raise NotAlmostCocommutative(f"chi_{i} chi_{j} != chi_{j} chi_{i}")
+    _, lam = integrals(H)
+    f0 = (lam * CycNum.rational(Fraction(1, d))).vec
 
-    idems = split_commutative([chi.vec for chi in ir.characters], H.func_mul_raw,
-                              H.counit_vec, H.cyc_order, random.Random(seed))
+    def accept(idems):
+        return _classdata_of(H, tuple(HFunc(H, f) for f in sorted(idems, key=lambda f: (
+            f != f0, tuple(f.get(k, _ZERO).sort_key() for k in range(d))))))
 
-    integral, lam = integrals(H)
-    inv_d = CycNum.rational(Fraction(1, d))
-    f0_vec = {k: c * inv_d for k, c in lam.vec.items()}
-    funcs = [HFunc(H, vec) for vec in idems]
-    first = [f for f in funcs if f.vec == f0_vec]
-    if len(first) != 1:
-        raise VerificationFailed("no primitive idempotent of R(H) equals lambda/d")
-    rest = sorted((f for f in funcs if f.vec != f0_vec),
-                  key=lambda f: tuple(f.vec.get(k, _ZERO).sort_key()
-                                      for k in range(d)))
-    F = tuple(first + rest)
-
-    class_dims = tuple(rank(H.func_mul_raw({k: _ONE}, f.vec) for k in range(d))
-                       for f in F)
-
-    scale = CycNum.rational(d)
-    C = tuple(
-        HElem(H, H.right_hit_raw(integral.vec,
-                                 {k: c * scale for k, c in f.vec.items()}))
-        for f in F)
-    eta = tuple(c * CycNum.rational(Fraction(1, dim_i))
-                for c, dim_i in zip(C, class_dims))
-
-    return _verify_classdata(H, ClassData(F=F, C=C, eta=eta, class_dims=class_dims))
+    return split_commutative([chi.vec for chi in ir.characters], H.func_mul_raw,
+                             H.counit_vec, H.cyc_order, random.Random(seed), accept)
 
 
-def _verify_classdata(H: HopfAlgebra, data: ClassData) -> ClassData:
-    """``data``, once every class-data invariant holds exactly.
+def _class_of(H: HopfAlgebra, F: HFunc) -> tuple[int, HElem, HElem]:
+    """(dim(FH*), C, eta) of a primitive idempotent F of R(H): dim(FH*) =
+    d<F, Lambda> = Tr(L_F) on H* (d Lambda is the regular character of H*),
+    the rank of the idempotent L_F, so a positive integer; C = Lambda <- dF
+    and eta = C / dim(FH*)."""
+    integral, _ = integrals(H)
+    d = CycNum.rational(H.dim)
+    dim = F(integral) * d
+    if not (_is_natural(dim) and dim):
+        raise VerificationFailed(f"d<F, Lambda> = {dim} is not a positive integer")
+    dim = dim.as_rational().numerator
+    C = HElem(H, H.right_hit_raw(integral.vec, (F * d).vec))
+    return dim, C, C * CycNum.rational(Fraction(1, dim))
 
-    <F_i, eta_j> = delta_ij follows: Psi(eta_j) = (d/dim_j) F_j fixes eta_j =
-    (d/dim_j)(Lambda <- F_j) (``psi_inv``), so <F_i, eta_j> = (d/dim_j)
-    <F_j F_i, Lambda> = delta_ij by F orthogonality and <F_j, Lambda> = dim_j/d."""
+
+def _classdata_of(H: HopfAlgebra, F: tuple) -> ClassData:
+    """The class data that ``_class_of`` reads off ``F``, once ``F`` is
+    certified: one F_i per character, each in the character span,
+    idempotents summing to eps, and F_0 = lambda/d.  Nonzero (dim >= 1)
+    idempotents summing to eps are orthogonal (``_check_idempotents``), so
+    as many as characters are the primitive idempotents of R(H).
+    <F_i, eta_j> = delta_ij follows from eta_j = (d/dim_j)(Lambda <- F_j)."""
     _require_axioms(H)  # the precondition of _check_idempotents
-    m = len(data)
-    d = H.dim
-    integral, lam = integrals(H)
-    if m != len(require_irred(H)):
-        raise VerificationFailed(f"{m} F_i for {len(require_irred(H))} characters")
+    _, lam = integrals(H)
+    if len(F) != len(require_irred(H)):
+        raise VerificationFailed(f"{len(F)} F_i for {len(require_irred(H))} characters")
     i = _first_failure((i, character_coordinates(H, f) is not None)
-                       for i, f in enumerate(data.F))
+                       for i, f in enumerate(F))
     if i is not None:
         raise VerificationFailed(f"F_{i} is not in the character span")
-    _check_idempotents("F", [f.vec for f in data.F], H.func_mul_raw, H.counit_vec, "eps")
-    if data.class_dims[0] != 1:
-        raise VerificationFailed(f"dim(F_0 H*) = {data.class_dims[0]} != 1")
-    for i in range(m):
-        if data.F[i](integral) != CycNum.rational(Fraction(data.class_dims[i], d)):
-            raise VerificationFailed(f"<F_{i}, Lambda> != dim(F_{i}H*)/d")
-        want = HFunc(H, {k: c * CycNum.rational(Fraction(d, data.class_dims[i]))
-                         for k, c in data.F[i].vec.items()})
-        if frobenius_psi(H, data.eta[i]) != want:
-            raise VerificationFailed(f"Psi(eta_{i}) != (d/dim) F_{i}")
-    return data
+    _check_idempotents("F", [f.vec for f in F], H.func_mul_raw, H.counit_vec, "eps")
+    if F[0] != lam * CycNum.rational(Fraction(1, H.dim)):
+        raise VerificationFailed("F_0 != lambda/d")
+    class_dims, C, eta = zip(*(_class_of(H, f) for f in F))
+    return ClassData(F=F, C=C, eta=eta, class_dims=class_dims)
 
 
 def require_classdata(H: HopfAlgebra, seed: int = 0) -> ClassData:
@@ -199,16 +187,12 @@ _classdata = memo(rh_idempotents)
 
 
 def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
-    """c_i = Lambda <- F_iH* = (Lambda <- F_i) <- H*, verified to be an
-    adjoint-stable left coideal."""
-    integral, _ = integrals(H)
-    sub = coideal_closure(H, [H.right_hit_raw(integral.vec, data.F[i].vec)])
-    if not is_left_coideal(H, sub):
-        raise VerificationFailed(f"c_{i} is not a left coideal")
+    """c_i = Lambda <- F_iH* = eta_i <- H*, since eta_i is a nonzero multiple
+    of Lambda <- F_i; verified to be adjoint-stable.  It is a left coideal
+    containing eta_i by construction (``coideal_closure``)."""
+    sub = coideal_closure(H, [data.eta[i].vec])
     if not is_adjoint_stable(H, sub):
         raise VerificationFailed(f"c_{i} is not adjoint-stable")
-    if not sub.contains(data.eta[i].vec):
-        raise VerificationFailed(f"eta_{i} is not in c_{i}")
     return sub
 
 
@@ -552,7 +536,9 @@ def classdata_to_dict(data: ClassData) -> dict:
 
 
 def classdata_from_dict(H: HopfAlgebra, payload: dict) -> ClassData:
-    """Rebuild the class data of H from its JSON dump and verify it.
+    """Rebuild the class data of H from its JSON dump and verify it: the F_i
+    must pass ``_classdata_of``, and each (dim(F_iH*), eta_i) must be what
+    ``_class_of`` reads off F_i.
 
     A missing key, lists of different lengths, a vector that
     ``_vec_from_json`` refuses, a class dim that is not a positive integer,
@@ -569,7 +555,11 @@ def classdata_from_dict(H: HopfAlgebra, payload: dict) -> ClassData:
             raise ValueError("F, C, eta and class_dims differ in length")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed classdata: {exc}") from exc
-    _verify_classdata(H, data)
+    want = _classdata_of(H, data.F)
+    i = _first_failure((i, (k, eta) == (want.class_dims[i], want.eta[i]))
+                       for i, (k, eta) in enumerate(zip(data.class_dims, data.eta)))
+    if i is not None:
+        raise VerificationFailed(f"(dim(F_{i}H*), eta_{i}) are not read off F_{i}")
     i = _first_failure((i, c == eta * CycNum.rational(k)) for i, (c, eta, k)
                        in enumerate(zip(data.C, data.eta, data.class_dims)))
     if i is not None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -56,7 +57,7 @@ from .errors import (
     VerificationFailed,
     WordSyntaxError,
 )
-from .exactnum import CycNum, _rational_str
+from .exactnum import CycNum, _digit_cap_exceeded, _rational_str
 from .group import arity, count_word, from_cayley, load_group, parse_word, word_to_str
 from .hopf import (
     HElem,
@@ -265,7 +266,7 @@ def cmd_compute(args) -> int:
         doc["result"] = _functional_doc(H, f_rob(H))
         doc["result"]["route"] = "sum (d/d_i) chi_i"
     elif args.target == "fn":
-        doc["result"] = _functional_doc(H, f_n(H, args.n))
+        doc["result"] = _functional_doc(H, _f_n_capped(H, args.n))
         doc["result"]["n"] = args.n
         doc["result"]["route"] = "sum (d/d_i)^(2n-1) chi_i"
     elif args.target == "root":
@@ -314,6 +315,15 @@ def cmd_verify(args) -> int:
 _AGAINST = ("frob", "f2", "fn:N", "root:M", "iterated")
 
 
+def _f_n_capped(H: HopfAlgebra, n: int):
+    """f_n(H, n), refused before it is built when its chi_0 coefficient
+    d^(2n-1) has more digits than the int-to-str limit lets a report print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (2 * n - 1) * math.log10(H.dim) > limit + 1:
+        raise _digit_cap_exceeded()
+    return f_n(H, n)
+
+
 def _select_functional(H: HopfAlgebra, name: str):
     if name == "frob":
         return f_rob(H)
@@ -324,7 +334,7 @@ def _select_functional(H: HopfAlgebra, name: str):
     kind, _, param = name.partition(":")
     if kind in ("fn", "root") and param.lstrip("-").isdigit():
         k = int(param)
-        return f_n(H, k) if kind == "fn" else root_function(H, k)
+        return _f_n_capped(H, k) if kind == "fn" else root_function(H, k)
     raise ValueError(f"unknown functional {name!r}; expected one of {_AGAINST}")
 
 

@@ -239,8 +239,9 @@ def commutator_subalgebra(H: HopfAlgebra) -> Echelon:
     route B: the joint fixed points of sigma -> (left hit) over all
              grouplikes sigma of H*.
 
-    The agreed result is verified to be a unital subalgebra, a left
-    coideal, and stable under the adjoint action.
+    The agreed result is verified to be a left coideal and stable under the
+    adjoint action; route A (``algebra_closure``, the span of the words
+    1 v_1 ... v_k) is a unital subalgebra by construction.
     """
     com = com_span(H, 2)
     route_a = algebra_closure(H, com.basis())
@@ -260,11 +261,6 @@ def commutator_subalgebra(H: HopfAlgebra) -> Echelon:
             f"H' routes disagree: algebra of Com has dim {route_a.rank}, "
             f"grouplike fixed points dim {route_b.rank}")
     space = route_a
-    if not space.contains(dict(H.unit_vec)):
-        raise VerificationFailed("H' does not contain 1")
-    basis = space.basis()
-    if not all(space.contains(H.mul_raw(u, v)) for u in basis for v in basis):
-        raise VerificationFailed("H' is not closed under multiplication")
     if not is_left_coideal(H, space):
         raise VerificationFailed("H' is not a left coideal")
     if not is_adjoint_stable(H, space):

@@ -59,9 +59,9 @@ class VerificationFailed(HopfcommError):
     """An exact consistency check failed after all retries."""
 
 
-class NonIntegerDegree(HopfcommError):
-    """Tr(L_E) is not a perfect integer square: wrong field order or input
-    not split semisimple."""
+class NonIntegerDegree(VerificationFailed):
+    """Tr(L_E) is not a perfect integer square: wrong field order, input
+    not split semisimple, or E not a central primitive idempotent."""
 
 
 class NoIntegral(HopfcommError):

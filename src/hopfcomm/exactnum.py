@@ -47,9 +47,13 @@ def _rational_str(q: Union[Fraction, int]) -> str:
     try:
         return str(q)
     except ValueError:
-        raise DigitCapExceeded(
-            f"a number has more than {sys.get_int_max_str_digits()} decimal digits, "
-            "Python's limit for int-to-str conversion") from None
+        raise _digit_cap_exceeded() from None
+
+
+def _digit_cap_exceeded() -> DigitCapExceeded:
+    return DigitCapExceeded(
+        f"a number has more than {sys.get_int_max_str_digits()} decimal digits, "
+        "Python's limit for int-to-str conversion")
 
 
 def divisors(n: int) -> list[int]:

@@ -25,13 +25,13 @@ so do ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R
 of ``classdata.r_matrix_data``.  ``generators`` and
 ``commutator.algebra_closure`` close a span by one loop, ``_right_closure``.
 Every check finds its first failing witness through the one search
-``_first_failure``.  Idempotent families (the E_i, the
-F_i of R(H), the candidates of ``split_commutative``, and in ``chartab`` the
-rows of a character table) are checked by their squares and sum alone;
-``_linalg._check_idempotents`` proves them orthogonal.  Every builder makes
-its E_i from its characters by one formula, E_i = d_i (Lambda <- s(chi_i))
-(``_with_idempotents``), and ``_verify_irred`` reads each (d_i, chi_i) back
-off E_i by one formula (``_degree_and_character``).
+``_first_failure``.  Idempotent families (the E_i, the F_i of R(H), and in
+``chartab`` the rows of a character table) are checked by their squares and
+sum alone, once per family (``split_commutative`` leaves its candidates to
+its caller's certificate); ``_linalg._check_idempotents`` proves them
+orthogonal.  Every builder makes its E_i from its characters by one formula,
+E_i = d_i (Lambda <- s(chi_i)) (``_with_idempotents``), and ``_verify_irred``
+reads each (d_i, chi_i) back off E_i by one formula (``_degree_and_character``).
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
 around sparse coefficient dicts; the module-level operations (counit,
@@ -835,8 +835,9 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars) -> IrredData:
     n central idempotents summing to 1 are orthogonal, so if nonzero (d_i >=
     1) and n = dim Z(H) they are the primitive idempotents of Z(H).  Each
     H E_i is then simple, so (d_i, chi_i) must be what
-    ``_degree_and_character`` reads off E_i.  Sum d_i^2 = dim, <chi_i, E_j> =
-    delta_ij d_j and <chi_i s(chi_j), Lambda> = delta_ij follow."""
+    ``_degree_and_character`` reads off E_i, and E_0 = Lambda.  Sum d_i^2 =
+    dim, <chi_i, E_j> = delta_ij d_j, <chi_i s(chi_j), Lambda> = delta_ij and
+    chi_0 = Lambda -> lambda = eps follow."""
     _require_axioms(H)  # the precondition of _check_idempotents
     n = len(idems)
     for i in range(n):
@@ -853,8 +854,6 @@ def _verify_irred(H: HopfAlgebra, idems, degrees, chars) -> IrredData:
     integral, _ = integrals(H)
     if idems[0] != integral:
         raise VerificationFailed("E_0 != Lambda")
-    if chars[0] != H.eps():
-        raise VerificationFailed("chi_0 != eps")
     return IrredData(idempotents=idems, degrees=degrees, characters=chars)
 
 
@@ -887,17 +886,17 @@ def _degree_and_character(H: HopfAlgebra, evec: Vec) -> tuple[int, Vec]:
     return deg, chi
 
 
-def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[Vec]:
-    """Primitive idempotents of the commutative semisimple algebra spanned
-    by the independent vectors ``span``, closed under ``mul`` with unit
-    ``unit``.
+def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
+    """``accept`` of the primitive idempotents of the commutative semisimple
+    algebra spanned by the independent vectors ``span``, closed under
+    ``mul`` with unit ``unit``.
 
     The algebra is split in the coordinates of ``span``: idempotents are
     found over F_p (p = 1 mod cyc_order) from Frobenius powers of random
     elements (``_modp.split_idempotents``; no structure matrix is
-    diagonalised), Hensel-lifted to p^k, recognised in Q(zeta_cyc_order)
-    by lattice reduction, and verified exactly; retries move to new
-    primes/precisions.
+    diagonalised), Hensel-lifted to p^k and recognised in Q(zeta_cyc_order)
+    by lattice reduction.  ``accept``, the caller's certificate, returns the
+    result or raises VerificationFailed to retry on new primes/precisions.
     """
     dim = len(span)
     solver = Solver()
@@ -918,7 +917,7 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
         return out
 
     if dim == 1:
-        return [vector(coords(unit))]
+        return accept([vector(coords(unit))])
     struct = [[coords(mul(u, v)) for v in span] for u in span]
     N = max(cyc_order, 1)
     phi = euler_phi(N)
@@ -931,15 +930,14 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng) -> list[V
         try:
             result = _split_attempt(struct, unit_coords, N, phi, cpoly, p, k, rng)
             if result is not None:
-                idems = [vector(xs) for xs in result]
                 try:
-                    _check_idempotents("e", idems, mul, unit, "the unit")
+                    accepted = accept([vector(xs) for xs in result])
                 except VerificationFailed:
                     result = None
             if result is not None:
                 runlog.record("split_commutative", dim=dim, prime=p,
                               precision=k, outcome="ok")
-                return idems
+                return accepted
             last_error = VerificationFailed(f"p={p}, k={k}: reconstruction failed")
             runlog.record("split_commutative", dim=dim, prime=p,
                           precision=k, outcome="reconstruction_failed")
@@ -1034,26 +1032,24 @@ def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
     """Central primitive idempotents, degrees, and irreducible characters,
     computed from the structure constants alone: the center is split by
     lift-and-verify, and each idempotent's degree and character are read
-    off it by ``_degree_and_character``.  Everything re-verified exactly.
+    off it by ``_degree_and_character``; ``_ordered_irred`` certifies them.
     """
-    idems = split_commutative(_center(H), H.mul_raw, H.unit_vec, H.cyc_order,
-                              random.Random(seed))
-    return _ordered_irred(H, [(e, *_degree_and_character(H, e)) for e in idems])
+    return split_commutative(
+        _center(H), H.mul_raw, H.unit_vec, H.cyc_order, random.Random(seed),
+        lambda idems: _ordered_irred(H, [(e, *_degree_and_character(H, e))
+                                         for e in idems]))
 
 
 def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
     """IrredData from (E, degree, character) triples of vectors: the E that
     equals the integral first, the rest by degree and then character values;
-    verified exactly before it is returned."""
+    ``_verify_irred`` certifies the order by E_0 = Lambda."""
     integral, _ = integrals(H)
-    trivial = [e for e in entries if e[0] == integral.vec]
-    if len(trivial) != 1:
-        raise VerificationFailed("no idempotent equals the integral")
-    rest = sorted((e for e in entries if e[0] != integral.vec), key=lambda e: (
+    return _irred_data(H, sorted(entries, key=lambda e: (
+        e[0] != integral.vec,
         e[1],
         tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
-    ))
-    return _irred_data(H, trivial + rest)
+    )))
 
 
 def _irred_data(H: HopfAlgebra, ordered) -> IrredData:

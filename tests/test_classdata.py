@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcomm._linalg import Echelon, vec_axpy
+import hopfcomm.classdata as classdata_mod
+import hopfcomm.hopf as hopf_mod
+from hopfcomm._linalg import Echelon, rank, vec_axpy
 from hopfcomm.classdata import (
     ClassData,
     classdata_from_dict,
@@ -22,7 +24,7 @@ from hopfcomm.classdata import (
     theorem_eta_suite,
     theorem_suite_sec4,
 )
-from hopfcomm.commutator import z_n
+from hopfcomm.commutator import coideal_closure, is_left_coideal, z_n
 from hopfcomm.counting import f_rob
 from hopfcomm.errors import (
     LemmaViolation,
@@ -35,6 +37,7 @@ from hopfcomm.exactnum import CycNum
 from hopfcomm.hopf import (
     HElem,
     HFunc,
+    frobenius_psi,
     generators,
     integrals,
     tensor_mult,
@@ -157,6 +160,18 @@ def test_classdata_from_dict_refuses_a_partition_finer_than_the_classes(ks3, s3)
     doc = dict(cd, F=[[[e, "1"]], [[t, "1"]],
                       [[g, "1"] for g in range(6) if g not in (e, t)]])
     with pytest.raises(VerificationFailed, match="F_1 is not in the character span"):
+        classdata_from_dict(H, doc)
+
+
+def test_classdata_from_dict_refuses_a_trivial_class_out_of_place(kq8):
+    # {1} and {-1} both have dim 1: swapped, the count, the span, the
+    # idempotents and each (dim, eta) read off F_i still hold
+    H, _ = kq8
+    doc = classdata_to_dict(rh_idempotents(H))
+    assert doc["class_dims"][0] == doc["class_dims"][4] == 1
+    for key in ("F", "C", "eta", "class_dims"):
+        doc[key][0], doc[key][4] = doc[key][4], doc[key][0]
+    with pytest.raises(VerificationFailed, match="F_0 != lambda/d"):
         classdata_from_dict(H, doc)
 
 
@@ -457,6 +472,58 @@ def test_missing_r_matrix_rejected(ks3):
     H, _ = ks3
     with pytest.raises(ValueError):
         r_matrix_data(H)
+
+
+# ---------------------------------------------------------------------------
+# what the class-data construction proves, checked by the routes it replaced
+
+_ORACLE_INSTANCES = ["ks3", "kq8", "ds3", "dq8"]
+
+
+def _class_dims_by_rank(H, F):
+    """The rank loop that ``_class_of`` replaced, kept as its oracle:
+    dim(F_iH*) as the rank of the products e^k F_i over the dual basis."""
+    return tuple(rank(H.func_mul_raw({k: ONE}, f.vec) for k in range(H.dim)) for f in F)
+
+
+@pytest.mark.parametrize("which", _ORACLE_INSTANCES)
+def test_class_data_matches_the_rank_and_psi_oracles(which, request):
+    H, _ = request.getfixturevalue(which)
+    cd = rh_idempotents(H)
+    assert cd.class_dims == _class_dims_by_rank(H, cd.F)
+    # Psi(eta_i) = (d/dim_i) F_i, the round trip the certificate made
+    for f, eta, k in zip(cd.F, cd.eta, cd.class_dims):
+        assert frobenius_psi(H, eta) == f * rat(Fraction(H.dim, k))
+
+
+@pytest.mark.parametrize("which", _ORACLE_INSTANCES)
+def test_class_coideal_is_a_left_coideal_containing_eta(which, request):
+    # c_i is seeded with eta_i; the deleted checks, and the old seed
+    # Lambda <- F_i, which spans the same coideal
+    H, _ = request.getfixturevalue(which)
+    cd = rh_idempotents(H)
+    integral, _ = integrals(H)
+    for i in range(len(cd)):
+        sub = conjugacy_class_coideal(H, cd, i)
+        assert is_left_coideal(H, sub)
+        assert sub.contains(cd.eta[i].vec)
+        assert sub == coideal_closure(H, [H.right_hit_raw(integral.vec, cd.F[i].vec)])
+
+
+def test_check_idempotents_runs_once_per_class_data_split(ds3, monkeypatch):
+    # the split leaves the F_i to the certificate of rh_idempotents
+    H, _ = ds3
+    calls = []
+    for module in (classdata_mod, hopf_mod):
+        real = module._check_idempotents
+
+        def spy(name, *args, real=real):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(module, "_check_idempotents", spy)
+    rh_idempotents(H)
+    assert calls == ["F"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hopfcomm import cli
 from hopfcomm.cli import main
+from hopfcomm.counting import f_n
 from hopfcomm.exactnum import CycNum, zeta
 from hopfcomm.group import quaternion_group
 from hopfcomm.hopf import hopf_from_dict
@@ -200,6 +202,20 @@ def test_compute_fn_beyond_the_digit_limit_exit4(specdir, capsys):
     # (6/1)^5999 has 4669 digits, over the int-to-str limit that stays in force
     assert main(["compute", "fn", "--n", "3000",
                  "--group", str(specdir / "s3.json"), "--kind", "group"]) == 4
+    _digit_cap_refusal(capsys)
+
+
+def test_fn_beyond_the_digit_limit_is_refused_before_it_is_built(specdir, capsys,
+                                                                  monkeypatch):
+    # chi_0 has degree 1, so f_n has the coefficient 6^(2n-1): about 15.6
+    # million digits at n = 10^7, which took about a minute to build
+    calls = []
+    monkeypatch.setattr(cli, "f_n", lambda H, n: calls.append(n) or f_n(H, 1))
+    s3 = str(specdir / "s3.json")
+    codes = [main(["compute", "fn", "--n", "10000000", "--group", s3, "--kind", "group"]),
+             main(["oracle", s3, "--word", "[x1,x2]", "--against", "fn:10000000"])]
+    assert calls == []
+    assert codes == [4, 4]
     _digit_cap_refusal(capsys)
 
 

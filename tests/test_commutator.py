@@ -420,6 +420,17 @@ def test_hprime_ks3(ks3):
     assert hp == com_span(H, 2)
 
 
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ds3", "dq8"])
+def test_hprime_is_a_unital_subalgebra(which, request):
+    # checks commutator_subalgebra no longer makes: route A spans the words
+    # 1 v_1 ... v_k, so it holds 1 and every product of its elements
+    H, _ = request.getfixturevalue(which)
+    hp = commutator_subalgebra(H)
+    assert hp.contains(dict(H.unit_vec))
+    basis = hp.basis()
+    assert all(hp.contains(H.mul_raw(u, v)) for u in basis for v in basis)
+
+
 def test_hprime_commutative(dual_s3, dc2):
     for fixture in (dual_s3, dc2):
         H, _ = fixture

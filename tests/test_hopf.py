@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfcomm.hopf as hopf_mod
+from hopfcomm import runlog
 from hopfcomm._linalg import Echelon, nullspace, vec_axpy, vec_scale
 from hopfcomm.cli import main
 from hopfcomm.classdata import (
-    _verify_classdata,
     classdata_from_dict,
     classdata_to_dict,
     require_classdata,
@@ -1334,6 +1334,43 @@ def test_check_idempotents_makes_one_product_per_vector(which, request):
     assert len(calls) == len(vecs)
 
 
+def test_check_idempotents_runs_once_per_generic_split(ds3, monkeypatch):
+    # the split leaves the E_i to the certificate of irreducibles_generic
+    H, _ = ds3
+    calls = []
+    real = hopf_mod._check_idempotents
+
+    def spy(name, *args):
+        calls.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(hopf_mod, "_check_idempotents", spy)
+    assert irreducibles_generic(H) == H.irred
+    assert calls == ["E"]
+
+
+@pytest.mark.parametrize("refusal", [VerificationFailed("refused"),
+                                     NonIntegerDegree("Tr(L_E) = 5")],
+                         ids=["verification_failed", "non_integer_degree"])
+def test_split_commutative_retries_a_family_its_caller_refuses(ks3, refusal):
+    # a candidate that is no idempotent can fail the degree read first
+    H, irred = ks3
+    families = []
+
+    def accept(idems):
+        families.append(idems)
+        if len(families) == 1:
+            raise refusal
+        return idems
+
+    runlog.drain()
+    got = hopf_mod.split_commutative(hopf_mod._center(H), H.mul_raw, H.unit_vec,
+                                     H.cyc_order, random.Random(0), accept)
+    assert [e["outcome"] for e in runlog.drain()] == ["reconstruction_failed", "ok"]
+    assert got is families[1]
+    assert len(got) == len(irred) and all(H.elem(v) in irred.idempotents for v in got)
+
+
 def _antipode_mutant(s3):
     # kS3 with S(g) = g for an element g of order 3: the algebra and its
     # idempotents are untouched, but the antipode axiom fails.
@@ -1351,7 +1388,7 @@ def test_verify_irred_refuses_an_instance_that_fails_an_axiom(ks3, s3):
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
         hopf_mod._verify_irred(H, idems, irred.degrees, chars)
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
-        _verify_classdata(H, require_classdata(ks3[0]))
+        classdata_from_dict(H, classdata_to_dict(require_classdata(ks3[0])))
 
 
 # -- H* on the transposed table, with the scans it replaced as oracles --
