@@ -5,7 +5,8 @@ These are internal helpers for splitting commutative algebras (character
 tables, central idempotents).  An algebra is given by sparse integer
 structure constants and its elements by dense lists of ints mod p; there is
 no row reduction here, since the idempotents come from powers of random
-elements.
+elements.  The LLL keeps its Gram-Schmidt data as integers and takes
+linearly independent rows only.
 """
 
 from __future__ import annotations
@@ -168,70 +169,67 @@ def lift_root(coeffs: list[int], root: int, p: int, target: int) -> int:
 # integer lattice reduction (small dimensions only)
 
 
-def _gso(basis: list[list[int]]):
-    n = len(basis)
-    bstar: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                mu[i][j] = Fraction(0)
-                continue
-            dot = sum(Fraction(basis[i][k]) * bstar[j][k] for k in range(len(v)))
-            mu[i][j] = dot / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(sum(x * x for x in v))
-    return mu, norms
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, ties to even."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q & 1):
+        q += 1
+    return q
 
 
 def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Textbook LLL with exact rational Gram-Schmidt.
+    """LLL of linearly independent integer rows; a zero Gram determinant
+    raises ValueError.
 
-    The GSO is computed once and then updated in place (H. Cohen, *A Course
-    in Computational Algebraic Number Theory*, Alg. 2.6.3).  Size reduction
-    of row k subtracts the rounded coefficients of its GSO row as they stood
-    before the step, and changes only that row of mu; a swap of rows k-1 and
-    k changes their two norms and columns k-1 and k of mu.  The updates are
-    exact, so every decision is the one a fresh GSO would give.  A swap
-    whose row k has GSO norm zero (the rows are then dependent) recomputes
-    the GSO instead: the swap formulas assume nonzero norms, while the GSO
-    sets mu to 0 against a zero norm.
+    The Gram-Schmidt data is integer (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.6.7, after de Weger): d[i] is the Gram
+    determinant of rows 0..i-1, lam[k][j] = d[j+1] mu[k][j], and every
+    division in the recurrences is exact.  Size reduction of row k rounds
+    the whole quotient vector lam[k][j] / d[j+1] first, ties to even as
+    ``round(Fraction)`` does, then subtracts it.  The Lovasz test is
+    den d[k+1] d[k-1] >= num d[k]^2 - den lam[k][k-1]^2 for delta = num/den.
+    These are the decisions of LLL over exact rational Gram-Schmidt with the
+    same quotient rule, so the reduced basis is the same.
     """
     b = [list(v) for v in basis]
     n = len(b)
-    if n <= 1:
-        return b
-    mu, norms = _gso(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for h in range(j):
+                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
+            if j < i:
+                lam[i][j] = u
+            elif u:
+                d[i + 1] = u
+            else:
+                raise ValueError(f"lll_reduce: row {i} depends on the rows before it")
+    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
-        row = mu[k]
-        quotients = [round(x) for x in row[:k]]
+        row = lam[k]
+        quotients = [_round_div(row[j], d[j + 1]) for j in range(k)]
         for j in range(k - 1, -1, -1):
             q = quotients[j]
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                row[j] -= q
+                row[j] -= q * d[j + 1]
+                above = lam[j]
                 for i in range(j):
-                    row[i] -= q * mu[j][i]
+                    row[i] -= q * above[i]
         m = row[k - 1]
-        if norms[k] >= (delta - m ** 2) * norms[k - 1]:
+        if den * d[k + 1] * d[k - 1] >= num * d[k] * d[k] - den * m * m:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
-        bk, bk1 = norms[k], norms[k - 1]
-        if not bk:
-            mu, norms = _gso(b)
-        else:
-            big = bk + m * m * bk1
-            row[k - 1] = m * bk1 / big
-            norms[k], norms[k - 1] = bk1 * bk / big, big
-            row[:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], row[:k - 1]
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + row[k - 1] * mu[i][k]
+        row[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], row[:k - 1]
+        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k + 1]
+        d[k] = big
         k = max(k - 1, 1)
     return b

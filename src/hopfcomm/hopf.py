@@ -980,7 +980,8 @@ def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
             cur = [(3 * a - 2 * b) % m for a, b in zip(sq, cube)]
         lifted.append(cur)
     # Recognise each coordinate in Q(zeta_N) via the lattice of small
-    # (a_0..a_{phi-1}, b) with sum a_j w^j = b * residue (mod p^k).
+    # (a_0..a_{phi-1}, b) with sum a_j w^j = b * residue (mod p^k); its rows
+    # are triangular with diagonal (p^k, 1, ..., 1), as lll_reduce requires.
     cache: dict[int, CycNum | None] = {}
 
     def recognise(c: int) -> CycNum | None:

@@ -169,6 +169,20 @@ def test_compute_classdata(ks3_dump, capsys):
     assert doc["result"]["class_dims"] == [1, 2, 3]
 
 
+def test_compute_classdata_at_an_inflated_cyc_order(ks3_dump, tmp_path, capsys):
+    # R(kS3) splits over Q.  At cyc_order 24 the split recognises each
+    # coordinate in Q(zeta_24), on 9-row lattices, and must read the same
+    # class data as at the true exponent 6.
+    expected = run_json(capsys, ["compute", "classdata", "--hopf", str(ks3_dump)])
+    data = json.loads(ks3_dump.read_text())
+    assert data["cyc_order"] == 6
+    data["cyc_order"] = 24
+    path = tmp_path / "ks3_cyc24.json"
+    path.write_text(json.dumps(data))
+    doc = run_json(capsys, ["compute", "classdata", "--hopf", str(path)])
+    assert doc["result"] == expected["result"]
+
+
 def test_compute_classdata_refused_on_dual(specdir):
     code = main(["compute", "classdata", "--group", str(specdir / "s3.json"),
                  "--kind", "dualgroup"])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hopfcomm import _modp
 from hopfcomm._modp import (
-    _gso,
     algebra_mul,
     element_of_order,
     is_prime,
@@ -190,9 +189,30 @@ def test_lll_custom_delta():
     assert len(out) == 2
 
 
+def _gso(basis):
+    """Rational Gram-Schmidt: mu[i][j] and the squared norms |b*_i|^2
+    (mu is 0 against a zero norm)."""
+    n = len(basis)
+    bstar = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(i):
+            if norms[j] == 0:
+                continue
+            dot = sum(Fraction(x) * y for x, y in zip(basis[i], bstar[j]))
+            mu[i][j] = dot / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, bstar[j])]
+        bstar.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
 def _recompute_lll(basis, delta=Fraction(3, 4)):
-    """LLL that recomputes the whole GSO after every size reduction and
-    swap: the oracle for the in-place GSO updates of lll_reduce."""
+    """LLL that recomputes the whole rational GSO after every size
+    reduction and swap: the oracle for the integer updates of lll_reduce.
+    round() of a Fraction rounds ties to even."""
     b = [list(v) for v in basis]
     n = len(b)
     if n <= 1:
@@ -223,10 +243,11 @@ def _random_lattice(rng, dependent):
             for _ in range(rng.randint(2, dim))]
     if dependent:
         # An integer combination of earlier rows, a copy, or a zero row,
-        # inserted anywhere: the GSO then has a zero norm.
+        # inserted anywhere: a Gram determinant is then zero.
         a, b = rng.choice(rows), rng.choice(rows)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
         extra = rng.choice([
-            [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)],
+            [s * x + t * y for x, y in zip(a, b)],
             list(a),
             [0] * dim,
         ])
@@ -234,30 +255,29 @@ def _random_lattice(rng, dependent):
     return rows
 
 
-def _counting_gso(monkeypatch):
-    calls = []
-
-    def counted(basis):
-        calls.append(len(basis))
-        return _gso(basis)
-
-    monkeypatch.setattr(_modp, "_gso", counted)
-    return calls
+# Exact half-integer mu: 1/2 and 5/2 round down to the even integer, 3/2
+# rounds up, and the three-row lattice has mu = 1/2 twice.  Rounding ties
+# up instead of to even changes every basis here but the 3/2 one.
+HALF_INTEGER_MU = [
+    [[2, 0], [1, 1]],
+    [[2, 0], [5, 1]],
+    [[2, 0], [3, 1]],
+    [[4, 0, 0], [2, 1, 0], [6, 3, 1]],
+]
 
 
 @pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(99, 100)])
 @pytest.mark.parametrize("dependent", [False, True])
-def test_lll_matches_recompute_oracle_on_random_lattices(delta, dependent, monkeypatch):
+def test_lll_matches_recompute_oracle_on_random_lattices(delta, dependent):
     rng = random.Random(f"lll/{delta}/{dependent}")
-    calls = _counting_gso(monkeypatch)
-    recomputed = 0
-    for _ in range(60):
-        basis = _random_lattice(rng, dependent)
-        del calls[:]
-        assert _modp.lll_reduce(basis, delta) == _recompute_lll(basis, delta)
-        recomputed += len(calls) > 1
-    # Dependent rows reach the zero-norm fallback; independent rows never do.
-    assert (recomputed > 0) == dependent
+    lattices = [_random_lattice(rng, dependent) for _ in range(60)]
+    if dependent:
+        for basis in lattices:
+            with pytest.raises(ValueError):
+                lll_reduce(basis, delta)
+        return
+    for basis in HALF_INTEGER_MU + lattices:
+        assert lll_reduce(basis, delta) == _recompute_lll(basis, delta)
 
 
 def _recognition_lattice(N, k, rng, short):
@@ -291,9 +311,17 @@ def test_lll_matches_recompute_oracle_on_recognition_lattices(N, k):
         assert lll_reduce(basis) == _recompute_lll(basis)
 
 
-def test_lll_computes_the_gso_once_on_a_full_rank_input(monkeypatch):
+def test_lll_constructs_no_fraction_on_a_recognition_lattice(monkeypatch):
     basis = _recognition_lattice(8, 48, random.Random(1), short=True)
-    calls = _counting_gso(monkeypatch)
+    expected = _recompute_lll(basis)
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(_modp, "Fraction", CountedFraction)
     reduced = _modp.lll_reduce(basis)
-    assert calls == [5]
-    assert reduced != basis and reduced == _recompute_lll(basis)
+    assert made == []
+    assert reduced != basis and reduced == expected
