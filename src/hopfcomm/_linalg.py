@@ -45,7 +45,7 @@ def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
     idempotents under ``mul`` that sum to ``unit``; one product per vector.
 
     Precondition: ``mul`` is associative with two-sided unit ``unit``, in
-    characteristic 0.  Every caller establishes it first: ``hopf._verify_irred``
+    characteristic 0.  Every caller establishes it first: ``hopf._read_irred``
     and ``classdata._classdata_of`` (the certificates of every split) run
     the axiom verifier, and the class algebra of ``chartab._verify_table`` is
     the center of ZG, with exact integer structure constants.  The idempotents

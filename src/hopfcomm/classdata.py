@@ -49,9 +49,7 @@ from .hopf import (
     _combination,
     _entry,
     _first_failure,
-    _json_positive,
     _require_axioms,
-    _vec_from_json,
     _vec_to_json,
     Tensor,
     frobenius_psi,
@@ -534,34 +532,3 @@ def classdata_to_dict(data: ClassData) -> dict:
         "eta": [_vec_to_json(e.vec) for e in data.eta],
     }
 
-
-def classdata_from_dict(H: HopfAlgebra, payload: dict) -> ClassData:
-    """Rebuild the class data of H from its JSON dump and verify it: the F_i
-    must pass ``_classdata_of``, and each (dim(F_iH*), eta_i) must be what
-    ``_class_of`` reads off F_i.
-
-    A missing key, lists of different lengths, a vector that
-    ``_vec_from_json`` refuses, a class dim that is not a positive integer,
-    or a C_i other than dim(F_iH*) eta_i raises ValueError."""
-    try:
-        data = ClassData(
-            F=tuple(H.func(_vec_from_json(H, "classdata.F", e)) for e in payload["F"]),
-            C=tuple(H.elem(_vec_from_json(H, "classdata.C", e)) for e in payload["C"]),
-            eta=tuple(H.elem(_vec_from_json(H, "classdata.eta", e))
-                      for e in payload["eta"]),
-            class_dims=tuple(_json_positive("class_dims", x)
-                             for x in payload["class_dims"]))
-        if not len(data.F) == len(data.C) == len(data.eta) == len(data.class_dims):
-            raise ValueError("F, C, eta and class_dims differ in length")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed classdata: {exc}") from exc
-    want = _classdata_of(H, data.F)
-    i = _first_failure((i, (k, eta) == (want.class_dims[i], want.eta[i]))
-                       for i, (k, eta) in enumerate(zip(data.class_dims, data.eta)))
-    if i is not None:
-        raise VerificationFailed(f"(dim(F_{i}H*), eta_{i}) are not read off F_{i}")
-    i = _first_failure((i, c == eta * CycNum.rational(k)) for i, (c, eta, k)
-                       in enumerate(zip(data.C, data.eta, data.class_dims)))
-    if i is not None:
-        raise ValueError(f"C_{i} != dim(F_{i}H*) eta_{i}")
-    return data

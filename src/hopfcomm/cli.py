@@ -49,7 +49,6 @@ from .counting import (
     theorem_suite_sec3,
 )
 from .errors import (
-    ArityMismatch,
     ClosureCapExceeded,
     DigitCapExceeded,
     EnumerationCapExceeded,
@@ -457,7 +456,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (EnumerationCapExceeded, ClosureCapExceeded, DigitCapExceeded) as exc:
         return _error(EXIT_CAP, exc)
-    except (WordSyntaxError, ArityMismatch) as exc:
+    except WordSyntaxError as exc:
         return _error(EXIT_PARSE, exc)
     except HopfcommError as exc:
         return _error(EXIT_VERIFY, exc)

@@ -5,8 +5,7 @@ n-th commutator generalises it to n arguments.  This module computes
 the spans Com_n, the central elements z_n (n-th commutators of the
 integral), the insertion maps Z_n, coideal and algebra closures, and
 the commutator subalgebra H' by two independent routes; a theorem
-suite checks every identity of the calculus on a given instance, and a
-probe gathers evidence on the open question whether Com = z_2 <- H*.
+suite checks every identity of the calculus on a given instance.
 
 The second commutator and Com = Com_2 are read off one memoized table of
 the basis commutators {e_i, e_k}, made from the adjoint table of
@@ -457,22 +456,3 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     report.sort(key=lambda r: r["check"])
     return report
 
-
-def probe_question_31(H: HopfAlgebra) -> list[dict]:
-    """Evidence on the open question whether Com equals z_2 <- H*.
-
-    Both subspaces are computed exactly; the report never fails."""
-    com = com_span(H, 2)
-    z2 = z_n(H, 2)
-    hit = coideal_closure(H, [z2.vec])
-    return [{
-        "check": "question_com_equals_z2_hit",
-        "status": "evidence",
-        "witness": {
-            "dim_com": com.rank,
-            "dim_z2_hit": hit.rank,
-            "z2_hit_in_com": hit <= com,
-            "com_in_z2_hit": com <= hit,
-            "equal": com == hit,
-        },
-    }]

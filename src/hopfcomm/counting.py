@@ -55,8 +55,8 @@ def _chi_combination(H: HopfAlgebra, coeffs) -> HFunc:
 def character_coordinates(H: HopfAlgebra, f: HFunc):
     """Coordinates c_i = <f, E_i>/d_i of f in the character basis, or None
     if f is not in R(H).  They rest on <chi_i, E_j> = <lambda, E_j E_i>/d_i =
-    delta_ij d_j, from chi_i = (E_i -> lambda)/d_i as ``_verify_irred``
-    certifies it; comparing sum c_i chi_i with f decides membership in R(H)."""
+    delta_ij d_j, from chi_i = (E_i -> lambda)/d_i as ``_read_irred``
+    reads it; comparing sum c_i chi_i with f decides membership in R(H)."""
     ir = require_irred(H)
     coords = [f(e) * CycNum.rational(Fraction(1, deg))
               for e, deg in zip(ir.idempotents, ir.degrees)]
@@ -239,9 +239,6 @@ class SymmetricForm:
     scope: str
     u: HElem
     alphas: tuple = ()
-
-    def value(self, a: HElem, b: HElem) -> CycNum:
-        return self.t(a * b)
 
 
 def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricForm:

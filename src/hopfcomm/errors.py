@@ -41,10 +41,6 @@ class WordSyntaxError(HopfcommError):
         self.offset = offset
 
 
-class ArityMismatch(HopfcommError):
-    pass
-
-
 class EnumerationCapExceeded(HopfcommError):
     pass
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import caps
-from .errors import (ArityMismatch, ClosureCapExceeded, EnumerationCapExceeded,
-                     NotAssociative, NotLatinSquare, WordSyntaxError)
+from .errors import (ClosureCapExceeded, EnumerationCapExceeded, NotAssociative,
+                     NotLatinSquare, WordSyntaxError)
 
 
 class FiniteGroup:
@@ -333,35 +333,6 @@ def cyclic_group(n: int) -> FiniteGroup:
                        _trusted=True)
 
 
-def quaternion_group() -> FiniteGroup:
-    """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k."""
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    # basis product table for 1, i, j, k: (axis, sign)
-    basis = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-
-    def idx(axis, sign):
-        return axis * 2 + (0 if sign == 1 else 1)
-
-    def unpack(i):
-        return i // 2, 1 if i % 2 == 0 else -1
-
-    table = []
-    for a in range(8):
-        ax_a, s_a = unpack(a)
-        row = []
-        for b in range(8):
-            ax_b, s_b = unpack(b)
-            ax, s = basis[(ax_a, ax_b)]
-            row.append(idx(ax, s * s_a * s_b))
-        table.append(row)
-    return FiniteGroup("Q8", table, labels)
-
-
 # --- word DSL ---
 
 @dataclass(frozen=True)
@@ -540,12 +511,6 @@ def parse_word(src: str) -> Word:
     if parser.pos != len(src):
         parser.error("trailing input")
     return word
-
-
-def eval_word(w: Word, g_tuple: Sequence[int], G: FiniteGroup) -> int:
-    if arity(w) > len(g_tuple):
-        raise ArityMismatch(f"word needs {arity(w)} letters, got {len(g_tuple)}")
-    return _eval(w, g_tuple, G)
 
 
 def _eval(w: Word, t: Sequence[int], G: FiniteGroup) -> int:

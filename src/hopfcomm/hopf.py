@@ -30,16 +30,19 @@ Every check finds its first failing witness through the one search
 sum alone, once per family (``split_commutative`` leaves its candidates to
 its caller's certificate); ``_linalg._check_idempotents`` proves them
 orthogonal.  Every builder makes its E_i from its characters by one formula,
-E_i = d_i (Lambda <- s(chi_i)) (``_with_idempotents``), and ``_verify_irred``
-reads each (d_i, chi_i) back off E_i by one formula (``_degree_and_character``).
+E_i = d_i (Lambda <- s(chi_i)) (``_with_idempotents``); ``_read_irred``
+certifies a family of E_i and reads each (d_i, chi_i) off E_i once, by one
+formula (``_degree_and_character``), and the builders and the loader compare
+their own (d_i, chi_i) with that read (``_verify_irred``).
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
-around sparse coefficient dicts; the module-level operations (counit,
-pairing, hit actions, adjoint action, integrals, the Frobenius map and
-its inverse, central primitive idempotents with characters) realize the
-standard semisimple structure theory, with all derived data re-verified
-exactly before it is returned.  The adjoint action is read off a table of
-the nonzero e_i .ad e_j (``adjoint_row``), made one left index at a time.
+around sparse coefficient dicts.  The structure maps, the pairing and the
+hit and adjoint actions are the ``*_raw`` methods of HopfAlgebra on those
+dicts; the module functions (integrals, the Frobenius map and its inverse,
+central primitive idempotents with characters) realize the standard
+semisimple structure theory, with all derived data re-verified exactly
+before it is returned.  The adjoint action is read off a table of the
+nonzero e_i .ad e_j (``adjoint_row``), made one left index at a time.
 """
 
 from __future__ import annotations
@@ -312,9 +315,6 @@ class HElem(_Vector):
     def _unit(self) -> "HElem":
         return self.H.one()
 
-    def coeff(self, i: int) -> CycNum:
-        return self.vec.get(i, _ZERO)
-
     def __repr__(self):
         return _format_vec(self.vec, self.H.labels)
 
@@ -439,49 +439,11 @@ def _central_failure(H: HopfAlgebra, v: Vec):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (the public algebra/coalgebra surface)
-
-
-def counit(a: HElem) -> CycNum:
-    return a.H.counit_raw(a.vec)
-
-
-def func_mult(p: HFunc, q: HFunc) -> HFunc:
-    _same(p, q)
-    return p * q
+# the antipode of H* on a functional (the character formulas use s(chi))
 
 
 def func_antipode_s(p: HFunc) -> HFunc:
     return HFunc(p.H, p.H.func_antipode_raw(p.vec))
-
-
-def pair(p: HFunc, a: HElem) -> CycNum:
-    return p(a)
-
-
-def left_hit(p: HFunc, h: HElem) -> HElem:
-    _same(p, h)
-    return HElem(h.H, h.H.left_hit_raw(p.vec, h.vec))
-
-
-def right_hit(h: HElem, p: HFunc) -> HElem:
-    _same(h, p)
-    return HElem(h.H, h.H.right_hit_raw(h.vec, p.vec))
-
-
-def func_left_hit(a: HElem, p: HFunc) -> HFunc:
-    _same(a, p)
-    return HFunc(p.H, p.H.func_left_hit_raw(a.vec, p.vec))
-
-
-def func_right_hit(p: HFunc, a: HElem) -> HFunc:
-    _same(p, a)
-    return HFunc(p.H, p.H.func_right_hit_raw(p.vec, a.vec))
-
-
-def adjoint(h: HElem, a: HElem) -> HElem:
-    _same(h, a)
-    return HElem(h.H, h.H.adjoint_raw(h.vec, a.vec))
 
 
 # ---------------------------------------------------------------------------
@@ -829,32 +791,47 @@ class IrredData:
         return len(self.degrees)
 
 
-def _verify_irred(H: HopfAlgebra, idems, degrees, chars) -> IrredData:
-    """The IrredData of these tuples, once it is certified exactly.
+def _read_irred(H: HopfAlgebra, idems: list[Vec]) -> list:
+    """(E_i, d_i, chi_i) for each E_i, once the E_i are certified as the
+    central primitive idempotents of H.
 
     n central idempotents summing to 1 are orthogonal, so if nonzero (d_i >=
     1) and n = dim Z(H) they are the primitive idempotents of Z(H).  Each
-    H E_i is then simple, so (d_i, chi_i) must be what
-    ``_degree_and_character`` reads off E_i, and E_0 = Lambda.  Sum d_i^2 =
-    dim, <chi_i, E_j> = delta_ij d_j, <chi_i s(chi_j), Lambda> = delta_ij and
-    chi_0 = Lambda -> lambda = eps follow."""
+    H E_i is then simple, and ``_degree_and_character`` reads (d_i, chi_i)
+    off E_i, once."""
     _require_axioms(H)  # the precondition of _check_idempotents
-    n = len(idems)
-    for i in range(n):
-        k = _central_failure(H, idems[i].vec)
+    for i, e in enumerate(idems):
+        k = _central_failure(H, e)
         if k is not None:
             raise VerificationFailed(f"E_{i} is not central (basis {k})")
-    _check_idempotents("E", [e.vec for e in idems], H.mul_raw, H.unit_vec, "1")
-    if n != len(_center(H)):
+    _check_idempotents("E", idems, H.mul_raw, H.unit_vec, "1")
+    if len(idems) != len(_center(H)):
         raise VerificationFailed(
-            f"{n} idempotents for a center of dimension {len(_center(H))}")
-    for i in range(n):
-        if _degree_and_character(H, idems[i].vec) != (degrees[i], chars[i].vec):
-            raise VerificationFailed(f"(d_{i}, chi_{i}) are not read off E_{i}")
+            f"{len(idems)} idempotents for a center of dimension {len(_center(H))}")
+    return [(e, *_degree_and_character(H, e)) for e in idems]
+
+
+def _irred_data(H: HopfAlgebra, read) -> IrredData:
+    """The IrredData of ``_read_irred``'s triples in this order, which must
+    start at E_0 = Lambda.  Sum d_i^2 = dim, <chi_i, E_j> = delta_ij d_j,
+    <chi_i s(chi_j), Lambda> = delta_ij and chi_0 = Lambda -> lambda = eps
+    follow."""
     integral, _ = integrals(H)
-    if idems[0] != integral:
+    if read[0][0] != integral.vec:
         raise VerificationFailed("E_0 != Lambda")
-    return IrredData(idempotents=idems, degrees=degrees, characters=chars)
+    return IrredData(idempotents=tuple(HElem(H, e) for e, _, _ in read),
+                     degrees=tuple(d for _, d, _ in read),
+                     characters=tuple(HFunc(H, chi) for _, _, chi in read))
+
+
+def _verify_irred(H: HopfAlgebra, entries) -> IrredData:
+    """The IrredData of these (E, d, chi) vector triples, once each (d_i,
+    chi_i) is what ``_read_irred`` reads off E_i."""
+    read = _read_irred(H, [e for e, _, _ in entries])
+    for i, ((_, d, chi), given) in enumerate(zip(read, entries)):
+        if (d, chi) != given[1:]:
+            raise VerificationFailed(f"(d_{i}, chi_{i}) are not read off E_{i}")
+    return _irred_data(H, read)
 
 
 @memo
@@ -1032,34 +1009,24 @@ def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
 def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
     """Central primitive idempotents, degrees, and irreducible characters,
     computed from the structure constants alone: the center is split by
-    lift-and-verify, and each idempotent's degree and character are read
-    off it by ``_degree_and_character``; ``_ordered_irred`` certifies them.
+    lift-and-verify, ``_read_irred`` certifies the idempotents and reads
+    each degree and character off its E_i, and ``_irred_data`` certifies
+    the order of ``_sorted_irred``.
     """
     return split_commutative(
         _center(H), H.mul_raw, H.unit_vec, H.cyc_order, random.Random(seed),
-        lambda idems: _ordered_irred(H, [(e, *_degree_and_character(H, e))
-                                         for e in idems]))
+        lambda idems: _irred_data(H, _sorted_irred(H, _read_irred(H, idems))))
 
 
-def _ordered_irred(H: HopfAlgebra, entries) -> IrredData:
-    """IrredData from (E, degree, character) triples of vectors: the E that
-    equals the integral first, the rest by degree and then character values;
-    ``_verify_irred`` certifies the order by E_0 = Lambda."""
+def _sorted_irred(H: HopfAlgebra, entries) -> list:
+    """(E, degree, character) triples of vectors, the E that equals the
+    integral first, the rest by degree and then character values."""
     integral, _ = integrals(H)
-    return _irred_data(H, sorted(entries, key=lambda e: (
+    return sorted(entries, key=lambda e: (
         e[0] != integral.vec,
         e[1],
         tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
-    )))
-
-
-def _irred_data(H: HopfAlgebra, ordered) -> IrredData:
-    """IrredData from (E, degree, character) triples in the given order,
-    verified exactly before it is returned."""
-    idems = tuple(HElem(H, e[0]) for e in ordered)
-    degrees = tuple(e[1] for e in ordered)
-    chars = tuple(HFunc(H, e[2]) for e in ordered)
-    return _verify_irred(H, idems, degrees, chars)
+    ))
 
 
 def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
@@ -1071,7 +1038,7 @@ def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
 
 def grouplike_functionals(H: HopfAlgebra) -> list[HFunc]:
     """The grouplike elements of H*: exactly the degree-1 irreducible
-    characters.  ``_verify_irred`` certifies chi_i as the character of the
+    characters.  ``_read_irred`` certifies chi_i as the character of the
     simple module H E_i, one-dimensional when d_i = 1, so such a chi_i is an
     algebra map."""
     irred = require_irred(H)
@@ -1249,7 +1216,7 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
     )
     table = dixon_character_table(G, seed)
     cls = table.classes.class_of
-    H.irred = _irred_data(H, _with_idempotents(H, [
+    H.irred = _verify_irred(H, _with_idempotents(H, [
         (d, {g: row[cls[g]] for g in range(n) if row[cls[g]]})
         for d, row in zip(table.degrees, table.values)]))
     return H, H.irred
@@ -1267,7 +1234,7 @@ def build_dual_group_algebra(G: FiniteGroup):
     )
     # chi_g = evaluation at g, so E_g = p_g; trivial (= eps) is g = identity.
     order = [G.identity] + [g for g in range(n) if g != G.identity]
-    H.irred = _irred_data(H, _with_idempotents(H, [(1, {g: _ONE}) for g in order]))
+    H.irred = _verify_irred(H, _with_idempotents(H, [(1, {g: _ONE}) for g in order]))
     return H, H.irred
 
 
@@ -1325,7 +1292,7 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
                     if val:
                         chi[g * n + h] = val
             entries.append((deg, chi))
-    return _ordered_irred(H, _with_idempotents(H, entries))
+    return _verify_irred(H, _sorted_irred(H, _with_idempotents(H, entries)))
 
 
 def _with_idempotents(H: HopfAlgebra, entries) -> list:
@@ -1512,13 +1479,11 @@ def irred_from_dict(H: HopfAlgebra, data: dict) -> IrredData:
     vector that ``_vec_from_json`` refuses, or a zero denominator, raises
     ValueError."""
     try:
-        degrees = tuple(_json_positive("degree", x) for x in data["degrees"])
-        idems = tuple(H.elem(_vec_from_json(H, "irred.idempotents", e))
-                      for e in data["idempotents"])
-        chars = tuple(H.func(_vec_from_json(H, "irred.characters", e))
-                      for e in data["characters"])
+        degrees = [_json_positive("degree", x) for x in data["degrees"]]
+        idems = [_vec_from_json(H, "irred.idempotents", e) for e in data["idempotents"]]
+        chars = [_vec_from_json(H, "irred.characters", e) for e in data["characters"]]
         if not len(degrees) == len(idems) == len(chars):
             raise ValueError("degrees, idempotents and characters differ in length")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed irred section: {exc}") from exc
-    return _verify_irred(H, idems, degrees, chars)
+    return _verify_irred(H, list(zip(idems, degrees, chars)))

@@ -4,9 +4,12 @@ Instances are built once (axiom verification included) and treated as
 read-only by every test.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from hopfcomm.group import cyclic_group, from_perm_generators, quaternion_group
+from hopfcomm.group import cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import (
     build_drinfeld_double,
     build_dual_group_algebra,
@@ -41,7 +44,8 @@ def a4():
 
 @pytest.fixture(scope="session")
 def q8():
-    return quaternion_group()
+    spec = Path(__file__).resolve().parent / "golden" / "specs" / "Q8.json"
+    return load_group(json.loads(spec.read_text(encoding="utf-8")))
 
 
 @pytest.fixture(scope="session")

@@ -20,17 +20,18 @@ from hopfcomm.chartab import (
 from hopfcomm.cli import main
 from hopfcomm.errors import VerificationFailed
 from hopfcomm.exactnum import cyc, zeta
-from hopfcomm.group import (
-    cyclic_group,
-    from_perm_generators,
-    quaternion_group,
-)
+from hopfcomm.group import cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import build_group_algebra
 
 S3_GENS = [[[1, 2]], [[1, 2, 3]]]
 S4_GENS = [[[1, 2]], [[1, 2, 3, 4]]]
 A4_GENS = [[[1, 2, 3]], [[1, 2], [3, 4]]]
 D4_GENS = [[[1, 2, 3, 4]], [[1, 3]]]
+SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+
+
+def quaternion_group():
+    return load_group(json.loads((SPECS / "Q8.json").read_text(encoding="utf-8")))
 
 
 def test_structure_constants_identity_class():
@@ -150,8 +151,7 @@ def test_table_deterministic_across_seeds():
 
 def test_table_serialization_and_markdown(capsys):
     # The CLI's chartab JSON is the one serialization of a table.
-    spec = Path(__file__).resolve().parent / "golden" / "specs" / "S3.json"
-    assert main(["chartab", str(spec), "--seed", "0"]) == 0
+    assert main(["chartab", str(SPECS / "S3.json"), "--seed", "0"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["degrees"] == [1, 1, 2]
     assert [c["size"] for c in d["classes"]] == [1, 2, 3]

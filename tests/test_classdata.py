@@ -11,7 +11,7 @@ import hopfcomm.hopf as hopf_mod
 from hopfcomm._linalg import Echelon, rank, vec_axpy
 from hopfcomm.classdata import (
     ClassData,
-    classdata_from_dict,
+    _classdata_of,
     classdata_to_dict,
     conjugacy_class_coideal,
     drinfeld_map,
@@ -37,6 +37,9 @@ from hopfcomm.exactnum import CycNum
 from hopfcomm.hopf import (
     HElem,
     HFunc,
+    _first_failure,
+    _json_positive,
+    _vec_from_json,
     frobenius_psi,
     generators,
     integrals,
@@ -46,6 +49,39 @@ from hopfcomm.hopf import (
 )
 
 ONE = CycNum.rational(1)
+
+
+def classdata_from_dict(H, payload):
+    """Rebuild the class data of H from its JSON dump and verify it: the F_i
+    must pass ``_classdata_of``, and each (dim(F_iH*), eta_i) must be what
+    ``_class_of`` reads off F_i.  No command reads class data back; this
+    loader probes the certificate with edited dumps.
+
+    A missing key, lists of different lengths, a vector that
+    ``_vec_from_json`` refuses, a class dim that is not a positive integer,
+    or a C_i other than dim(F_iH*) eta_i raises ValueError."""
+    try:
+        data = ClassData(
+            F=tuple(H.func(_vec_from_json(H, "classdata.F", e)) for e in payload["F"]),
+            C=tuple(H.elem(_vec_from_json(H, "classdata.C", e)) for e in payload["C"]),
+            eta=tuple(H.elem(_vec_from_json(H, "classdata.eta", e))
+                      for e in payload["eta"]),
+            class_dims=tuple(_json_positive("class_dims", x)
+                             for x in payload["class_dims"]))
+        if not len(data.F) == len(data.C) == len(data.eta) == len(data.class_dims):
+            raise ValueError("F, C, eta and class_dims differ in length")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed classdata: {exc}") from exc
+    want = _classdata_of(H, data.F)
+    i = _first_failure((i, (k, eta) == (want.class_dims[i], want.eta[i]))
+                       for i, (k, eta) in enumerate(zip(data.class_dims, data.eta)))
+    if i is not None:
+        raise VerificationFailed(f"(dim(F_{i}H*), eta_{i}) are not read off F_{i}")
+    i = _first_failure((i, c == eta * CycNum.rational(k)) for i, (c, eta, k)
+                       in enumerate(zip(data.C, data.eta, data.class_dims)))
+    if i is not None:
+        raise ValueError(f"C_{i} != dim(F_{i}H*) eta_{i}")
+    return data
 
 
 def rat(x):

@@ -17,7 +17,6 @@ from hopfcomm import cli
 from hopfcomm.cli import main
 from hopfcomm.counting import f_n
 from hopfcomm.exactnum import CycNum, zeta
-from hopfcomm.group import quaternion_group
 from hopfcomm.hopf import hopf_from_dict
 
 S3_SPEC = {"name": "S3", "perm_generators": [[[1, 2]], [[1, 2, 3]]]}
@@ -32,10 +31,7 @@ def specdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("specs")
     (d / "s3.json").write_text(json.dumps(S3_SPEC))
     (d / "c2.json").write_text(json.dumps(C2_SPEC))
-    G = quaternion_group()
-    q8 = {"name": "Q8", "cayley": [list(r) for r in G.table],
-          "labels": list(G.labels)}
-    (d / "q8.json").write_text(json.dumps(q8))
+    (d / "q8.json").write_text((GOLDEN_SPECS / "Q8.json").read_text(encoding="utf-8"))
     return d
 
 

@@ -19,12 +19,7 @@ import hopfcomm.hopf as hopf_mod
 from hopfcomm import runlog
 from hopfcomm._linalg import Echelon, nullspace, vec_axpy, vec_scale
 from hopfcomm.cli import main
-from hopfcomm.classdata import (
-    classdata_from_dict,
-    classdata_to_dict,
-    require_classdata,
-    rh_idempotents,
-)
+from hopfcomm.classdata import classdata_to_dict, require_classdata, rh_idempotents
 from hopfcomm.errors import (
     DimMismatch,
     HopfcommError,
@@ -36,18 +31,13 @@ from hopfcomm.group import cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import (
     HElem,
     HopfAlgebra,
-    adjoint,
     adjoint_row,
     build_drinfeld_double,
     build_dual_group_algebra,
     build_group_algebra,
     casimir_tensor,
-    counit,
     frobenius_psi,
     func_antipode_s,
-    func_left_hit,
-    func_mult,
-    func_right_hit,
     generators,
     grouplike_functionals,
     hopf_from_dict,
@@ -56,19 +46,18 @@ from hopfcomm.hopf import (
     irred_from_dict,
     irred_to_dict,
     irreducibles_generic,
-    left_hit,
     memo,
-    pair,
     psi_inv,
     random_element,
     random_functional,
-    right_hit,
     tensor_flatten,
     tensor_mult,
     tensor_of,
     theorem_suite_sec1,
     verify_hopf_axioms,
 )
+
+from test_classdata import classdata_from_dict
 
 ONE = cyc(1)
 
@@ -237,11 +226,11 @@ def test_integrals_ks3(ks3, s3):
     assert lam.vec == {g: sixth for g in range(6)}
     # regular character: 6 at the identity, 0 elsewhere
     assert dual.vec == {s3.identity: cyc(6)}
-    assert pair(dual, lam) == ONE
+    assert dual(lam) == ONE
     assert lam * lam == lam
     for i in range(6):
         b = HElem(H, {i: ONE})
-        assert b * lam == counit(b) * lam == lam * b
+        assert b * lam == H.counit_raw(b.vec) * lam == lam * b
 
 
 def test_integrals_dual_group(dual_s3, s3):
@@ -257,7 +246,7 @@ def test_integrals_double(dc2):
     # Lambda = (1/|G|) sum_h p_e x h
     half = cyc("1/2")
     assert lam.vec == {0 * 2 + h: half for h in range(2)}
-    assert pair(dual, lam) == ONE
+    assert dual(lam) == ONE
 
 
 def _integral_by_nullspace(H):
@@ -342,13 +331,13 @@ def test_hit_adjunctions_random(which, request):
         p = random_functional(H, rng)
         q = random_functional(H, rng)
         # <q, h <- p> = <pq, h> and <q, p -> h> = <qp, h>
-        assert pair(q, right_hit(h, p)) == pair(func_mult(p, q), h)
-        assert pair(q, left_hit(p, h)) == pair(func_mult(q, p), h)
+        assert q(H.elem(H.right_hit_raw(h.vec, p.vec))) == (p * q)(h)
+        assert q(H.elem(H.left_hit_raw(p.vec, h.vec))) == (q * p)(h)
         a = random_element(H, rng)
         b = random_element(H, rng)
         # <p <- a, b> = <p, ab> and <a -> p, b> = <p, ba>
-        assert pair(func_right_hit(p, a), b) == pair(p, a * b)
-        assert pair(func_left_hit(a, p), b) == pair(p, b * a)
+        assert H.func(H.func_right_hit_raw(p.vec, a.vec))(b) == p(a * b)
+        assert H.func(H.func_left_hit_raw(a.vec, p.vec))(b) == p(b * a)
 
 
 def test_adjoint_of_integral_is_central(ks3, dc2):
@@ -357,7 +346,7 @@ def test_adjoint_of_integral_is_central(ks3, dc2):
         rng = random.Random(11)
         for _ in range(5):
             h = random_element(H, rng)
-            c = adjoint(lam, h)
+            c = H.elem(H.adjoint_raw(lam.vec, h.vec))
             for k in range(H.dim):
                 b = HElem(H, {k: ONE})
                 assert b * c == c * b
@@ -367,8 +356,7 @@ def test_adjoint_group_algebra_is_conjugation(ks3, s3):
     H, _ = ks3
     for g in range(6):
         for x in range(6):
-            got = adjoint(HElem(H, {g: ONE}), HElem(H, {x: ONE}))
-            assert got == HElem(H, {s3.conj(x, g): ONE})
+            assert H.adjoint_raw({g: ONE}, {x: ONE}) == {s3.conj(x, g): ONE}
 
 
 def _adjoint_by_loop(H, h, a):
@@ -428,7 +416,7 @@ def test_character_hit_by_central(kq8):
     for t, E in enumerate(irred.idempotents):
         z = z + cyc(t + 1) * E
     for deg, chi in zip(irred.degrees, irred.characters):
-        lhs = func_right_hit(chi, z)
+        lhs = H.func(H.func_right_hit_raw(chi.vec, z.vec))
         rhs = (cyc(f"1/{deg}") * chi(z)) * chi
         assert lhs == rhs
 
@@ -547,7 +535,8 @@ def _irred_pairing_failure(H, idems, degrees, chars):
 
 def _certificate_refuses(H, idems, degrees, chars):
     try:
-        hopf_mod._verify_irred(H, idems, degrees, chars)
+        hopf_mod._verify_irred(H, [(e.vec, d, chi.vec)
+                                   for e, d, chi in zip(idems, degrees, chars)])
     except (VerificationFailed, NonIntegerDegree):
         return True
     return False
@@ -787,6 +776,16 @@ def test_json_corrupted_irred_raises(ks3):
     data = json.loads(json.dumps(irred_to_dict(irred)))
     data["degrees"][2] = 3
     with pytest.raises(VerificationFailed):
+        irred_from_dict(H, data)
+
+
+def test_json_irred_out_of_order_raises(ks3):
+    # every (d_i, chi_i) is still read off its E_i; only E_0 = Lambda fails
+    H, irred = ks3
+    data = json.loads(json.dumps(irred_to_dict(irred)))
+    for key in data:
+        data[key][0], data[key][1] = data[key][1], data[key][0]
+    with pytest.raises(VerificationFailed, match="E_0 != Lambda"):
         irred_from_dict(H, data)
 
 
@@ -1349,6 +1348,21 @@ def test_check_idempotents_runs_once_per_generic_split(ds3, monkeypatch):
     assert calls == ["E"]
 
 
+def test_degree_and_character_read_once_per_idempotent(ds3, monkeypatch):
+    # the sort and the certificate of a generic split share one read
+    H, irred = ds3
+    calls = []
+    real = hopf_mod._degree_and_character
+
+    def spy(H, evec):
+        calls.append(evec)
+        return real(H, evec)
+
+    monkeypatch.setattr(hopf_mod, "_degree_and_character", spy)
+    assert irreducibles_generic(H) == irred
+    assert len(calls) == len(irred) == 8
+
+
 @pytest.mark.parametrize("refusal", [VerificationFailed("refused"),
                                      NonIntegerDegree("Tr(L_E) = 5")],
                          ids=["verification_failed", "non_integer_degree"])
@@ -1383,10 +1397,10 @@ def _antipode_mutant(s3):
 def test_verify_irred_refuses_an_instance_that_fails_an_axiom(ks3, s3):
     _, irred = ks3
     H = _antipode_mutant(s3)
-    idems = tuple(H.elem(e.vec) for e in irred.idempotents)
-    chars = tuple(H.func(f.vec) for f in irred.characters)
+    entries = [(e.vec, d, chi.vec) for e, d, chi
+               in zip(irred.idempotents, irred.degrees, irred.characters)]
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
-        hopf_mod._verify_irred(H, idems, irred.degrees, chars)
+        hopf_mod._verify_irred(H, entries)
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
         classdata_from_dict(H, classdata_to_dict(require_classdata(ks3[0])))
 

@@ -1,18 +1,29 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every top-level function or class of the package is reached.
 
-Read with the standard ``ast`` module only: a name bound by an ``import``
-must occur as a name (a load, or the base of an attribute) or inside a
-quoted annotation.  Names listed in the module's ``__all__`` are re-exports
-and exempt.
+Read with the standard ``ast`` and ``symtable`` modules only.  A name bound
+by an ``import`` must occur as a name (a load, or the base of an attribute)
+or inside a quoted annotation; names listed in the module's ``__all__`` are
+re-exports and exempt.  A top-level def or class is live when its own
+module reads it as a global outside its own body (scopes resolved by
+``symtable``, so a parameter or local of the same name does not count),
+another module or a README python block imports it or reads it as an
+attribute of its module, or its module's ``__all__`` lists it.
 """
 
 import ast
+import re
+import symtable
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfcomm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hopfcomm"
 MODULES = sorted(PACKAGE.glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
 
 
 def _imported(tree):
@@ -65,3 +76,84 @@ def test_unused_import_detected():
            "__all__ = ['C']\n"
            "@dataclass\nclass K:\n    v: 'os.sep'\n")
     assert unused_imports(src) == [("field", 1), ("B", 3)]
+
+
+def _reached(tree):
+    """(module, name) of each package name the source imports, or reads as
+    an attribute of a package module it imports."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "hopfcomm"):
+            stem = (node.module or "").removeprefix("hopfcomm").lstrip(".") or "__init__"
+            for alias in node.names:
+                yield stem, alias.name
+                if stem == "__init__":  # from . import m
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("hopfcomm."):
+                    modules[alias.asname] = alias.name.rpartition(".")[2]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr
+
+
+def _reads_global(table, name, skip) -> bool:
+    """Whether ``table`` or a scope nested in it, other than the scope
+    ``skip`` (name, line) and those nested in it, reads ``name`` as a
+    global."""
+    if name in table.get_identifiers():
+        sym = table.lookup(name)
+        if sym.is_global() and sym.is_referenced():
+            return True
+    return any(_reads_global(child, name, skip) for child in table.get_children()
+               if (child.get_name(), child.get_lineno()) != skip)
+
+
+def dead_definitions(modules: dict, readme_blocks=()) -> list:
+    """(module, name) of each top-level def or class of ``modules`` ({module
+    name: source}) that is not live."""
+    trees = {stem: ast.parse(source) for stem, source in modules.items()}
+    reached = {pair for tree in [*trees.values(), *map(ast.parse, readme_blocks)]
+               for pair in _reached(tree)}
+    dead = []
+    for stem, tree in trees.items():
+        top = symtable.symtable(modules[stem], stem, "exec")
+        exported = _exported(tree)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and (stem, node.name) not in reached and node.name not in exported
+                    and not _reads_global(top, node.name, (node.name, node.lineno))):
+                dead.append((stem, node.name))
+    return dead
+
+
+def test_every_top_level_definition_is_reached():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert dead_definitions(sources, README_BLOCKS) == []
+
+
+def test_dead_definition_detected():
+    m = ("from .n import imported\n"
+         "from . import n as alias\n"
+         "__all__ = ['exported']\n"
+         "def parameter(): pass\n"
+         "def local(): pass\n"
+         "def recursive(k): return recursive(k - 1)\n"
+         "def wrapped(): pass\n"
+         "def exported(): pass\n"
+         "def user(parameter):\n"
+         "    local = parameter\n"
+         "    return [local for parameter in alias.attribute()]\n"
+         "cached = memo(wrapped)\n")
+    n = ("def imported(): pass\n"
+         "def attribute(): pass\n"
+         "class Orphan:\n"
+         "    def method(self): return Orphan\n")
+    assert dead_definitions({"m": m, "n": n}) == [
+        ("m", "parameter"), ("m", "local"), ("m", "recursive"), ("m", "user"),
+        ("n", "Orphan")]
+    assert dead_definitions({"m": m, "n": n}, ["from hopfcomm.m import user"]) == [
+        ("m", "parameter"), ("m", "local"), ("m", "recursive"), ("n", "Orphan")]
