@@ -1,19 +1,23 @@
-"""Modular-arithmetic workhorses: primes, a splitter of commutative
-algebras by Frobenius powers, Hensel lifting, and a small integer LLL.
+"""Modular-arithmetic workhorses: primes, the prime/retry loop, a splitter
+of commutative algebras by Frobenius powers, Hensel lifting, and a small
+integer LLL.
 
 These are internal helpers for splitting commutative algebras (character
 tables, central idempotents).  An algebra is given by sparse integer
 structure constants and its elements by dense lists of ints mod p; there is
 no row reduction here, since the idempotents come from powers of random
 elements.  The LLL keeps its Gram-Schmidt data as integers and takes
-linearly independent rows only.
+linearly independent rows only.  Modular results only propose:
+``first_certified`` is the one prime/retry loop, and an exact certificate
+decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadPrime
+from . import runlog
+from .errors import BadPrime, DenominatorCollision, VerificationFailed
 
 
 def is_prime(n: int) -> bool:
@@ -47,6 +51,44 @@ def next_prime_in_ap(lower: int, modulus: int, residue: int = 1) -> int:
     while not is_prime(p):
         p += modulus
     return p
+
+
+TRIES = 5
+
+
+def first_certified(event: dict, N: int, lower: int, precisions: tuple,
+                    propose, accept, failure):
+    """``accept(candidate)`` of the first ``propose(p, k)`` it certifies.
+
+    Try t runs at k = precisions[t % len(precisions)] on the
+    (t // len(precisions))-th prime p > lower with p == 1 (mod N).
+    ``propose`` returns a candidate or None; ``accept`` returns the result
+    or raises VerificationFailed.  Each try records one event: ``event``,
+    the prime, the precision unless k is None, and the outcome, "ok",
+    "reconstruction_failed" (no candidate, or a refused one) or the name of
+    the error raised.  After TRIES tries: VerificationFailed(failure(reason)).
+    """
+    p = lower
+    for t in range(TRIES):
+        k = precisions[t % len(precisions)]
+        if t % len(precisions) == 0:
+            p = next_prime_in_ap(p, N)
+        try:
+            candidate = propose(p, k)
+            if candidate is None:
+                raise VerificationFailed("reconstruction failed")
+            result = accept(candidate)
+        except VerificationFailed as exc:
+            outcome, error = "reconstruction_failed", exc
+        except (BadPrime, DenominatorCollision, ValueError) as exc:
+            outcome, error = type(exc).__name__, exc
+        else:
+            outcome = "ok"
+        precision = {} if k is None else {"precision": k}
+        runlog.record(**event, prime=p, **precision, outcome=outcome)
+        if outcome == "ok":
+            return result
+    raise VerificationFailed(failure(f"p={p}{'' if k is None else f', k={k}'}: {error}"))
 
 
 # ---------------------------------------------------------------------------

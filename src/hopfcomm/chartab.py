@@ -10,6 +10,7 @@ eigenvalue multiplicities.  The mod-p phase is untrusted scaffolding: every
 lifted table is re-verified exactly before it is returned, by rebuilding
 the E_i from its rows and certifying them with ``_check_idempotents``, the
 check that also certifies the central idempotents of every Hopf algebra.
+The primes and retries are ``_modp.first_certified``'s.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import runlog
 from ._linalg import _check_idempotents, vec_axpy
-from ._modp import element_of_order, next_prime_in_ap, split_idempotents
-from .errors import BadPrime, VerificationFailed
+from ._modp import TRIES, element_of_order, first_certified, split_idempotents
+from .errors import VerificationFailed
 from .exactnum import CycNum, Rational
 from .group import ClassPartition, FiniteGroup, power_map
-
-_MAX_PRIME_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -186,38 +184,19 @@ def _verify_table(G, algebra, degrees, values):
 
 def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
     """Exact character table of G, rows sorted with the trivial character
-    first and the remaining rows by (degree, value key)."""
+    first and the remaining rows by (degree, value key).  ``_lift_table``
+    proposes, ``_verify_table`` decides."""
     algebra = class_structure_constants(G)
     rng = random.Random(seed)
     e = G.exponent()
-    p = next_prime_in_ap(max(2 * G.order, e, 2), e)
-    last_error: Exception | None = None
-    for _ in range(_MAX_PRIME_RETRIES):
-        try:
-            lifted = _lift_table(G, algebra, p, rng)
-        except BadPrime as exc:
-            lifted = None
-            last_error = exc
-            runlog.record("dixon", group=G.name, prime=p, outcome="bad_prime")
-        if lifted is not None:
-            degrees, values = lifted
-            try:
-                _verify_table(G, algebra, degrees, values)
-            except VerificationFailed as exc:
-                last_error = exc
-                runlog.record("dixon", group=G.name, prime=p,
-                              outcome="verification_failed")
-            else:
-                runlog.record("dixon", group=G.name, prime=p, outcome="ok")
-                labels = tuple(G.labels[r] for r in algebra.classes.reps)
-                return CharacterTable(
-                    group_name=G.name,
-                    classes=algebra.classes,
-                    class_labels=labels,
-                    degrees=degrees,
-                    values=values,
-                )
-        p = next_prime_in_ap(p, e)
-    raise VerificationFailed(
-        f"character table of {G.name} failed verification after "
-        f"{_MAX_PRIME_RETRIES} primes: {last_error}")
+
+    def accept(lifted):
+        _verify_table(G, algebra, *lifted)
+        labels = tuple(G.labels[r] for r in algebra.classes.reps)
+        return CharacterTable(G.name, algebra.classes, labels, *lifted)
+
+    return first_certified(
+        {"stage": "dixon", "group": G.name}, e, max(2 * G.order, e, 2), (None,),
+        lambda p, _: _lift_table(G, algebra, p, rng), accept,
+        lambda why: f"character table of {G.name} failed verification after "
+                    f"{TRIES} primes: {why}")

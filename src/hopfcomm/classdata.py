@@ -198,6 +198,14 @@ def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
 # membership criterion
 
 
+def _eta_memberships(data: ClassData, span: Echelon, f: HFunc):
+    """(witness, ok) per class j: eta_j is in the coideal ``span`` iff <f, eta_j> != 0."""
+    for j, eta in enumerate(data.eta):
+        w = {"class": j, "in_coideal": span.contains(eta.vec),
+             "pairing_nonzero": f(eta) != _ZERO}
+        yield w, w["in_coideal"] == w["pairing_nonzero"]
+
+
 def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc) -> list[tuple[bool, bool]]:
     """eta_j in Psi^{-1}(f) <- H*  vs  <f, eta_j> != 0, both computed for
     every class j.
@@ -210,13 +218,11 @@ def membership_test(H: HopfAlgebra, data: ClassData, f: HFunc) -> list[tuple[boo
         raise ValueError("membership_test needs f in the character span")
     coideal = coideal_closure(H, [psi_inv(H, f).vec])
     verdicts = []
-    for j, eta in enumerate(data.eta):
-        by_pairing = f(eta) != _ZERO
-        by_subspace = coideal.contains(eta.vec)
-        if by_pairing != by_subspace:
-            raise LemmaViolation(
-                f"class {j}: pairing says {by_pairing}, subspace says {by_subspace}")
-        verdicts.append((by_pairing, by_subspace))
+    for w, ok in _eta_memberships(data, coideal, f):
+        if not ok:
+            raise LemmaViolation("class {class}: pairing says {pairing_nonzero}, "
+                                 "subspace says {in_coideal}".format(**w))
+        verdicts.append((w["pairing_nonzero"], w["in_coideal"]))
     return verdicts
 
 
@@ -252,21 +258,14 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         witness = str(exc)
     _entry(report, "membership_routes_agree", ok, witness)
 
-    # eta_j lies in the coideal v <- H* exactly when <Psi(v), eta_j> != 0
-    def coideal_iff_pairing(span, f):
-        for j in range(m):
-            w = {"class": j, "in_coideal": span.contains(data.eta[j].vec),
-                 "pairing_nonzero": f(data.eta[j]) != _ZERO}
-            yield w, w["in_coideal"] == w["pairing_nonzero"]
-
     z2 = z_n(H, 2)
     z2_spans = {n: coideal_closure(H, [(z2 ** n).vec]) for n in (1, 2, 3)}
     for n in (1, 2):
         _check_all(f"eta_in_z2^{n}_coideal_iff_f{n}_pairing",
-                   coideal_iff_pairing(z2_spans[n], f_n(H, n)), report)
+                   _eta_memberships(data, z2_spans[n], f_n(H, n)), report)
     fit = f_iterated(H)
-    _check_all("eta_in_iterated_coideal_iff_pairing", coideal_iff_pairing(
-        coideal_closure(H, [hopf_commutator(z2, integral).vec]), fit), report)
+    _check_all("eta_in_iterated_coideal_iff_pairing", _eta_memberships(
+        data, coideal_closure(H, [hopf_commutator(z2, integral).vec]), fit), report)
 
     # fusion route: coefficient of chi_i in f_iterated is d^2/d_i sum_k m_ki/d_k
     def from_fusion(i, c):

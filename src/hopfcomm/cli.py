@@ -33,12 +33,11 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import caps, runlog
 from .chartab import dixon_character_table
 from .classdata import classdata_to_dict, require_classdata, theorem_suite_sec4
-from .commutator import commutator_subalgebra, theorem_suite_sec2, z_n
+from .commutator import commutator_subalgebra, theorem_suite_sec2, z_n, z_n_by_idempotents
 from .counting import (
     character_coordinates,
     f_iterated,
@@ -59,10 +58,8 @@ from .errors import (
 from .exactnum import CycNum, _digit_cap_exceeded, _rational_str
 from .group import arity, count_word, from_cayley, load_group, parse_word, word_to_str
 from .hopf import (
-    HElem,
     HopfAlgebra,
     _coeff_to_json,
-    _combination,
     _vec_to_json,
     build_drinfeld_double,
     build_dual_group_algebra,
@@ -249,8 +246,7 @@ def cmd_compute(args) -> int:
         n = args.n
         direct = z_n(H, n)  # refuses n < 0
         irred = require_irred(H, args.seed)
-        coeffs = [Fraction(1, d ** (n - n % 2)) for d in irred.degrees]
-        from_idempotents = HElem(H, _combination(coeffs, irred.idempotents))
+        coeffs, from_idempotents = z_n_by_idempotents(H, irred, n)
         agree = direct == from_idempotents
         doc["result"] = {
             "n": n,

@@ -116,6 +116,12 @@ def z_n(H: HopfAlgebra, n: int) -> HElem:
     return HElem(H, tensor_flatten(H, _u_power(H, n)))
 
 
+def z_n_by_idempotents(H: HopfAlgebra, irred, n: int) -> tuple[list, HElem]:
+    """(coefficients in the E_i, element) of z_n = sum_i E_i / d_i^(n - n mod 2)."""
+    coeffs = [Rational(1, d ** (n - n % 2)) for d in irred.degrees]
+    return coeffs, HElem(H, _combination(coeffs, irred.idempotents))
+
+
 def Z_n_map(H: HopfAlgebra, n: int, h: HElem) -> HElem:
     """Z_n(h) = sum L^1_1...L^n_1 h S(L^1_2)...S(L^n_2) with n copies of the
     integral sandwiching h; Z_0(h) = h.  Linear in h: sum h_k Z_n(e_k)."""
@@ -323,11 +329,7 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     _check_all("zn_is_z2_power", (({"n": n}, z[n] == z[2] ** (n // 2)) for n in range(7)),
                report)
 
-    def idem_form(n):
-        coeffs = [Rational(1, deg ** (n - n % 2)) for deg in irred.degrees]
-        return HElem(H, _combination(coeffs, irred.idempotents))
-
-    ok = all(z[n] == idem_form(n) for n in range(2, 6))
+    ok = all(z[n] == z_n_by_idempotents(H, irred, n)[1] for n in range(2, 6))
     _entry(report, "zn_idempotent_expansion", ok)
 
     _entry(report, "z2_central", is_central(H, z[2]))

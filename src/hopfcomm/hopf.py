@@ -53,20 +53,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import runlog
 from ._linalg import Echelon, Solver, _check_idempotents, nullspace, vec_axpy, vec_scale
 from ._modp import (
+    TRIES,
     algebra_mul,
     element_of_order,
+    first_certified,
     lift_root,
     lll_reduce,
-    next_prime_in_ap,
     split_idempotents,
 )
 from .chartab import dixon_character_table
 from .errors import (
-    BadPrime,
-    DenominatorCollision,
     DimMismatch,
     NoIntegral,
     NonIntegerDegree,
@@ -872,8 +870,9 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
     found over F_p (p = 1 mod cyc_order) from Frobenius powers of random
     elements (``_modp.split_idempotents``; no structure matrix is
     diagonalised), Hensel-lifted to p^k and recognised in Q(zeta_cyc_order)
-    by lattice reduction.  ``accept``, the caller's certificate, returns the
-    result or raises VerificationFailed to retry on new primes/precisions.
+    by lattice reduction (``_split_attempt``).  ``accept``, the caller's
+    certificate, returns the result or raises VerificationFailed; the
+    retries are ``_modp.first_certified``'s, at k = 24 then 48 per prime.
     """
     dim = len(span)
     solver = Solver()
@@ -900,33 +899,12 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
     phi = euler_phi(N)
     cpoly = list(cyclotomic_poly(N))
     unit_coords = coords(unit)
-    p = next_prime_in_ap(max(2 * dim, 16, N), N)
-    last_error = None
-    for attempt in range(5):
-        k = 24 if attempt % 2 == 0 else 48
-        try:
-            result = _split_attempt(struct, unit_coords, N, phi, cpoly, p, k, rng)
-            if result is not None:
-                try:
-                    accepted = accept([vector(xs) for xs in result])
-                except VerificationFailed:
-                    result = None
-            if result is not None:
-                runlog.record("split_commutative", dim=dim, prime=p,
-                              precision=k, outcome="ok")
-                return accepted
-            last_error = VerificationFailed(f"p={p}, k={k}: reconstruction failed")
-            runlog.record("split_commutative", dim=dim, prime=p,
-                          precision=k, outcome="reconstruction_failed")
-        except (BadPrime, DenominatorCollision, ValueError) as exc:
-            last_error = exc
-            runlog.record("split_commutative", dim=dim, prime=p,
-                          precision=k, outcome=type(exc).__name__)
-        if attempt % 2 == 1:
-            p = next_prime_in_ap(p, N)
-    raise VerificationFailed(
-        f"could not split commutative algebra after 5 attempts: {last_error}; "
-        f"cyc_order {cyc_order} may be too small for its idempotents")
+    return first_certified(
+        {"stage": "split_commutative", "dim": dim}, N, max(2 * dim, 16, N), (24, 48),
+        lambda p, k: _split_attempt(struct, unit_coords, N, phi, cpoly, p, k, rng),
+        lambda result: accept([vector(xs) for xs in result]),
+        lambda why: f"could not split commutative algebra after {TRIES} attempts: {why}; "
+                    f"cyc_order {cyc_order} may be too small for its idempotents")
 
 
 def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):

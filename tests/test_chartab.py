@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from hopfcomm import chartab as chartab_mod
+from hopfcomm import runlog
 from hopfcomm.chartab import (
     ClassAlgebra,
     _verify_table,
@@ -18,7 +20,7 @@ from hopfcomm.chartab import (
     dixon_character_table,
 )
 from hopfcomm.cli import main
-from hopfcomm.errors import VerificationFailed
+from hopfcomm.errors import BadPrime, VerificationFailed
 from hopfcomm.exactnum import cyc, zeta
 from hopfcomm.group import cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import build_group_algebra
@@ -348,3 +350,63 @@ def test_verify_table_makes_one_class_product_per_class(G, monkeypatch):
     monkeypatch.setattr(ClassAlgebra, "mul", counted)
     _verify_table(G, algebra, table.degrees, table.values)
     assert len(calls) == algebra.classes.n_classes
+
+
+# ---------------------------------------------------------------------------
+# the prime/retry path: a proposal that fails at one prime is retried at the
+# next, and each try leaves one event
+
+
+def _dixon_with(monkeypatch, fake):
+    """The S3 table and its event outcomes with ``_lift_table`` replaced by
+    ``fake(real, call, *args)``, ``call`` counting from 0."""
+    real = chartab_mod._lift_table
+    calls = []
+
+    def patched(*args):
+        calls.append(args[2])
+        return fake(real, len(calls) - 1, *args)
+
+    monkeypatch.setattr(chartab_mod, "_lift_table", patched)
+    runlog.drain()
+    try:
+        table = dixon_character_table(from_perm_generators("S3", S3_GENS))
+    finally:
+        events = runlog.drain()
+    assert [e["prime"] for e in events] == calls
+    return table, [e["outcome"] for e in events]
+
+
+def _wrong_once(real, call, G, algebra, p, rng):
+    lifted = real(G, algebra, p, rng)
+    if call:
+        return lifted
+    degrees, values = lifted  # the sign row in place of the degree-2 row
+    return degrees[:2] + degrees[1:2], values[:2] + values[1:2]
+
+
+def _bad_prime_once(real, call, *args):
+    if not call:
+        raise BadPrime("no element of order 6")
+    return real(*args)
+
+
+@pytest.mark.parametrize("fake, outcomes", [
+    (lambda real, call, *args: real(*args) if call else None,
+     ["reconstruction_failed", "ok"]),
+    (_bad_prime_once, ["BadPrime", "ok"]),
+    (_wrong_once, ["reconstruction_failed", "ok"]),
+], ids=["none", "bad_prime", "refused"])
+def test_dixon_retries_on_the_next_prime(monkeypatch, fake, outcomes):
+    expected = dixon_character_table(from_perm_generators("S3", S3_GENS))
+    table, got = _dixon_with(monkeypatch, fake)
+    assert got == outcomes
+    assert table == expected
+
+
+def test_dixon_names_why_every_prime_failed(monkeypatch):
+    with pytest.raises(VerificationFailed) as info:
+        _dixon_with(monkeypatch, lambda real, call, *args: None)
+    message = str(info.value)
+    assert "after 5 primes" in message and "reconstruction failed" in message
+    assert not message.endswith("None")

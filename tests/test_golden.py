@@ -8,9 +8,9 @@ the ``oracle`` counts of the iterated commutator [[x1,x2],x3] over S5.  The
 ``build`` dumps of kS4xC2 (dim 48, the largest instance pinned here) and of
 k^S3 are pinned too, as are ``verify --suite all`` on k^S3 (all six
 characters grouplike), the character tables of A4 (values in Q(zeta_3)),
-S4xC2 and C24 (24 classes at conductor 24, the largest table certified
-here), and ``compute classdata`` on kC15, which splits R(kC15) at
-conductor 15.  A refactor that changes any byte of them changes behaviour.
+A5 (values in Q(zeta_5)), S4xC2 and C24 (24 classes at conductor 24, the
+largest table certified here), and ``compute classdata`` on kC15, which
+splits R(kC15) at conductor 15.  A refactor that changes any byte of them changes behaviour.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def test_chartab_json(capsys):
     assert got == _golden("chartab_S3.json")
 
 
-@pytest.mark.parametrize("group", ["A4", "S4xC2", "C24"])
+@pytest.mark.parametrize("group", ["A4", "A5", "S4xC2", "C24"])
 def test_chartab_json_more_groups(capsys, group):
     got = _run(capsys, ["chartab", str(SPECS / f"{group}.json")])
     assert got == _golden(f"chartab_{group}.json")

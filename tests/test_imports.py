@@ -157,3 +157,50 @@ def test_dead_definition_detected():
         ("n", "Orphan")]
     assert dead_definitions({"m": m, "n": n}, ["from hopfcomm.m import user"]) == [
         ("m", "parameter"), ("m", "local"), ("m", "recursive"), ("n", "Orphan")]
+
+
+LOOP_CALLS = {("runlog", "record"), ("_modp", "next_prime_in_ap")}
+
+
+def loop_calls(source: str) -> list:
+    """(callee, line) of each call in ``source`` of ``runlog.record`` or
+    ``_modp.next_prime_in_ap``, by name or as a module attribute."""
+    tree = ast.parse(source)
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            stem = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if (stem, alias.name) in LOOP_CALLS:
+                    names[alias.asname or alias.name] = f"{stem}.{alias.name}"
+                elif any(alias.name == m for m, _ in LOOP_CALLS):
+                    modules[alias.asname or alias.name] = alias.name
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in names:
+            calls.append((names[f.id], node.lineno))
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and (modules.get(f.value.id), f.attr) in LOOP_CALLS):
+            calls.append((f"{modules[f.value.id]}.{f.attr}", node.lineno))
+    return sorted(calls, key=lambda c: c[1])
+
+
+def test_only_modp_picks_primes_and_records_events():
+    # the prime/retry loop of every modular proposal is _modp.first_certified
+    found = {path.stem: loop_calls(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.stem != "_modp"}
+    assert {stem: calls for stem, calls in found.items() if calls} == {}
+
+
+def test_loop_call_detected():
+    src = ("from . import runlog as log, _modp\n"
+           "from ._modp import next_prime_in_ap as nxt\n"
+           "def f(p):\n"
+           "    log.record('s', prime=p)\n"
+           "    log.drain()\n"
+           "    return nxt(p, 6) + _modp.next_prime_in_ap(p, 6) + _modp.is_prime(p)\n")
+    assert loop_calls(src) == [("runlog.record", 4), ("_modp.next_prime_in_ap", 6),
+                               ("_modp.next_prime_in_ap", 6)]

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcomm import _modp
+from hopfcomm import _modp, runlog
 from hopfcomm._modp import (
     algebra_mul,
     element_of_order,
+    first_certified,
     is_prime,
     lift_root,
     lll_reduce,
     next_prime_in_ap,
     split_idempotents,
 )
-from hopfcomm.errors import BadPrime
+from hopfcomm.errors import BadPrime, DenominatorCollision, VerificationFailed
 from hopfcomm.exactnum import cyclotomic_poly, euler_phi
 
 
@@ -325,3 +326,62 @@ def test_lll_constructs_no_fraction_on_a_recognition_lattice(monkeypatch):
     reduced = _modp.lll_reduce(basis)
     assert made == []
     assert reduced != basis and reduced == expected
+
+
+# ---------------------------------------------------------------------------
+# the prime/retry loop
+
+
+def _tries(precisions, propose, accept=lambda c: c):
+    """first_certified's result (or the VerificationFailed) and its events,
+    on primes == 1 mod 6 above 20."""
+    runlog.drain()
+    try:
+        result = first_certified({"stage": "s", "dim": 3}, 6, 20, precisions, propose,
+                                 accept, lambda reason: f"gave up: {reason}")
+    except VerificationFailed as exc:
+        result = exc
+    return result, runlog.drain()
+
+
+@pytest.mark.parametrize("precisions, schedule", [
+    ((None,), [(31, None), (37, None), (43, None), (61, None), (67, None)]),
+    ((24, 48), [(31, 24), (31, 48), (37, 24), (37, 48), (43, 24)]),
+])
+def test_first_certified_schedule(precisions, schedule):
+    seen = []
+    result, events = _tries(precisions, lambda p, k: seen.append((p, k)))
+    assert seen == schedule
+    p, k = schedule[-1]
+    at = f"p={p}" if k is None else f"p={p}, k={k}"
+    assert str(result) == f"gave up: {at}: reconstruction failed"
+    assert events == [{"stage": "s", "dim": 3, "prime": p,
+                       **({} if k is None else {"precision": k}),
+                       "outcome": "reconstruction_failed"} for p, k in schedule]
+
+
+def test_first_certified_outcomes():
+    raised = [BadPrime("b"), DenominatorCollision("d"), ValueError("v")]
+
+    def propose(p, k):
+        if raised:
+            raise raised.pop(0)
+        return p
+
+    def accept(p):
+        if p < 67:
+            raise VerificationFailed("refused")
+        return p
+
+    result, events = _tries((None,), propose, accept)
+    assert result == 67
+    assert [e["outcome"] for e in events] == [
+        "BadPrime", "DenominatorCollision", "ValueError", "reconstruction_failed", "ok"]
+
+
+def test_first_certified_passes_other_errors_through():
+    def propose(p, k):
+        raise KeyError(p)
+
+    with pytest.raises(KeyError):
+        _tries((None,), propose)
