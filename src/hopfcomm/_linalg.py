@@ -79,12 +79,16 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v: Vec) -> Vec:
-        """Residual of v after eliminating all pivot columns."""
+        """Residual of v after eliminating all pivot columns.
+
+        Only the pivot columns that occur in v are visited.  ``insert`` keeps
+        every stored tail zero in every pivot column, so eliminating one
+        pivot never creates an entry in another, and the coefficient popped
+        at pivot p is v[p]."""
         out = dict(v)
-        for p, tail in self.rows.items():
-            c = out.pop(p, None)
-            if c is not None:
-                vec_axpy(out, -c, tail.items())
+        rows = self.rows
+        for p in [p for p in v if p in rows]:
+            vec_axpy(out, -out.pop(p), rows[p].items())
         return out
 
     def insert(self, v: Vec) -> bool:

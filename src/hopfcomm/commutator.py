@@ -15,7 +15,8 @@ commutator is zero is never formed.  For n >= 3, and for the n-th
 commutators and z_n that check it, an n-th commutator is the
 multiplication map applied to the product U(a^1) ... U(a^n) in H (x) H,
 where U(a) = sum a_1 (x) S(a_2); this keeps the work polynomial in dim H
-instead of exponential in n.
+instead of exponential in n.  Com_n reads its last factor off the same
+adjoint table: the image of t U(e_k) is sum t_ab e_a (e_k .ad e_b).
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def com_span(H: HopfAlgebra, n: int) -> Echelon:
     reduces those to products of an echelon basis of each intermediate
     level in H (x) H with the U(e_i), so the work is bounded by rank
     growth rather than dim^n.  The last level is flattened into H as it
-    is made.  The nominal dim^n tuple count is still capped, on every call.
+    is made, and read off the adjoint table instead of the U-tensor
+    products.  The nominal dim^n tuple count is still capped, on every call.
     """
     if n < 2:
         raise ValueError("com_span needs n >= 2")
@@ -190,8 +192,21 @@ def _com_span(H: HopfAlgebra, n: int) -> Echelon:
     # only the image in H of the last level is read
     out = Echelon()
     for t in level:
-        for g in gens:
-            out.insert(tensor_flatten(H, tensor_mult(H, t, g)))
+        for k in range(H.dim):
+            out.insert(_flatten_times_u(H, t, k))
+    return out
+
+
+def _flatten_times_u(H: HopfAlgebra, t: dict, k: int) -> dict:
+    """flatten(t U(e_k)) = sum t_ab e_a (e_k .ad e_b), read off the adjoint
+    table without forming the tensor t U(e_k)."""
+    ad = adjoint_row(H, k)
+    out: dict = {}
+    for (a, b), c in t.items():
+        for m, x in ad.get(b, ()):
+            prod = H.mult.get((a, m))
+            if prod:
+                vec_axpy(out, c * x, prod)
     return out
 
 

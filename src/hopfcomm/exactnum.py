@@ -267,6 +267,8 @@ class CycNum:
         # self * a/b for a rational a/b in lowest terms, b > 0.
         if not a:
             return ZERO
+        if a == b == 1:
+            return self
         v = self._v if a == 1 else tuple(a * x for x in self._v)
         return _reduced(self._n, v, self._d * b)
 
@@ -366,6 +368,11 @@ class CycNum:
             return NotImplemented
         if self._n == 1:
             if o._n == 1:
+                # Most products met in practice have a factor of exactly 1.
+                if self._v[0] == 1 and self._d == 1:
+                    return o
+                if o._v[0] == 1 and o._d == 1:
+                    return self
                 return _rational(self._v[0] * o._v[0], self._d * o._d)
             return o._scaled(self._v[0], self._d)
         if o._n == 1:

@@ -17,6 +17,7 @@ from hopfcomm.commutator import (
     _u_tensor,
     Z_n_map,
     _commutator_table,
+    _flatten_times_u,
     _is_commutative,
     _u_power,
     algebra_closure,
@@ -334,6 +335,30 @@ def test_com_span_agrees_with_the_level_route(request, which):
     H, _ = request.getfixturevalue(which)
     for n in (2, 3):
         assert com_span(H, n) == _com_span_by_levels(H, n)
+
+
+def _com3_by_flattened_products(H):
+    """Com_3 with its last level flattened from the U-tensor products
+    t U(e_k): the route ``com_span`` took before it read the adjoint table."""
+    gens = [_u_tensor(H, {i: ONE}) for i in range(H.dim)]
+    level = Echelon(tensor_mult(H, s, g) for s in gens for g in gens).basis()
+    return Echelon(tensor_flatten(H, tensor_mult(H, t, g)) for t in level for g in gens)
+
+
+@pytest.mark.parametrize("which", ["kq8", "dual_s3", "ds3"])
+def test_com3_last_level_reads_the_adjoint_table(request, which):
+    # flatten(t U(e_k)) = sum t_ab e_a (e_k .ad e_b) for random t and every k.
+    # Com_2 = Com_3 = H' on these instances, so the span alone cannot tell
+    # e_a (e_k .ad e_b) from (e_k .ad e_b) e_a; the vectors can.
+    H, _ = request.getfixturevalue(which)
+    rng = random.Random(11)
+    for _ in range(3):
+        t = {(rng.randrange(H.dim), rng.randrange(H.dim)): cyc(Fraction(rng.randint(1, 3), 2))
+             for _ in range(4)}
+        for k in range(H.dim):
+            want = tensor_flatten(H, tensor_mult(H, t, _u_tensor(H, {k: ONE})))
+            assert _flatten_times_u(H, t, k) == want
+    assert com_span(H, 3) == _com3_by_flattened_products(H)
 
 
 @pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcomm.errors import BadPrime, DenominatorCollision, DivisionByZero
-from hopfcomm.exactnum import CycNum, cyc, cyclotomic_poly, euler_phi, zeta
+from hopfcomm.exactnum import ONE, CycNum, cyc, cyclotomic_poly, euler_phi, zeta
 
 
 def test_cyclotomic_polynomials():
@@ -396,3 +396,12 @@ def test_pickle_and_copy_round_trips_keep_the_layout():
             assert (y._n, y._v, y._d) == (x._n, x._v, x._d)
             assert y == x and hash(y) == hash(x)
             _assert_invariants(y)
+
+
+@pytest.mark.parametrize("x", [cyc(Fraction(-7, 6)), cyc(3), cyc(0), zeta(12) / 3 - 1,
+                               _written_at(24, 8) / 7])
+def test_multiplication_by_one_keeps_the_value_and_its_layout(x):
+    for y in (x * 1, 1 * x, ONE * x, x * ONE, x * Fraction(1), x._scaled(1, 1)):
+        _assert_invariants(y)
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
+        assert (y._n, y._v, y._d) == (x._n, x._v, x._d)
