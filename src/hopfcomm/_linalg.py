@@ -1,7 +1,9 @@
 """Exact sparse linear algebra over any field-like scalar (CycNum, Fraction).
 
 Vectors are dicts {index: nonzero scalar}; a tensor is a vector keyed by
-tuples.  vec_axpy is the one accumulation loop of the package.  Echelon
+tuples.  vec_axpy is the one accumulation loop of the package, and
+``_bilinear`` the one loop that reads a bilinear map off its table of rows
+{i: {j: terms}} (``_rows`` builds one).  Echelon
 keeps a reduced row echelon basis, so a subspace has exactly one
 representation and subspace equality is plain row comparison.
 ``_check_idempotents`` certifies a family of idempotents under any
@@ -38,6 +40,29 @@ def vec_axpy(out: Vec, c, terms) -> None:
             out[j] = v
         elif s is not None:
             del out[j]
+
+
+def _bilinear(rows, u: Vec, v: Vec) -> Vec:
+    """sum u_i v_j t(e_i, e_j) for t stored as ``rows`` {i: {j: ((k, c), ...)}}
+    of its nonzero coefficients (see ``_rows``)."""
+    out: Vec = {}
+    for i, ci in u.items():
+        r = rows.get(i)
+        if r:
+            for j, cj in v.items():
+                terms = r.get(j)
+                if terms:
+                    vec_axpy(out, ci * cj, terms)
+    return out
+
+
+def _rows(entries) -> dict:
+    """Rows {i: {j: terms}} of the (i, j, terms) in ``entries`` with terms != ()."""
+    out: dict = {}
+    for i, j, terms in entries:
+        if terms:
+            out.setdefault(i, {})[j] = terms
+    return out
 
 
 def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):

@@ -3,10 +3,10 @@ of commutative algebras by Frobenius powers, Hensel lifting, and a small
 integer LLL.
 
 These are internal helpers for splitting commutative algebras (character
-tables, central idempotents).  An algebra is given by sparse integer
-structure constants and its elements by dense lists of ints mod p; there is
-no row reduction here, since the idempotents come from powers of random
-elements.  The LLL keeps its Gram-Schmidt data as integers and takes
+tables, central idempotents).  An algebra is given by rows {a: {b: ((c, s),
+...)}} of integer structure constants and its elements by dense lists of
+ints mod p; there is no row reduction here, since the idempotents come from
+powers of random elements.  The LLL keeps its Gram-Schmidt data as integers and takes
 linearly independent rows only.  Modular results only propose:
 ``first_certified`` is the one prime/retry loop, and an exact certificate
 decides.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import runlog
+from ._linalg import _bilinear
 from .errors import BadPrime, DenominatorCollision, VerificationFailed
 
 
@@ -104,18 +105,10 @@ def poly_eval(coeffs: list[int], x: int, modulus: int) -> int:
 
 def algebra_mul(struct, x: list[int], y: list[int], m: int) -> list[int]:
     """x y mod m in the algebra with basis products e_a e_b = sum s e_c,
-    given as sparse rows struct[a][b] = ((c, s), ...) with s != 0."""
-    out = [0] * len(x)
-    for a, xa in enumerate(x):
-        if not xa:
-            continue
-        row = struct[a]
-        for b, yb in enumerate(y):
-            if yb:
-                f = xa * yb
-                for c, s in row[b]:
-                    out[c] += f * s
-    return [v % m for v in out]
+    given as rows struct[a][b] = ((c, s), ...) of the nonzero s."""
+    out = _bilinear(struct, {a: xa for a, xa in enumerate(x) if xa},
+                    {b: yb for b, yb in enumerate(y) if yb})
+    return [out.get(c, 0) % m for c in range(len(x))]
 
 
 def split_idempotents(struct, unit: list[int], p: int, rng) -> list[list[int]] | None:
@@ -131,9 +124,9 @@ def split_idempotents(struct, unit: list[int], p: int, rng) -> list[list[int]] |
     means primitive.  A w with w^3 != w shows the algebra is not split
     semisimple, and so do 64 dim rounds that leave some e unsplit.
     """
-    dim = len(struct)
-    traces = [sum(s for b, row in enumerate(rows) for c, s in row if c == b) % p
-              for rows in struct]
+    dim = len(unit)
+    traces = [sum(s for b, terms in struct.get(a, {}).items() for c, s in terms if c == b) % p
+              for a in range(dim)]
     half = pow(2, -1, p)
     todo = [[x % p for x in unit]]
     done = []

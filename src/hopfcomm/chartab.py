@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ._linalg import _check_idempotents, vec_axpy
+from ._linalg import _bilinear, _check_idempotents, _rows
 from ._modp import TRIES, element_of_order, first_certified, split_idempotents
 from .errors import VerificationFailed
 from .exactnum import CycNum, Rational
@@ -28,22 +28,15 @@ from .group import ClassPartition, FiniteGroup, power_map
 
 @dataclass(frozen=True)
 class ClassAlgebra:
-    """Structure constants of the class algebra: C_i C_j = sum_k a[i][j][k] C_k,
-    dense in ``constants`` and as the nonzero terms ((k, a[i][j][k]), ...) in
-    ``terms``."""
+    """Structure constants of the class algebra, C_i C_j = sum_k a_ijk C_k,
+    as rows terms[i][j] = ((k, a_ijk), ...) of the nonzero a_ijk."""
 
     classes: ClassPartition
-    constants: tuple[tuple[tuple[int, ...], ...], ...]
-    terms: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    terms: dict[int, dict[int, tuple[tuple[int, int], ...]]]
 
     def mul(self, u: dict, v: dict) -> dict:
         """The product of two sparse {class: coefficient} elements."""
-        out: dict = {}
-        for i, x in u.items():
-            row = self.terms[i]
-            for j, y in v.items():
-                vec_axpy(out, x * y, row[j])
-        return out
+        return _bilinear(self.terms, u, v)
 
 
 @dataclass(frozen=True)
@@ -79,19 +72,15 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
         ci = cls[x]
         for y in range(G.order):
             counts[ci][cls[y]][cls[row[y]]] += 1
-    const = []
     for i in range(n):
-        rows = []
         for j in range(n):
-            rows.append(tuple(counts[i][j][k] // conj.sizes[k] for k in range(n)))
             for k in range(n):
                 if counts[i][j][k] % conj.sizes[k]:
                     raise VerificationFailed(
                         f"class product count not class-constant at ({i},{j},{k})")
-        const.append(tuple(rows))
-    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-                  for rows in const)
-    return ClassAlgebra(classes=conj, constants=tuple(const), terms=terms)
+    return ClassAlgebra(classes=conj, terms=_rows(
+        (i, j, tuple((k, c // conj.sizes[k]) for k, c in enumerate(counts[i][j]) if c))
+        for i in range(n) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, Vec, _check_idempotents, rank, vec_axpy
+from ._linalg import Echelon, _check_idempotents, rank, vec_axpy
 from .commutator import (
     coideal_closure,
     commutator_subalgebra,
@@ -379,11 +379,8 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     # the unit law turns R_13 R_23 and R_13 R_12 into the outer products below
     _require_axioms(H)
 
-    eps_first: Vec = {}
-    eps_second: Vec = {}
-    for (i, j), c in R.items():
-        vec_axpy(eps_first, c, ((j, H.counit_raw({i: _ONE})),))
-        vec_axpy(eps_second, c, ((i, H.counit_raw({j: _ONE})),))
+    eps_first = tensor_pair_first(H.eps(), R)
+    eps_second = tensor_pair_first(H.eps(), tensor_swap(R))
     if eps_first != H.unit_vec or eps_second != H.unit_vec:
         raise NotQuasitriangular("(eps (x) id)R or (id (x) eps)R != 1")
 
@@ -395,11 +392,12 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     for (i, j), c in R.items():
         vec_axpy(delta_first, c, [((a, b, j), x) for (a, b), x in H.comult.get(i, ())])
         vec_axpy(delta_second, c, [((i, a, b), x) for (a, b), x in H.comult.get(j, ())])
+        row_i, row_j = H.mult.get(i, {}), H.mult.get(j, {})
         for (k, l), cc in R.items():
             # R_13 R_23 = sum r_a (x) r_b (x) l_a l_b
-            vec_axpy(r13r23, c * cc, [((i, k, m), x) for m, x in H.mult.get((j, l), ())])
+            vec_axpy(r13r23, c * cc, [((i, k, m), x) for m, x in row_j.get(l, ())])
             # R_13 R_12 = sum r_a r_b (x) l_b (x) l_a
-            vec_axpy(r13r12, c * cc, [((m, l, j), x) for m, x in H.mult.get((i, k), ())])
+            vec_axpy(r13r12, c * cc, [((m, l, j), x) for m, x in row_i.get(k, ())])
     if delta_first != r13r23:
         raise NotQuasitriangular("(Delta (x) id)R != R_13 R_23")
     if delta_second != r13r12:

@@ -116,7 +116,7 @@ def _group_from_mult(H: HopfAlgebra, name: str):
     for a in range(H.dim):
         row = []
         for b in range(H.dim):
-            terms = H.mult.get((a, b), ())
+            terms = H.mult.get(a, {}).get(b, ())
             if len(terms) != 1 or terms[0][1] != one:
                 raise VerificationFailed(
                     "dump of kind 'group' whose product is not a permutation table")
@@ -358,7 +358,7 @@ def cmd_oracle(args) -> int:
     }
     code = EXIT_OK if class_function else EXIT_CHECK_FAIL
     if args.against is not None:
-        H, _ = build_group_algebra(G, args.seed)
+        H = _build_instance("group", G, args.seed)
         f = _select_functional(H, args.against)
         checks = oracle_crosscheck(G, w, f, counts)
         doc["checks"] = checks

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from ._linalg import Echelon, nullspace, vec_axpy
+from ._linalg import Echelon, _bilinear, _rows, nullspace, vec_axpy
 from .caps import enum_cap
 from .errors import EnumerationCapExceeded, RouteMismatch, VerificationFailed
 from .exactnum import CycNum, Rational
@@ -61,21 +61,13 @@ _ONE = CycNum.rational(1)
 def hopf_commutator(a: HElem, b: HElem) -> HElem:
     """{a, b} = sum a_1 b_1 S(a_2) S(b_2), the second commutator, as the
     bilinear extension of ``_commutator_table``."""
-    H = a.H
-    table = _commutator_table(H)
-    out: dict = {}
-    for i, ci in a.vec.items():
-        for k, ck in b.vec.items():
-            com = table.get((i, k))
-            if com:
-                vec_axpy(out, ci * ck, com)
-    return HElem(H, out)
+    return HElem(a.H, _bilinear(_commutator_table(a.H), a.vec, b.vec))
 
 
 @memo
 def _commutator_table(H: HopfAlgebra) -> dict:
-    """{(i, k): {e_i, e_k}} over the pairs where it is nonzero, each value
-    stored as terms ((m, c), ...) like the structure constants.
+    """Rows {i: {k: {e_i, e_k}}} over the pairs where it is nonzero, each
+    value stored as terms ((m, c), ...) like the structure constants.
 
     {e_i, e_k} = sum c (e_i .ad e_a) S(e_b) over ((a, b), c) in Delta e_k, so
     only the nonzero entries of ``adjoint_row(H, i)`` are walked, each through
@@ -84,14 +76,12 @@ def _commutator_table(H: HopfAlgebra) -> dict:
     for k, terms in H.comult.items():
         for (a, b), c in terms:
             legs.setdefault(a, []).append((k, b, c))
-    table: dict = {}
+    acc: dict = {}
     for i in range(H.dim):
-        row: dict = {}
         for a, ad in adjoint_row(H, i).items():
             for k, b, c in legs.get(a, ()):
-                _axpy_times_antipode(H, row.setdefault(k, {}), c, ad, b)
-        table.update(((i, k), tuple(v.items())) for k, v in row.items() if v)
-    return table
+                _axpy_times_antipode(H, acc.setdefault((i, k), {}), c, ad, b)
+    return _rows((i, k, tuple(v.items())) for (i, k), v in acc.items())
 
 
 def n_commutator(elems) -> HElem:
@@ -180,7 +170,7 @@ def com_span(H: HopfAlgebra, n: int) -> Echelon:
 @memo
 def _com_span(H: HopfAlgebra, n: int) -> Echelon:
     if n == 2:
-        return Echelon(dict(v) for v in _commutator_table(H).values())
+        return Echelon(dict(v) for row in _commutator_table(H).values() for v in row.values())
     gens = [_u_tensor(H, {i: _ONE}) for i in range(H.dim)]
     level = gens
     for _ in range(n - 2):
@@ -203,8 +193,9 @@ def _flatten_times_u(H: HopfAlgebra, t: dict, k: int) -> dict:
     ad = adjoint_row(H, k)
     out: dict = {}
     for (a, b), c in t.items():
+        row = H.mult.get(a, {})
         for m, x in ad.get(b, ()):
-            prod = H.mult.get((a, m))
+            prod = row.get(m)
             if prod:
                 vec_axpy(out, c * x, prod)
     return out
@@ -294,8 +285,8 @@ def _is_scalar_line(H: HopfAlgebra, space: Echelon) -> bool:
 
 def _is_commutative(H: HopfAlgebra) -> bool:
     """e_i e_j = e_j e_i as vectors, for every stored product."""
-    return all(dict(terms) == dict(H.mult.get((j, i), ()))
-               for (i, j), terms in H.mult.items())
+    return all(dict(terms) == dict(H.mult.get(j, {}).get(i, ()))
+               for i, row in H.mult.items() for j, terms in row.items())
 
 
 def is_central(H: HopfAlgebra, vec) -> bool:
@@ -400,8 +391,9 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         rhs: dict = {}
         delta_b = H.comult_raw(b.vec).items()
         for (i, j), ca in H.comult_raw(a.vec).items():
+            row = table.get(i, {})
             for (k, l), cb in delta_b:
-                com = table.get((i, k))
+                com = row.get(k)
                 if com:
                     tail = H.mul_raw({l: _ONE}, {j: _ONE})
                     vec_axpy(rhs, ca * cb, H.mul_raw(dict(com), tail).items())

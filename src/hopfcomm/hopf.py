@@ -43,6 +43,7 @@ central primitive idempotents with characters) realize the standard
 semisimple structure theory, with all derived data re-verified exactly
 before it is returned.  The adjoint action is read off a table of the
 nonzero e_i .ad e_j (``adjoint_row``), made one left index at a time.
+Every bilinear table is stored as rows {i: {j: terms}}, read by ``_bilinear``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Echelon, Solver, _check_idempotents, nullspace, vec_axpy, vec_scale
+from ._linalg import (
+    Echelon,
+    Solver,
+    _bilinear,
+    _check_idempotents,
+    _rows,
+    nullspace,
+    vec_axpy,
+    vec_scale,
+)
 from ._modp import (
     TRIES,
     algebra_mul,
@@ -86,6 +96,11 @@ def _cy(x) -> CycNum:
     return CycNum.rational(x)
 
 
+def _terms(terms) -> tuple:
+    """Structure constants as stored: the (key, c) pairs with c != 0, c a CycNum."""
+    return tuple((k, x) for k, c in terms if (x := _cy(c)))
+
+
 def _dot(p: Vec, terms) -> CycNum:
     """sum x * p[j] over the (j, x) pairs of ``terms`` whose j is in p."""
     acc = _ZERO
@@ -103,10 +118,13 @@ def _dot(p: Vec, terms) -> CycNum:
 class HopfAlgebra:
     """A Hopf algebra given by exact structure constants.
 
-    mult[(i, j)]   = ((k, c), ...)        e_i e_j   = sum c e_k
+    mult[i][j]     = ((k, c), ...)        e_i e_j   = sum c e_k
     comult[i]      = (((j, k), c), ...)   Delta e_i = sum c e_j (x) e_k
     antipode[i]    = ((j, c), ...)        S e_i     = sum c e_j
     unit, counit   = sparse vectors
+
+    ``mult`` holds rows {i: {j: terms}} of the nonzero e_i e_j, so row i is
+    the index of the right partners of e_i; no row or terms is empty.
 
     All axioms are checked exactly at construction: the linear ones on
     every basis element, associativity on the triples (a, g, c) and the
@@ -124,19 +142,10 @@ class HopfAlgebra:
         self.kind = kind
         self.group = group
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
-        self.mult = {
-            key: tuple((k, _cy(c)) for k, c in terms if _cy(c))
-            for key, terms in mult.items()
-        }
-        self.mult = {key: terms for key, terms in self.mult.items() if terms}
-        self.comult = {
-            i: tuple((jk, _cy(c)) for jk, c in terms if _cy(c))
-            for i, terms in comult.items()
-        }
-        self.antipode = {
-            i: tuple((j, _cy(c)) for j, c in terms if _cy(c))
-            for i, terms in antipode.items()
-        }
+        self.mult = _rows((i, j, _terms(terms))
+                          for i, row in mult.items() for j, terms in row.items())
+        self.comult = {i: _terms(terms) for i, terms in comult.items()}
+        self.antipode = {i: _terms(terms) for i, terms in antipode.items()}
         self.unit_vec = {i: _cy(c) for i, c in unit.items() if _cy(c)}
         self.counit_vec = {i: _cy(c) for i, c in counit.items() if _cy(c)}
         self.r_matrix = None
@@ -150,14 +159,7 @@ class HopfAlgebra:
     # -- raw sparse operations (dict in, dict out) --
 
     def mul_raw(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        mult = self.mult
-        for i, cu in u.items():
-            for j, cv in v.items():
-                terms = mult.get((i, j))
-                if terms:
-                    vec_axpy(out, cu * cv, terms)
-        return out
+        return _bilinear(self.mult, u, v)
 
     def comult_raw(self, u: Vec) -> Tensor:
         out: Tensor = {}
@@ -210,14 +212,7 @@ class HopfAlgebra:
 
     def adjoint_raw(self, h: Vec, a: Vec) -> Vec:
         # h .ad a = sum h_1 a S(h_2), read off the table of e_i .ad e_j
-        out: Vec = {}
-        for i, ci in h.items():
-            row = adjoint_row(self, i)
-            for j, cj in a.items():
-                terms = row.get(j)
-                if terms:
-                    vec_axpy(out, ci * cj, terms)
-        return out
+        return _bilinear({i: adjoint_row(self, i) for i in h}, h, a)
 
     def basis_vec(self, i: int) -> Vec:
         return {i: _ONE}
@@ -381,19 +376,12 @@ def _dual(H: HopfAlgebra) -> HopfAlgebra:
                 out.setdefault(k, []).append((key, c))
         return out
 
-    return HopfAlgebra(dim=H.dim, mult=transpose(H.comult), comult=transpose(H.mult),
+    mult = _rows((j, k, terms) for (j, k), terms in transpose(H.comult).items())
+    products = {(i, j): terms for i, row in H.mult.items() for j, terms in row.items()}
+    return HopfAlgebra(dim=H.dim, mult=mult, comult=transpose(products),
                        unit=H.counit_vec, counit=H.unit_vec,
                        antipode=transpose(H.antipode), cyc_order=H.cyc_order,
                        kind="dual", check=False)
-
-
-@memo
-def _right_partners(H: HopfAlgebra) -> dict:
-    """{a: [(j, terms), ...]}: the nonzero products e_a e_j of each left factor."""
-    out: dict = {}
-    for (a, j), terms in H.mult.items():
-        out.setdefault(a, []).append((j, terms))
-    return out
 
 
 @memo
@@ -402,10 +390,9 @@ def adjoint_row(H: HopfAlgebra, i: int) -> dict:
     terms ((k, c), ...) like the structure constants, with e_i .ad e_j =
     sum (e_a e_j) S(e_b) over Delta e_i = sum e_a (x) e_b; each row is made
     on first use."""
-    partners = _right_partners(H)
     row: dict = {}
     for (a, b), c in H.comult.get(i, ()):
-        for j, left in partners.get(a, ()):
+        for j, left in H.mult.get(a, {}).items():
             _axpy_times_antipode(H, row.setdefault(j, {}), c, left, b)
     return {j: tuple(v.items()) for j, v in row.items() if v}
 
@@ -413,9 +400,9 @@ def adjoint_row(H: HopfAlgebra, i: int) -> dict:
 def _axpy_times_antipode(H: HopfAlgebra, acc: Vec, c, terms, b: int) -> None:
     """acc += c v S(e_b) in place, for the vector v given by its terms."""
     for m, x in terms:
-        cx = c * x
+        cx, row = c * x, H.mult.get(m, {})
         for s, y in H.antipode.get(b, ()):
-            prod = H.mult.get((m, s))
+            prod = row.get(s)
             if prod:
                 vec_axpy(acc, cx * y, prod)
 
@@ -459,13 +446,15 @@ def tensor_of(a: HElem, b: HElem) -> Tensor:
 def tensor_mult(H: HopfAlgebra, s: Tensor, t: Tensor) -> Tensor:
     """Componentwise product in H (x) H."""
     out: Tensor = {}
-    mult = H.mult
     for (a, b), cs in s.items():
+        row_a, row_b = H.mult.get(a), H.mult.get(b)
+        if not (row_a and row_b):
+            continue
         for (c, d), ct in t.items():
-            left = mult.get((a, c))
+            left = row_a.get(c)
             if not left:
                 continue
-            right = mult.get((b, d))
+            right = row_b.get(d)
             if not right:
                 continue
             vec_axpy(out, cs * ct, [((k1, k2), c1 * c2)
@@ -476,8 +465,8 @@ def tensor_mult(H: HopfAlgebra, s: Tensor, t: Tensor) -> Tensor:
 def tensor_flatten(H: HopfAlgebra, t: Tensor) -> Vec:
     """Apply multiplication: sum t[(i,j)] e_i e_j."""
     out: Vec = {}
-    for ij, c in t.items():
-        vec_axpy(out, c, H.mult.get(ij, ()))
+    for (i, j), c in t.items():
+        vec_axpy(out, c, H.mult.get(i, {}).get(j, ()))
     return out
 
 
@@ -667,16 +656,10 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
     _check_all("coassociativity", coassoc(), report)
 
     def counit_law():
+        # (eps (x) id) Delta e_i = e_i <- eps and (id (x) eps) Delta e_i = eps -> e_i
         eps = H.counit_vec
         for i in range(d):
-            lhs: Vec = {}
-            rhs: Vec = {}
-            for (j, k), c in H.comult.get(i, ()):
-                if j in eps:
-                    vec_axpy(lhs, c, ((k, eps[j]),))
-                if k in eps:
-                    vec_axpy(rhs, c, ((j, eps[k]),))
-            yield i, lhs == basis[i] == rhs
+            yield i, H.right_hit_raw(basis[i], eps) == basis[i] == H.left_hit_raw(eps, basis[i])
 
     _check_all("counit", counit_law(), report)
 
@@ -727,10 +710,8 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
 
 def _regular_character(K: HopfAlgebra) -> Vec:
     """{i: Tr(L_{e_i})}, read off K.mult: the e_j-coefficients of e_i e_j, summed."""
-    tr: Vec = {}
-    for (i, j), terms in K.mult.items():
-        vec_axpy(tr, _ONE, [(i, c) for k, c in terms if k == j])
-    return dict(sorted(tr.items()))
+    return {i: tr for i, row in sorted(K.mult.items())
+            if (tr := sum((c for j, terms in row.items() for k, c in terms if k == j), _ZERO))}
 
 
 @memo
@@ -909,10 +890,10 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
 
 def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
     # Coordinates of candidate idempotents, which the caller verifies; or None.
-    def residues(w, m):  # struct as algebra_mul's sparse rows mod m, zeta_N -> w
-        return [[tuple((c, r) for c, x in enumerate(row)
-                       if x and (r := x.residue(w, N, m))) for row in rows]
-                for rows in struct]
+    def residues(w, m):  # struct as algebra_mul's rows mod m, zeta_N -> w
+        return _rows((a, b, tuple((c, r) for c, x in enumerate(row)
+                                  if x and (r := x.residue(w, N, m))))
+                     for a, rows in enumerate(struct) for b, row in enumerate(rows))
 
     w1 = element_of_order(N, p, rng)
     idems_mod_p = split_idempotents(
@@ -1171,8 +1152,7 @@ def _smash_tables(N: FiniteGroup, F: FiniteGroup, act) -> dict:
             i = n * nf + f
             finv = F.inverse(f)
             m = act(finv, n)
-            for f2 in range(nf):
-                mult[(i, m * nf + f2)] = ((n * nf + F.mul(f, f2), 1),)
+            mult[i] = {m * nf + f2: ((n * nf + F.mul(f, f2), 1),) for f2 in range(nf)}
             comult[i] = tuple(((a * nf + f, N.mul(N.inverse(a), n) * nf + f), 1)
                               for a in range(N.order))
             antipode[i] = ((act(finv, N.inverse(n)) * nf + finv, 1),)
@@ -1368,8 +1348,8 @@ def _vec_from_json(H: HopfAlgebra, field: str, entries) -> Vec:
 
 
 def hopf_to_dict(H: HopfAlgebra) -> dict:
-    mult = [[i, j, k, _coeff_to_json(c)]
-            for (i, j) in sorted(H.mult) for k, c in H.mult[(i, j)]]
+    mult = [[i, j, k, _coeff_to_json(c)] for i, row in sorted(H.mult.items())
+            for j, terms in sorted(row.items()) for k, c in terms]
     comult = [[i, j, k, _coeff_to_json(c)]
               for i in sorted(H.comult) for (j, k), c in H.comult[i]]
     antipode = [[i, j, _coeff_to_json(c)]
@@ -1410,7 +1390,7 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
 
         mult: dict = {}
         for (i, j, k), c in read("mult", 3).items():
-            mult.setdefault((i, j), []).append((k, c))
+            mult.setdefault(i, {}).setdefault(j, []).append((k, c))
         comult: dict = {}
         for (i, j, k), c in read("comult", 3).items():
             comult.setdefault(i, []).append(((j, k), c))
@@ -1429,7 +1409,7 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
         raise ValueError(f"malformed hopf dump: {exc}") from exc
     return HopfAlgebra(
         dim=dim,
-        mult={k: tuple(v) for k, v in mult.items()},
+        mult=mult,
         comult={k: tuple(v) for k, v in comult.items()},
         unit=unit,
         counit=counit,

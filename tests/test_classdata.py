@@ -420,7 +420,7 @@ def _t3_mult(H, s, t):
     out = {}
     for ka, ca in s.items():
         for kb, cb in t.items():
-            legs = [H.mult.get(ab) for ab in zip(ka, kb)]
+            legs = [H.mult.get(a, {}).get(b) for a, b in zip(ka, kb)]
             if all(legs):
                 vec_axpy(out, ca * cb, [((k1, k2, k3), c1 * c2 * c3)
                                         for k1, c1 in legs[0] for k2, c2 in legs[1]

@@ -479,8 +479,8 @@ def test_dump_coefficient_written_at_a_higher_order_loads(tmp_path, capsys):
     written = [e for e in data["mult"] if isinstance(e[3], dict)]
     assert written and all(e[3]["order"] == 8 for e in written)
     H = hopf_from_dict(data)
-    assert H.mult[(1, 1)] == ((2, CycNum.rational(-1)),)
-    assert H.mult[(1, 2)] == ((3, zeta(4)),) and H.mult[(1, 2)][0][1].order == 4
+    assert H.mult[1][1] == ((2, CycNum.rational(-1)),)
+    assert H.mult[1][2] == ((3, zeta(4)),) and H.mult[1][2][0][1].order == 4
     written[0][3] = {"order": 8, "coeffs": ["0", "1", "0", "0"]}  # zeta_8
     path.write_text(json.dumps(data))
     assert main(["compute", "z", "--hopf", str(path)]) == 2
@@ -631,6 +631,16 @@ def test_oracle_enum_cap_exit4(specdir, monkeypatch):
 def test_build_dim_cap_exit4(specdir, monkeypatch):
     monkeypatch.setenv("HOPFCOMM_CAP", "dim=8")
     assert main(["build", "double", str(specdir / "s3.json")]) == 4
+
+
+def test_oracle_against_a_functional_keeps_the_dim_cap(monkeypatch, capsys):
+    # --against builds kQ8 (dim 8) through the capped builder; without it
+    # the oracle only enumerates tuples, and no algebra is built
+    monkeypatch.setenv("HOPFCOMM_CAP", "dim=4")
+    spec = str(GOLDEN_SPECS / "Q8.json")
+    assert main(["oracle", spec, "--word", "[x1,x2]", "--against", "frob"]) == 4
+    assert "dimension 8 exceeds dim cap 4" in capsys.readouterr().err
+    assert main(["oracle", spec, "--word", "[x1,x2]"]) == 0
 
 
 def test_bad_subcommand_exit2():

@@ -568,11 +568,11 @@ def _bare_table(mult):
 
 def test_is_commutative_sees_a_product_stored_only_one_way():
     # e1 e0 != 0 while e0 e1 = 0
-    H = _bare_table({(1, 0): ((2, 1),)})
+    H = _bare_table({1: {0: ((2, 1),)}})
     assert not _is_commutative(H)
 
 
 def test_is_commutative_compares_products_as_vectors():
     # e0 e1 = e1 + e2 and e1 e0 = e2 + e1, the terms stored in another order
-    H = _bare_table({(0, 1): ((1, 1), (2, 1)), (1, 0): ((2, 1), (1, 1))})
+    H = _bare_table({0: {1: ((1, 1), (2, 1))}, 1: {0: ((2, 1), (1, 1))}})
     assert _is_commutative(H)

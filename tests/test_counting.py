@@ -3,10 +3,13 @@ form / Casimir / Higman layer."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from hopfcomm._linalg import Solver
+from hopfcomm import counting
+from hopfcomm._linalg import Solver, vec_axpy
+from hopfcomm.cli import main
 from hopfcomm.commutator import z_n, Z_n_map
 from hopfcomm.counting import (
     bullet,
@@ -203,6 +206,43 @@ def test_sweedler_power_on_group_algebra(s3, ks3):
             k = s3.power(g, m)
             want[k] = want.get(k, rat(0)) + frac
         assert got == HElem(H, {k: v for k, v in want.items() if v})
+
+
+@pytest.mark.parametrize("which", ["ks3", "kq8", "ds3"])
+def test_sweedler_table_past_the_exponent_equals_the_plain_loop(which, request):
+    # the loop before the early stop, kept as the oracle: m - 1 passes of
+    # e_k^[t] = sum e_i e_j^[t-1] over Delta(e_k) = sum e_i (x) e_j
+    H, _ = request.getfixturevalue(which)
+    plain = [{k: ONE} for k in range(H.dim)]
+    for m in range(1, 14):
+        assert counting._sweedler_table(H, m) == plain
+        nxt = []
+        for k in range(H.dim):
+            acc: dict = {}
+            for (i, j), c in H.comult_raw({k: ONE}).items():
+                vec_axpy(acc, c, H.mul_raw({i: ONE}, plain[j]).items())
+            nxt.append(acc)
+        plain = nxt
+
+
+def test_root_function_at_a_huge_m_stops_at_the_exponent(monkeypatch, capsys):
+    # exp(S3) = 6 and 1000000003 = 1 (mod 6): r_m = r_1, after 5 passes to
+    # reach e_k^[6] = eps(e_k) 1 and one more
+    passes = []
+    step = counting._sweedler_pass
+
+    def counted(H, table):
+        passes.append(1)
+        return step(H, table)
+
+    monkeypatch.setattr(counting, "_sweedler_pass", counted)
+    spec = str(Path(__file__).resolve().parent / "golden" / "specs" / "S3.json")
+    docs = []
+    for m in ("1000000003", "1"):
+        assert main(["compute", "root", "--m", m, "--group", spec]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["result"]["values"] == docs[1]["result"]["values"]
+    assert len(passes) <= 7
 
 
 def test_sweedler_power_rejects_zero(ks3):

@@ -120,7 +120,7 @@ def _hand_tables(kind, G):
     if kind == "group":
         return dict(
             dim=n,
-            mult={(i, j): ((G.table[i][j], 1),) for i in range(n) for j in range(n)},
+            mult={i: {j: ((G.table[i][j], 1),) for j in range(n)} for i in range(n)},
             comult={i: (((i, i), 1),) for i in range(n)},
             antipode={i: ((inv(i), 1),) for i in range(n)},
             unit={G.identity: 1},
@@ -129,7 +129,7 @@ def _hand_tables(kind, G):
         # p_a p_b = [a = b] p_a; Delta p_g = sum_a p_a (x) p_{a^-1 g}
         return dict(
             dim=n,
-            mult={(i, i): ((i, 1),) for i in range(n)},
+            mult={i: {i: ((i, 1),)} for i in range(n)},
             comult={g: tuple(((a, G.mul(inv(a), g)), 1) for a in range(n))
                     for g in range(n)},
             antipode={i: ((inv(i), 1),) for i in range(n)},
@@ -141,8 +141,7 @@ def _hand_tables(kind, G):
     for g in range(n):
         for h in range(n):
             gp = G.conj(g, inv(h))
-            for h2 in range(n):
-                mult[(g * n + h, gp * n + h2)] = ((g * n + G.mul(h, h2), 1),)
+            mult[g * n + h] = {gp * n + h2: ((g * n + G.mul(h, h2), 1),) for h2 in range(n)}
     return dict(
         dim=n * n,
         mult=mult,
@@ -184,11 +183,15 @@ def _ks3_raw(s3):
     return dict(_hand_tables("group", s3), cyc_order=6)
 
 
+def _with_product(mult, i, j, terms):
+    """A copy of the rows ``mult`` with the product e_i e_j set to ``terms``."""
+    return {**mult, i: {**mult.get(i, {}), j: terms}}
+
+
 def test_mutated_mult_fails_with_witness(s3):
     raw = _ks3_raw(s3)
     g = next(i for i in range(6) if i != s3.identity)
-    raw["mult"] = dict(raw["mult"])
-    raw["mult"][(g, g)] = ((g, 1),)  # force g*g = g
+    raw["mult"] = _with_product(raw["mult"], g, g, ((g, 1),))  # force g*g = g
     H = HopfAlgebra(**raw, check=False)
     report = verify_hopf_axioms(H)
     bad = {r["check"]: r for r in report if r["status"] == "fail"}
@@ -210,8 +213,7 @@ def test_mutated_antipode_fails(s3):
 
 def test_mutated_coefficient_fails(s3):
     raw = _ks3_raw(s3)
-    raw["mult"] = dict(raw["mult"])
-    raw["mult"][(s3.identity, s3.identity)] = ((s3.identity, 2),)
+    raw["mult"] = _with_product(raw["mult"], s3.identity, s3.identity, ((s3.identity, 2),))
     with pytest.raises(VerificationFailed):
         HopfAlgebra(**raw)
 
@@ -271,7 +273,7 @@ def _integral_by_nullspace(H):
     for i in range(d):
         acc = cyc(0)
         for j in range(d):
-            for k, c in H.mult.get((i, j), ()):
+            for k, c in H.mult.get(i, {}).get(j, ()):
                 if k == j:
                     acc = acc + c
         if acc:
@@ -799,8 +801,8 @@ def test_non_integer_degree_detected():
     # test below reaches NonIntegerDegree on a checked instance).
     H = HopfAlgebra(
         dim=2,
-        mult={(0, 0): ((0, 1),), (0, 1): ((1, 1),),
-              (1, 0): ((1, 1),), (1, 1): ((0, 1), (1, 1))},
+        mult={0: {0: ((0, 1),), 1: ((1, 1),)},
+              1: {0: ((1, 1),), 1: ((0, 1), (1, 1))}},
         comult={0: (((0, 0), 1),), 1: (((1, 1), 1),)},
         unit={0: 1},
         counit={0: 1, 1: 1},
@@ -1062,26 +1064,30 @@ def test_full_sweep_agrees_with_verifier(which, request):
 
 def _mult_mutants(s3):
     raw = _ks3_raw(s3)
-    for (i, j), ((k, _),) in raw["mult"].items():
-        for other in range(6):
-            if other != k:
-                yield dict(raw, mult={**raw["mult"], (i, j): ((other, 1),)})
+    for i, row in raw["mult"].items():
+        for j, ((k, _),) in row.items():
+            for other in range(6):
+                if other != k:
+                    yield dict(raw, mult=_with_product(raw["mult"], i, j, ((other, 1),)))
 
 
 def _scaled_mult_mutants(s3):
     # e_i e_j = 2 (e_i e_j): associativity fails, and so does
     # Delta/eps-multiplicativity at (i, j) even when j is not a generator
     raw = _ks3_raw(s3)
-    for (i, j), ((k, _),) in raw["mult"].items():
-        yield dict(raw, mult={**raw["mult"], (i, j): ((k, 2),)})
+    for i, row in raw["mult"].items():
+        for j, ((k, _),) in row.items():
+            yield dict(raw, mult=_with_product(raw["mult"], i, j, ((k, 2),)))
 
 
 def _comult_mutants(s3):
+    # Delta e_i = e_i (x) e_k fails (eps (x) id) and e_k (x) e_i fails (id (x) eps)
     raw = _ks3_raw(s3)
     for i in range(6):
         for k in range(6):
             if k != i:
                 yield dict(raw, comult={**raw["comult"], i: (((i, k), 1),)})
+                yield dict(raw, comult={**raw["comult"], i: (((k, i), 1),)})
 
 
 def _unit_and_counit_mutants(s3):
@@ -1124,7 +1130,7 @@ def test_full_sweep_agrees_where_only_a_later_generator_fails():
         return 2 * LOOP5[a // 2][b // 2] + (a % 2 ^ b % 2)
 
     n = 10
-    H = HopfAlgebra(dim=n, mult={(a, b): ((mul(a, b), 1),) for a in range(n) for b in range(n)},
+    H = HopfAlgebra(dim=n, mult={a: {b: ((mul(a, b), 1),) for b in range(n)} for a in range(n)},
                     comult={i: (((i, i), 1),) for i in range(n)}, unit={0: 1},
                     counit={i: 1 for i in range(n)},
                     antipode={i: ((i, 1),) for i in range(n)}, check=False)
@@ -1139,8 +1145,7 @@ def test_full_sweep_agrees_where_only_a_later_generator_fails():
 def test_associativity_witness_has_a_generator_in_the_middle(s3):
     raw = _ks3_raw(s3)
     g = next(i for i in range(6) if i != s3.identity)
-    raw["mult"] = dict(raw["mult"])
-    raw["mult"][(g, g)] = ((g, 1),)
+    raw["mult"] = _with_product(raw["mult"], g, g, ((g, 1),))
     H = HopfAlgebra(**raw, check=False)
     bad = {e["check"]: e for e in verify_hopf_axioms(H) if e["status"] == "fail"}
     a, b, c = bad["associativity"]["witness"]
@@ -1439,7 +1444,8 @@ def _func_hit_scan(H, p, a, right):
     out = {}
     for i, ci in a.items():
         for j in range(H.dim):
-            terms = H.mult.get((i, j) if right else (j, i), ())
+            terms = (H.mult.get(i, {}).get(j, ()) if right
+                     else H.mult.get(j, {}).get(i, ()))
             x = sum((c * p[k] for k, c in terms if k in p), cyc(0))
             if x:
                 vec_axpy(out, ci, ((j, x),))

@@ -8,7 +8,10 @@ re-exports and exempt.  A top-level def or class is live when its own
 module reads it as a global outside its own body (scopes resolved by
 ``symtable``, so a parameter or local of the same name does not count),
 another module or a README python block imports it or reads it as an
-attribute of its module, or its module's ``__all__`` lists it.
+attribute of its module, or its module's ``__all__`` lists it.  No module
+of the package or of its tests reads the product table ``mult`` by a pair
+key: it is stored as rows {i: {j: terms}}, where a pair lookup silently
+finds nothing.
 """
 
 import ast
@@ -21,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hopfcomm"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
                            (ROOT / "README.md").read_text(encoding="utf-8"),
                            re.MULTILINE | re.DOTALL)
@@ -204,3 +208,43 @@ def test_loop_call_detected():
            "    return nxt(p, 6) + _modp.next_prime_in_ap(p, 6) + _modp.is_prime(p)\n")
     assert loop_calls(src) == [("runlog.record", 4), ("_modp.next_prime_in_ap", 6),
                                ("_modp.next_prime_in_ap", 6)]
+
+
+def _is_mult(node) -> bool:
+    """The attribute ``.mult``, or a local name ``mult`` (its usual alias)."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "mult")
+            or (isinstance(node, ast.Name) and node.id == "mult"))
+
+
+def pair_reads(source: str) -> list:
+    """Lines where ``source`` indexes ``.mult`` (or a name ``mult``) with a
+    tuple or calls its ``get`` with a tuple as the key."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and _is_mult(node.value)
+                and isinstance(node.slice, ast.Tuple)):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and _is_mult(node.func.value)
+                and node.args and isinstance(node.args[0], ast.Tuple)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_mult_is_read_by_rows(path):
+    assert pair_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_pair_read_detected():
+    src = ("a = H.mult[(i, j)]\n"
+           "b = H.mult[i, j]\n"
+           "c = self.mult.get((i, j), ())\n"
+           "d = H.mult.get(i, {}).get(j, ())\n"
+           "e = H.mult[i][j]\n"
+           "f = table.get((i, j))\n"
+           "g = H.comult[(i, j)]\n"
+           "mult = H.mult\n"
+           "h = mult.get((i, j))\n"
+           "k = mult.get(i)\n")
+    assert pair_reads(src) == [1, 2, 3, 9]

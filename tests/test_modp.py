@@ -39,9 +39,14 @@ def test_next_prime_in_ap():
 
 
 def _sparse(dense):
-    """algebra_mul's sparse rows from dense structure constants t[a][b][c]."""
-    return [[tuple((c, s) for c, s in enumerate(col) if s) for col in row]
-            for row in dense]
+    """algebra_mul's rows {a: {b: ((c, s), ...)}} of the nonzero dense
+    structure constants s = t[a][b][c]."""
+    rows = {}
+    for a, row in enumerate(dense):
+        for b, col in enumerate(row):
+            if terms := tuple((c, s) for c, s in enumerate(col) if s):
+                rows.setdefault(a, {})[b] = terms
+    return rows
 
 
 def _dense_mul(dense, x, y, m):
@@ -107,6 +112,17 @@ def test_algebra_mul_matches_dense_product():
             assert algebra_mul(struct, x, y, m) == _dense_mul(dense, x, y, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), m=st.sampled_from([7, 13**3, 2**61 - 1]))
+def test_algebra_mul_reads_the_rows_like_the_dense_product(data, n, m):
+    # any table, sparse or not; zero coordinates and zero constants included
+    entry = st.one_of(st.just(0), st.integers(-5, 5), st.integers(0, m - 1))
+    dense = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                        min_size=n, max_size=n), min_size=n, max_size=n))
+    x, y = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    assert algebra_mul(_sparse(dense), x, y, m) == _dense_mul(dense, x, y, m)
+
+
 def test_split_idempotents_refuses_nilpotents_and_unsplit_fields():
     # Basis (1, x); x^2 = r.  r = 0 is not semisimple; r a non-residue mod
     # p gives F_{p^2}, which does not split over F_p.
@@ -138,7 +154,7 @@ def test_split_idempotents_refuses_nilpotents_and_unsplit_fields():
 
 
 def test_split_idempotents_of_a_one_dimensional_algebra_is_its_unit():
-    assert split_idempotents([[((0, 1),)]], [1], 5, random.Random(0)) == [[1]]
+    assert split_idempotents({0: {0: ((0, 1),)}}, [1], 5, random.Random(0)) == [[1]]
 
 
 def test_lift_root():
