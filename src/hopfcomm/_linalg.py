@@ -70,10 +70,9 @@ def _check_idempotents(name: str, vecs, mul, unit: Vec, unit_name: str):
     idempotents under ``mul`` that sum to ``unit``; one product per vector.
 
     Precondition: ``mul`` is associative with two-sided unit ``unit``, in
-    characteristic 0.  Every caller establishes it first: ``hopf._read_irred``
-    and ``classdata._classdata_of`` (the certificates of every split) run
-    the axiom verifier, and the class algebra of ``chartab._verify_table`` is
-    the center of ZG, with exact integer structure constants.  The idempotents
+    characteristic 0.  Both callers establish it first: ``hopf._read_irred``
+    and ``classdata._classdata_of`` (the certificates of every split and of
+    every character table) run the axiom verifier.  The idempotents
     are then orthogonal: the L_i = L_{e_i} are idempotent operators summing to
     the identity, so their traces are ranks summing to dim and their images
     form a direct sum; for i != j, L_i kills im L_j, and e_i e_j = L_i L_j 1 = 0.

@@ -1,16 +1,14 @@
-"""Exact character tables of finite groups.
+"""Character tables of finite groups, proposed mod p.
 
-The table is computed by the Burnside-Dixon mod-p method: the class
+A table is proposed by the Burnside-Dixon mod-p method: the class
 algebra is split over F_p (p == 1 mod exponent(G), p > 2|G|) into its
 primitive idempotents E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j by Frobenius
 powers of random elements (not diagonalised), degrees and character values
 are read off the coordinates of the E_i mod p, and each value is lifted to
 the cyclotomic field Q(zeta_exponent) by a discrete Fourier transform on the
-eigenvalue multiplicities.  The mod-p phase is untrusted scaffolding: every
-lifted table is re-verified exactly before it is returned, by rebuilding
-the E_i from its rows and certifying them with ``_check_idempotents``, the
-check that also certifies the central idempotents of every Hopf algebra.
-The primes and retries are ``_modp.first_certified``'s.
+eigenvalue multiplicities.  The mod-p phase only proposes: each lifted table
+goes to the caller's certificate ``accept`` (kG's is ``hopf._group_irred``),
+and the primes and retries are ``_modp.first_certified``'s.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from ._linalg import _bilinear, _check_idempotents, _rows
+from ._linalg import _rows
 from ._modp import TRIES, element_of_order, first_certified, split_idempotents
 from .errors import VerificationFailed
-from .exactnum import CycNum, Rational
+from .exactnum import CycNum
 from .group import ClassPartition, FiniteGroup, power_map
 
 
@@ -33,10 +31,6 @@ class ClassAlgebra:
 
     classes: ClassPartition
     terms: dict[int, dict[int, tuple[tuple[int, int], ...]]]
-
-    def mul(self, u: dict, v: dict) -> dict:
-        """The product of two sparse {class: coefficient} elements."""
-        return _bilinear(self.terms, u, v)
 
 
 @dataclass(frozen=True)
@@ -140,52 +134,23 @@ def _lift_table(G, algebra, p, rng):
     return degrees, values
 
 
-def _verify_table(G, algebra, degrees, values):
-    """Raise VerificationFailed unless the rows are the irreducible characters.
-
-    E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j is rebuilt from each row and the
-    n of them are certified by ``_check_idempotents`` in the n-dimensional
-    class algebra.  Idempotents that sum to C_0 are orthogonal there, and
-    these are nonzero (C_0 coordinate d_i^2/|G|), so they are its n primitive
-    idempotents.  The primitive idempotent of an irreducible chi has C_0
-    coordinate chi(1)^2/|G|, so with chi_i(1) = d_i > 0 each row is the
-    character of its idempotent."""
-    conj = algebra.classes
-    n = conj.n_classes
-    order = G.order
-    one = CycNum.rational(1)
-    if len(degrees) != n:
-        raise VerificationFailed("wrong number of irreducibles")
-    if any(v != one for v in values[0]):
-        raise VerificationFailed("first row is not the trivial character")
-    for i, d in enumerate(degrees):
-        if d <= 0 or order % d:
-            raise VerificationFailed(f"degree {d} of row {i} does not divide |G|")
-        if values[i][0] != CycNum.rational(d):
-            raise VerificationFailed(f"row {i} value at identity != degree")
-    inv = conj.inverse_class
-    idems = []
-    for d, row in zip(degrees, values):
-        scale = CycNum.rational(Rational(d, order))
-        idems.append({j: scale * row[inv[j]] for j in range(n) if row[inv[j]]})
-    _check_idempotents("E", idems, algebra.mul, {0: one}, "C_0")
-
-
-def dixon_character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
-    """Exact character table of G, rows sorted with the trivial character
-    first and the remaining rows by (degree, value key).  ``_lift_table``
-    proposes, ``_verify_table`` decides."""
+def dixon_character_table(G: FiniteGroup, seed: int, accept):
+    """``accept`` of the first lifted character table of G it takes, rows
+    sorted trivial first, then by (degree, value key).  ``_lift_table``
+    proposes; a table that ``accept``, the caller's certificate, refuses
+    with VerificationFailed is retried at the next prime."""
     algebra = class_structure_constants(G)
     rng = random.Random(seed)
     e = G.exponent()
+    labels = tuple(G.labels[r] for r in algebra.classes.reps)
 
-    def accept(lifted):
-        _verify_table(G, algebra, *lifted)
-        labels = tuple(G.labels[r] for r in algebra.classes.reps)
-        return CharacterTable(G.name, algebra.classes, labels, *lifted)
+    def propose(p, _):
+        lifted = _lift_table(G, algebra, p, rng)
+        return None if lifted is None else CharacterTable(
+            G.name, algebra.classes, labels, *lifted)
 
     return first_certified(
         {"stage": "dixon", "group": G.name}, e, max(2 * G.order, e, 2), (None,),
-        lambda p, _: _lift_table(G, algebra, p, rng), accept,
+        propose, accept,
         lambda why: f"character table of {G.name} failed verification after "
                     f"{TRIES} primes: {why}")

@@ -35,7 +35,6 @@ import sys
 import time
 
 from . import caps, runlog
-from .chartab import dixon_character_table
 from .classdata import classdata_to_dict, require_classdata, theorem_suite_sec4
 from .commutator import commutator_subalgebra, theorem_suite_sec2, z_n, z_n_by_idempotents
 from .counting import (
@@ -64,6 +63,7 @@ from .hopf import (
     build_drinfeld_double,
     build_dual_group_algebra,
     build_group_algebra,
+    character_table,
     hopf_from_dict,
     hopf_to_dict,
     irred_from_dict,
@@ -149,9 +149,12 @@ def _load_hopf(args) -> tuple[HopfAlgebra, str]:
                 f"unsupported dump schema {data.get('schema')!r}, expected {SCHEMA!r}")
         if type(data.get("dim")) is int:
             _check_dim_cap(data["dim"])
+        group_name = data.get("group_name", "G")
+        if type(group_name) is not str:
+            raise ValueError(f"group_name {group_name!r} is not a string")
         H = hopf_from_dict(data)  # refuses a dim that is not an integer
         if H.kind == "group":
-            H.group = _group_from_mult(H, str(data.get("group_name", "G")))
+            H.group = _group_from_mult(H, group_name)
         if "irred" in data:
             H.irred = irred_from_dict(H, data["irred"])
         return H, "dump"
@@ -200,7 +203,8 @@ def _functional_doc(H: HopfAlgebra, f) -> dict:
 
 def cmd_chartab(args) -> int:
     G = _load_group_file(args.group)
-    table = dixon_character_table(G, args.seed)
+    _check_dim_cap(G.order)
+    table = character_table(G, args.seed)
     if args.markdown:
         print(table.markdown())
         return EXIT_OK

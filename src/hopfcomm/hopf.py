@@ -25,15 +25,15 @@ so do ``commutator.is_adjoint_stable`` and the check R Delta = Delta^op R
 of ``classdata.r_matrix_data``.  ``generators`` and
 ``commutator.algebra_closure`` close a span by one loop, ``_right_closure``.
 Every check finds its first failing witness through the one search
-``_first_failure``.  Idempotent families (the E_i, the F_i of R(H), and in
-``chartab`` the rows of a character table) are checked by their squares and
-sum alone, once per family (``split_commutative`` leaves its candidates to
-its caller's certificate); ``_linalg._check_idempotents`` proves them
-orthogonal.  Every builder makes its E_i from its characters by one formula,
-E_i = d_i (Lambda <- s(chi_i)) (``_with_idempotents``); ``_read_irred``
-certifies a family of E_i and reads each (d_i, chi_i) off E_i once, by one
-formula (``_degree_and_character``), and the builders and the loader compare
-their own (d_i, chi_i) with that read (``_verify_irred``).
+``_first_failure``.  Idempotent families (the E_i and the F_i of R(H)) are
+checked by their squares and sum alone, once per family (the Dixon table and
+``split_commutative`` leave their candidates to their caller's certificate);
+``_linalg._check_idempotents`` proves them orthogonal.  Every builder makes
+its E_i from its characters by one formula, E_i = d_i (Lambda <- s(chi_i))
+(``_with_idempotents``); ``_read_irred`` certifies a family of E_i and reads
+each (d_i, chi_i) off E_i once, by one formula (``_degree_and_character``),
+and the builders and the loader compare their own (d_i, chi_i) with that
+read (``_verify_irred``), the one certificate of a character table too.
 
 Elements of H and functionals on H are thin wrappers (HElem / HFunc)
 around sparse coefficient dicts.  The structure maps, the pairing and the
@@ -73,7 +73,7 @@ from ._modp import (
     lll_reduce,
     split_idempotents,
 )
-from .chartab import dixon_character_table
+from .chartab import CharacterTable, dixon_character_table
 from .errors import (
     DimMismatch,
     NoIntegral,
@@ -1162,9 +1162,8 @@ def _smash_tables(N: FiniteGroup, F: FiniteGroup, act) -> dict:
 
 
 def build_group_algebra(G: FiniteGroup, seed: int = 0):
-    """kG = k^1 # kG with grouplike basis, plus IrredData from the character
-    table."""
-    n = G.order
+    """kG = k^1 # kG with grouplike basis, plus IrredData from the first
+    Dixon character table that ``_group_irred`` certifies."""
     H = HopfAlgebra(
         **_smash_tables(cyclic_group(1), G, lambda f, m: m),
         cyc_order=G.exponent(),
@@ -1172,12 +1171,27 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
         kind="group",
         group=G,
     )
-    table = dixon_character_table(G, seed)
-    cls = table.classes.class_of
-    H.irred = _verify_irred(H, _with_idempotents(H, [
-        (d, {g: row[cls[g]] for g in range(n) if row[cls[g]]})
-        for d, row in zip(table.degrees, table.values)]))
+    H.irred = dixon_character_table(G, seed, lambda table: _group_irred(H, table))
     return H, H.irred
+
+
+def _group_irred(H: HopfAlgebra, table: CharacterTable) -> IrredData:
+    """The IrredData of kG with the rows of ``table`` as its characters, once
+    ``_verify_irred`` certifies them: the certificate of a character table."""
+    cls = table.classes.class_of
+    return _verify_irred(H, _with_idempotents(H, [
+        (d, {g: row[cls[g]] for g in range(H.dim) if row[cls[g]]})
+        for d, row in zip(table.degrees, table.values)]))
+
+
+def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
+    """The character table of G, read off the certified irreducibles of kG
+    at the class representatives, in the order of the Dixon table."""
+    irred = build_group_algebra(G, seed)[1]
+    conj = G.conjugacy_data()
+    return CharacterTable(
+        G.name, conj, tuple(G.labels[r] for r in conj.reps), irred.degrees,
+        tuple(tuple(chi.vec.get(r, _ZERO) for r in conj.reps) for chi in irred.characters))
 
 
 def build_dual_group_algebra(G: FiniteGroup):
@@ -1221,8 +1235,11 @@ def build_drinfeld_double(G: FiniteGroup, seed: int = 0):
 def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData:
     """Irreducibles of D(G): one per (conjugacy class C, irreducible of the
     centralizer of a representative); characters are assembled from the
-    centralizer tables, idempotents realised via E = d * (Lambda <- s(chi))
-    and then verified against all IrredData invariants."""
+    centralizer tables, idempotents realised via E = d * (Lambda <- s(chi)).
+    A centralizer table has no certificate of its own: ``_verify_irred`` on
+    the assembled data decides, and the D(G) character built from a row chi
+    of the table of C_G(g) takes the value chi(h) at p_g # h, h in C_G(g), so
+    a right D(G) table makes every centralizer row right."""
     n = G.order
     conj = G.conjugacy_data()
     entries = []
@@ -1231,7 +1248,7 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
         members = conj.elements[ci]
         K, parent = G.subgroup(G.centralizer(rep))
         parent_index = {p: i for i, p in enumerate(parent)}
-        ktab = dixon_character_table(K, seed)
+        ktab = dixon_character_table(K, seed, lambda table: table)
         kcls = ktab.classes.class_of
         # coset representatives: k_x rep k_x^{-1} = x
         kx = {}
@@ -1378,9 +1395,9 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     Every basis index must be an integer in range(dim): an entry outside
     the basis would never be read by the verifier, so it raises ValueError.
     So do a dim or cyc_order that is not an integer, a key repeated within
-    a field, labels that are not a list of dim strings, a coefficient
-    outside Q(zeta_cyc_order), a zero denominator and a missing or
-    misshapen field."""
+    a field, a kind that is not a string, labels that are not a list of dim
+    strings, a coefficient outside Q(zeta_cyc_order), a zero denominator and
+    a missing or misshapen field."""
     try:
         dim = _json_int("dim", data["dim"])
         cyc_order = _json_positive("cyc_order", data.get("cyc_order", 1))
@@ -1405,6 +1422,8 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
                                    or [type(x) for x in labels] != [str] * dim):
             raise ValueError(f"labels must be a list of {dim} strings")
         kind = data.get("kind", "custom")
+        if type(kind) is not str:
+            raise ValueError(f"kind {kind!r} is not a string")
     except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed hopf dump: {exc}") from exc
     return HopfAlgebra(

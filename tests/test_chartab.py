@@ -1,29 +1,29 @@
 """Character table tests: frozen classical tables plus exact invariants.
 
 The S3/Q8/C2 expectations are classical results, rederivable by hand from
-orthogonality; degree multisets for S4/D4/A4 are standard.
+orthogonality; degree multisets for S4/D4/A4 are standard.  A table is
+certified once, by kG's irreducible-data check (``hopf._group_irred``); the
+checks it replaced are kept here as oracles.
 """
 
+import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hopfcomm import _linalg, runlog
 from hopfcomm import chartab as chartab_mod
-from hopfcomm import runlog
-from hopfcomm.chartab import (
-    ClassAlgebra,
-    _verify_table,
-    class_structure_constants,
-    dixon_character_table,
-)
+from hopfcomm import hopf as hopf_mod
+from hopfcomm.chartab import class_structure_constants
 from hopfcomm.cli import main
 from hopfcomm.errors import BadPrime, VerificationFailed
 from hopfcomm.exactnum import cyc, zeta
 from hopfcomm.group import cyclic_group, from_perm_generators, load_group
-from hopfcomm.hopf import build_group_algebra
+from hopfcomm.hopf import build_drinfeld_double, build_group_algebra, character_table
 
 S3_GENS = [[[1, 2]], [[1, 2, 3]]]
 S4_GENS = [[[1, 2]], [[1, 2, 3, 4]]]
@@ -84,19 +84,19 @@ def test_structure_constants_size_invariant():
 
 
 def test_trivial_group_table():
-    t = dixon_character_table(cyclic_group(1))
+    t = character_table(cyclic_group(1))
     assert t.degrees == (1,)
     assert t.values == ((cyc(1),),)
 
 
 def test_c2_table_frozen():
-    t = dixon_character_table(cyclic_group(2))
+    t = character_table(cyclic_group(2))
     assert t.degrees == (1, 1)
     assert t.values == ((cyc(1), cyc(1)), (cyc(1), cyc(-1)))
 
 
 def test_s3_table_frozen():
-    t = dixon_character_table(from_perm_generators("S3", S3_GENS))
+    t = character_table(from_perm_generators("S3", S3_GENS))
     # Columns: identity, 3-cycles, transpositions.
     assert t.classes.sizes == (1, 2, 3)
     assert t.degrees == (1, 1, 2)
@@ -108,7 +108,7 @@ def test_s3_table_frozen():
 
 
 def test_q8_table_frozen():
-    t = dixon_character_table(quaternion_group())
+    t = character_table(quaternion_group())
     assert t.degrees == (1, 1, 1, 1, 2)
     # Columns: 1, -1, {i,-i}, {j,-j}, {k,-k}.
     assert t.classes.sizes == (1, 1, 2, 2, 2)
@@ -123,7 +123,7 @@ def test_q8_table_frozen():
 
 
 def test_c4_table_rows_are_multiplicative():
-    t = dixon_character_table(cyclic_group(4))
+    t = character_table(cyclic_group(4))
     assert t.degrees == (1, 1, 1, 1)
     for row in t.values:
         for j in range(4):
@@ -138,21 +138,21 @@ def test_c4_table_rows_are_multiplicative():
 ])
 def test_degree_multisets(name, gens, expected):
     G = from_perm_generators(name, gens)
-    t = dixon_character_table(G)
+    t = character_table(G)
     assert sorted(t.degrees) == expected
     assert sum(d * d for d in t.degrees) == G.order
 
 
 def test_a4_has_cube_roots_of_unity():
-    t = dixon_character_table(from_perm_generators("A4", A4_GENS))
+    t = character_table(from_perm_generators("A4", A4_GENS))
     flat = {v for row in t.values for v in row}
     assert zeta(3) in flat or zeta(3, 2) in flat
 
 
 def test_table_deterministic_across_seeds():
     G = from_perm_generators("S4", S4_GENS)
-    t0 = dixon_character_table(G, seed=0)
-    t1 = dixon_character_table(G, seed=12345)
+    t0 = character_table(G, seed=0)
+    t1 = character_table(G, seed=12345)
     assert t0.values == t1.values and t0.degrees == t1.degrees
 
 
@@ -163,7 +163,7 @@ def test_table_serialization_and_markdown(capsys):
     assert d["degrees"] == [1, 1, 2]
     assert [c["size"] for c in d["classes"]] == [1, 2, 3]
     assert d["table"][2][1] == "-1"
-    md = dixon_character_table(from_perm_generators("S3", S3_GENS)).markdown()
+    md = character_table(from_perm_generators("S3", S3_GENS)).markdown()
     assert md.startswith("|") and "chi_2" in md
 
 
@@ -187,7 +187,7 @@ def test_idempotents_c2_frozen():
 
 def test_idempotents_s3():
     G = from_perm_generators("S3", S3_GENS)
-    t = dixon_character_table(G)
+    t = character_table(G)
     idems = _group_idempotents(G)
     assert len(idems) == 3
     sixth = cyc("1/6")
@@ -205,8 +205,8 @@ def test_idempotents_q8():
 
 
 def _column_orthogonality_failure(G, algebra, values):
-    """The column check that _verify_table no longer runs, kept as its
-    oracle: the first (j, j2) with sum_i chi_i(g_j) chi_i(g_j2^-1) !=
+    """The column check of the class-algebra verifier before the idempotent
+    certificate, kept as its oracle: the first (j, j2) with sum_i chi_i(g_j) chi_i(g_j2^-1) !=
     delta_{j j2} |G|/|C_j|; None when the relation holds.  At the identity
     class, j = j2 = 0, it reads sum_i d_i^2 = |G|."""
     conj = algebra.classes
@@ -222,8 +222,8 @@ def _column_orthogonality_failure(G, algebra, values):
 
 
 def _row_orthogonality_failure(G, algebra, values):
-    """The row check that _check_idempotents replaced in _verify_table, kept
-    as its oracle: the first (i, i2) with sum_j |C_j| chi_i(g_j)
+    """The row check that the idempotent certificate replaced, kept as its
+    oracle: the first (i, i2) with sum_j |C_j| chi_i(g_j)
     chi_i2(g_j^-1) != delta_{i i2} |G|; None when the relation holds."""
     conj = algebra.classes
     n = conj.n_classes
@@ -258,8 +258,8 @@ def _central_character_failure(algebra, degrees, values):
 
 def _old_verdict(G, algebra, degrees, values):
     """True when the verifier before the idempotent certificate refused the
-    table: the checks _verify_table still runs (count, trivial row, degrees,
-    value at the identity), then the row and central-character oracles."""
+    table: the count, the trivial row, the degrees and the values at the
+    identity, then the row and central-character oracles."""
     n = algebra.classes.n_classes
     if len(degrees) != n or any(v != cyc(1) for v in values[0]):
         return True
@@ -269,9 +269,10 @@ def _old_verdict(G, algebra, degrees, values):
             or _central_character_failure(algebra, degrees, values) is not None)
 
 
-def _table_refused(G, algebra, degrees, values):
+def _table_refused(H, table, degrees, values):
+    """True when kG's certificate refuses ``table`` with these rows."""
     try:
-        _verify_table(G, algebra, degrees, values)
+        hopf_mod._group_irred(H, dataclasses.replace(table, degrees=degrees, values=values))
     except VerificationFailed:
         return True
     return False
@@ -317,18 +318,18 @@ def _mutants(G, table):
     cyclic_group(5),
 ], ids=["S3", "Q8", "A4", "C5"])
 def test_verify_table_refuses_what_the_column_check_refuses(G):
-    # On every mutant the idempotent certificate must agree with the old
-    # verifier (row orthogonality and central characters), and refuse every
-    # table whose columns fail orthogonality or whose degree squares do not
-    # sum to |G|.
-    table = dixon_character_table(G)
+    # On every mutant kG's certificate must agree with the old verifier (row
+    # orthogonality and central characters), and refuse every table whose
+    # columns fail orthogonality or whose degree squares do not sum to |G|.
+    H = build_group_algebra(G)[0]
+    table = character_table(G)
     algebra = class_structure_constants(G)
-    assert not _table_refused(G, algebra, table.degrees, table.values)
+    assert not _table_refused(H, table, table.degrees, table.values)
     assert not _old_verdict(G, algebra, table.degrees, table.values)
     assert _column_orthogonality_failure(G, algebra, table.values) is None
     column_failures = refusals = 0
     for degrees, values in _mutants(G, table):
-        refused = _table_refused(G, algebra, degrees, values)
+        refused = _table_refused(H, table, degrees, values)
         assert refused == _old_verdict(G, algebra, degrees, values)
         columns_fail = _column_orthogonality_failure(G, algebra, values) is not None
         if columns_fail or sum(d * d for d in degrees) != G.order:
@@ -336,25 +337,6 @@ def test_verify_table_refuses_what_the_column_check_refuses(G):
         column_failures += columns_fail
         refusals += refused
     assert column_failures and refusals
-
-
-@pytest.mark.parametrize("G", [
-    from_perm_generators("S4", S4_GENS),
-    cyclic_group(24),
-], ids=["S4", "C24"])
-def test_verify_table_makes_one_class_product_per_class(G, monkeypatch):
-    table = dixon_character_table(G)
-    algebra = class_structure_constants(G)
-    calls = []
-    mul = ClassAlgebra.mul
-
-    def counted(self, u, v):
-        calls.append(1)
-        return mul(self, u, v)
-
-    monkeypatch.setattr(ClassAlgebra, "mul", counted)
-    _verify_table(G, algebra, table.degrees, table.values)
-    assert len(calls) == algebra.classes.n_classes
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +357,7 @@ def _dixon_with(monkeypatch, fake):
     monkeypatch.setattr(chartab_mod, "_lift_table", patched)
     runlog.drain()
     try:
-        table = dixon_character_table(from_perm_generators("S3", S3_GENS))
+        table = character_table(from_perm_generators("S3", S3_GENS))
     finally:
         events = runlog.drain()
     assert [e["prime"] for e in events] == calls
@@ -403,7 +385,7 @@ def _bad_prime_once(real, call, *args):
     (_wrong_once, ["reconstruction_failed", "ok"]),
 ], ids=["none", "bad_prime", "refused"])
 def test_dixon_retries_on_the_next_prime(monkeypatch, fake, outcomes):
-    expected = dixon_character_table(from_perm_generators("S3", S3_GENS))
+    expected = character_table(from_perm_generators("S3", S3_GENS))
     table, got = _dixon_with(monkeypatch, fake)
     assert got == outcomes
     assert table == expected
@@ -415,3 +397,65 @@ def test_dixon_names_why_every_prime_failed(monkeypatch):
     message = str(info.value)
     assert "after 5 primes" in message and "reconstruction failed" in message
     assert not message.endswith("None")
+
+
+# ---------------------------------------------------------------------------
+# one certificate per table: kG's on the kG build and the chartab command,
+# the D(G) certificate for the centralizer tables of a double
+
+
+def _idempotent_families(monkeypatch, run):
+    """The names of the idempotent families certified while ``run()`` runs,
+    counted in every module of the package that binds ``_check_idempotents``."""
+    calls = []
+    real = _linalg._check_idempotents
+
+    def spy(name, *args):
+        calls.append(name)
+        return real(name, *args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hopfcomm.")
+                and getattr(module, "_check_idempotents", None) is real):
+            monkeypatch.setattr(module, "_check_idempotents", spy)
+    run()
+    return calls
+
+
+def test_one_certificate_per_group_algebra_build(monkeypatch):
+    S4 = from_perm_generators("S4", S4_GENS)
+    assert _idempotent_families(monkeypatch, lambda: build_group_algebra(S4)) == ["E"]
+
+
+def test_one_certificate_per_chartab_command(monkeypatch, capsys):
+    def run():
+        assert main(["chartab", str(SPECS / "S4.json")]) == 0
+    assert _idempotent_families(monkeypatch, run) == ["E"]
+
+
+def test_one_certificate_per_drinfeld_double_build(monkeypatch):
+    # three centralizer tables (S3, C3, C2) and the D(S3) data: one family
+    S3 = from_perm_generators("S3", S3_GENS)
+    assert _idempotent_families(monkeypatch, lambda: build_drinfeld_double(S3)) == ["E"]
+
+
+def test_wrong_centralizer_table_is_refused_by_the_double(monkeypatch):
+    # The first centralizer table of D(S3), that of S3 itself, comes back
+    # with the sign row twice.  No certificate of its own takes it (one
+    # "ok" event per centralizer); the D(S3) data built from it fails.
+    real = chartab_mod._lift_table
+    calls = []
+
+    def patched(*args):
+        calls.append(args[0].name)
+        return _wrong_once(real, len(calls) - 1, *args)
+
+    monkeypatch.setattr(chartab_mod, "_lift_table", patched)
+    runlog.drain()
+    try:
+        with pytest.raises(VerificationFailed, match="the E_i do not sum to 1"):
+            build_drinfeld_double(from_perm_generators("S3", S3_GENS))
+    finally:
+        events = runlog.drain()
+    assert len(calls) == 3
+    assert [e["outcome"] for e in events] == ["ok"] * 3

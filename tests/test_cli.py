@@ -74,6 +74,16 @@ def test_chartab_markdown(specdir, capsys):
     assert "| chi_2" in out and "()" in out
 
 
+def test_chartab_keeps_the_dim_cap(specdir, monkeypatch, capsys):
+    # chartab builds kG, so a group of order past the dim cap is refused; the
+    # closure of S3's generators meets the cap first, the Cayley table of Q8
+    # meets it at kQ8
+    monkeypatch.setenv("HOPFCOMM_CAP", "dim=4")
+    assert main(["chartab", str(specdir / "s3.json")]) == 4
+    assert main(["chartab", str(specdir / "q8.json")]) == 4
+    assert "dimension 8 exceeds dim cap 4" in capsys.readouterr().err
+
+
 def test_chartab_bad_spec_exit2(specdir, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "X", "perm_generators": [[[0, 1]]]}))
@@ -385,6 +395,25 @@ def test_dump_index_and_dim_types_exit2(ks3_dump, tmp_path, capsys, edit):
     path.write_text(json.dumps(data))
     assert main(["compute", "z", "--hopf", str(path)]) == 2
     assert "malformed hopf dump" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", ["group"]),
+    ("kind", 7),
+    ("group_name", ["x"]),
+    ("group_name", None),
+], ids=["kind-list", "kind-int", "group-name-list", "group-name-null"])
+def test_dump_kind_and_group_name_must_be_strings_exit2(specdir, tmp_path, capsys,
+                                                        field, value):
+    path = tmp_path / "kc2.json"
+    assert main(["build", "group", str(specdir / "c2.json"), "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["compute", "z", "--hopf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{field} {value!r} is not a string" in captured.err
 
 
 def _custom_kind_with_two_labels(data):
