@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from ._linalg import _rows
 from ._modp import TRIES, element_of_order, first_certified, split_idempotents
@@ -24,22 +23,29 @@ from .exactnum import CycNum
 from .group import ClassPartition, FiniteGroup, power_map
 
 
-@dataclass(frozen=True)
 class ClassAlgebra:
     """Structure constants of the class algebra, C_i C_j = sum_k a_ijk C_k,
     as rows terms[i][j] = ((k, a_ijk), ...) of the nonzero a_ijk."""
 
-    classes: ClassPartition
-    terms: dict[int, dict[int, tuple[tuple[int, int], ...]]]
+    __slots__ = ("classes", "terms")
+
+    def __init__(self, classes: ClassPartition,
+                 terms: dict[int, dict[int, tuple[tuple[int, int], ...]]]):
+        self.classes = classes
+        self.terms = terms
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group_name: str
-    classes: ClassPartition
-    class_labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    values: tuple[tuple[CycNum, ...], ...]
+    __slots__ = ("group_name", "classes", "class_labels", "degrees", "values")
+
+    def __init__(self, group_name: str, classes: ClassPartition,
+                 class_labels: tuple[str, ...], degrees: tuple[int, ...],
+                 values: tuple[tuple[CycNum, ...], ...]):
+        self.group_name = group_name
+        self.classes = classes
+        self.class_labels = class_labels
+        self.degrees = degrees
+        self.values = values
 
     def markdown(self) -> str:
         """A markdown table with padded columns and the group name in the

@@ -13,7 +13,6 @@ get the Drinfeld map and the factorizability checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import Echelon, _check_idempotents, rank, vec_axpy
@@ -72,16 +71,18 @@ _ZERO = CycNum.rational(0)
 # R(H) idempotents and class sums
 
 
-@dataclass(frozen=True)
 class ClassData:
     """Primitive idempotents F_i of commutative R(H) with F_0 = lambda/d, and
     what ``_class_of`` reads off each: the ranks dim(F_iH*) = d<F_i, Lambda>,
     class sums C_i = Lambda <- dF_i and eta_i = C_i / dim(F_iH*)."""
 
-    F: tuple
-    C: tuple
-    eta: tuple
-    class_dims: tuple
+    __slots__ = ("F", "C", "eta", "class_dims")
+
+    def __init__(self, F: tuple, C: tuple, eta: tuple, class_dims: tuple):
+        self.F = F
+        self.C = C
+        self.eta = eta
+        self.class_dims = class_dims
 
     def __len__(self):
         return len(self.F)
@@ -359,14 +360,16 @@ def kaplansky_report(H: HopfAlgebra) -> list[dict]:
 # Drinfeld map and factorizability
 
 
-@dataclass(frozen=True)
 class RMatrixData:
     """A verified quasitriangular structure: the R-matrix, its monodromy
     R_21 R_12, and whether the Drinfeld map is bijective."""
 
-    R: dict
-    monodromy: dict
-    factorizable: bool
+    __slots__ = ("R", "monodromy", "factorizable")
+
+    def __init__(self, R: dict, monodromy: dict, factorizable: bool):
+        self.R = R
+        self.monodromy = monodromy
+        self.factorizable = factorizable
 
 
 def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:

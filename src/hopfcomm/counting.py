@@ -12,7 +12,6 @@ before being trusted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import Echelon, Solver, Vec, rank, vec_axpy, vec_scale
@@ -238,7 +237,6 @@ def f_iterated(H: HopfAlgebra) -> HFunc:
 # symmetric forms and Casimir elements
 
 
-@dataclass(frozen=True)
 class SymmetricForm:
     """Associative symmetric bilinear form beta(a, b) = <t, a b>.
 
@@ -247,10 +245,13 @@ class SymmetricForm:
     u is the invertible central element with t = lambda <- u.
     """
 
-    t: HFunc
-    scope: str
-    u: HElem
-    alphas: tuple = ()
+    __slots__ = ("t", "scope", "u", "alphas")
+
+    def __init__(self, t: HFunc, scope: str, u: HElem, alphas: tuple = ()):
+        self.t = t
+        self.scope = scope
+        self.u = u
+        self.alphas = alphas
 
 
 def symmetric_form(H: HopfAlgebra, t: HFunc, scope: str = "full") -> SymmetricForm:

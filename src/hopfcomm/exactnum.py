@@ -18,8 +18,8 @@ The canonical form is the conductor (the smallest order whose field holds
 the value: 1 for rationals, never 2 mod 4) with the ``Fraction`` coordinates
 there.  It stays lazy: it is computed on demand, once per value, and only
 where it can be seen: ``order``, ``coeffs``, the ``hash`` of an irrational
-value, ``sort_key``, ``str``, ``to_dict``, ``galois``, ``lies_in`` and
-``residue`` when the ambient order does not divide the one asked for.
+value, ``sort_key``, ``str``, ``to_dict``, ``galois`` and ``residue`` when
+the ambient order does not divide the one asked for.
 """
 
 from __future__ import annotations
@@ -304,11 +304,6 @@ class CycNum:
     def as_rational(self) -> Optional[Fraction]:
         """The rational value, or None if the value is irrational."""
         return Fraction(self._v[0], self._d) if self._n == 1 else None
-
-    def lies_in(self, n: int) -> bool:
-        """Whether the value lies in Q(zeta_n).  The conductor is read only
-        when the ambient order does not divide n."""
-        return n % self._n == 0 or n % self.order == 0
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation (zeta -> zeta^-1)."""

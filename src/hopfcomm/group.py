@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import caps
@@ -171,16 +170,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True)
 class ClassPartition:
     """Conjugacy classes; class 0 is the class of the identity."""
 
-    class_of: tuple[int, ...]
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    elements: tuple[tuple[int, ...], ...]
-    centralizer_orders: tuple[int, ...]
-    inverse_class: tuple[int, ...]
+    __slots__ = ("class_of", "reps", "sizes", "elements", "centralizer_orders",
+                 "inverse_class")
+
+    def __init__(self, class_of: tuple[int, ...], reps: tuple[int, ...],
+                 sizes: tuple[int, ...], elements: tuple[tuple[int, ...], ...],
+                 centralizer_orders: tuple[int, ...], inverse_class: tuple[int, ...]):
+        self.class_of = class_of
+        self.reps = reps
+        self.sizes = sizes
+        self.elements = elements
+        self.centralizer_orders = centralizer_orders
+        self.inverse_class = inverse_class
 
     @property
     def n_classes(self) -> int:
@@ -262,7 +266,8 @@ def from_perm_generators(name: str,
 
     Only the points that occur are permuted, at their indices in sorted
     order, so the size of a permutation is the number of those points, not
-    the largest of them; the labels print the points themselves."""
+    the largest of them; the labels print the points themselves.  The order
+    is bounded by the dim cap, whatever the command."""
     cap = caps.dim_cap()
     points = sorted({int(p) for gen in generators for cycle in gen for p in cycle})
     position = {p: i for i, p in enumerate(points)}
@@ -280,7 +285,8 @@ def from_perm_generators(name: str,
                 if q not in index:
                     if len(elems) >= cap:
                         raise ClosureCapExceeded(
-                            f"closure exceeded cap {cap}")
+                            f"closure of {name} reached {len(elems) + 1} elements, "
+                            f"which exceeds dim cap {cap}")
                     index[q] = len(elems)
                     elems.append(q)
                     nxt.append(q)
@@ -335,31 +341,61 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 # --- word DSL ---
 
-@dataclass(frozen=True)
-class Letter:
-    index: int  # 1-based
+class _Node:
+    """A word node, equal to a node of its type with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class Inverse:
-    word: "Word"
+class Letter(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index  # 1-based
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["Word", ...]
+class Inverse(_Node):
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        self.word = word
 
 
-@dataclass(frozen=True)
-class Commutator:
-    left: "Word"
-    right: "Word"
+class Concat(_Node):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Word, ...]):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
-class Power:
-    word: "Word"
-    k: int  # |k| >= 2; x^1 is x itself and x^-1 is an Inverse
+class Commutator(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Word, right: Word):
+        self.left = left
+        self.right = right
+
+
+class Power(_Node):
+    __slots__ = ("word", "k")
+
+    def __init__(self, word: Word, k: int):
+        self.word = word
+        self.k = k  # |k| >= 2; x^1 is x itself and x^-1 is an Inverse
 
 
 Word = Letter | Inverse | Concat | Commutator | Power

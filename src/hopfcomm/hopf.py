@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import (
@@ -757,14 +756,16 @@ def psi_inv(H: HopfAlgebra, p: HFunc) -> HElem:
 # irreducible data
 
 
-@dataclass(frozen=True)
 class IrredData:
     """Central primitive idempotents E_i, degrees d_i, characters chi_i;
     index 0 is the trivial representation (E_0 = Lambda, chi_0 = eps)."""
 
-    idempotents: tuple
-    degrees: tuple
-    characters: tuple
+    __slots__ = ("idempotents", "degrees", "characters")
+
+    def __init__(self, idempotents: tuple, degrees: tuple, characters: tuple):
+        self.idempotents = idempotents
+        self.degrees = degrees
+        self.characters = characters
 
     def __len__(self):
         return len(self.degrees)
@@ -1296,26 +1297,22 @@ def _vec_to_json(vec: Vec) -> list:
     return [[i, _coeff_to_json(c)] for i, c in sorted(vec.items())]
 
 
-def _coeff_from_json(x) -> CycNum:
-    """A coefficient as ``_coeff_to_json`` writes it: a string, or an {order,
-    coeffs} dict of an integer order >= 1 and strings; else ValueError."""
+def _coeff_in(field: str, x, cyc_order: int) -> CycNum:
+    """A dumped coefficient of ``field`` as ``_coeff_to_json`` writes it: a
+    string, or an {order, coeffs} dict of strings whose integer order divides
+    cyc_order, so that the value lies in Q(zeta_cyc_order), where every
+    modular step of the package looks for it; else ValueError.  The order is
+    checked before the value is built, whose tables grow as order * phi(order)."""
     if type(x) is str:
         return CycNum.rational(Fraction(x))
     if (type(x) is not dict or x.keys() != {"order", "coeffs"} or type(x["coeffs"]) is not list
             or any(type(s) is not str for s in x["coeffs"])):
         raise ValueError(f"coefficient {x!r} is not a string or an {{order, coeffs}} dict")
-    _json_positive("coefficient order", x["order"])
+    order = _json_positive("coefficient order", x["order"])
+    if cyc_order % order:
+        raise ValueError(f"{field} holds a coefficient of order {order}, "
+                         f"which does not divide cyc_order {cyc_order}")
     return CycNum.from_dict(x)
-
-
-def _coeff_in(field: str, x, cyc_order: int) -> CycNum:
-    """A dumped coefficient of ``field``; it must lie in Q(zeta_cyc_order),
-    where every modular step of the package looks for it."""
-    c = _coeff_from_json(x)
-    if not c.lies_in(cyc_order):
-        raise ValueError(f"{field} holds a coefficient of order "
-                         f"{c.order}, which does not divide cyc_order {cyc_order}")
-    return c
 
 
 def _json_int(name: str, x) -> int:
@@ -1396,8 +1393,8 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     the basis would never be read by the verifier, so it raises ValueError.
     So do a dim or cyc_order that is not an integer, a key repeated within
     a field, a kind that is not a string, labels that are not a list of dim
-    strings, a coefficient outside Q(zeta_cyc_order), a zero denominator and
-    a missing or misshapen field."""
+    strings, a coefficient written at an order that does not divide
+    cyc_order, a zero denominator and a missing or misshapen field."""
     try:
         dim = _json_int("dim", data["dim"])
         cyc_order = _json_positive("cyc_order", data.get("cyc_order", 1))

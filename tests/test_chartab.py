@@ -6,7 +6,6 @@ certified once, by kG's irreducible-data check (``hopf._group_irred``); the
 checks it replaced are kept here as oracles.
 """
 
-import dataclasses
 import json
 import math
 import sys
@@ -18,11 +17,11 @@ import pytest
 from hopfcomm import _linalg, runlog
 from hopfcomm import chartab as chartab_mod
 from hopfcomm import hopf as hopf_mod
-from hopfcomm.chartab import class_structure_constants
+from hopfcomm.chartab import CharacterTable, class_structure_constants
 from hopfcomm.cli import main
 from hopfcomm.errors import BadPrime, VerificationFailed
 from hopfcomm.exactnum import cyc, zeta
-from hopfcomm.group import cyclic_group, from_perm_generators, load_group
+from hopfcomm.group import ClassPartition, cyclic_group, from_perm_generators, load_group
 from hopfcomm.hopf import build_drinfeld_double, build_group_algebra, character_table
 
 S3_GENS = [[[1, 2]], [[1, 2, 3]]]
@@ -272,7 +271,8 @@ def _old_verdict(G, algebra, degrees, values):
 def _table_refused(H, table, degrees, values):
     """True when kG's certificate refuses ``table`` with these rows."""
     try:
-        hopf_mod._group_irred(H, dataclasses.replace(table, degrees=degrees, values=values))
+        hopf_mod._group_irred(H, CharacterTable(table.group_name, table.classes,
+                                                table.class_labels, degrees, values))
     except VerificationFailed:
         return True
     return False
@@ -364,6 +364,12 @@ def _dixon_with(monkeypatch, fake):
     return table, [e["outcome"] for e in events]
 
 
+def _fields(table):
+    """Every field of a character table and of its class partition."""
+    return (tuple(getattr(table, name) for name in CharacterTable.__slots__ if name != "classes")
+            + tuple(getattr(table.classes, name) for name in ClassPartition.__slots__))
+
+
 def _wrong_once(real, call, G, algebra, p, rng):
     lifted = real(G, algebra, p, rng)
     if call:
@@ -388,7 +394,7 @@ def test_dixon_retries_on_the_next_prime(monkeypatch, fake, outcomes):
     expected = character_table(from_perm_generators("S3", S3_GENS))
     table, got = _dixon_with(monkeypatch, fake)
     assert got == outcomes
-    assert table == expected
+    assert _fields(table) == _fields(expected)
 
 
 def test_dixon_names_why_every_prime_failed(monkeypatch):

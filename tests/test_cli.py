@@ -7,6 +7,9 @@ failure or refused precondition, 4 cap exceeded.
 """
 
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +27,10 @@ C2_SPEC = {"name": "C2", "cayley": [[0, 1], [1, 0]]}
 C3_SPEC = {"name": "C3", "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
 C8_SPEC = {"name": "C8", "cayley": [[(a + b) % 8 for b in range(8)] for a in range(8)]}
 GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBPROCESS_ENV = {**os.environ,
+                  "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                              os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="module")
@@ -479,7 +486,7 @@ def _at_order_8(c: CycNum):
 def _kc8_rescaled(data):
     """The kC8 dump in the basis i*g, g^2, ..., g^7 (g the generator): the
     same Hopf algebra, with structure constants in Q(i), each written at
-    order 8, and cyc_order 4."""
+    order 8."""
     scale = {1: zeta(4)}
     s = [scale.get(a, CycNum.rational(1)) for a in range(data["dim"])]
 
@@ -494,7 +501,6 @@ def _kc8_rescaled(data):
                         for a, j, x in data["antipode"]]
     data["unit"] = [[a, _at_order_8(c(x) / s[a])] for a, x in data["unit"]]
     data["counit"] = [[a, _at_order_8(c(x) * s[a])] for a, x in data["counit"]]
-    data["cyc_order"] = 4
     data["kind"] = "custom"
     del data["irred"]
     return data
@@ -502,18 +508,39 @@ def _kc8_rescaled(data):
 
 def test_dump_coefficient_written_at_a_higher_order_loads(tmp_path, capsys):
     # A coefficient written at order 8 that lies in Q(zeta_4) is accepted
-    # under cyc_order 4; one truly outside Q(zeta_4) is refused on load.
+    # under cyc_order 8 and read at its conductor 4.  Under cyc_order 4 its
+    # written order is refused on load, as one that does not divide it.
     path, data = _built_dump(tmp_path, C8_SPEC)
     data = _kc8_rescaled(data)
     written = [e for e in data["mult"] if isinstance(e[3], dict)]
     assert written and all(e[3]["order"] == 8 for e in written)
+    assert data["cyc_order"] == 8
     H = hopf_from_dict(data)
     assert H.mult[1][1] == ((2, CycNum.rational(-1)),)
     assert H.mult[1][2] == ((3, zeta(4)),) and H.mult[1][2][0][1].order == 4
-    written[0][3] = {"order": 8, "coeffs": ["0", "1", "0", "0"]}  # zeta_8
+    data["cyc_order"] = 4
     path.write_text(json.dumps(data))
     assert main(["compute", "z", "--hopf", str(path)]) == 2
-    assert "cyc_order 4" in capsys.readouterr().err
+    assert "order 8, which does not divide cyc_order 4" in capsys.readouterr().err
+
+
+def test_dump_coefficient_order_is_checked_before_the_value_is_built(tmp_path):
+    # A value written at order n builds tables of n * phi(n) entries: at
+    # order 20000 this took 26 s, and at 10^9 it exhausted memory.  Run
+    # under a memory limit and a timeout, so that a regression fails here.
+    path, data = _built_dump(tmp_path, C8_SPEC)
+    data["unit"][0][1] = {"order": 10 ** 9, "coeffs": ["1"]}
+    path.write_text(json.dumps(data))
+    limit = 1 << 30
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run([sys.executable, "-m", "hopfcomm.cli", "compute", "z",
+                           "--hopf", str(path)], env=SUBPROCESS_ENV, preexec_fn=limited,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "order 1000000000, which does not divide cyc_order 8" in done.stderr
 
 
 def test_verify_wrong_schema_exit2(ks3_dump, tmp_path):
@@ -626,6 +653,24 @@ def test_oracle_deep_nesting_exit2(specdir, capsys):
     assert main(["oracle", str(specdir / "s3.json"),
                  "--word", "(" * 400 + "x1" + ")" * 400]) == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def test_perm_group_closure_names_the_dim_cap(monkeypatch, capsys):
+    # the dim cap bounds a group given by permutation generators, whatever
+    # the command: the oracle builds no algebra, and is refused all the same
+    monkeypatch.setenv("HOPFCOMM_CAP", "dim=64")
+    assert main(["oracle", str(GOLDEN_SPECS / "S5.json"), "--word", "[x1,x2]"]) == 4
+    assert "closure of S5 reached 65 elements, which exceeds dim cap 64" in (
+        capsys.readouterr().err)
+
+
+def test_deeply_nested_json_exit2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["oracle", str(deep), "--word", "[x1,x2]"], ["verify", "--hopf", str(deep)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "JSON nested too deeply" in err
 
 
 def test_oracle_wrong_functional_fails(specdir, capsys):

@@ -99,13 +99,6 @@ def test_residue_reads_the_conductor_when_the_written_order_is_not_in_the_field(
         _written_at(24, 3).residue(6, 12, 13)  # zeta_8 is not in Q(zeta_12)
 
 
-def test_lies_in():
-    i8 = _written_at(8, 2)  # zeta_4 = i
-    assert i8.lies_in(4) and i8.lies_in(8) and i8.lies_in(12)
-    assert not i8.lies_in(3) and not zeta(8).lies_in(4)
-    assert cyc(5).lies_in(1)
-
-
 def test_galois_on_values_written_above_their_conductor():
     x = _written_at(24, 8)  # zeta_3
     assert x.galois(2) == zeta(3, 2)  # 2 is prime to the conductor, not to 24

@@ -15,8 +15,11 @@ finds nothing.
 """
 
 import ast
+import os
 import re
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,18 @@ def test_unused_import_detected():
            "__all__ = ['C']\n"
            "@dataclass\nclass K:\n    v: 'os.sep'\n")
     assert unused_imports(src) == [("field", 1), ("B", 3)]
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which cost every
+    # command about 10 ms of start-up; no module of the package needs them
+    code = ("import sys; before = set(sys.modules); import hopfcomm.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+            " if m in sys.modules and m not in before))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 def _reached(tree):
