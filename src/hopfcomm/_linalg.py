@@ -12,7 +12,7 @@ product, by its squares and its sum.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .errors import VerificationFailed
 
@@ -167,7 +167,7 @@ class Solver:
             return False
         return self.ech.insert(r)
 
-    def express(self, v: Vec) -> Optional[dict]:
+    def express(self, v: Vec) -> dict | None:
         """Coefficients writing v in the inserted set, or None."""
         r = self.ech.reduce(_data(v))
         if r and min(r)[0] == 0:

@@ -36,6 +36,7 @@ from .hopf import (
     _closed_basis,
     _combination,
     _entry,
+    _product,
     _require_axioms,
     _right_closure,
     _tensor_sandwich,
@@ -285,8 +286,7 @@ def _is_scalar_line(H: HopfAlgebra, space: Echelon) -> bool:
 
 def _is_commutative(H: HopfAlgebra) -> bool:
     """e_i e_j = e_j e_i as vectors, for every stored product."""
-    return all(dict(terms) == dict(H.mult.get(j, {}).get(i, ()))
-               for i, row in H.mult.items() for j, terms in row.items())
+    return all(_product(H, i, j) == _product(H, j, i) for i, row in H.mult.items() for j in row)
 
 
 def is_central(H: HopfAlgebra, vec) -> bool:
@@ -395,8 +395,7 @@ def theorem_suite_sec2(H: HopfAlgebra, seed: int = 0) -> list[dict]:
             for (k, l), cb in delta_b:
                 com = row.get(k)
                 if com:
-                    tail = H.mul_raw({l: _ONE}, {j: _ONE})
-                    vec_axpy(rhs, ca * cb, H.mul_raw(dict(com), tail).items())
+                    vec_axpy(rhs, ca * cb, H.mul_raw(dict(com), _product(H, l, j)).items())
         return rhs
 
     # The two bilinear checks sample random pairs: basis pairs would cost

@@ -27,8 +27,10 @@ from .hopf import (
     _central_failure,
     _check_all,
     _combination,
+    _dot,
     _entry,
     _first_failure,
+    _product_terms,
     _tensor_sandwich,
     _trace_form_failure,
     casimir_tensor,
@@ -349,10 +351,8 @@ def casimir_of_form(H: HopfAlgebra, form: SymmetricForm):
     solver = Solver()
     for j in range(d):
         col = {}
-        bj = H.basis_vec(j)
         for l in range(d):
-            val = sum((c * form.t.vec.get(k, _ZERO)
-                       for k, c in H.mul_raw(bj, H.basis_vec(l)).items()), _ZERO)
+            val = _dot(form.t.vec, _product_terms(H, j, l))
             if val:
                 col[l] = val
         if not solver.insert(col, j):

@@ -29,18 +29,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Optional, Union
 
 from ._linalg import Solver
 from .errors import BadPrime, DenominatorCollision, DigitCapExceeded, DivisionByZero
 
 Rational = Fraction
-ScalarLike = Union["CycNum", Fraction, int]
 
 _ZERO = Fraction(0)
 
 
-def _rational_str(q: Union[Fraction, int]) -> str:
+def _rational_str(q: Fraction | int) -> str:
     """str(q), or DigitCapExceeded when q has more digits than Python's
     int-to-str limit.  The limit stays in force: it also bounds the parsing
     of dumps."""
@@ -141,7 +139,7 @@ def _subfield(n: int, m: int) -> Solver:
     return solver
 
 
-def _project_to_subfield(n: int, m: int, vec: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+def _project_to_subfield(n: int, m: int, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
     combo = _subfield(n, m).express({r: x for r, x in enumerate(vec) if x})
     if combo is None:
         return None
@@ -301,7 +299,7 @@ class CycNum:
     def is_rational(self) -> bool:
         return self._n == 1
 
-    def as_rational(self) -> Optional[Fraction]:
+    def as_rational(self) -> Fraction | None:
         """The rational value, or None if the value is irrational."""
         return Fraction(self._v[0], self._d) if self._n == 1 else None
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import caps
 from .errors import (ClosureCapExceeded, EnumerationCapExceeded, NotAssociative,
@@ -18,7 +18,7 @@ class FiniteGroup:
     """A finite group given by its 0-based multiplication table."""
 
     def __init__(self, name: str, table: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None, *, _trusted: bool = False):
+                 labels: Sequence[str] | None = None, *, _trusted: bool = False):
         self.name = str(name)
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.order = len(self.table)
@@ -34,7 +34,7 @@ class FiniteGroup:
         self.inv = self._build_inverses()
         if not _trusted:
             self._validate_associative()
-        self._classes: Optional[ClassPartition] = None
+        self._classes: ClassPartition | None = None
 
     # --- validation ---
 
@@ -302,7 +302,7 @@ def from_perm_generators(name: str,
 
 
 def from_cayley(name: str, table: Sequence[Sequence[int]],
-                labels: Optional[Sequence[str]] = None) -> FiniteGroup:
+                labels: Sequence[str] | None = None) -> FiniteGroup:
     return FiniteGroup(name, table, labels)
 
 

@@ -15,8 +15,12 @@ Delta(ab) = Delta(a)Delta(b), with eps(ab) = eps(a)eps(b), with bv = vb
 for a fixed v, and with b x = eps(b) x or x b = eps(b) x for a fixed x.
 Checking such a property on each element of a set that generates H as an
 algebra therefore proves it on all of H, exactly.  ``generators`` finds
-that set and verifies that it generates.  Associativity runs on it, and
-the two algebra-map axioms do once associativity holds.  Centrality
+that set and verifies that it generates.  Associativity runs on it, row
+by row ({c: (e_a e_g) e_c} against {c: e_a (e_g e_c)}, with the witness a
+per-triple loop finds in (g, a, c) order), and the two algebra-map axioms
+do once associativity holds.  A check that multiplies two basis
+elements reads the stored terms of e_i e_j (``_product_terms``,
+``_product``); ``mul_raw`` is the product of vectors.  Centrality
 (``_central_failure``), the integral equations, the center (``_center``),
 the trace property of a form (``_trace_form_failure``) and the Casimir
 slide moves (``_casimir_slide_failure``) run on ``_closed_basis``, the
@@ -98,6 +102,20 @@ def _cy(x) -> CycNum:
 def _terms(terms) -> tuple:
     """Structure constants as stored: the (key, c) pairs with c != 0, c a CycNum."""
     return tuple((k, x) for k, c in terms if (x := _cy(c)))
+
+
+def _product_terms(H: HopfAlgebra, i: int, j: int) -> tuple:
+    """The stored terms of e_i e_j, () when it is zero.  An instance built
+    with check=False may repeat a key; read them by vec_axpy or _dot, which
+    sum it as mul_raw does."""
+    return H.mult.get(i, {}).get(j, ())
+
+
+def _product(H: HopfAlgebra, i: int, j: int) -> Vec:
+    """e_i e_j as a vector, summed from its stored terms."""
+    out: Vec = {}
+    vec_axpy(out, _ONE, _product_terms(H, i, j))
+    return out
 
 
 def _dot(p: Vec, terms) -> CycNum:
@@ -465,15 +483,18 @@ def tensor_flatten(H: HopfAlgebra, t: Tensor) -> Vec:
     """Apply multiplication: sum t[(i,j)] e_i e_j."""
     out: Vec = {}
     for (i, j), c in t.items():
-        vec_axpy(out, c, H.mult.get(i, {}).get(j, ()))
+        vec_axpy(out, c, _product_terms(H, i, j))
     return out
 
 
 def _tensor_sandwich(H: HopfAlgebra, t: Tensor, h: Vec) -> Vec:
-    """sum t[(i,j)] e_i h e_j."""
+    """sum t[(i,j)] e_i h e_j, read off the stored rows."""
     out: Vec = {}
     for (i, j), c in t.items():
-        vec_axpy(out, c, H.mul_raw(H.mul_raw({i: _ONE}, h), {j: _ONE}).items())
+        row_i = H.mult.get(i, {})
+        for k, x in h.items():
+            for m, y in row_i.get(k, ()):
+                vec_axpy(out, c * x * y, _product_terms(H, m, j))
     return out
 
 
@@ -622,8 +643,9 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
     entry per axiom, failures carrying a basis-index witness.
 
     Associativity is checked on the triples (a, g, c) with g in
-    generators(H).  Once it holds, the algebra-map axioms are checked on
-    the pairs (i, g); they are checked on all pairs (i, j) when it fails.
+    generators(H), one row {c: ...} per (g, a).  Once it holds, the
+    algebra-map axioms are checked on the pairs (i, g); they are checked on
+    all pairs (i, j) when it fails.
     Every other axiom is linear and is checked on each basis element."""
     d = H.dim
     report: list[dict] = []
@@ -631,12 +653,24 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
     gens = generators(H)
 
     def assoc():
+        # row by row: {c: (e_a e_g) e_c} against {c: e_a (e_g e_c)}, both
+        # read off stored rows; c is walked only where the rows differ
         for g in gens:
-            gc = [H.mul_raw(basis[g], basis[c]) for c in range(d)]
+            row_g = H.mult.get(g, {})
             for a in range(d):
-                ag = H.mul_raw(basis[a], basis[g])
-                for c in range(d):
-                    yield (a, g, c), H.mul_raw(ag, basis[c]) == H.mul_raw(basis[a], gc[c])
+                row_a = H.mult.get(a, {})
+                left: dict = {}
+                right: dict = {}
+                for k, x in row_a.get(g, ()):
+                    for c, terms in H.mult.get(k, {}).items():
+                        vec_axpy(left.setdefault(c, {}), x, terms)
+                for c, terms in row_g.items():
+                    for m, y in terms:
+                        vec_axpy(right.setdefault(c, {}), y, row_a.get(m, ()))
+                left = {c: v for c, v in left.items() if v}
+                if left != {c: v for c, v in right.items() if v}:
+                    yield from (((a, g, c), left.get(c, {}) == right.get(c, {}))
+                                for c in range(d))
 
     _check_all("associativity", assoc(), report)
     closed = gens if report[-1]["status"] == "pass" else range(d)
@@ -668,7 +702,7 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
         for i in range(d):
             di = H.comult_raw(basis[i])
             for j in closed:
-                lhs = H.comult_raw(H.mul_raw(basis[i], basis[j]))
+                lhs = H.comult_raw(_product(H, i, j))
                 yield (i, j), lhs == tensor_mult(H, di, dj[j])
 
     _check_all("comult_algebra_map", comult_map(), report)
@@ -678,7 +712,7 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
         for i in range(d):
             ei = H.counit_raw(basis[i])
             for j in closed:
-                lhs = H.counit_raw(H.mul_raw(basis[i], basis[j]))
+                lhs = _dot(H.counit_vec, _product_terms(H, i, j))
                 yield (i, j), lhs == ei * H.counit_raw(basis[j])
 
     _check_all("counit_algebra_map", counit_map(), report)
@@ -823,8 +857,8 @@ def _center(H: HopfAlgebra) -> list[Vec]:
     def commutator_with(i):
         # columns of h -> e_i h - h e_i
         for j in range(d):
-            col = H.mul_raw({i: _ONE}, {j: _ONE})
-            vec_axpy(col, -_ONE, H.mul_raw({j: _ONE}, {i: _ONE}).items())
+            col = _product(H, i, j)
+            vec_axpy(col, -_ONE, _product_terms(H, j, i))
             yield col
 
     return nullspace((commutator_with(i) for i in _closed_basis(H)), d, _ONE)
@@ -1035,8 +1069,7 @@ def _trace_form_failure(H: HopfAlgebra, t: Vec):
     <t, e_i e_g> != <t, e_g e_i>; None when t is a trace form.  The b with
     <t, ab> = <t, ba> for all a form a subalgebra: <t, a(bc)> = <t, (bc)a>."""
     def ok(i, g):
-        return (_dot(t, H.mul_raw({i: _ONE}, {g: _ONE}).items())
-                == _dot(t, H.mul_raw({g: _ONE}, {i: _ONE}).items()))
+        return _dot(t, _product_terms(H, i, g)) == _dot(t, _product_terms(H, g, i))
 
     return _first_failure(((i, g), ok(i, g)) for g in _closed_basis(H) for i in range(H.dim))
 
@@ -1048,17 +1081,15 @@ def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
     form a subalgebra, T(ab (x) 1) = (1 (x) a)T(b (x) 1) = (1 (x) ab)T, and
     so do those with (a (x) 1)T = T(1 (x) a)."""
     def ok(k):
-        a = {k: _ONE}
         slid_l: Tensor = {}
         slid_r: Tensor = {}
         moved_l: Tensor = {}
         moved_r: Tensor = {}
         for (i, j), c in tensor.items():
-            r, l = {i: _ONE}, {j: _ONE}
-            vec_axpy(slid_l, c, [((x, j), cx) for x, cx in H.mul_raw(r, a).items()])
-            vec_axpy(slid_r, c, [((i, x), cx) for x, cx in H.mul_raw(a, l).items()])
-            vec_axpy(moved_l, c, [((x, j), cx) for x, cx in H.mul_raw(a, r).items()])
-            vec_axpy(moved_r, c, [((i, x), cx) for x, cx in H.mul_raw(l, a).items()])
+            vec_axpy(slid_l, c, [((x, j), cx) for x, cx in _product_terms(H, i, k)])
+            vec_axpy(slid_r, c, [((i, x), cx) for x, cx in _product_terms(H, k, j)])
+            vec_axpy(moved_l, c, [((x, j), cx) for x, cx in _product_terms(H, k, i)])
+            vec_axpy(moved_r, c, [((i, x), cx) for x, cx in _product_terms(H, j, k)])
         return slid_l == slid_r and moved_l == moved_r
 
     return _first_failure((k, ok(k)) for k in _closed_basis(H))
@@ -1115,7 +1146,7 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         for k in range(d):
             acc: Vec = {}
             for (i, j), c in cas.items():
-                w = _dot(lam.vec, H.mul_raw({k: _ONE}, {i: _ONE}).items())
+                w = _dot(lam.vec, _product_terms(H, k, i))
                 if w:
                     vec_axpy(acc, c, ((j, w),))
             yield {"basis": k}, acc == {k: _ONE}

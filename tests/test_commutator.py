@@ -576,3 +576,16 @@ def test_is_commutative_compares_products_as_vectors():
     # e0 e1 = e1 + e2 and e1 e0 = e2 + e1, the terms stored in another order
     H = _bare_table({0: {1: ((1, 1), (2, 1))}, 1: {0: ((2, 1), (1, 1))}})
     assert _is_commutative(H)
+
+
+@pytest.mark.parametrize("e0e1, e1e0, commutes", [
+    # e0 e1 = 2 e2 - e2 = e2
+    (((2, 2), (2, -1)), ((2, 1),), True),
+    # e0 e1 = e2 + e2 = 2 e2, whose last term alone is e1 e0 = e2
+    (((2, 1), (2, 1)), ((2, 1),), False),
+])
+def test_is_commutative_sums_a_repeated_key(e0e1, e1e0, commutes):
+    # an unchecked table may repeat a key; mul_raw sums it, and so must the check
+    H = _bare_table({0: {1: e0e1}, 1: {0: e1e0}})
+    assert (H.mul_raw({0: ONE}, {1: ONE}) == H.mul_raw({1: ONE}, {0: ONE})) == commutes
+    assert _is_commutative(H) == commutes

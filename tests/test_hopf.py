@@ -388,6 +388,22 @@ def test_adjoint_table_matches_the_loop(request, which):
         assert all(adjoint_row(H, i).values())
 
 
+@pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])
+def test_tensor_sandwich_matches_the_products(request, which):
+    # sum t[(i, j)] e_i h e_j, each term by two mul_raw calls, for h a basis
+    # vector (as Z_n_map sandwiches it) and a sparse random h
+    H, _ = request.getfixturevalue(which)
+    rng = random.Random(5)
+    t = dict(hopf_mod.casimir_tensor(H))
+    vec_axpy(t, ONE, hopf_mod.tensor_of(random_element(H, rng, 0.2),
+                                        random_element(H, rng, 0.2)).items())
+    for h in [{k: ONE} for k in range(H.dim)] + [random_element(H, rng, 0.3).vec]:
+        want: dict = {}
+        for (i, j), c in t.items():
+            vec_axpy(want, c, H.mul_raw(H.mul_raw({i: ONE}, h), {j: ONE}).items())
+        assert hopf_mod._tensor_sandwich(H, t, h) == want
+
+
 def test_dim_mismatch_raises(ks3, dc2):
     (H1, _), (H2, _) = ks3, dc2
     with pytest.raises(DimMismatch):
@@ -1123,17 +1139,27 @@ LOOP5 = [[0, 1, 2, 3, 4],
          [4, 3, 1, 2, 0]]
 
 
-def test_full_sweep_agrees_where_only_a_later_generator_fails():
-    # k[L x C2], (l, x) at index 2l + x: the first generator (0, 1) lies in
-    # the nucleus, so only a later generator can witness non-associativity.
+def _loop5_algebra():
+    """k[L x C2] for the loop L = LOOP5, (l, x) at index 2l + x."""
     def mul(a, b):
         return 2 * LOOP5[a // 2][b // 2] + (a % 2 ^ b % 2)
 
-    n = 10
-    H = HopfAlgebra(dim=n, mult={a: {b: ((mul(a, b), 1),) for b in range(n)} for a in range(n)},
-                    comult={i: (((i, i), 1),) for i in range(n)}, unit={0: 1},
-                    counit={i: 1 for i in range(n)},
-                    antipode={i: ((i, 1),) for i in range(n)}, check=False)
+    return _diagonal_algebra(10, {a: {b: ((mul(a, b), 1),) for b in range(10)}
+                                  for a in range(10)})
+
+
+def _diagonal_algebra(n, mult):
+    """An unchecked instance on the product rows ``mult``, with Delta e_i =
+    e_i (x) e_i, eps = 1 on the basis, S = id and unit e_0."""
+    return HopfAlgebra(dim=n, mult=mult, comult={i: (((i, i), 1),) for i in range(n)},
+                       unit={0: 1}, counit={i: 1 for i in range(n)},
+                       antipode={i: ((i, 1),) for i in range(n)}, check=False)
+
+
+def test_full_sweep_agrees_where_only_a_later_generator_fails():
+    # the first generator (0, 1) of k[L x C2] lies in the nucleus, so only a
+    # later generator can witness non-associativity.
+    H = _loop5_algebra()
     gens = generators(H)
     assert gens[0] == 1
     report = verify_hopf_axioms(H)
@@ -1155,6 +1181,72 @@ def test_associativity_witness_has_a_generator_in_the_middle(s3):
     # a failed axiom refuses every product-closed check
     with pytest.raises(VerificationFailed, match="Hopf axiom 'associativity'"):
         hopf_mod._closed_basis(H)
+
+
+def _associativity_witness_by_triples(H):
+    """The first (a, g, c) in (g, a, c) order, g in generators(H), with
+    (e_a e_g) e_c != e_a (e_g e_c), each product by mul_raw: the per-triple
+    loop that the verifier's row-by-row check replaced, kept as its oracle."""
+    d = H.dim
+    for g in generators(H):
+        for a in range(d):
+            ag = H.mul_raw({a: ONE}, {g: ONE})
+            for c in range(d):
+                if H.mul_raw(ag, {c: ONE}) != H.mul_raw({a: ONE}, H.mul_raw({g: ONE}, {c: ONE})):
+                    return a, g, c
+    return None
+
+
+def _associativity_witness(H):
+    entry = next(e for e in verify_hopf_axioms(H) if e["check"] == "associativity")
+    assert (entry["status"] == "pass") == ("witness" not in entry)
+    return entry.get("witness")
+
+
+@pytest.mark.parametrize("family", [_mult_mutants, _scaled_mult_mutants,
+                                    _comult_mutants, _unit_and_counit_mutants])
+def test_associativity_witness_is_the_first_failing_triple(family, s3):
+    witnesses = set()
+    for raw in family(s3):
+        H = HopfAlgebra(**raw, check=False)
+        witness = _associativity_witness(H)
+        assert witness == _associativity_witness_by_triples(H)
+        witnesses.add(witness)
+    # a changed product breaks associativity, at many different triples;
+    # a changed coproduct, unit or counit leaves the products alone
+    if family in (_mult_mutants, _scaled_mult_mutants):
+        assert None not in witnesses and len(witnesses) > 10
+    else:
+        assert witnesses == {None}
+
+
+def test_associativity_witness_on_the_loop():
+    H = _loop5_algebra()
+    witness = _associativity_witness(H)
+    assert witness is not None and witness == _associativity_witness_by_triples(H)
+
+
+# e_1 e_1 = e_2 - e_3 and e_2 e_1 = e_3 e_1 = e_1, so (e_1 e_1) e_1 cancels to
+# zero, while e_1 (e_1 e_1) = e_1 e_2 - e_1 e_3 is whatever those rows say.
+_CANCELLING = {0: {i: ((i, 1),) for i in range(4)},
+               1: {0: ((1, 1),), 1: ((2, 1), (3, -1))},
+               2: {0: ((2, 1),), 1: ((1, 1),)},
+               3: {0: ((3, 1),), 1: ((1, 1),)}}
+
+
+@pytest.mark.parametrize("e1e2, e1e3, cancels", [
+    (((2, 1),), ((3, 1),), False),  # e_1 (e_1 e_1) = e_2 - e_3
+    (((2, 1),), ((2, 1),), True),   # e_1 (e_1 e_1) = 0 as well
+    (((2, 1), (2, 1), (2, -1)), ((3, 2), (3, -1)), False),  # repeated keys
+])
+def test_associativity_where_a_product_cancels_to_zero(e1e2, e1e3, cancels):
+    mult = {**_CANCELLING, 1: {**_CANCELLING[1], 2: e1e2, 3: e1e3}}
+    H = _diagonal_algebra(4, mult)
+    assert generators(H)[0] == 1
+    assert H.mul_raw(H.mul_raw({1: ONE}, {1: ONE}), {1: ONE}) == {}
+    witness = _associativity_witness(H)
+    assert witness == _associativity_witness_by_triples(H)
+    assert (witness == (1, 1, 1)) != cancels
 
 
 def test_verifier_multiplies_on_generators_only(ks4c2):

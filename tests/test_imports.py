@@ -11,7 +11,9 @@ another module or a README python block imports it or reads it as an
 attribute of its module, or its module's ``__all__`` lists it.  No module
 of the package or of its tests reads the product table ``mult`` by a pair
 key: it is stored as rows {i: {j: terms}}, where a pair lookup silently
-finds nothing.
+finds nothing.  No module of the package calls ``mul_raw`` on two basis
+vectors: e_i e_j is read off the stored row.  Importing the CLI loads
+neither the introspection modules nor ``typing``.
 """
 
 import ast
@@ -85,16 +87,31 @@ def test_unused_import_detected():
     assert unused_imports(src) == [("field", 1), ("B", 3)]
 
 
+def _fresh_import(code: str, *flags: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that can import the
+    package."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *flags, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout
+
+
 def test_cli_import_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize, which cost every
     # command about 10 ms of start-up; no module of the package needs them
     code = ("import sys; before = set(sys.modules); import hopfcomm.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
             " if m in sys.modules and m not in before))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["[]"]
+    assert _fresh_import(code).split() == ["[]"]
+
+
+def test_cli_import_loads_no_typing():
+    # Every annotation of the package is a string (PEP 563), so none needs
+    # typing at run time, which costs about 7 ms of start-up.  -S keeps site
+    # out: a .pth file of an installed package may load typing itself.
+    code = "import sys, hopfcomm.cli; print('typing' in sys.modules)"
+    assert _fresh_import(code, "-S").split() == ["False"]
 
 
 def _reached(tree):
@@ -263,3 +280,37 @@ def test_pair_read_detected():
            "h = mult.get((i, j))\n"
            "k = mult.get(i)\n")
     assert pair_reads(src) == [1, 2, 3, 9]
+
+
+def _is_basis_vector(node) -> bool:
+    """A one-entry dict display such as {i: _ONE}, or a call of ``basis_vec``."""
+    return ((isinstance(node, ast.Dict) and len(node.keys) == 1 and node.keys[0] is not None)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "basis_vec"))
+
+
+def basis_products(source: str) -> list:
+    """Lines where ``source`` calls ``mul_raw`` on two basis vectors, each a
+    one-entry dict display or a ``basis_vec`` call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "mul_raw" and len(node.args) == 2
+                  and all(map(_is_basis_vector, node.args)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_basis_products_are_read_off_the_rows(path):
+    # e_i e_j is the stored terms of row i at j (hopf._product_terms)
+    assert basis_products(path.read_text(encoding="utf-8")) == []
+
+
+def test_basis_product_detected():
+    src = ("a = H.mul_raw({i: _ONE}, {j: _ONE})\n"
+           "b = H.mul_raw(H.basis_vec(i), H.basis_vec(j))\n"
+           "c = H.mul_raw({i: _ONE}, H.basis_vec(j))\n"
+           "d = H.mul_raw({i: _ONE}, v)\n"
+           "e = H.mul_raw({i: _ONE, j: _ONE}, {j: _ONE})\n"
+           "f = H.mul_raw({**u}, {j: _ONE})\n"
+           "g = H.func_mul_raw({i: _ONE}, {j: _ONE})\n"
+           "h = H.mul_raw(basis[i], basis[j])\n")
+    assert basis_products(src) == [1, 2, 3]
