@@ -14,17 +14,19 @@ DEFAULT_DIM_CAP = 1024       # largest allowed algebra dimension
 
 
 def _parse(raw: str) -> dict:
+    # ASCII digits only: str.isdigit() alone also takes '²', which int()
+    # refuses, and the digits of other scripts, which int() reads
     raw = raw.strip()
     if not raw:
         return {}
-    if raw.isdigit():
+    if raw.isascii() and raw.isdigit():
         n = int(raw)
         return {"enum": n, "dim": n}
     out = {}
     for part in raw.split(","):
         key, _, val = part.partition("=")
-        key = key.strip()
-        if key in ("enum", "dim") and val.strip().isdigit():
+        key, val = key.strip(), val.strip()
+        if key in ("enum", "dim") and val.isascii() and val.isdigit():
             out[key] = int(val)
         else:
             raise ValueError(f"bad HOPFCOMM_CAP entry: {part!r}")

@@ -106,10 +106,6 @@ def _check_dim_cap(dim: int) -> None:
         raise ClosureCapExceeded(f"algebra dimension {dim} exceeds dim cap {cap}")
 
 
-def _load_group_file(path: str):
-    return load_group(_read_json(path))
-
-
 def _group_from_mult(H: HopfAlgebra, name: str):
     """Rebuild the Cayley table of a kind='group' dump from its structure
     constants (every product of basis vectors must be a single basis vector
@@ -161,7 +157,7 @@ def _load_hopf(args) -> tuple[HopfAlgebra, str]:
         if "irred" in data:
             H.irred = irred_from_dict(H, data["irred"])
         return H, "dump"
-    G = _load_group_file(args.group)
+    G = load_group(_read_json(args.group))
     return _build_instance(args.kind, G, args.seed), f"build:{args.kind}"
 
 
@@ -190,14 +186,32 @@ def _emit(doc: dict, args) -> None:
     print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
-def _functional_doc(H: HopfAlgebra, f) -> dict:
-    coords = character_coordinates(H, f)
-    return {
-        "labels": list(H.labels),
-        "values": [_coeff_to_json(c) for c in f.coeff_list()],
-        "character_coefficients":
-            None if coords is None else [_coeff_to_json(c) for c in coords],
-    }
+# The functionals that `compute` prints and `oracle --against` checks: name ->
+# (parameter, route, builder).  The builder is named, not held, so that the
+# module global is the one called: the tracer and the tests replace it by name.
+_FUNCTIONALS = {
+    "frob": (None, "sum (d/d_i) chi_i", "f_rob"),
+    "fn": ("n", "sum (d/d_i)^(2n-1) chi_i", "f_n"),
+    "root": ("m", "psi of the m-th Sweedler power of the integral, "
+                  "checked against indicator expansion", "root_function"),
+    "iterated": (None, "three independent formulas, cross-checked", "f_iterated"),
+}
+
+
+def _refuse_digits(base: int, exponent: int) -> None:
+    """Refuse base^exponent before it is built if it has more digits than a
+    report can print; the exponent is never made a float, which overflows."""
+    limit = sys.get_int_max_str_digits()
+    if limit and base > 1 and exponent > (limit + 1) / math.log10(base):
+        raise _digit_cap_exceeded()
+
+
+def _functional(H: HopfAlgebra, name: str, k: int | None):
+    param, _, builder = _FUNCTIONALS[name]
+    if name == "fn":  # its chi_0 coefficient is dim^(2n-1)
+        _refuse_digits(H.dim, 2 * k - 1)
+    build = globals()[builder]
+    return build(H, k) if param else build(H)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,7 @@ def _functional_doc(H: HopfAlgebra, f) -> dict:
 
 
 def cmd_chartab(args) -> int:
-    G = _load_group_file(args.group)
+    G = load_group(_read_json(args.group))
     _check_dim_cap(G.order)
     table = character_table(G, args.seed)
     if args.markdown:
@@ -226,7 +240,7 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_build(args) -> int:
-    G = _load_group_file(args.group)
+    G = load_group(_read_json(args.group))
     H = _build_instance(args.kind, G, args.seed)
     irred = require_irred(H, args.seed)
     doc = hopf_to_dict(H)
@@ -251,8 +265,9 @@ def cmd_compute(args) -> int:
 
     if args.target == "z":
         n = args.n
-        direct = z_n(H, n)  # refuses n < 0
         irred = require_irred(H, args.seed)
+        _refuse_digits(max(irred.degrees), n - n % 2)
+        direct = z_n(H, n)  # refuses n < 0
         coeffs, from_idempotents = z_n_by_idempotents(H, irred, n)
         agree = direct == from_idempotents
         doc["result"] = {
@@ -264,21 +279,20 @@ def cmd_compute(args) -> int:
         }
         if not agree:
             code = EXIT_CHECK_FAIL
-    elif args.target == "frob":
-        doc["result"] = _functional_doc(H, f_rob(H))
-        doc["result"]["route"] = "sum (d/d_i) chi_i"
-    elif args.target == "fn":
-        doc["result"] = _functional_doc(H, _f_n_capped(H, args.n))
-        doc["result"]["n"] = args.n
-        doc["result"]["route"] = "sum (d/d_i)^(2n-1) chi_i"
-    elif args.target == "root":
-        doc["result"] = _functional_doc(H, root_function(H, args.m))
-        doc["result"]["m"] = args.m
-        doc["result"]["route"] = ("psi of the m-th Sweedler power of the "
-                                  "integral, checked against indicator expansion")
-    elif args.target == "iterated":
-        doc["result"] = _functional_doc(H, f_iterated(H))
-        doc["result"]["route"] = "three independent formulas, cross-checked"
+    elif args.target in _FUNCTIONALS:
+        param, route, _ = _FUNCTIONALS[args.target]
+        k = getattr(args, param) if param else None
+        f = _functional(H, args.target, k)
+        coords = character_coordinates(H, f)
+        doc["result"] = {
+            "labels": list(H.labels),
+            "values": [_coeff_to_json(c) for c in f.coeff_list()],
+            "character_coefficients":
+                None if coords is None else [_coeff_to_json(c) for c in coords],
+            "route": route,
+        }
+        if param:
+            doc["result"][param] = k
     elif args.target == "hprime":
         sub = commutator_subalgebra(H)
         doc["result"] = {
@@ -314,34 +328,20 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAIL if "fail" in statuses else EXIT_OK
 
 
-_AGAINST = ("frob", "f2", "fn:N", "root:M", "iterated")
-
-
-def _f_n_capped(H: HopfAlgebra, n: int):
-    """f_n(H, n), refused before it is built when its chi_0 coefficient
-    d^(2n-1) has more digits than the int-to-str limit lets a report print."""
-    limit = sys.get_int_max_str_digits()
-    if limit and (2 * n - 1) * math.log10(H.dim) > limit + 1:
-        raise _digit_cap_exceeded()
-    return f_n(H, n)
-
-
-def _select_functional(H: HopfAlgebra, name: str):
-    if name == "frob":
-        return f_rob(H)
-    if name == "iterated":
-        return f_iterated(H)
-    if name == "f2":
-        return f_n(H, 2)
-    kind, _, param = name.partition(":")
-    if kind in ("fn", "root") and param.lstrip("-").isdigit():
-        k = int(param)
-        return _f_n_capped(H, k) if kind == "fn" else root_function(H, k)
-    raise ValueError(f"unknown functional {name!r}; expected one of {_AGAINST}")
+def _parse_against(spec: str) -> tuple[str, int | None]:
+    """(name, parameter) of frob, iterated, fn:N, root:M, or f2 for fn:2."""
+    name, colon, param = ("fn", ":", "2") if spec == "f2" else spec.partition(":")
+    digits = param.removeprefix("-")
+    if name in _FUNCTIONALS and bool(_FUNCTIONALS[name][0]) == bool(colon):
+        if not colon or digits.isascii() and digits.isdigit():
+            return name, int(param) if colon else None
+    spellings = [f"{n}:{p.upper()}" if p else n for n, (p, _, _) in _FUNCTIONALS.items()]
+    spellings.insert(spellings.index("fn:N"), "f2")
+    raise ValueError(f"unknown functional {spec!r}; expected one of {tuple(spellings)}")
 
 
 def cmd_oracle(args) -> int:
-    G = _load_group_file(args.group)
+    G = load_group(_read_json(args.group))
     w = parse_word(args.word)
     counts = count_word(G, w)
     conj = G.conjugacy_data()
@@ -366,7 +366,7 @@ def cmd_oracle(args) -> int:
     code = EXIT_OK if class_function else EXIT_CHECK_FAIL
     if args.against is not None:
         H = _build_instance("group", G, args.seed)
-        f = _select_functional(H, args.against)
+        f = _functional(H, *_parse_against(args.against))
         checks = oracle_crosscheck(G, w, f, counts)
         doc["checks"] = checks
         if any(e["status"] == "fail" for e in checks):
@@ -416,8 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.set_defaults(handler=cmd_build)
 
     co = sub.add_parser("compute", help="compute library objects on an instance")
-    co.add_argument("target", choices=("z", "frob", "fn", "root", "iterated",
-                                       "hprime", "classdata"))
+    co.add_argument("target", choices=("z", *_FUNCTIONALS, "hprime", "classdata"))
     co.add_argument("--n", type=int, default=2, help="index for z / fn")
     co.add_argument("--m", type=int, default=2, help="power for root")
     _add_instance_args(co)

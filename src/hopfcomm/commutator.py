@@ -133,15 +133,28 @@ def _z_column(H: HopfAlgebra, n: int, k: int) -> dict:
     return _tensor_sandwich(H, _u_power(H, n), {k: _ONE})
 
 
-@memo
 def _u_power(H: HopfAlgebra, n: int) -> dict:
-    """U(Lambda)^n in H (x) H for n >= 1, by squaring: at most 2 log2(n)
-    products, each intermediate power kept in the memo."""
+    """U(Lambda)^n in H (x) H for n >= 1, by squaring along the bits of n
+    from the top: at most 2 log2(n) products, each power kept in the memo."""
+    m = 1
+    for bit in bin(n)[3:]:
+        m *= 2
+        _u_step(H, m)
+        if bit == "1":
+            m += 1
+            _u_step(H, m)
+    return _u_step(H, n)
+
+
+@memo
+def _u_step(H: HopfAlgebra, n: int) -> dict:
+    """U(Lambda)^n from the smaller power in the memo: U(Lambda)^(n-1)
+    U(Lambda) for odd n, (U(Lambda)^(n/2))^2 for even n."""
     if n == 1:
         return casimir_tensor(H)
     if n % 2:
-        return tensor_mult(H, _u_power(H, n - 1), _u_power(H, 1))
-    half = _u_power(H, n // 2)
+        return tensor_mult(H, _u_step(H, n - 1), _u_step(H, 1))
+    half = _u_step(H, n // 2)
     return tensor_mult(H, half, half)
 
 

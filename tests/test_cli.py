@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hopfcomm import cli
+from hopfcomm import caps, cli
 from hopfcomm.cli import main
 from hopfcomm.counting import f_n
 from hopfcomm.exactnum import CycNum, zeta
@@ -244,6 +244,41 @@ def test_fn_beyond_the_digit_limit_is_refused_before_it_is_built(specdir, capsys
     assert calls == []
     assert codes == [4, 4]
     _digit_cap_refusal(capsys)
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 400], ids=["1e6", "1e400"])
+def test_z_beyond_the_digit_limit_is_refused_before_it_is_built(ks3_dump, capsys,
+                                                                monkeypatch, n):
+    # z_n has the E-basis coefficient 1/2^n on kS3 (degrees 1, 1, 2): 301 030
+    # digits at n = 10^6, where building it ran for minutes before the refusal;
+    # at 10^400 the squaring of U(Lambda) recursed past the stack
+    def built(H, n):
+        raise AssertionError(f"z_n({n}) was built")
+
+    monkeypatch.setattr(cli, "z_n", built)
+    assert main(["compute", "z", "--n", str(n), "--hopf", str(ks3_dump)]) == 4
+    _digit_cap_refusal(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "fn", "--n", str(10 ** 400), "--group", "{s3}", "--kind", "group"],
+    ["oracle", "{s3}", "--word", "[x1,x2]", "--against", f"fn:{10 ** 400}"],
+], ids=["compute", "oracle"])
+def test_fn_far_beyond_the_digit_limit_exit4(specdir, capsys, argv):
+    # 2n - 1 is compared as an integer: as a float it overflows
+    assert main([a.format(s3=specdir / "s3.json") for a in argv]) == 4
+    _digit_cap_refusal(capsys)
+
+
+def test_z_past_the_digit_limit_on_degrees_one(tmp_path, capsys):
+    # every degree of kC8 is 1, so z_n = 1 for every n and nothing is refused;
+    # U(Lambda)^n is squared along the 1329 bits of n, not down a recursion
+    path, _ = _built_dump(tmp_path, C8_SPEC)
+    doc = run_json(capsys, ["compute", "z", "--n", str(10 ** 400), "--hopf", str(path)])
+    result = doc["result"]
+    assert result["n"] == 10 ** 400 and result["routes_agree"] is True
+    assert result["e_basis_coefficients"] == ["1"] * 8
+    assert result["direct_route_vector"] == [[0, "1"]]
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +756,25 @@ def test_bad_subcommand_exit2():
     assert main(["bogus"]) == 2
 
 
+@pytest.mark.parametrize("raw", ["\u00b2", "dim=\u00b2", "dim=\u0661\u0662", "enum=\uff11"],
+                         ids=["superscript", "dim-superscript", "dim-arabic-indic",
+                              "enum-fullwidth"])
+def test_cap_entries_take_ascii_digits_only(specdir, monkeypatch, capsys, raw):
+    # str.isdigit() takes '²', which int() refuses, and Arabic-Indic or
+    # full-width digits, which int() reads: 'dim=١٢' meant dim=12
+    monkeypatch.setenv("HOPFCOMM_CAP", raw)
+    with pytest.raises(ValueError, match="bad HOPFCOMM_CAP entry"):
+        caps.dim_cap()
+    assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2]"]) == 2
+    assert "bad HOPFCOMM_CAP entry" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing main
 
 
-_INT = st.integers(-3, 3000)
+# 10^7 and 10^400 are past the digit limit for z_n and f_n on kS3
+_INT = st.one_of(st.integers(-3, 3000), st.just(10 ** 7), st.just(10 ** 400))
 # Words as in the word-DSL fuzzer (letters x0-x12, exponents of at most two
 # digits, brackets and junk), and well-formed words in x1-x3.
 _WORD = st.one_of(

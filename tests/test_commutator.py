@@ -220,6 +220,40 @@ def test_zn_squares_u_of_the_integral(s3, monkeypatch):
     assert z_n(H, 1001).vec == want
 
 
+def _squaring_chain(n: int) -> set:
+    """The powers U^n = U^(n-1) U (odd n) and U^n = (U^(n/2))^2 (even n) reach."""
+    if n == 1:
+        return {1}
+    return {n} | _squaring_chain(n - 1 if n % 2 else n // 2)
+
+
+def test_u_power_keeps_every_power_of_its_squaring_chain(s3, monkeypatch):
+    H, _ = build_group_algebra(s3)
+    products = []
+
+    def counted(H, a, b):
+        products.append((id(a), id(b)))
+        return tensor_mult(H, a, b)
+
+    monkeypatch.setattr(commutator, "tensor_mult", counted)
+    n = 1001
+    top = _u_power(H, n)
+    chain = _squaring_chain(n)
+    assert len(products) == len(chain) - 1
+    kept = {m: _u_power(H, m) for m in chain}
+    assert len(products) == len(chain) - 1  # every power was in the memo
+    assert kept[n] is top
+    for m in chain - {1}:
+        a, b = (m - 1, 1) if m % 2 else (m // 2, m // 2)
+        assert (id(kept[a]), id(kept[b])) in products
+
+
+def test_zn_at_a_huge_n_on_a_commutative_algebra(dual_s3):
+    # 2 * 1329 products along the bits of 10^400, with no recursion over them
+    H, _ = dual_s3
+    assert z_n(H, 10 ** 400) == H.one()
+
+
 @pytest.mark.parametrize("which", ["ks3", "dual_s3", "ds3"])
 def test_zn_matches_the_chain_of_n_commutators(request, which):
     H, _ = request.getfixturevalue(which)
