@@ -1,20 +1,19 @@
 """Modular-arithmetic workhorses: primes, the prime/retry loop, a splitter
-of commutative algebras by Frobenius powers, Hensel lifting, and a small
-integer LLL.
+of commutative algebras by Frobenius powers, and a small integer LLL.
 
 These are internal helpers for splitting commutative algebras (character
 tables, central idempotents).  An algebra is given by rows {a: {b: ((c, s),
 ...)}} of integer structure constants and its elements by dense lists of
 ints mod p; there is no row reduction here, since the idempotents come from
-powers of random elements.  The LLL keeps its Gram-Schmidt data as integers and takes
-linearly independent rows only.  Modular results only propose:
-``first_certified`` is the one prime/retry loop, and an exact certificate
-decides.
+powers of random elements.  ``hopf.split_commutative`` Newton-lifts these
+idempotents to p^k and takes zeta_N mod p^k as the Teichmuller lift of an
+``element_of_order`` N mod p.  The LLL keeps its Gram-Schmidt data as
+integers and takes linearly independent rows only.  Modular results only
+propose: ``first_certified`` is the one prime/retry loop, and an exact
+certificate decides.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import runlog
 from ._linalg import _bilinear
@@ -96,13 +95,6 @@ def first_certified(event: dict, N: int, lower: int, precisions: tuple,
 # splitting commutative algebras
 
 
-def poly_eval(coeffs: list[int], x: int, modulus: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
-
-
 def algebra_mul(struct, x: list[int], y: list[int], m: int) -> list[int]:
     """x y mod m in the algebra with basis products e_a e_b = sum s e_c,
     given as rows struct[a][b] = ((c, s), ...) of the nonzero s."""
@@ -179,28 +171,6 @@ def element_of_order(e: int, p: int, rng) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting
-
-
-def lift_root(coeffs: list[int], root: int, p: int, target: int) -> int:
-    """Newton-lift a simple root of an integer polynomial from mod p to
-    mod p**target.  The derivative must be a unit at the root."""
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    if poly_eval(deriv, root, p) == 0:
-        raise BadPrime(f"root {root} of polynomial is not simple mod {p}")
-    k = 1
-    modulus = p
-    r = root % p
-    while k < target:
-        k = min(2 * k, target)
-        modulus = p**k
-        fr = poly_eval(coeffs, r, modulus)
-        dr = poly_eval(deriv, r, modulus)
-        r = (r - fr * pow(dr, -1, modulus)) % modulus
-    return r
-
-
-# ---------------------------------------------------------------------------
 # integer lattice reduction (small dimensions only)
 
 
@@ -212,19 +182,20 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """LLL of linearly independent integer rows; a zero Gram determinant
-    raises ValueError.
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """LLL (delta = 3/4) of linearly independent integer rows; a zero Gram
+    determinant raises ValueError.
 
     The Gram-Schmidt data is integer (H. Cohen, *A Course in Computational
     Algebraic Number Theory*, Alg. 2.6.7, after de Weger): d[i] is the Gram
     determinant of rows 0..i-1, lam[k][j] = d[j+1] mu[k][j], and every
-    division in the recurrences is exact.  Size reduction of row k rounds
-    the whole quotient vector lam[k][j] / d[j+1] first, ties to even as
-    ``round(Fraction)`` does, then subtracts it.  The Lovasz test is
-    den d[k+1] d[k-1] >= num d[k]^2 - den lam[k][k-1]^2 for delta = num/den.
-    These are the decisions of LLL over exact rational Gram-Schmidt with the
-    same quotient rule, so the reduced basis is the same.
+    division in the recurrences is exact.  Size reduction of row k is
+    Cohen's RED(k, j) for j = k-1, ..., 0: each quotient q = lam[k][j] /
+    d[j+1] is rounded from the current row, ties to even as
+    ``round(Fraction)`` does.  The Lovasz test is 4 d[k+1] d[k-1] >=
+    3 d[k]^2 - 4 lam[k][k-1]^2.  These are the decisions of LLL over exact
+    rational Gram-Schmidt with the same quotient rule, so the reduced basis
+    is the same.
     """
     b = [list(v) for v in basis]
     n = len(b)
@@ -241,13 +212,11 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
                 d[i + 1] = u
             else:
                 raise ValueError(f"lll_reduce: row {i} depends on the rows before it")
-    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
         row = lam[k]
-        quotients = [_round_div(row[j], d[j + 1]) for j in range(k)]
         for j in range(k - 1, -1, -1):
-            q = quotients[j]
+            q = _round_div(row[j], d[j + 1])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 row[j] -= q * d[j + 1]
@@ -255,7 +224,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
                 for i in range(j):
                     row[i] -= q * above[i]
         m = row[k - 1]
-        if den * d[k + 1] * d[k - 1] >= num * d[k] * d[k] - den * m * m:
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]

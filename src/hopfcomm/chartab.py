@@ -18,7 +18,6 @@ import random
 
 from ._linalg import _rows
 from ._modp import TRIES, element_of_order, first_certified, split_idempotents
-from .errors import VerificationFailed
 from .exactnum import CycNum
 from .group import ClassPartition, FiniteGroup, power_map
 
@@ -62,24 +61,17 @@ class CharacterTable:
 
 
 def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
-    """Exact integer tensor a_{ijk} with C_i C_j = sum_k a_{ijk} C_k."""
+    """Exact integer tensor a_{ijk} with C_i C_j = sum_k a_{ijk} C_k, read
+    at the representative z_k of C_k: a_{ijk} = #{x in C_i : x^-1 z_k in C_j}."""
     conj = G.conjugacy_data()
     n = conj.n_classes
     cls = conj.class_of
     counts = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for x in range(G.order):
-        row = G.table[x]
-        ci = cls[x]
-        for y in range(G.order):
-            counts[ci][cls[y]][cls[row[y]]] += 1
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if counts[i][j][k] % conj.sizes[k]:
-                    raise VerificationFailed(
-                        f"class product count not class-constant at ({i},{j},{k})")
+    for k, z in enumerate(conj.reps):
+        for x in G.elements():
+            counts[cls[x]][cls[G.table[G.inv[x]][z]]][k] += 1
     return ClassAlgebra(classes=conj, terms=_rows(
-        (i, j, tuple((k, c // conj.sizes[k]) for k, c in enumerate(counts[i][j]) if c))
+        (i, j, tuple((k, c) for k, c in enumerate(counts[i][j]) if c))
         for i in range(n) for j in range(n)))
 
 

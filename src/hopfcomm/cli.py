@@ -328,13 +328,24 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAIL if "fail" in statuses else EXIT_OK
 
 
+def _ascii_int(text: str) -> int:
+    """The integer written in ASCII digits after an optional '-'; int() alone
+    also reads the digits of other scripts, '+', '_' and blanks."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_against(spec: str) -> tuple[str, int | None]:
     """(name, parameter) of frob, iterated, fn:N, root:M, or f2 for fn:2."""
     name, colon, param = ("fn", ":", "2") if spec == "f2" else spec.partition(":")
-    digits = param.removeprefix("-")
     if name in _FUNCTIONALS and bool(_FUNCTIONALS[name][0]) == bool(colon):
-        if not colon or digits.isascii() and digits.isdigit():
-            return name, int(param) if colon else None
+        try:
+            return name, _ascii_int(param) if colon else None
+        except argparse.ArgumentTypeError:
+            pass
     spellings = [f"{n}:{p.upper()}" if p else n for n, (p, _, _) in _FUNCTIONALS.items()]
     spellings.insert(spellings.index("fn:N"), "f2")
     raise ValueError(f"unknown functional {spec!r}; expected one of {tuple(spellings)}")
@@ -389,7 +400,7 @@ def _add_instance_args(sub) -> None:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_ascii_int, default=0,
                      help="seed for the randomized modular subroutines")
     sub.add_argument("--timing", action="store_true",
                      help="include timing in the JSON (breaks byte-identical reruns)")
@@ -417,8 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     co = sub.add_parser("compute", help="compute library objects on an instance")
     co.add_argument("target", choices=("z", *_FUNCTIONALS, "hprime", "classdata"))
-    co.add_argument("--n", type=int, default=2, help="index for z / fn")
-    co.add_argument("--m", type=int, default=2, help="power for root")
+    co.add_argument("--n", type=_ascii_int, default=2, help="index for z / fn")
+    co.add_argument("--m", type=_ascii_int, default=2, help="power for root")
     _add_instance_args(co)
     _add_common(co)
     co.set_defaults(handler=cmd_compute)

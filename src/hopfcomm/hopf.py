@@ -72,7 +72,6 @@ from ._modp import (
     algebra_mul,
     element_of_order,
     first_certified,
-    lift_root,
     lll_reduce,
     split_idempotents,
 )
@@ -83,7 +82,7 @@ from .errors import (
     NonIntegerDegree,
     VerificationFailed,
 )
-from .exactnum import CycNum, Rational, _rational_str, cyclotomic_poly, euler_phi
+from .exactnum import CycNum, Rational, _rational_str, euler_phi
 from .group import FiniteGroup, cyclic_group
 
 Vec = dict  # {basis index: nonzero CycNum}
@@ -885,10 +884,12 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
     The algebra is split in the coordinates of ``span``: idempotents are
     found over F_p (p = 1 mod cyc_order) from Frobenius powers of random
     elements (``_modp.split_idempotents``; no structure matrix is
-    diagonalised), Hensel-lifted to p^k and recognised in Q(zeta_cyc_order)
-    by lattice reduction (``_split_attempt``).  ``accept``, the caller's
-    certificate, returns the result or raises VerificationFailed; the
-    retries are ``_modp.first_certified``'s, at k = 24 then 48 per prime.
+    diagonalised), Newton-lifted to p^k and recognised in Q(zeta_cyc_order)
+    by lattice reduction (``_split_attempt``), where zeta_cyc_order mod p^k
+    is the Teichmuller lift of an element of order cyc_order mod p.
+    ``accept``, the caller's certificate, returns the result or raises
+    VerificationFailed; the retries are ``_modp.first_certified``'s, at
+    k = 24 then 48 per prime.
     """
     dim = len(span)
     solver = Solver()
@@ -913,17 +914,16 @@ def split_commutative(span: list[Vec], mul, unit: Vec, cyc_order, rng, accept):
     struct = [[coords(mul(u, v)) for v in span] for u in span]
     N = max(cyc_order, 1)
     phi = euler_phi(N)
-    cpoly = list(cyclotomic_poly(N))
     unit_coords = coords(unit)
     return first_certified(
         {"stage": "split_commutative", "dim": dim}, N, max(2 * dim, 16, N), (24, 48),
-        lambda p, k: _split_attempt(struct, unit_coords, N, phi, cpoly, p, k, rng),
+        lambda p, k: _split_attempt(struct, unit_coords, N, phi, p, k, rng),
         lambda result: accept([vector(xs) for xs in result]),
         lambda why: f"could not split commutative algebra after {TRIES} attempts: {why}; "
                     f"cyc_order {cyc_order} may be too small for its idempotents")
 
 
-def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
+def _split_attempt(struct, unit, N, phi, p, k, rng):
     # Coordinates of candidate idempotents, which the caller verifies; or None.
     def residues(w, m):  # struct as algebra_mul's rows mod m, zeta_N -> w
         return _rows((a, b, tuple((c, r) for c, x in enumerate(row)
@@ -935,9 +935,10 @@ def _split_attempt(struct, unit, N, phi, cpoly, p, k, rng):
         residues(w1, p), [x.residue(w1, N, p) for x in unit], p, rng)
     if idems_mod_p is None:
         return None
-    # Hensel-lift idempotents and the root of unity to mod p^k.
+    # zeta_N mod p^k is the Teichmuller lift of w1: the one root of Phi_N
+    # mod p^k over w1, since p does not divide N.  Newton-lift the idempotents.
     modulus = p**k
-    wk = 1 if N == 1 else lift_root(cpoly, w1, p, k)
+    wk = pow(w1, p**(k - 1), modulus)
     struct_residues = residues(wk, modulus)
     lifted = []
     for e in idems_mod_p:

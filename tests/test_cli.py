@@ -196,6 +196,21 @@ def test_compute_classdata_at_an_inflated_cyc_order(ks3_dump, tmp_path, capsys):
     assert doc["result"] == expected["result"]
 
 
+def test_compute_classdata_at_cyc_order_96_ends_in_time(ks3_dump, tmp_path, capsys):
+    # 33-row lattices.  Size reduction that rounded every quotient of a row
+    # before reducing it let the coefficients grow: this ran past 65 s.
+    expected = run_json(capsys, ["compute", "classdata", "--hopf", str(ks3_dump)])
+    data = json.loads(ks3_dump.read_text())
+    data["cyc_order"] = 96
+    path = tmp_path / "ks3_cyc96.json"
+    path.write_text(json.dumps(data))
+    done = subprocess.run([sys.executable, "-m", "hopfcomm.cli", "compute", "classdata",
+                           "--hopf", str(path)], env=SUBPROCESS_ENV,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["result"] == expected["result"]
+
+
 def test_compute_classdata_refused_on_dual(specdir):
     code = main(["compute", "classdata", "--group", str(specdir / "s3.json"),
                  "--kind", "dualgroup"])
@@ -767,6 +782,34 @@ def test_cap_entries_take_ascii_digits_only(specdir, monkeypatch, capsys, raw):
         caps.dim_cap()
     assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2]"]) == 2
     assert "bad HOPFCOMM_CAP entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, raw", [
+    ("--n", "١٢"), ("--n", "２"), ("--m", "٣"), ("--seed", "١"),
+    ("--n", "+2"), ("--n", "2_0"), ("--n", " 2"), ("--n", "--2"),
+], ids=["n-arabic-indic", "n-fullwidth", "m-arabic-indic", "seed-arabic-indic",
+        "n-plus", "n-underscore", "n-blank", "n-double-minus"])
+def test_integer_flags_take_ascii_digits_only(ks3_dump, capsys, flag, raw):
+    # int() reads the digits of any script: 'compute z --n ١٢' ran as n = 12
+    target = "root" if flag == "--m" else "z"
+    assert main(["compute", target, f"{flag}={raw}", "--hopf", str(ks3_dump)]) == 2
+    assert "expected an integer in ASCII digits" in capsys.readouterr().err
+
+
+def test_integer_flags_keep_a_leading_minus(ks3_dump, capsys):
+    doc = run_json(capsys, ["compute", "fn", "--n", "3", "--seed", "-1",
+                            "--hopf", str(ks3_dump)])
+    assert doc["result"]["n"] == 3
+    assert main(["compute", "fn", "--n", "-1", "--hopf", str(ks3_dump)]) == 2
+    assert "expected an integer" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("against", ["fn:١٢", "fn:²", "fn:--5", "root:+3",
+                                     "fn:", "root: 3"])
+def test_against_parameter_takes_ascii_digits_only(specdir, capsys, against):
+    assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2]",
+                 "--against", against]) == 2
+    assert "unknown functional" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for the internal mod-p helpers: primes, the splitter of
-commutative algebras, Hensel lifting and LLL."""
+commutative algebras, the Teichmuller root of unity and LLL."""
 
 import random
 from fractions import Fraction
@@ -14,7 +14,6 @@ from hopfcomm._modp import (
     element_of_order,
     first_certified,
     is_prime,
-    lift_root,
     lll_reduce,
     next_prime_in_ap,
     split_idempotents,
@@ -157,20 +156,28 @@ def test_split_idempotents_of_a_one_dimensional_algebra_is_its_unit():
     assert split_idempotents({0: {0: ((0, 1),)}}, [1], 5, random.Random(0)) == [[1]]
 
 
-def test_lift_root():
-    r = lift_root([-2, 0, 1], 3, 7, 8)  # sqrt(2) mod 7^8
-    assert r % 7 == 3
-    assert (r * r - 2) % 7**8 == 0
-    with pytest.raises(BadPrime):
-        lift_root([0, 0, 1], 0, 7, 4)  # double root of x^2
+def test_teichmuller_root_is_the_cyclotomic_root_over_w():
+    # pow(w, p**(k-1), p**k) for w of order N mod p, p = 1 mod N: the root
+    # of Phi_N mod p^k that hopf._split_attempt takes for zeta_N.
+    for N in (1, 2, 3, 4, 5, 8, 12, 15, 24, 60):
+        p = max(16, N)
+        for _ in range(3):
+            p = next_prime_in_ap(p, N)
+            w = element_of_order(N, p, random.Random(f"teichmuller/{N}/{p}"))
+            for k in (1, 2, 7, 24, 48):
+                modulus = p**k
+                root = pow(w, p**(k - 1), modulus)
+                assert root % p == w
+                assert sum(c * pow(root, i, modulus)
+                           for i, c in enumerate(cyclotomic_poly(N))) % modulus == 0
 
 
 def test_lll_recognises_cyclotomic_coordinate():
     # Recover x = (2 + 3i)/5 in Q(i) from its residue mod 13^6, where
-    # i maps to a lifted square root of -1.
+    # i maps to the Teichmuller lift of the square root 5 of -1 mod 13.
     p, k = 13, 6
-    w = lift_root([1, 0, 1], 5, p, k)
     pk = p**k
+    w = pow(5, p**(k - 1), pk)
     c = (2 + 3 * w) * pow(5, -1, pk) % pk
     basis = [[pk, 0, 0], [(-w) % pk, 1, 0], [c, 0, 1]]
     reduced = lll_reduce(basis)
@@ -200,12 +207,6 @@ def test_lll_preserves_lattice():
     assert abs(det3(reduced)) == abs(det3(basis))
 
 
-def test_lll_custom_delta():
-    basis = [[7, 2], [3, 9]]
-    out = lll_reduce(basis, delta=Fraction(99, 100))
-    assert len(out) == 2
-
-
 def _gso(basis):
     """Rational Gram-Schmidt: mu[i][j] and the squared norms |b*_i|^2
     (mu is 0 against a zero norm)."""
@@ -226,10 +227,12 @@ def _gso(basis):
     return mu, norms
 
 
-def _recompute_lll(basis, delta=Fraction(3, 4)):
-    """LLL that recomputes the whole rational GSO after every size
-    reduction and swap: the oracle for the integer updates of lll_reduce.
-    round() of a Fraction rounds ties to even."""
+def _recompute_lll(basis):
+    """LLL (delta = 3/4) that recomputes the whole rational GSO after every
+    subtraction and swap, so each quotient round(mu[k][j]) of the size
+    reduction is read from the current row (the textbook RED(k, j)): the
+    oracle for the integer updates of lll_reduce.  round() of a Fraction
+    rounds ties to even."""
     b = [list(v) for v in basis]
     n = len(b)
     if n <= 1:
@@ -237,15 +240,12 @@ def _recompute_lll(basis, delta=Fraction(3, 4)):
     mu, norms = _gso(b)
     k = 1
     while k < n:
-        changed = False
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                changed = True
-        if changed:
-            mu, norms = _gso(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu, norms = _gso(b)
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -283,26 +283,25 @@ HALF_INTEGER_MU = [
 ]
 
 
-@pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(99, 100)])
 @pytest.mark.parametrize("dependent", [False, True])
-def test_lll_matches_recompute_oracle_on_random_lattices(delta, dependent):
-    rng = random.Random(f"lll/{delta}/{dependent}")
+def test_lll_matches_recompute_oracle_on_random_lattices(dependent):
+    rng = random.Random(f"lll/3/4/{dependent}")
     lattices = [_random_lattice(rng, dependent) for _ in range(60)]
     if dependent:
         for basis in lattices:
             with pytest.raises(ValueError):
-                lll_reduce(basis, delta)
+                lll_reduce(basis)
         return
     for basis in HALF_INTEGER_MU + lattices:
-        assert lll_reduce(basis, delta) == _recompute_lll(basis, delta)
+        assert lll_reduce(basis) == _recompute_lll(basis)
 
 
 def _recognition_lattice(N, k, rng, short):
     # The shape recognise() in hopf.split_commutative reduces: short vectors
     # (a_0..a_{phi-1}, b) with sum a_j w^j = b * c (mod p^k).
     p = next_prime_in_ap(max(16, N), N)
-    w = lift_root(list(cyclotomic_poly(N)), element_of_order(N, p, rng), p, k)
     modulus = p**k
+    w = pow(element_of_order(N, p, rng), p**(k - 1), modulus)
     phi = euler_phi(N)
     if short:
         num = sum(rng.randint(-9, 9) * pow(w, j, modulus) for j in range(phi))
@@ -332,13 +331,13 @@ def test_lll_constructs_no_fraction_on_a_recognition_lattice(monkeypatch):
     basis = _recognition_lattice(8, 48, random.Random(1), short=True)
     expected = _recompute_lll(basis)
     made = []
+    new = Fraction.__new__
 
-    class CountedFraction(Fraction):
-        def __new__(cls, *args):
-            made.append(args)
-            return super().__new__(cls, *args)
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(_modp, "Fraction", CountedFraction)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
     reduced = _modp.lll_reduce(basis)
     assert made == []
     assert reduced != basis and reduced == expected
