@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over any field-like scalar (CycNum, Fraction).
 
 Vectors are dicts {index: nonzero scalar}; a tensor is a vector keyed by
-tuples.  vec_axpy is the one accumulation loop of the package, and
+tuples.  vec_axpy is the one accumulation loop of the package,
 ``_bilinear`` the one loop that reads a bilinear map off its table of rows
-{i: {j: terms}} (``_rows`` builds one).  Echelon
+{i: {j: terms}} (``_rows`` builds one), and ``_by_squaring`` the one
+square-and-multiply, for any associative product.  Echelon
 keeps a reduced row echelon basis, so a subspace has exactly one
 representation and subspace equality is plain row comparison.
 ``_check_idempotents`` certifies a family of idempotents under any
@@ -54,6 +55,19 @@ def _bilinear(rows, u: Vec, v: Vec) -> Vec:
                 if terms:
                     vec_axpy(out, ci * cj, terms)
     return out
+
+
+def _by_squaring(x, k: int, mul, one):
+    """x^k for an int k >= 0 under the associative product ``mul`` with unit
+    ``one``, in O(log k) products: the last square is never made."""
+    acc = one
+    while k:
+        if k & 1:
+            acc = mul(acc, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return acc
 
 
 def _rows(entries) -> dict:

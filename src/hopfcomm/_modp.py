@@ -16,7 +16,7 @@ certificate decides.
 from __future__ import annotations
 
 from . import runlog
-from ._linalg import _bilinear
+from ._linalg import _bilinear, _by_squaring
 from .errors import BadPrime, DenominatorCollision, VerificationFailed
 
 
@@ -133,12 +133,7 @@ def split_idempotents(struct, unit: list[int], p: int, rng) -> list[list[int]] |
         if r == 0:  # an empty piece
             continue
         z = algebra_mul(struct, e, [rng.randrange(p) for _ in range(dim)], p)
-        w, base, k = e, z, (p - 1) // 2
-        while k:
-            if k & 1:
-                w = algebra_mul(struct, w, base, p)
-            base = algebra_mul(struct, base, base, p)
-            k >>= 1
+        w = _by_squaring(z, (p - 1) // 2, lambda x, y: algebra_mul(struct, x, y, p), e)
         s = algebra_mul(struct, w, w, p)
         if algebra_mul(struct, w, s, p) != w:
             return None

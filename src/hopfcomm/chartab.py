@@ -80,7 +80,8 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
 
 
 def _lift_table(G, algebra, p, rng):
-    """One Dixon attempt at prime p; returns (degrees, values) or None."""
+    """One Dixon attempt at prime p; returns (degrees, values), one row per
+    idempotent of the split in the order found, or None."""
     conj = algebra.classes
     n = conj.n_classes
     order = G.order
@@ -120,23 +121,15 @@ def _lift_table(G, algebra, p, rng):
                     val = val + CycNum.zeta(e, t) * CycNum.rational(mults[t])
             values.append(val)
         rows.append((d, tuple(values)))
-
-    one = CycNum.rational(1)
-    rows.sort(key=lambda row: (
-        0 if all(v == one for v in row[1]) else 1,
-        row[0],
-        tuple(v.sort_key() for v in row[1]),
-    ))
-    degrees = tuple(r[0] for r in rows)
-    values = tuple(r[1] for r in rows)
-    return degrees, values
+    return tuple(r[0] for r in rows), tuple(r[1] for r in rows)
 
 
 def dixon_character_table(G: FiniteGroup, seed: int, accept):
-    """``accept`` of the first lifted character table of G it takes, rows
-    sorted trivial first, then by (degree, value key).  ``_lift_table``
-    proposes; a table that ``accept``, the caller's certificate, refuses
-    with VerificationFailed is retried at the next prime."""
+    """``accept`` of the first lifted character table of G it takes, its
+    rows in the order the split found them, unsorted: the caller orders
+    them (``hopf._sorted_irred``).  ``_lift_table`` proposes; a table that
+    ``accept``, the caller's certificate, refuses with VerificationFailed
+    is retried at the next prime."""
     algebra = class_structure_constants(G)
     rng = random.Random(seed)
     e = G.exponent()

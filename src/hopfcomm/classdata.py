@@ -305,8 +305,7 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
             "in_z2^n_coideal": spans,
             "f_n_pairing_nonzero": pairings,
         }
-    report.append({"check": "question_fn_pairing_vs_hprime",
-                   "status": "evidence", "witness": probe})
+    _entry(report, "question_fn_pairing_vs_hprime", "evidence", probe)
 
     report.sort(key=lambda e: e["check"])
     return report
@@ -349,8 +348,7 @@ def kaplansky_report(H: HopfAlgebra) -> list[dict]:
         _check_all("iterated_summands_integral", summands(), report)
 
     nu2 = [str(fs_indicator(H, i, 2)) for i in range(len(ir))]
-    report.append({"check": "second_indicator_vector", "status": "evidence",
-                   "witness": {"nu_2": nu2}})
+    _entry(report, "second_indicator_vector", "evidence", {"nu_2": nu2})
 
     report.sort(key=lambda e: e["check"])
     return report
@@ -438,7 +436,7 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
     ir = require_irred(H)
     d = H.dim
     report: list[dict] = []
-    report.append({"check": "drinfeld_map_bijective", "status": "pass"})
+    _entry(report, "drinfeld_map_bijective", True)
 
     def eta_hits(v):
         return [j for j in range(len(data)) if data.eta[j] == v]
@@ -453,9 +451,8 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
     _entry(report, "drinfeld_map_sends_chi_to_eta", witness is None, witness)
 
     hits0 = eta_hits(drinfeld_map(H, rdata, ir.characters[0]))
-    report.append({"check": "drinfeld_map_on_trivial_character",
-                   "status": "evidence",
-                   "witness": {"equals_eta_index": hits0[0] if hits0 else None}})
+    _entry(report, "drinfeld_map_on_trivial_character", "evidence",
+           {"equals_eta_index": hits0[0] if hits0 else None})
 
     chi_ad_f = HFunc(H, _combination([1] * len(ir), [
         chi * func_antipode_s(chi) for chi in ir.characters]))
@@ -497,25 +494,21 @@ def theorem_suite_sec4(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     try:
         require_classdata(H, seed)
     except NotAlmostCocommutative as exc:
-        report.append({"check": "classdata_applicable", "status": "evidence",
-                       "witness": f"skipped: {exc}"})
+        _entry(report, "classdata_applicable", "evidence", f"skipped: {exc}")
         return report
     report.extend(theorem_eta_suite(H, seed))
     report.extend(kaplansky_report(H))
     if H.r_matrix is None:
-        report.append({"check": "factorizable_applicable", "status": "evidence",
-                       "witness": "skipped: instance carries no R-matrix"})
+        _entry(report, "factorizable_applicable", "evidence",
+               "skipped: instance carries no R-matrix")
     else:
         try:
             rdata = r_matrix_data(H)
             report.extend(factorizable_suite(H, rdata, seed))
         except NotFactorizable as exc:
-            report.append({"check": "factorizable_applicable",
-                           "status": "evidence",
-                           "witness": f"skipped: {exc}"})
+            _entry(report, "factorizable_applicable", "evidence", f"skipped: {exc}")
         except NotQuasitriangular as exc:
-            report.append({"check": "quasitriangular_axioms", "status": "fail",
-                           "witness": str(exc)})
+            _entry(report, "quasitriangular_axioms", False, str(exc))
     report.sort(key=lambda e: e["check"])
     return report
 

@@ -57,6 +57,7 @@ from .errors import (
 from .exactnum import CycNum, _digit_cap_exceeded, _rational_str
 from .group import arity, count_word, from_cayley, load_group, parse_word, word_to_str
 from .hopf import (
+    SCHEMA,
     HopfAlgebra,
     _coeff_to_json,
     _vec_to_json,
@@ -71,8 +72,6 @@ from .hopf import (
     require_irred,
     theorem_suite_sec1,
 )
-
-SCHEMA = "hopfcomm/1"
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1

@@ -28,9 +28,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
-from ._linalg import Solver
+from ._linalg import Solver, _by_squaring
 from .errors import BadPrime, DenominatorCollision, DigitCapExceeded, DivisionByZero
 
 Rational = Fraction
@@ -418,14 +418,7 @@ class CycNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNum.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _by_squaring(self, k, mul, CycNum.rational(1))
 
     # --- comparisons, hashing, display ---
 

@@ -10,6 +10,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from . import caps
+from ._linalg import _by_squaring
 from .errors import (ClosureCapExceeded, EnumerationCapExceeded, NotAssociative,
                      NotLatinSquare, WordSyntaxError)
 
@@ -121,13 +122,8 @@ class FiniteGroup:
         """a^k by square-and-multiply, in O(log |k|) products."""
         if k < 0:
             a, k = self.inv[a], -k
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = self.table[acc][a]
-            a = self.table[a][a]
-            k >>= 1
-        return acc
+        table = self.table
+        return _by_squaring(a, k, lambda x, y: table[x][y], self.identity)
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a
@@ -173,17 +169,15 @@ class FiniteGroup:
 class ClassPartition:
     """Conjugacy classes; class 0 is the class of the identity."""
 
-    __slots__ = ("class_of", "reps", "sizes", "elements", "centralizer_orders",
-                 "inverse_class")
+    __slots__ = ("class_of", "reps", "sizes", "elements", "inverse_class")
 
     def __init__(self, class_of: tuple[int, ...], reps: tuple[int, ...],
                  sizes: tuple[int, ...], elements: tuple[tuple[int, ...], ...],
-                 centralizer_orders: tuple[int, ...], inverse_class: tuple[int, ...]):
+                 inverse_class: tuple[int, ...]):
         self.class_of = class_of
         self.reps = reps
         self.sizes = sizes
         self.elements = elements
-        self.centralizer_orders = centralizer_orders
         self.inverse_class = inverse_class
 
     @property
@@ -209,11 +203,10 @@ def _conjugacy_partition(G: FiniteGroup) -> ClassPartition:
             class_of[x] = idx
     reps = tuple(orb[0] for orb in raw)
     sizes = tuple(len(orb) for orb in raw)
-    cents = tuple(G.order // s for s in sizes)
     inv_class = tuple(class_of[G.inv[r]] for r in reps)
     assert sum(sizes) == G.order
     return ClassPartition(tuple(class_of), reps, sizes,
-                          tuple(tuple(orb) for orb in raw), cents, inv_class)
+                          tuple(tuple(orb) for orb in raw), inv_class)
 
 
 def power_map(G: FiniteGroup, class_index: int, t: int) -> int:

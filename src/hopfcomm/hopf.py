@@ -56,11 +56,13 @@ import functools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from ._linalg import (
     Echelon,
     Solver,
     _bilinear,
+    _by_squaring,
     _check_idempotents,
     _rows,
     nullspace,
@@ -87,6 +89,8 @@ from .group import FiniteGroup, cyclic_group
 
 Vec = dict  # {basis index: nonzero CycNum}
 Tensor = dict  # {(i, j): nonzero CycNum}
+
+SCHEMA = "hopfcomm/1"  # of every JSON document a command writes, dumps included
 
 _ZERO = CycNum.rational(0)
 _ONE = CycNum.rational(1)
@@ -300,10 +304,7 @@ class _Vector:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers require an explicit inverse")
-        acc = self._unit()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _by_squaring(self, n, mul, self._unit())
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.H.dim == other.H.dim
@@ -535,11 +536,15 @@ def casimir_tensor(H: HopfAlgebra) -> Tensor:
 
 
 def _entry(report, name, ok, witness=None):
-    """Append one pass/fail suite entry; a failure carries its witness."""
-    item = {"check": name, "status": "pass" if ok else "fail"}
-    if witness is not None and not ok:
+    """Append one suite entry to ``report`` and return it: a pass or a fail
+    by the truth of ``ok``, or, for ``ok="evidence"``, a record reported and
+    never asserted.  A failure or evidence entry carries its witness."""
+    status = ok if ok == "evidence" else "pass" if ok else "fail"
+    item = {"check": name, "status": status}
+    if witness is not None and status != "pass":
         item["witness"] = witness
     report.append(item)
+    return item
 
 
 def _first_failure(it):
@@ -1013,14 +1018,18 @@ def irreducibles_generic(H: HopfAlgebra, seed: int = 0) -> IrredData:
         lambda idems: _irred_data(H, _sorted_irred(H, _read_irred(H, idems))))
 
 
-def _sorted_irred(H: HopfAlgebra, entries) -> list:
+def _sorted_irred(H: HopfAlgebra, entries, points=None) -> list:
     """(E, degree, character) triples of vectors, the E that equals the
-    integral first, the rest by degree and then character values."""
+    integral first, the rest by degree and then character values at the
+    basis indices ``points`` (all of them by default; kG's class
+    representatives, where a character is determined).  The one order of
+    every family of irreducibles: kG's, D(G)'s and a generic split's."""
     integral, _ = integrals(H)
+    points = range(H.dim) if points is None else points
     return sorted(entries, key=lambda e: (
         e[0] != integral.vec,
         e[1],
-        tuple(e[2].get(j, _ZERO).sort_key() for j in range(H.dim)),
+        tuple(e[2].get(j, _ZERO).sort_key() for j in points),
     ))
 
 
@@ -1209,17 +1218,18 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
 
 
 def _group_irred(H: HopfAlgebra, table: CharacterTable) -> IrredData:
-    """The IrredData of kG with the rows of ``table`` as its characters, once
+    """The IrredData of kG with the rows of ``table`` as its characters, in
+    the order of ``_sorted_irred`` at the class representatives, once
     ``_verify_irred`` certifies them: the certificate of a character table."""
     cls = table.classes.class_of
-    return _verify_irred(H, _with_idempotents(H, [
+    return _verify_irred(H, _sorted_irred(H, _with_idempotents(H, [
         (d, {g: row[cls[g]] for g in range(H.dim) if row[cls[g]]})
-        for d, row in zip(table.degrees, table.values)]))
+        for d, row in zip(table.degrees, table.values)]), table.classes.reps))
 
 
 def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
     """The character table of G, read off the certified irreducibles of kG
-    at the class representatives, in the order of the Dixon table."""
+    at the class representatives, in their order (``_sorted_irred``)."""
     irred = build_group_algebra(G, seed)[1]
     conj = G.conjugacy_data()
     return CharacterTable(
@@ -1401,7 +1411,7 @@ def hopf_to_dict(H: HopfAlgebra) -> dict:
     antipode = [[i, j, _coeff_to_json(c)]
                 for i in sorted(H.antipode) for j, c in H.antipode[i]]
     out = {
-        "schema": "hopfcomm/1",
+        "schema": SCHEMA,
         "dim": H.dim,
         "cyc_order": H.cyc_order,
         "kind": H.kind,

@@ -144,8 +144,7 @@ def test_criterion_06_class_suite_and_membership_verdicts(ks3, kq8, ds3):
         for H, _ in (ks3, kq8, ds3):
             assert _no_fail(theorem_suite_sec4(H))
             for n in (2, 3):  # center Casimir of the t_n form is z_n
-                _, cas = casimir_of_form(H, t_n_form(H, n))
-                assert cas == z_n(H, n)
+                assert casimir_of_form(H, t_n_form(H, n)) == z_n(H, n)
         H, _ = ks3
         data = require_classdata(H)
         f1 = f_n(H, 1)

@@ -374,8 +374,13 @@ def _wrong_once(real, call, G, algebra, p, rng):
     lifted = real(G, algebra, p, rng)
     if call:
         return lifted
-    degrees, values = lifted  # the sign row in place of the degree-2 row
-    return degrees[:2] + degrees[1:2], values[:2] + values[1:2]
+    # the sign row in place of the degree-2 row, found by their values, since
+    # a proposal's rows come in the order the split found them
+    degrees, values = lifted
+    two = degrees.index(2)
+    sign = next(i for i, row in enumerate(values) if row[-1] == cyc(-1))
+    return (degrees[:two] + (degrees[sign],) + degrees[two + 1:],
+            values[:two] + (values[sign],) + values[two + 1:])
 
 
 def _bad_prime_once(real, call, *args):
@@ -465,3 +470,41 @@ def test_wrong_centralizer_table_is_refused_by_the_double(monkeypatch):
         events = runlog.drain()
     assert len(calls) == 3
     assert [e["outcome"] for e in events] == ["ok"] * 3
+
+
+# ---------------------------------------------------------------------------
+# one order for every family of irreducibles (``hopf._sorted_irred``): the
+# order of a proposal's rows does not reach the output
+
+
+def _ordered_outputs(capsys, tmp_path, tag):
+    """The irreducibles of kS3, kQ8 and kA4, the chartab JSON of S4 and the
+    kS3 dump."""
+    irreds = [build_group_algebra(G)[1] for G in (
+        from_perm_generators("S3", S3_GENS), quaternion_group(),
+        from_perm_generators("A4", A4_GENS))]
+    fields = [(ir.degrees, [e.vec for e in ir.idempotents], [c.vec for c in ir.characters])
+              for ir in irreds]
+    assert main(["chartab", str(SPECS / "S4.json")]) == 0
+    table = capsys.readouterr().out
+    dump = tmp_path / f"ks3_{tag}.json"
+    assert main(["build", "group", str(SPECS / "S3.json"), "-o", str(dump)]) == 0
+    capsys.readouterr()
+    return fields, table, dump.read_bytes()
+
+
+def test_proposed_row_order_does_not_reach_the_output(monkeypatch, capsys, tmp_path):
+    expected = _ordered_outputs(capsys, tmp_path, "as_proposed")
+    real = chartab_mod._lift_table
+    reversed_tables = []
+
+    def reversed_rows(*args):
+        lifted = real(*args)
+        if lifted is None:
+            return None
+        reversed_tables.append(args[0].name)
+        return tuple(part[::-1] for part in lifted)
+
+    monkeypatch.setattr(chartab_mod, "_lift_table", reversed_rows)
+    assert _ordered_outputs(capsys, tmp_path, "reversed") == expected
+    assert reversed_tables == ["S3", "Q8", "A4", "S4", "S3"]

@@ -331,7 +331,7 @@ def test_center_form_t2_is_dual_integral(ks3):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_center_casimir_is_z_n(ks3, n):
     H, _ = ks3
-    _, cas = casimir_of_form(H, t_n_form(H, n))
+    cas = casimir_of_form(H, t_n_form(H, n))
     assert cas == z_n(H, n)
     if n == 4:
         assert cas == z_n(H, 2) * z_n(H, 2)

@@ -185,12 +185,14 @@ def test_quaternion_group():
 
 
 def test_conjugacy_s3():
-    cl = s3().conjugacy_data()
+    G = s3()
+    cl = G.conjugacy_data()
     assert cl.n_classes == 3
     assert cl.sizes == (1, 2, 3)  # identity, 3-cycles, transpositions
-    assert cl.class_of[s3().identity] == 0
-    for size, cent in zip(cl.sizes, cl.centralizer_orders):
-        assert size * cent == 6
+    assert cl.class_of[G.identity] == 0
+    # orbit-stabilizer, with each centralizer counted off the group table
+    for size, rep in zip(cl.sizes, cl.reps):
+        assert size * len(G.centralizer(rep)) == G.order == 6
 
 
 def test_conjugacy_abelian():

@@ -12,8 +12,10 @@ attribute of its module, or its module's ``__all__`` lists it.  No module
 of the package or of its tests reads the product table ``mult`` by a pair
 key: it is stored as rows {i: {j: terms}}, where a pair lookup silently
 finds nothing.  No module of the package calls ``mul_raw`` on two basis
-vectors: e_i e_j is read off the stored row.  Importing the CLI loads
-neither the introspection modules nor ``typing``.
+vectors: e_i e_j is read off the stored row.  No module of the package
+writes a report entry (a dict display with a "status" key) outside
+``hopf._entry``.  Importing the CLI loads neither the introspection modules
+nor ``typing``.
 """
 
 import ast
@@ -314,3 +316,32 @@ def test_basis_product_detected():
            "g = H.func_mul_raw({i: _ONE}, {j: _ONE})\n"
            "h = H.mul_raw(basis[i], basis[j])\n")
     assert basis_products(src) == [1, 2, 3]
+
+
+def status_displays(source: str, allowed: str | None = None) -> list:
+    """Lines where ``source`` writes a dict display with a "status" key,
+    outside the top-level function named ``allowed``."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name == allowed for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and id(node) not in inside
+                  and any(isinstance(k, ast.Constant) and k.value == "status"
+                          for k in node.keys))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_report_entries_are_made_by_entry(path):
+    # one way to make a suite entry: hopf._entry, for pass, fail and evidence
+    allowed = "_entry" if path.stem == "hopf" else None
+    assert status_displays(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_status_display_detected():
+    src = ("def _entry(report):\n"
+           "    report.append({'check': 'a', 'status': 'pass'})\n"
+           "def f(report):\n"
+           "    report.append({'check': 'b', 'status': 'evidence'})\n"
+           "    return {**report[0], 'status': 'fail'}, {'check': 'status'}, dict(status=1)\n")
+    assert status_displays(src, "_entry") == [4, 5]
+    assert status_displays(src) == [2, 4, 5]

@@ -1,12 +1,14 @@
 """Sparse linear algebra: the accumulation kernel, the canonical echelon
-form, and Solver's combinations over augmented rows."""
+form, Solver's combinations over augmented rows, and the one
+square-and-multiply."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcomm._linalg import Echelon, Solver, vec_axpy
+from hopfcomm._linalg import Echelon, Solver, _by_squaring, vec_axpy
 from hopfcomm.exactnum import cyc, zeta
 
 
@@ -89,3 +91,58 @@ def test_reduce_visits_only_the_vectors_pivots(vec_lists):
         assert not any(p in tail for tail in ech.rows.values() for p in ech.rows)
     for v in inserted + probes:
         assert ech.reduce(v) == _reduce_over_every_pivot(ech, v)
+
+
+# ---------------------------------------------------------------------------
+# square-and-multiply
+
+POWERS = [0, 1, 2, 3, 2**40 + 1]
+
+
+def _counted(mul):
+    """``mul`` and the list of its calls."""
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_by_squaring_matches_pow_mod_p(k):
+    p = 2**61 - 1
+    mul, calls = _counted(lambda x, y: x * y % p)
+    for x in (0, 1, 3, p - 1, 123456789):
+        calls.clear()
+        assert _by_squaring(x, k, mul, 1) == pow(x, k, p)
+        assert len(calls) <= 2 * k.bit_length()
+
+
+def _compose(a, b):
+    """The permutation a after b, as tuples of images."""
+    return tuple(a[i] for i in b)
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_by_squaring_matches_repeated_products_in_a_nonabelian_group(k):
+    # S5: x = (0 1 2)(3 4) has order 6, y = (0 1 2 3 4) order 5, and they do not commute
+    one = tuple(range(5))
+    x, y = (1, 2, 0, 4, 3), (1, 2, 3, 4, 0)
+    assert _compose(x, y) != _compose(y, x)
+    for g, order in ((x, 6), (y, 5), (_compose(x, y), None)):
+        if order is None:
+            order, h = 1, g
+            while h != one:
+                h, order = _compose(h, g), order + 1
+        expected = one
+        for _ in range(k % order):
+            expected = _compose(expected, g)
+        assert _by_squaring(g, k, _compose, one) == expected
+
+
+def test_by_squaring_at_zero_is_the_unit_with_no_product():
+    mul, calls = _counted(lambda x, y: x * y)
+    unit = object()
+    assert _by_squaring(7, 0, mul, unit) is unit and calls == []
