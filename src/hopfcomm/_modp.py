@@ -18,6 +18,7 @@ from __future__ import annotations
 from . import runlog
 from ._linalg import _bilinear, _by_squaring
 from .errors import BadPrime, DenominatorCollision, VerificationFailed
+from .exactnum import _prime_factors
 
 
 def is_prime(n: int) -> bool:
@@ -144,23 +145,15 @@ def split_idempotents(struct, unit: list[int], p: int, rng) -> list[list[int]] |
 
 
 def element_of_order(e: int, p: int, rng) -> int:
-    """An element of exact multiplicative order e in F_p (requires e | p-1)."""
+    """An element of exact multiplicative order e in F_p (requires e | p-1):
+    a random (p-1)/e-th power z with z^(e/q) != 1 for every prime q of
+    ``_prime_factors(e)``."""
     if e == 1:
         return 1
-    prime_factors = []
-    m = e
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            prime_factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        prime_factors.append(m)
+    primes = _prime_factors(e)
     for _ in range(256):
         z = pow(rng.randrange(2, p), (p - 1) // e, p)
-        if z != 0 and all(pow(z, e // q, p) != 1 for q in prime_factors):
+        if z != 0 and all(pow(z, e // q, p) != 1 for q in primes):
             return z
     raise BadPrime(f"no element of order {e} found mod {p}")
 

@@ -6,9 +6,14 @@ primitive idempotents E_i = (d_i/|G|) sum_j chi_i(g_j^-1) C_j by Frobenius
 powers of random elements (not diagonalised), degrees and character values
 are read off the coordinates of the E_i mod p, and each value is lifted to
 the cyclotomic field Q(zeta_exponent) by a discrete Fourier transform on the
-eigenvalue multiplicities.  The mod-p phase only proposes: each lifted table
+eigenvalue multiplicities.  The class algebra and each proposal are bare
+rows: the structure constants are the ``_rows`` dict of ``_linalg``, and a
+lifted table is the pair (degrees, values), indexed like the classes of
+``G.conjugacy_data()``.  The mod-p phase only proposes: each lifted table
 goes to the caller's certificate ``accept`` (kG's is ``hopf._group_irred``),
 and the primes and retries are ``_modp.first_certified``'s.
+``CharacterTable`` is the certified table only, the one that
+``hopf.character_table`` reads off kG's irreducibles and the CLI prints.
 """
 
 from __future__ import annotations
@@ -20,18 +25,6 @@ from ._linalg import _rows
 from ._modp import TRIES, element_of_order, first_certified, split_idempotents
 from .exactnum import CycNum
 from .group import ClassPartition, FiniteGroup, power_map
-
-
-class ClassAlgebra:
-    """Structure constants of the class algebra, C_i C_j = sum_k a_ijk C_k,
-    as rows terms[i][j] = ((k, a_ijk), ...) of the nonzero a_ijk."""
-
-    __slots__ = ("classes", "terms")
-
-    def __init__(self, classes: ClassPartition,
-                 terms: dict[int, dict[int, tuple[tuple[int, int], ...]]]):
-        self.classes = classes
-        self.terms = terms
 
 
 class CharacterTable:
@@ -60,9 +53,11 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
-    """Exact integer tensor a_{ijk} with C_i C_j = sum_k a_{ijk} C_k, read
-    at the representative z_k of C_k: a_{ijk} = #{x in C_i : x^-1 z_k in C_j}."""
+def class_structure_constants(G: FiniteGroup) -> dict:
+    """Exact integer tensor a_{ijk} with C_i C_j = sum_k a_{ijk} C_k, as rows
+    {i: {j: ((k, a_ijk), ...)}} of the nonzero a_ijk, indexed by the classes
+    of ``G.conjugacy_data()``; read at the representative z_k of C_k:
+    a_{ijk} = #{x in C_i : x^-1 z_k in C_j}."""
     conj = G.conjugacy_data()
     n = conj.n_classes
     cls = conj.class_of
@@ -70,9 +65,8 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
     for k, z in enumerate(conj.reps):
         for x in G.elements():
             counts[cls[x]][cls[G.table[G.inv[x]][z]]][k] += 1
-    return ClassAlgebra(classes=conj, terms=_rows(
-        (i, j, tuple((k, c) for k, c in enumerate(counts[i][j]) if c))
-        for i in range(n) for j in range(n)))
+    return _rows((i, j, tuple((k, c) for k, c in enumerate(counts[i][j]) if c))
+                 for i in range(n) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +74,14 @@ def class_structure_constants(G: FiniteGroup) -> ClassAlgebra:
 
 
 def _lift_table(G, algebra, p, rng):
-    """One Dixon attempt at prime p; returns (degrees, values), one row per
-    idempotent of the split in the order found, or None."""
-    conj = algebra.classes
+    """One Dixon attempt at prime p on the class algebra rows ``algebra``;
+    returns (degrees, values), one row per idempotent of the split in the
+    order found, or None."""
+    conj = G.conjugacy_data()
     n = conj.n_classes
     order = G.order
     e = G.exponent()
-    idems = split_idempotents(algebra.terms, [1] + [0] * (n - 1), p, rng)
+    idems = split_idempotents(algebra, [1] + [0] * (n - 1), p, rng)
     if idems is None:
         return None
     z = element_of_order(e, p, rng)
@@ -125,23 +120,18 @@ def _lift_table(G, algebra, p, rng):
 
 
 def dixon_character_table(G: FiniteGroup, seed: int, accept):
-    """``accept`` of the first lifted character table of G it takes, its
-    rows in the order the split found them, unsorted: the caller orders
-    them (``hopf._sorted_irred``).  ``_lift_table`` proposes; a table that
-    ``accept``, the caller's certificate, refuses with VerificationFailed
-    is retried at the next prime."""
+    """``accept`` of the first lifted character table of G it takes, a pair
+    (degrees, values) of bare rows: a degree and a row of values per
+    irreducible, a value per class of ``G.conjugacy_data()``.  The rows come
+    in the order the split found them, unsorted: the caller orders them
+    (``hopf._sorted_irred``).  ``_lift_table`` proposes; a table that
+    ``accept``, the caller's certificate, refuses with VerificationFailed is
+    retried at the next prime."""
     algebra = class_structure_constants(G)
     rng = random.Random(seed)
     e = G.exponent()
-    labels = tuple(G.labels[r] for r in algebra.classes.reps)
-
-    def propose(p, _):
-        lifted = _lift_table(G, algebra, p, rng)
-        return None if lifted is None else CharacterTable(
-            G.name, algebra.classes, labels, *lifted)
-
     return first_certified(
         {"stage": "dixon", "group": G.name}, e, max(2 * G.order, e, 2), (None,),
-        propose, accept,
+        lambda p, _: _lift_table(G, algebra, p, rng), accept,
         lambda why: f"character table of {G.name} failed verification after "
                     f"{TRIES} primes: {why}")

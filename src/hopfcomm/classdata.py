@@ -177,12 +177,11 @@ def _classdata_of(H: HopfAlgebra, F: tuple) -> ClassData:
     return ClassData(F=F, C=C, eta=eta, class_dims=class_dims)
 
 
-def require_classdata(H: HopfAlgebra, seed: int = 0) -> ClassData:
-    """rh_idempotents(H, seed), computed once per instance and seed."""
-    return _classdata(H, seed)
-
-
-_classdata = memo(rh_idempotents)
+@memo
+def require_classdata(H: HopfAlgebra, seed: int) -> ClassData:
+    """rh_idempotents(H, seed), computed once per instance and seed.  The
+    seed has no default, so that each seed has one key in the memo."""
+    return rh_idempotents(H, seed)
 
 
 def conjugacy_class_coideal(H: HopfAlgebra, data: ClassData, i: int) -> Echelon:
@@ -307,7 +306,6 @@ def theorem_eta_suite(H: HopfAlgebra, seed: int = 0) -> list[dict]:
         }
     _entry(report, "question_fn_pairing_vs_hprime", "evidence", probe)
 
-    report.sort(key=lambda e: e["check"])
     return report
 
 
@@ -350,7 +348,6 @@ def kaplansky_report(H: HopfAlgebra) -> list[dict]:
     nu2 = [str(fs_indicator(H, i, 2)) for i in range(len(ir))]
     _entry(report, "second_indicator_vector", "evidence", {"nu_2": nu2})
 
-    report.sort(key=lambda e: e["check"])
     return report
 
 
@@ -478,7 +475,6 @@ def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> lis
         _entry(report, "class_dims_are_degree_squares", False,
                {"reason": "no character-to-class matching"})
 
-    report.sort(key=lambda e: e["check"])
     return report
 
 

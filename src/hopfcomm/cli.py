@@ -19,7 +19,7 @@ All numbers are exact (rationals and cyclotomics rendered as strings or
 coefficient dicts, never floats).  Reports are JSON with sorted keys, and the
 run-event log (prime choices and retries of the seeded modular subroutines)
 is included, so identical input and seed give byte-identical output.  Timing
-is printed to stderr only, unless --timing opts it into the JSON.
+is printed to stderr only.
 
 Exit codes: 0 success, 1 hard check failure, 2 parse/load error,
 3 verification failure or refused precondition, 4 resource cap exceeded
@@ -179,8 +179,6 @@ def _emit(doc: dict, args) -> None:
     doc["seed"] = getattr(args, "seed", 0)
     doc["events"] = runlog.drain()
     elapsed_ms = (time.perf_counter() - args._t0) * 1000.0
-    if getattr(args, "timing", False):
-        doc["timing_ms"] = round(elapsed_ms, 3)
     print(json.dumps(doc, sort_keys=True, indent=2))
     print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
 
@@ -401,8 +399,6 @@ def _add_instance_args(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=_ascii_int, default=0,
                      help="seed for the randomized modular subroutines")
-    sub.add_argument("--timing", action="store_true",
-                     help="include timing in the JSON (breaks byte-identical reruns)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -66,19 +66,26 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -315,10 +322,7 @@ class CycNum:
         k %= n
         if gcd(k, n) != 1:
             raise ValueError(f"galois exponent {k} not prime to order {n}")
-        vec = [_ZERO] * n
-        for j, c in enumerate(coeffs):
-            vec[(j * k) % n] += c
-        return CycNum(n, vec)
+        return _make(n, *_over_common_denominator(coeffs))._twist(k)
 
     # --- arithmetic ---
 

@@ -1213,18 +1213,20 @@ def build_group_algebra(G: FiniteGroup, seed: int = 0):
         kind="group",
         group=G,
     )
-    H.irred = dixon_character_table(G, seed, lambda table: _group_irred(H, table))
+    H.irred = dixon_character_table(G, seed, lambda table: _group_irred(H, *table))
     return H, H.irred
 
 
-def _group_irred(H: HopfAlgebra, table: CharacterTable) -> IrredData:
-    """The IrredData of kG with the rows of ``table`` as its characters, in
-    the order of ``_sorted_irred`` at the class representatives, once
-    ``_verify_irred`` certifies them: the certificate of a character table."""
-    cls = table.classes.class_of
+def _group_irred(H: HopfAlgebra, degrees, values) -> IrredData:
+    """The IrredData of kG with the proposed rows ``values`` (a value per
+    class of ``H.group.conjugacy_data()``) as its characters, in the order
+    of ``_sorted_irred`` at the class representatives, once ``_verify_irred``
+    certifies them: the certificate of a character table."""
+    conj = H.group.conjugacy_data()
+    cls = conj.class_of
     return _verify_irred(H, _sorted_irred(H, _with_idempotents(H, [
         (d, {g: row[cls[g]] for g in range(H.dim) if row[cls[g]]})
-        for d, row in zip(table.degrees, table.values)]), table.classes.reps))
+        for d, row in zip(degrees, values)]), conj.reps))
 
 
 def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
@@ -1291,14 +1293,14 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
         members = conj.elements[ci]
         K, parent = G.subgroup(G.centralizer(rep))
         parent_index = {p: i for i, p in enumerate(parent)}
-        ktab = dixon_character_table(K, seed, lambda table: table)
-        kcls = ktab.classes.class_of
+        kdegrees, kvalues = dixon_character_table(K, seed, lambda table: table)
+        kcls = K.conjugacy_data().class_of
         # coset representatives: k_x rep k_x^{-1} = x
         kx = {}
         for x in members:
             kx[x] = next(g for g in range(n) if G.conj(rep, g) == x)
-        for row in range(len(ktab.degrees)):
-            deg = len(members) * ktab.degrees[row]
+        for kdeg, krow in zip(kdegrees, kvalues):
+            deg = len(members) * kdeg
             chi: Vec = {}
             for g in members:
                 kg_inv = G.inverse(kx[g])
@@ -1306,7 +1308,7 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
                     if G.mul(h, g) != G.mul(g, h):
                         continue
                     u = G.mul(G.mul(kg_inv, h), kx[g])
-                    val = ktab.values[row][kcls[parent_index[u]]]
+                    val = krow[kcls[parent_index[u]]]
                     if val:
                         chi[g * n + h] = val
             entries.append((deg, chi))

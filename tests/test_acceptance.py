@@ -146,7 +146,7 @@ def test_criterion_06_class_suite_and_membership_verdicts(ks3, kq8, ds3):
             for n in (2, 3):  # center Casimir of the t_n form is z_n
                 assert casimir_of_form(H, t_n_form(H, n)) == z_n(H, n)
         H, _ = ks3
-        data = require_classdata(H)
+        data = require_classdata(H, 0)
         f1 = f_n(H, 1)
         verdict_by_size = {}
         for j, (pair_nz, in_coideal) in enumerate(membership_test(H, data, f1)):

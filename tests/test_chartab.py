@@ -17,7 +17,7 @@ import pytest
 from hopfcomm import _linalg, runlog
 from hopfcomm import chartab as chartab_mod
 from hopfcomm import hopf as hopf_mod
-from hopfcomm.chartab import CharacterTable, class_structure_constants
+from hopfcomm.chartab import CharacterTable, class_structure_constants, dixon_character_table
 from hopfcomm.cli import main
 from hopfcomm.errors import BadPrime, VerificationFailed
 from hopfcomm.exactnum import cyc, zeta
@@ -37,13 +37,13 @@ def quaternion_group():
 
 def _a(alg, i, j, k):
     """a_ijk, read off the rows of the class algebra (0 where not stored)."""
-    return dict(alg.terms.get(i, {}).get(j, ())).get(k, 0)
+    return dict(alg.get(i, {}).get(j, ())).get(k, 0)
 
 
 def test_structure_constants_identity_class():
     G = from_perm_generators("S3", S3_GENS)
     alg = class_structure_constants(G)
-    n = alg.classes.n_classes
+    n = G.conjugacy_data().n_classes
     for j in range(n):
         for k in range(n):
             assert _a(alg, 0, j, k) == (1 if j == k else 0)
@@ -53,9 +53,10 @@ def test_structure_constants_s3_transpositions_squared():
     G = from_perm_generators("S3", S3_GENS)
     alg = class_structure_constants(G)
     # Classes ordered: identity, 3-cycles (size 2), transpositions (size 3).
-    assert alg.classes.sizes == (1, 2, 3)
-    t = alg.classes.sizes.index(3)
-    c3 = alg.classes.sizes.index(2)
+    sizes = G.conjugacy_data().sizes
+    assert sizes == (1, 2, 3)
+    t = sizes.index(3)
+    c3 = sizes.index(2)
     assert _a(alg, t, t, 0) == 3
     assert _a(alg, t, t, c3) == 3
     assert _a(alg, t, t, t) == 0
@@ -74,8 +75,8 @@ def test_structure_constants_abelian_is_kronecker():
 def test_structure_constants_size_invariant():
     G = from_perm_generators("S4", S4_GENS)
     alg = class_structure_constants(G)
-    sizes = alg.classes.sizes
-    n = alg.classes.n_classes
+    sizes = G.conjugacy_data().sizes
+    n = len(sizes)
     for i in range(n):
         for j in range(n):
             total = sum(_a(alg, i, j, k) * sizes[k] for k in range(n))
@@ -208,7 +209,7 @@ def _column_orthogonality_failure(G, algebra, values):
     certificate, kept as its oracle: the first (j, j2) with sum_i chi_i(g_j) chi_i(g_j2^-1) !=
     delta_{j j2} |G|/|C_j|; None when the relation holds.  At the identity
     class, j = j2 = 0, it reads sum_i d_i^2 = |G|."""
-    conj = algebra.classes
+    conj = G.conjugacy_data()
     n = conj.n_classes
     for j in range(n):
         for j2 in range(n):
@@ -224,7 +225,7 @@ def _row_orthogonality_failure(G, algebra, values):
     """The row check that the idempotent certificate replaced, kept as its
     oracle: the first (i, i2) with sum_j |C_j| chi_i(g_j)
     chi_i2(g_j^-1) != delta_{i i2} |G|; None when the relation holds."""
-    conj = algebra.classes
+    conj = G.conjugacy_data()
     n = conj.n_classes
     for i in range(n):
         for i2 in range(i, n):
@@ -236,12 +237,12 @@ def _row_orthogonality_failure(G, algebra, values):
     return None
 
 
-def _central_character_failure(algebra, degrees, values):
+def _central_character_failure(G, algebra, degrees, values):
     """The other replaced check, kept as its oracle: the first (i, a, b) where
     the central character omega_i(C_j) = |C_j| chi_i(g_j)/d_i does not
     represent the class algebra, omega_i(C_a) omega_i(C_b) != sum_k a_abk
     omega_i(C_k); None when every row represents it."""
-    conj = algebra.classes
+    conj = G.conjugacy_data()
     n = conj.n_classes
     for i in range(n):
         omega = [cyc(Fraction(conj.sizes[j], degrees[i])) * values[i][j] for j in range(n)]
@@ -259,20 +260,19 @@ def _old_verdict(G, algebra, degrees, values):
     """True when the verifier before the idempotent certificate refused the
     table: the count, the trivial row, the degrees and the values at the
     identity, then the row and central-character oracles."""
-    n = algebra.classes.n_classes
+    n = G.conjugacy_data().n_classes
     if len(degrees) != n or any(v != cyc(1) for v in values[0]):
         return True
     if any(d <= 0 or G.order % d or values[i][0] != cyc(d) for i, d in enumerate(degrees)):
         return True
     return (_row_orthogonality_failure(G, algebra, values) is not None
-            or _central_character_failure(algebra, degrees, values) is not None)
+            or _central_character_failure(G, algebra, degrees, values) is not None)
 
 
-def _table_refused(H, table, degrees, values):
-    """True when kG's certificate refuses ``table`` with these rows."""
+def _table_refused(H, degrees, values):
+    """True when kG's certificate refuses the proposed rows."""
     try:
-        hopf_mod._group_irred(H, CharacterTable(table.group_name, table.classes,
-                                                table.class_labels, degrees, values))
+        hopf_mod._group_irred(H, degrees, values)
     except VerificationFailed:
         return True
     return False
@@ -324,12 +324,12 @@ def test_verify_table_refuses_what_the_column_check_refuses(G):
     H = build_group_algebra(G)[0]
     table = character_table(G)
     algebra = class_structure_constants(G)
-    assert not _table_refused(H, table, table.degrees, table.values)
+    assert not _table_refused(H, table.degrees, table.values)
     assert not _old_verdict(G, algebra, table.degrees, table.values)
     assert _column_orthogonality_failure(G, algebra, table.values) is None
     column_failures = refusals = 0
     for degrees, values in _mutants(G, table):
-        refused = _table_refused(H, table, degrees, values)
+        refused = _table_refused(H, degrees, values)
         assert refused == _old_verdict(G, algebra, degrees, values)
         columns_fail = _column_orthogonality_failure(G, algebra, values) is not None
         if columns_fail or sum(d * d for d in degrees) != G.order:
@@ -408,6 +408,25 @@ def test_dixon_names_why_every_prime_failed(monkeypatch):
     message = str(info.value)
     assert "after 5 primes" in message and "reconstruction failed" in message
     assert not message.endswith("None")
+
+
+@pytest.mark.parametrize("G", [
+    from_perm_generators("S3", S3_GENS),
+    from_perm_generators("A4", A4_GENS),
+    cyclic_group(15),
+], ids=["S3", "A4", "C15"])
+def test_dixon_hands_accept_the_bare_rows(G):
+    # The proposal is the pair (degrees, values) that _lift_table returns: a
+    # degree and a row per irreducible, a value per class of
+    # G.conjugacy_data(), and the rows of the certified table up to order.
+    seen = []
+    assert dixon_character_table(G, 0, lambda table: seen.append(table) or "kept") == "kept"
+    ((degrees, values),) = seen
+    n = G.conjugacy_data().n_classes
+    assert len(degrees) == len(values) == n
+    assert all(len(row) == n for row in values)
+    certified = character_table(G)
+    assert set(zip(degrees, values)) == set(zip(certified.degrees, certified.values))
 
 
 # ---------------------------------------------------------------------------

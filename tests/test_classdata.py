@@ -137,6 +137,25 @@ def test_dual_group_algebra_refused(dual_s3):
         rh_idempotents(H)
 
 
+def test_require_classdata_calls_rh_idempotents_by_name_once(monkeypatch, s3):
+    # The memo is require_classdata itself, so a function put in place of
+    # the module's rh_idempotents (as the tracer puts its wrapper) is the one
+    # called, once per instance and seed.
+    calls = []
+    real = classdata_mod.rh_idempotents
+
+    def spy(H, seed):
+        calls.append(seed)
+        return real(H, seed)
+
+    monkeypatch.setattr(classdata_mod, "rh_idempotents", spy)
+    H, _ = hopf_mod.build_group_algebra(s3)
+    first = classdata_mod.require_classdata(H, 0)
+    assert calls == [0]
+    assert classdata_mod.require_classdata(H, 0) is first
+    assert calls == [0]
+
+
 def test_class_data_deterministic(ks3):
     H, _ = ks3
     a = rh_idempotents(H, seed=0)

@@ -609,12 +609,12 @@ def test_verify_rerun_is_byte_identical(ks3_dump, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_timing_flag_opt_in(ks3_dump, capsys):
+def test_timing_flag_is_refused(ks3_dump, capsys):
+    # The elapsed time goes to stderr only; no report carries it.
     doc = run_json(capsys, ["compute", "z", "--hopf", str(ks3_dump)])
     assert "timing_ms" not in doc
-    doc = run_json(capsys, ["compute", "z", "--hopf", str(ks3_dump),
-                            "--timing"])
-    assert "timing_ms" in doc
+    assert main(["compute", "z", "--hopf", str(ks3_dump), "--timing"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

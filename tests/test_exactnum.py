@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcomm.errors import BadPrime, DenominatorCollision, DivisionByZero
-from hopfcomm.exactnum import ONE, CycNum, cyc, cyclotomic_poly, euler_phi, zeta
+from hopfcomm.exactnum import ONE, CycNum, _prime_factors, cyc, cyclotomic_poly, euler_phi, zeta
 
 
 def test_cyclotomic_polynomials():
@@ -106,6 +107,53 @@ def test_galois_on_values_written_above_their_conductor():
     assert _written_at(12, 3).galois(7) == zeta(4, 3)
     with pytest.raises(ValueError):
         x.galois(3)
+
+
+def _galois_by_fraction_vector(x, k):
+    # The twist as a loop over the Fraction coordinates at the conductor,
+    # passed through the public constructor: the reference for galois.
+    n, coeffs = x.order, x.coeffs
+    if n == 1:
+        return x
+    k %= n
+    vec = [Fraction(0)] * n
+    for j, c in enumerate(coeffs):
+        vec[(j * k) % n] += c
+    return CycNum(n, vec)
+
+
+def test_galois_matches_the_fraction_vector_twist():
+    # random values of conductor dividing m, written at an order m t above
+    # it, against every k prime to their conductor (and k shifted by one
+    # period in each direction)
+    rng = random.Random(0)
+    cases = 0
+    for m in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24):
+        for t in (1, 2, 3, 5):
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(euler_phi(m))]
+                vec = [Fraction(0)] * (m * t)
+                for j, c in enumerate(coeffs):
+                    vec[j * t] = c
+                x = CycNum(m * t, vec)
+                n = x.order
+                for k in range(-n, 2 * n):
+                    if gcd(k, n) != 1:
+                        continue
+                    got, want = x.galois(k), _galois_by_fraction_vector(x, k)
+                    assert got == want and got.order == n
+                    assert hash(got) == hash(want) and str(got) == str(want)
+                    cases += 1
+    assert cases > 2000
+
+
+def test_prime_factors_and_euler_phi_against_brute_force():
+    for n in range(1, 1001):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % q for q in range(2, p))]
+        assert _prime_factors(n) == primes
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def test_division():

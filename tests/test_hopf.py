@@ -1382,7 +1382,7 @@ def _passes_check_idempotents(vecs, mul, unit):
 def _idempotent_family(H, family):
     if family == "E":
         return [e.vec for e in H.irred.idempotents], H.mul_raw, H.unit_vec
-    return [f.vec for f in require_classdata(H).F], H.func_mul_raw, H.counit_vec
+    return [f.vec for f in require_classdata(H, 0).F], H.func_mul_raw, H.counit_vec
 
 
 _FAMILIES = [("ks3", "E"), ("kq8", "E"), ("dual_s3", "E"), ("ds3", "E"),
@@ -1503,7 +1503,7 @@ def test_verify_irred_refuses_an_instance_that_fails_an_axiom(ks3, s3):
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
         hopf_mod._verify_irred(H, entries)
     with pytest.raises(VerificationFailed, match="Hopf axiom 'antipode'"):
-        classdata_from_dict(H, classdata_to_dict(require_classdata(ks3[0])))
+        classdata_from_dict(H, classdata_to_dict(require_classdata(ks3[0], 0)))
 
 
 # -- H* on the transposed table, with the scans it replaced as oracles --

@@ -30,6 +30,16 @@ def test_is_prime():
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
 
 
+@pytest.mark.parametrize("p", [7, 13, 31, 61, 97, 241, 337, 1009])
+def test_element_of_order_has_the_exact_order(p):
+    # every e | p - 1, three seeds each; the order is found by brute force
+    for e in (e for e in range(1, p) if (p - 1) % e == 0):
+        for seed in range(3):
+            z = element_of_order(e, p, random.Random(seed))
+            order = next(t for t in range(1, p) if pow(z, t, p) == 1)
+            assert order == e, (p, e, seed)
+
+
 def test_next_prime_in_ap():
     # Smallest prime above 2|S4| = 48 congruent to 1 mod exponent 12.
     assert next_prime_in_ap(48, 12) == 61
