@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ._linalg import Echelon, _check_idempotents, rank, vec_axpy
+from ._linalg import Echelon, _check_idempotents, rank
 from .commutator import (
     coideal_closure,
     commutator_subalgebra,
@@ -51,6 +51,11 @@ from .hopf import (
     _require_axioms,
     _vec_to_json,
     Tensor,
+    _comult_legs,
+    _left_legs,
+    _leg_map,
+    _slant,
+    _summed,
     frobenius_psi,
     func_antipode_s,
     integrals,
@@ -59,7 +64,6 @@ from .hopf import (
     require_irred,
     split_commutative,
     tensor_mult,
-    tensor_pair_first,
     tensor_swap,
 )
 
@@ -377,25 +381,18 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
     # the unit law turns R_13 R_23 and R_13 R_12 into the outer products below
     _require_axioms(H)
 
-    eps_first = tensor_pair_first(H.eps(), R)
-    eps_second = tensor_pair_first(H.eps(), tensor_swap(R))
-    if eps_first != H.unit_vec or eps_second != H.unit_vec:
+    terms = R.items()
+    eps = H.counit_vec
+    if not _summed(_slant(eps, terms, 0)) == H.unit_vec == _summed(_slant(eps, terms, 1)):
         raise NotQuasitriangular("(eps (x) id)R or (id (x) eps)R != 1")
 
-    # R = sum r_a (x) l_a; each side is |R|^2 basis products
-    delta_first: dict = {}
-    delta_second: dict = {}
-    r13r23: dict = {}
-    r13r12: dict = {}
-    for (i, j), c in R.items():
-        vec_axpy(delta_first, c, [((a, b, j), x) for (a, b), x in H.comult.get(i, ())])
-        vec_axpy(delta_second, c, [((i, a, b), x) for (a, b), x in H.comult.get(j, ())])
-        row_i, row_j = H.mult.get(i, {}), H.mult.get(j, {})
-        for (k, l), cc in R.items():
-            # R_13 R_23 = sum r_a (x) r_b (x) l_a l_b
-            vec_axpy(r13r23, c * cc, [((i, k, m), x) for m, x in row_j.get(l, ())])
-            # R_13 R_12 = sum r_a r_b (x) l_b (x) l_a
-            vec_axpy(r13r12, c * cc, [((m, l, j), x) for m, x in row_i.get(k, ())])
+    # R = sum r_a (x) l_a.  R_13 R_23 = sum r_a (x) r_b (x) l_a l_b maps l_a to
+    # (1 (x) l_a) R, and R_13 R_12 = sum r_a r_b (x) l_b (x) l_a maps r_a to (r_a (x) 1) R
+    delta_first, delta_second = _comult_legs(H, terms)
+    r13r23 = _leg_map(terms, 1, {j: _leg_map(terms, 1, H.mult.get(j, {})).items()
+                                 for j in {j for _, j in R}})
+    r13r12 = _leg_map(terms, 0, {i: _leg_map(terms, 0, H.mult.get(i, {})).items()
+                                 for i in {i for i, _ in R}})
     if delta_first != r13r23:
         raise NotQuasitriangular("(Delta (x) id)R != R_13 R_23")
     if delta_second != r13r12:
@@ -412,14 +409,14 @@ def r_matrix_data(H: HopfAlgebra, R: Tensor = None) -> RMatrixData:
         raise NotQuasitriangular(f"R Delta != Delta^op R at basis {k}")
 
     monodromy = tensor_mult(H, tensor_swap(R), R)
-    image = rank(tensor_pair_first(HFunc(H, {k: _ONE}), monodromy) for k in range(H.dim))
+    image = rank(_left_legs(monodromy))  # of p -> (p (x) id)(monodromy), at p = e^i
     return RMatrixData(R=dict(R), monodromy=monodromy,
                        factorizable=image == H.dim)
 
 
 def drinfeld_map(H: HopfAlgebra, rdata: RMatrixData, p: HFunc) -> HElem:
     """f_Q(p) = (p (x) id)(R_21 R_12)."""
-    return HElem(H, tensor_pair_first(p, rdata.monodromy))
+    return HElem(H, _summed(_slant(p.vec, rdata.monodromy.items(), 0)))
 
 
 def factorizable_suite(H: HopfAlgebra, rdata: RMatrixData, seed: int = 0) -> list[dict]:

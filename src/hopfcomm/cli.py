@@ -69,7 +69,7 @@ from .hopf import (
     hopf_to_dict,
     irred_from_dict,
     irred_to_dict,
-    require_irred,
+    irreducibles_generic,
     theorem_suite_sec1,
 )
 
@@ -137,7 +137,8 @@ def _build_instance(kind: str, G, seed: int):
 
 def _load_hopf(args) -> tuple[HopfAlgebra, str]:
     """The instance named by --hopf DUMP or --group SPEC [--kind], plus a
-    source tag for the report (paths stay out of it)."""
+    source tag for the report (paths stay out of it).  A dump without irred
+    is split here, with --seed, before a library call splits it at seed 0."""
     if getattr(args, "hopf", None) is not None:
         data = _read_json(args.hopf)
         if not isinstance(data, dict):
@@ -153,8 +154,8 @@ def _load_hopf(args) -> tuple[HopfAlgebra, str]:
         H = hopf_from_dict(data)  # refuses a dim that is not an integer
         if H.kind == "group":
             H.group = _group_from_mult(H, group_name)
-        if "irred" in data:
-            H.irred = irred_from_dict(H, data["irred"])
+        H.irred = (irred_from_dict(H, data["irred"]) if "irred" in data
+                   else irreducibles_generic(H, args.seed))
         return H, "dump"
     G = load_group(_read_json(args.group))
     return _build_instance(args.kind, G, args.seed), f"build:{args.kind}"
@@ -239,9 +240,8 @@ def cmd_chartab(args) -> int:
 def cmd_build(args) -> int:
     G = load_group(_read_json(args.group))
     H = _build_instance(args.kind, G, args.seed)
-    irred = require_irred(H, args.seed)
     doc = hopf_to_dict(H)
-    doc["irred"] = irred_to_dict(irred)
+    doc["irred"] = irred_to_dict(H.irred)
     doc["group_name"] = G.name
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.output:
@@ -250,7 +250,7 @@ def cmd_build(args) -> int:
     else:
         print(text)
     print(f"built {H.kind} instance on {G.name}: dim {H.dim}, "
-          f"{len(irred)} irreducibles", file=sys.stderr)
+          f"{len(H.irred)} irreducibles", file=sys.stderr)
     return EXIT_OK
 
 
@@ -262,10 +262,9 @@ def cmd_compute(args) -> int:
 
     if args.target == "z":
         n = args.n
-        irred = require_irred(H, args.seed)
-        _refuse_digits(max(irred.degrees), n - n % 2)
+        _refuse_digits(max(H.irred.degrees), n - n % 2)
         direct = z_n(H, n)  # refuses n < 0
-        coeffs, from_idempotents = z_n_by_idempotents(H, irred, n)
+        coeffs, from_idempotents = z_n_by_idempotents(H, H.irred, n)
         agree = direct == from_idempotents
         doc["result"] = {
             "n": n,

@@ -35,7 +35,9 @@ from .hopf import (
     _check_all,
     _closed_basis,
     _combination,
+    _dual,
     _entry,
+    _left_legs,
     _product,
     _require_axioms,
     _right_closure,
@@ -72,16 +74,14 @@ def _commutator_table(H: HopfAlgebra) -> dict:
 
     {e_i, e_k} = sum c (e_i .ad e_a) S(e_b) over ((a, b), c) in Delta e_k, so
     only the nonzero entries of ``adjoint_row(H, i)`` are walked, each through
-    an index from the left coproduct leg a to the (k, b, c) it occurs in."""
-    legs: dict = {}
-    for k, terms in H.comult.items():
-        for (a, b), c in terms:
-            legs.setdefault(a, []).append((k, b, c))
+    row a of ``_dual(H).mult``, the (b, k, c) where the left coproduct leg is a."""
+    legs = _dual(H).mult
     acc: dict = {}
     for i in range(H.dim):
         for a, ad in adjoint_row(H, i).items():
-            for k, b, c in legs.get(a, ()):
-                _axpy_times_antipode(H, acc.setdefault((i, k), {}), c, ad, b)
+            for b, terms in legs.get(a, {}).items():
+                for k, c in terms:
+                    _axpy_times_antipode(H, acc.setdefault((i, k), {}), c, ad, b)
     return _rows((i, k, tuple(v.items())) for (i, k), v in acc.items())
 
 
@@ -219,7 +219,7 @@ def coideal_closure(H: HopfAlgebra, vecs) -> Echelon:
     """Smallest left coideal containing the given vectors: the span of
     v <- p for p in H*, i.e. of the legs (e^i (x) id)(Delta v).  One pass
     suffices: (v <- p) <- q = v <- pq by coassociativity, and v = v <- eps."""
-    return Echelon(row for v in vecs for row in _left_legs(H, v))
+    return Echelon(row for v in vecs for row in _left_legs(H.comult_raw(v)))
 
 
 def algebra_closure(H: HopfAlgebra, vecs) -> Echelon:
@@ -233,18 +233,10 @@ def algebra_closure(H: HopfAlgebra, vecs) -> Echelon:
     return span
 
 
-def _left_legs(H: HopfAlgebra, v: dict):
-    """The nonzero vectors (e^i (x) id)(Delta v), one per left index i."""
-    legs: dict[int, dict] = {}
-    for (i, j), c in H.comult_raw(v).items():
-        legs.setdefault(i, {})[j] = c
-    return legs.values()
-
-
 def is_left_coideal(H: HopfAlgebra, space: Echelon) -> bool:
     """Delta(C) subset of H (x) C, checked leg by leg."""
     return all(space.contains(row) for v in space.basis()
-               for row in _left_legs(H, v))
+               for row in _left_legs(H.comult_raw(v)))
 
 
 def is_adjoint_stable(H: HopfAlgebra, space: Echelon) -> bool:

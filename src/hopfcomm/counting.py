@@ -30,6 +30,7 @@ from .hopf import (
     _dot,
     _entry,
     _first_failure,
+    _leg_map,
     _product_terms,
     _tensor_sandwich,
     _trace_form_failure,
@@ -151,13 +152,8 @@ def _sweedler_table(H: HopfAlgebra, m: int) -> list[Vec]:
 
 def _sweedler_pass(H: HopfAlgebra, table: list[Vec]) -> list[Vec]:
     """e_k^[t+1] = sum e_i e_j^[t] over Delta(e_k) = sum e_i (x) e_j, for each k."""
-    nxt = []
-    for k in range(H.dim):
-        acc: Vec = {}
-        for (i, j), c in H.comult_raw({k: _ONE}).items():
-            vec_axpy(acc, c, H.mul_raw({i: _ONE}, table[j]).items())
-        nxt.append(acc)
-    return nxt
+    image = {j: v.items() for j, v in enumerate(table)}
+    return [tensor_flatten(H, _leg_map(H.comult.get(k, ()), 1, image)) for k in range(H.dim)]
 
 
 def fs_indicator(H: HopfAlgebra, i: int, m: int) -> CycNum:

@@ -572,14 +572,14 @@ def count_word(G: FiniteGroup, w: Word) -> tuple[int, ...]:
     convolution of theirs (Parzanchevski and Schul, Bull. LMS 46, 2014);
     where they share one, the node's own letters are enumerated.  Letters
     below r that w does not use multiply every count by |G|.  The cap
-    bounds the |G|^r tuples counted, whatever the route.
+    bounds the |G|^r tuples counted, whatever the route; past its bit length
+    r is refused before |G|^r >= 2^r is formed.
     """
     cap = caps.enum_cap()
     letters = _letter_sets(w)
     r = max(letters[id(w)])
-    total = G.order ** r
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} tuples exceeds cap {cap}")
+    if (G.order > 1 and r > cap.bit_length()) or G.order ** r > cap:
+        raise EnumerationCapExceeded(f"{G.order}^{r} tuples exceed cap {cap}")
     free = G.order ** (r - len(letters[id(w)]))
     return tuple(c * free for c in _count(w, letters, G))
 
@@ -618,8 +618,8 @@ def _convolve(G: FiniteGroup, x: list[int], y: list[int], commutator: bool) -> l
 
 
 def _enumerate(w: Word, idx: list[int], G: FiniteGroup) -> list[int]:
-    """Counts of w over every assignment of the letters idx, one by one."""
-    t = [G.identity] * idx[-1]
+    """Counts of w over every assignment t[i - 1] of the letters i in idx."""
+    t: dict[int, int] = {}
     out = [0] * G.order
     for vals in itertools.product(G.elements(), repeat=len(idx)):
         for i, v in zip(idx, vals):

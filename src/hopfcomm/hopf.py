@@ -48,6 +48,10 @@ semisimple structure theory, with all derived data re-verified exactly
 before it is returned.  The adjoint action is read off a table of the
 nonzero e_i .ad e_j (``adjoint_row``), made one left index at a time.
 Every bilinear table is stored as rows {i: {j: terms}}, read by ``_bilinear``.
+The coalgebra side reads stored terms through three kernels: a linear map
+on one tensor factor (``_leg_map``: id (x) S, Delta (x) id, a factor times
+e_k), a functional paired with one factor (``_slant``: the hits, p (x) id)
+and the split by the left factor (``_left_legs``).
 """
 
 from __future__ import annotations
@@ -114,11 +118,16 @@ def _product_terms(H: HopfAlgebra, i: int, j: int) -> tuple:
     return H.mult.get(i, {}).get(j, ())
 
 
+def _summed(terms) -> Vec:
+    """The vector of the (key, c) pairs ``terms``, a repeated key summed."""
+    out: Vec = {}
+    vec_axpy(out, _ONE, terms)
+    return out
+
+
 def _product(H: HopfAlgebra, i: int, j: int) -> Vec:
     """e_i e_j as a vector, summed from its stored terms."""
-    out: Vec = {}
-    vec_axpy(out, _ONE, _product_terms(H, i, j))
-    return out
+    return _summed(_product_terms(H, i, j))
 
 
 def _dot(p: Vec, terms) -> CycNum:
@@ -207,19 +216,17 @@ class HopfAlgebra:
     # -- hit actions --
 
     def right_hit_raw(self, h: Vec, p: Vec) -> Vec:
-        # h <- p = sum <p, h_1> h_2
+        # h <- p = sum <p, h_1> h_2, slanting each stored Delta e_i
         out: Vec = {}
         for i, ci in h.items():
-            vec_axpy(out, ci, [(k, c * pj) for (j, k), c in self.comult.get(i, ())
-                               if (pj := p.get(j)) is not None])
+            vec_axpy(out, ci, _slant(p, self.comult.get(i, ()), 0))
         return out
 
     def left_hit_raw(self, p: Vec, h: Vec) -> Vec:
         # p -> h = sum h_1 <p, h_2>
         out: Vec = {}
         for i, ci in h.items():
-            vec_axpy(out, ci, [(j, c * pk) for (j, k), c in self.comult.get(i, ())
-                               if (pk := p.get(k)) is not None])
+            vec_axpy(out, ci, _slant(p, self.comult.get(i, ()), 1))
         return out
 
     def func_right_hit_raw(self, p: Vec, a: Vec) -> Vec:
@@ -498,30 +505,46 @@ def _tensor_sandwich(H: HopfAlgebra, t: Tensor, h: Vec) -> Vec:
     return out
 
 
-def tensor_antipode_right(H: HopfAlgebra, t: Tensor) -> Tensor:
-    out: Tensor = {}
-    for (i, j), c in t.items():
-        vec_axpy(out, c, [((i, k), ck) for k, ck in H.antipode.get(j, ())])
-    return out
-
-
 def tensor_swap(t: Tensor) -> Tensor:
     return {(j, i): c for (i, j), c in t.items()}
 
 
-def tensor_pair_first(p: HFunc, t: Tensor) -> Vec:
-    """(p (x) id)(t) as a vector."""
-    out: Vec = {}
-    for (i, j), c in t.items():
-        pi = p.vec.get(i)
-        if pi is not None:
-            vec_axpy(out, pi, ((j, c),))
+def _leg_map(t, leg: int, image) -> Tensor:
+    """The map e_x -> ``image.get(x, ())`` on factor ``leg`` of the tensor with
+    (key, c) terms t: (.., x, ..) becomes (.., k, ..), coefficient c y, for each
+    term (k, y) of the image; a tuple k, as in Delta's terms, splices in factors."""
+    out: Tensor = {}
+    for key, c in t:
+        if terms := image.get(key[leg]):
+            head, tail = key[:leg], key[leg + 1:]
+            vec_axpy(out, c, [(head + (k if type(k) is tuple else (k,)) + tail, y)
+                              for k, y in terms])
     return out
+
+
+def _slant(p: Vec, t, leg: int) -> list:
+    """The terms of (p (x) id)t (leg 0) or (id (x) p)t (leg 1) for the tensor with
+    (key, c) terms t, summed by vec_axpy or ``_summed``; only those whose factor
+    ``leg`` lies in p are multiplied, so a stored Delta e_i is paired in place."""
+    return [(key[1 - leg], c * x) for key, c in t if (x := p.get(key[leg])) is not None]
+
+
+def _left_legs(t: Tensor):
+    """The nonzero vectors (e^i (x) id)t, one per left index i."""
+    legs: dict[int, dict] = {}
+    for (i, j), c in t.items():
+        legs.setdefault(i, {})[j] = c
+    return legs.values()
+
+
+def _comult_legs(H: HopfAlgebra, t) -> tuple[Tensor, Tensor]:
+    """((Delta (x) id)t, (id (x) Delta)t) for the tensor with (key, c) terms t."""
+    return _leg_map(t, 0, H.comult), _leg_map(t, 1, H.comult)
 
 
 def _u_tensor(H: HopfAlgebra, vec: Vec) -> Tensor:
     """U(a) = sum a_1 (x) S(a_2) in H (x) H."""
-    return tensor_antipode_right(H, H.comult_raw(vec))
+    return _leg_map(H.comult_raw(vec).items(), 1, H.antipode)
 
 
 def casimir_tensor(H: HopfAlgebra) -> Tensor:
@@ -683,11 +706,7 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
 
     def coassoc():
         for i in range(d):
-            left: dict = {}
-            right: dict = {}
-            for (j, k), c in H.comult.get(i, ()):
-                vec_axpy(left, c, [((a, b, k), c2) for (a, b), c2 in H.comult.get(j, ())])
-                vec_axpy(right, c, [((j, a, b), c2) for (a, b), c2 in H.comult.get(k, ())])
+            left, right = _comult_legs(H, H.comult.get(i, ()))
             yield i, left == right
 
     _check_all("coassociativity", coassoc(), report)
@@ -723,13 +742,10 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
 
     def antipode_axiom():
         for i in range(d):
-            lhs: Vec = {}
-            rhs: Vec = {}
-            for (j, k), c in H.comult.get(i, ()):
-                vec_axpy(lhs, c, H.mul_raw(H.antipode_raw(basis[j]), basis[k]).items())
-                vec_axpy(rhs, c, H.mul_raw(basis[j], H.antipode_raw(basis[k])).items())
+            terms = H.comult.get(i, ())
             want = vec_scale(H.unit_vec, H.counit_raw(basis[i]))
-            yield i, lhs == want == rhs
+            yield i, (tensor_flatten(H, _leg_map(terms, 0, H.antipode)) == want
+                      == tensor_flatten(H, _leg_map(terms, 1, H.antipode)))
 
     _check_all("antipode", antipode_axiom(), report)
 
@@ -1091,16 +1107,12 @@ def _casimir_slide_failure(H: HopfAlgebra, tensor: Tensor):
     form a subalgebra, T(ab (x) 1) = (1 (x) a)T(b (x) 1) = (1 (x) ab)T, and
     so do those with (a (x) 1)T = T(1 (x) a)."""
     def ok(k):
-        slid_l: Tensor = {}
-        slid_r: Tensor = {}
-        moved_l: Tensor = {}
-        moved_r: Tensor = {}
-        for (i, j), c in tensor.items():
-            vec_axpy(slid_l, c, [((x, j), cx) for x, cx in _product_terms(H, i, k)])
-            vec_axpy(slid_r, c, [((i, x), cx) for x, cx in _product_terms(H, k, j)])
-            vec_axpy(moved_l, c, [((x, j), cx) for x, cx in _product_terms(H, k, i)])
-            vec_axpy(moved_r, c, [((i, x), cx) for x, cx in _product_terms(H, j, k)])
-        return slid_l == slid_r and moved_l == moved_r
+        # e_x -> e_k e_x is row k of the table, e_x -> e_x e_k its column k
+        left = H.mult.get(k, {})
+        right = {i: row[k] for i, row in H.mult.items() if k in row}
+        t = tensor.items()
+        return (_leg_map(t, 0, right) == _leg_map(t, 1, left)
+                and _leg_map(t, 0, left) == _leg_map(t, 1, right))
 
     return _first_failure((k, ok(k)) for k in _closed_basis(H))
 
@@ -1153,13 +1165,10 @@ def theorem_suite_sec1(H: HopfAlgebra, seed: int = 0) -> list[dict]:
     cas = casimir_tensor(H)
 
     def reproduced_basis():
+        # (lambda <- e_k (x) id) U(Lambda), with <lambda <- e_k, e_i> = <lambda, e_k e_i>
         for k in range(d):
-            acc: Vec = {}
-            for (i, j), c in cas.items():
-                w = _dot(lam.vec, _product_terms(H, k, i))
-                if w:
-                    vec_axpy(acc, c, ((j, w),))
-            yield {"basis": k}, acc == {k: _ONE}
+            hit = {i: w for i, terms in H.mult.get(k, {}).items() if (w := _dot(lam.vec, terms))}
+            yield {"basis": k}, _summed(_slant(hit, cas.items(), 0)) == {k: _ONE}
 
     _check_all("casimir_reproduces_basis", reproduced_basis(), report)
 
@@ -1295,23 +1304,18 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
         parent_index = {p: i for i, p in enumerate(parent)}
         kdegrees, kvalues = dixon_character_table(K, seed, lambda table: table)
         kcls = K.conjugacy_data().class_of
-        # coset representatives: k_x rep k_x^{-1} = x
-        kx = {}
-        for x in members:
-            kx[x] = next(g for g in range(n) if G.conj(rep, g) == x)
+        # every row's support: (p_g # h, class of k_g^-1 h k_g in K), h in C_G(g),
+        # with the coset representative k_g rep k_g^-1 = g
+        support = []
+        for g in members:
+            kg = next(x for x in range(n) if G.conj(rep, x) == g)
+            for h in range(n):
+                if G.mul(h, g) == G.mul(g, h):
+                    u = G.mul(G.mul(G.inverse(kg), h), kg)
+                    support.append((g * n + h, kcls[parent_index[u]]))
         for kdeg, krow in zip(kdegrees, kvalues):
-            deg = len(members) * kdeg
-            chi: Vec = {}
-            for g in members:
-                kg_inv = G.inverse(kx[g])
-                for h in range(n):
-                    if G.mul(h, g) != G.mul(g, h):
-                        continue
-                    u = G.mul(G.mul(kg_inv, h), kx[g])
-                    val = krow[kcls[parent_index[u]]]
-                    if val:
-                        chi[g * n + h] = val
-            entries.append((deg, chi))
+            entries.append((len(members) * kdeg,
+                            {i: krow[c] for i, c in support if krow[c]}))
     return _verify_irred(H, _sorted_irred(H, _with_idempotents(H, entries)))
 
 

@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,34 @@ def test_build_double_dump(specdir, capsys):
     assert "r_matrix" in doc
     assert sorted(doc["irred"]["degrees"]) == [1, 1, 2, 2, 2, 2, 3, 3]
     assert doc["group_name"] == "S3"
+
+
+@pytest.fixture(scope="module")
+def ds3_dump_without_irred(specdir):
+    path = specdir / "ds3_no_irred.json"
+    assert main(["build", "double", str(specdir / "s3.json"), "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["irred"]
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["compute", "frob"], ["compute", "hprime"],
+                                  ["compute", "classdata"], ["verify", "--suite", "sec1"]],
+                         ids=["frob", "hprime", "classdata", "sec1"])
+def test_seed_reaches_the_generic_split(ds3_dump_without_irred, argv, monkeypatch):
+    # a dump without irred is split once, with --seed, by every command
+    import hopfcomm.hopf
+    real, seeds = hopfcomm.hopf.irreducibles_generic, []
+
+    def spy(H, seed=0):
+        seeds.append(seed)
+        return real(H, seed)
+
+    for module in (hopfcomm.hopf, cli):
+        monkeypatch.setattr(module, "irreducibles_generic", spy, raising=False)
+    assert main([*argv, "--seed", "5", "--hopf", str(ds3_dump_without_irred)]) == 0
+    assert seeds == [5]
 
 
 def test_build_writes_output_file(ks3_dump):
@@ -675,7 +704,19 @@ def test_oracle_iterated_word_on_s5(capsys):
 def test_oracle_cap_counts_tuples_before_any_work(capsys):
     # 120^4 tuples is past the default cap, whichever route would count them
     assert main(["oracle", str(GOLDEN_SPECS / "S5.json"), "--word", "[x1,x2][x3,x4]"]) == 4
-    assert "207360000 tuples" in capsys.readouterr().err
+    assert "120^4 tuples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", ["x6000", "x100000000"])
+def test_oracle_refuses_a_huge_letter_index_by_its_exponent(word):
+    # 6^6000 has 4,669 digits, past the int-to-str limit, and 6^100000000 is
+    # not formed in 20 s; 100000000 > 27, the bit length of the cap
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcomm.cli", "oracle", str(GOLDEN_SPECS / "S3.json"),
+         "--word", word], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=20)
+    assert proc.returncode == 4 and time.perf_counter() - start < 2
+    assert f"6^{word[1:]} tuples exceed cap" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_oracle_high_power_against_root(specdir, capsys):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,18 @@ def test_count_word_cap(monkeypatch):
     monkeypatch.setenv("HOPFCOMM_CAP", "enum=10")
     with pytest.raises(EnumerationCapExceeded):
         count_word(s3(), parse_word("[x1,x2]"))
+
+
+def test_count_word_holds_only_the_letters_it_uses():
+    # C1 passes the cap at any arity; the enumeration of [x_r, x_r] holds
+    # one letter, not a list as long as r (80 MB at r = 10^7)
+    tracemalloc.start()
+    try:
+        assert count_word(cyclic_group(1), parse_word("[x10000000,x10000000]")) == (1,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_square_roots_match_direct_count():

@@ -410,6 +410,65 @@ def test_dim_mismatch_raises(ks3, dc2):
         H1.one() * H2.one()
 
 
+# -- the coalgebra-side kernels, against their definitions --
+
+
+def _with_repeated_keys(H):
+    """H's tables, check=False, with a term of Delta e_1 and of S e_2 stored
+    twice; the raw operations sum a repeated key."""
+    return HopfAlgebra(dim=H.dim, mult=H.mult, unit=H.unit_vec, counit=H.counit_vec,
+                       comult={**H.comult, 1: H.comult[1] + H.comult[1][:1]},
+                       antipode={**H.antipode, 2: H.antipode[2] * 2},
+                       cyc_order=H.cyc_order, check=False)
+
+
+def _summed(pieces):
+    """sum c t over the (c, t) pairs, t a vector or a tensor."""
+    out = {}
+    for c, t in pieces:
+        vec_axpy(out, c, t.items())
+    return out
+
+
+@pytest.mark.parametrize("which", ["ds3", "dual_s3", "repeated"])
+def test_coalgebra_kernels_match_their_definitions(which, request):
+    H = request.getfixturevalue("ds3" if which == "repeated" else which)[0]
+    if which == "repeated":
+        H = _with_repeated_keys(H)
+    rng = random.Random(11)
+
+    def e(i):
+        return H.elem({i: ONE})
+
+    def tensor_terms():
+        # stored terms, repeats included, and random tensors as dict items
+        yield from (H.comult[i] for i in (0, 1, 2))
+        for _ in range(4):
+            yield list({(rng.randrange(H.dim), rng.randrange(H.dim)): cyc(rng.choice((-3, 1, 2)))
+                        for _ in range(15)}.items())
+
+    for terms in tensor_terms():
+        t = _summed((c, {key: ONE}) for key, c in terms)
+        assert hopf_mod._leg_map(terms, 1, H.antipode) == _summed(
+            (c, tensor_of(e(i), H.elem(H.antipode_raw({j: ONE})))) for (i, j), c in t.items())
+        k = rng.randrange(H.dim)
+        assert hopf_mod._leg_map(terms, 0, H.mult.get(k, {})) == _summed(
+            (c, tensor_of(e(k) * e(i), e(j))) for (i, j), c in t.items())
+        assert hopf_mod._comult_legs(H, terms) == (
+            _summed((c, {(a, b, j): x for (a, b), x in H.comult_raw({i: ONE}).items()})
+                    for (i, j), c in t.items()),
+            _summed((c, {(i, a, b): x for (a, b), x in H.comult_raw({j: ONE}).items()})
+                    for (i, j), c in t.items()))
+        p = random_functional(H, rng)
+        assert hopf_mod._summed(hopf_mod._slant(p.vec, terms, 0)) == _summed(
+            (c * p(e(i)), {j: ONE}) for (i, j), c in t.items())
+        assert hopf_mod._summed(hopf_mod._slant(p.vec, terms, 1)) == _summed(
+            (c * p(e(j)), {i: ONE}) for (i, j), c in t.items())
+        # one vector (e^i (x) id)t per left index i, in the order t first meets i
+        assert list(hopf_mod._left_legs(t)) == [{j: c for (a, j), c in t.items() if a == i}
+                                                for i in dict.fromkeys(i for i, _ in t)]
+
+
 # -- central decomposition identities --
 
 
