@@ -110,11 +110,7 @@ def _lift_table(G, algebra, p, rng):
                 mults.append(m)
             if sum(mults) != d:
                 return None
-            val = CycNum.rational(mults[0])
-            for t in range(1, e):
-                if mults[t]:
-                    val = val + CycNum.zeta(e, t) * CycNum.rational(mults[t])
-            values.append(val)
+            values.append(CycNum(e, mults))
         rows.append((d, tuple(values)))
     return tuple(r[0] for r in rows), tuple(r[1] for r in rows)
 

@@ -155,7 +155,7 @@ def _class_of(H: HopfAlgebra, F: HFunc) -> tuple[int, HElem, HElem]:
     if not (_is_natural(dim) and dim):
         raise VerificationFailed(f"d<F, Lambda> = {dim} is not a positive integer")
     dim = dim.as_rational().numerator
-    C = HElem(H, H.right_hit_raw(integral.vec, (F * d).vec))
+    C = psi_inv(H, F * d)
     return dim, C, C * CycNum.rational(Fraction(1, dim))
 
 

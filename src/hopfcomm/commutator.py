@@ -16,7 +16,9 @@ commutators and z_n that check it, an n-th commutator is the
 multiplication map applied to the product U(a^1) ... U(a^n) in H (x) H,
 where U(a) = sum a_1 (x) S(a_2); this keeps the work polynomial in dim H
 instead of exponential in n.  Com_n reads its last factor off the same
-adjoint table: the image of t U(e_k) is sum t_ab e_a (e_k .ad e_b).
+adjoint table: the image of t U(e_k) is sum t_ab e_a (e_k .ad e_b), and
+Z_n(e_k) = sum t_ab e_a (e_k e_b) for U(Lambda)^n = sum t_ab e_a (x) e_b; both
+are ``hopf._flatten_times``, a tensor multiplied out after a map on its right leg.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .hopf import (
     _combination,
     _dual,
     _entry,
+    _flatten_times,
     _left_legs,
     _product,
     _require_axioms,
@@ -197,21 +200,7 @@ def _com_span(H: HopfAlgebra, n: int) -> Echelon:
     out = Echelon()
     for t in level:
         for k in range(H.dim):
-            out.insert(_flatten_times_u(H, t, k))
-    return out
-
-
-def _flatten_times_u(H: HopfAlgebra, t: dict, k: int) -> dict:
-    """flatten(t U(e_k)) = sum t_ab e_a (e_k .ad e_b), read off the adjoint
-    table without forming the tensor t U(e_k)."""
-    ad = adjoint_row(H, k)
-    out: dict = {}
-    for (a, b), c in t.items():
-        row = H.mult.get(a, {})
-        for m, x in ad.get(b, ()):
-            prod = row.get(m)
-            if prod:
-                vec_axpy(out, c * x, prod)
+            out.insert(_flatten_times(H, t.items(), adjoint_row(H, k)))
     return out
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ._linalg import Echelon, Solver, Vec, rank, vec_axpy, vec_scale
+from ._linalg import Echelon, Solver, Vec, _by_squaring, rank, vec_axpy, vec_scale
 from .commutator import Z_n_map, hopf_commutator, n_commutator, z_n
 from .errors import DegenerateForm, FormulaMismatch, VerificationFailed
 from .exactnum import CycNum
-from .group import FiniteGroup, Word, word_to_str
+from .group import FiniteGroup, Letter, Power, Word, count_word, word_to_str
 from .hopf import (
     HElem,
     HFunc,
@@ -30,7 +30,7 @@ from .hopf import (
     _dot,
     _entry,
     _first_failure,
-    _leg_map,
+    _flatten_times,
     _product_terms,
     _tensor_sandwich,
     _trace_form_failure,
@@ -91,13 +91,11 @@ def bullet(H: HopfAlgebra, p: HFunc, q: HFunc) -> HFunc:
 
 
 def bullet_power(H: HopfAlgebra, p: HFunc, l: int) -> HFunc:
-    """l-fold bullet power of p."""
+    """l-fold bullet power of p, by ``_by_squaring``: the bullet product is the
+    product of H carried over by Psi and scaled by d, so it is associative."""
     if l < 1:
         raise ValueError("bullet power needs l >= 1")
-    out = p
-    for _ in range(l - 1):
-        out = bullet(H, out, p)
-    return out
+    return _by_squaring(p, l - 1, lambda x, y: bullet(H, x, y), p)
 
 
 def bullet_unit_probe(H: HopfAlgebra, seed: int = 0) -> dict:
@@ -153,7 +151,7 @@ def _sweedler_table(H: HopfAlgebra, m: int) -> list[Vec]:
 def _sweedler_pass(H: HopfAlgebra, table: list[Vec]) -> list[Vec]:
     """e_k^[t+1] = sum e_i e_j^[t] over Delta(e_k) = sum e_i (x) e_j, for each k."""
     image = {j: v.items() for j, v in enumerate(table)}
-    return [tensor_flatten(H, _leg_map(H.comult.get(k, ()), 1, image)) for k in range(H.dim)]
+    return [_flatten_times(H, H.comult.get(k, ()), image) for k in range(H.dim)]
 
 
 def fs_indicator(H: HopfAlgebra, i: int, m: int) -> CycNum:
@@ -331,11 +329,8 @@ def casimir_of_form(H: HopfAlgebra, form: SymmetricForm):
     """
     if form.scope == "center":
         ir = require_irred(H)
-        cas: Vec = {}
-        for i, a in enumerate(form.alphas):
-            scale = CycNum.rational(Fraction(1, ir.degrees[i])) * a.inverse()
-            vec_axpy(cas, scale, ir.idempotents[i].vec.items())
-        return HElem(H, cas)
+        return HElem(H, _combination([a.inverse() * CycNum.rational(Fraction(1, deg))
+                                      for a, deg in zip(form.alphas, ir.degrees)], ir.idempotents))
 
     d = H.dim
     solver = Solver()
@@ -470,9 +465,7 @@ def theorem_suite_sec3(H: HopfAlgebra, seed: int = 0) -> list[dict]:
 
     def root_counts(G):
         for m, rm in rms.items():
-            roots = [0] * G.order
-            for x in range(G.order):
-                roots[G.power(x, m)] += 1
+            roots = count_word(G, Power(Letter(1), m))
             for g in range(G.order):
                 yield ({"m": m, "element": H.labels[g]},
                        rm(H.elem({g: _ONE})) == CycNum.rational(roots[g]))

@@ -119,11 +119,11 @@ class FiniteGroup:
         return range(self.order)
 
     def power(self, a: int, k: int) -> int:
-        """a^k by square-and-multiply, in O(log |k|) products."""
-        if k < 0:
-            a, k = self.inv[a], -k
+        """a^k by square-and-multiply with k reduced mod |G| (a^|G| = 1 by
+        Lagrange, so a negative k needs no inverse), in O(log |G|) products
+        whatever the size of k."""
         table = self.table
-        return _by_squaring(a, k, lambda x, y: table[x][y], self.identity)
+        return _by_squaring(a, k % self.order, lambda x, y: table[x][y], self.identity)
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a

@@ -51,7 +51,9 @@ Every bilinear table is stored as rows {i: {j: terms}}, read by ``_bilinear``.
 The coalgebra side reads stored terms through three kernels: a linear map
 on one tensor factor (``_leg_map``: id (x) S, Delta (x) id, a factor times
 e_k), a functional paired with one factor (``_slant``: the hits, p (x) id)
-and the split by the left factor (``_left_legs``).
+and the split by the left factor (``_left_legs``).  Where the two sides meet,
+``_flatten_times`` multiplies the legs of a tensor after a linear map on its
+right one (Com_n's last level, the Z_n columns, the Sweedler passes).
 """
 
 from __future__ import annotations
@@ -494,15 +496,26 @@ def tensor_flatten(H: HopfAlgebra, t: Tensor) -> Vec:
     return out
 
 
-def _tensor_sandwich(H: HopfAlgebra, t: Tensor, h: Vec) -> Vec:
-    """sum t[(i,j)] e_i h e_j, read off the stored rows."""
+def _flatten_times(H: HopfAlgebra, t, image) -> Vec:
+    """flatten((id (x) f)t) = sum c e_a f(e_b) over the (key, c) terms ((a, b), c)
+    of t, for the map f: e_x -> ``image.get(x, ())`` given by stored terms; the
+    products are read off the rows of H.mult and (id (x) f)t is never formed."""
     out: Vec = {}
-    for (i, j), c in t.items():
-        row_i = H.mult.get(i, {})
-        for k, x in h.items():
-            for m, y in row_i.get(k, ()):
-                vec_axpy(out, c * x * y, _product_terms(H, m, j))
+    for (a, b), c in t:
+        row = H.mult.get(a, {})
+        for m, x in image.get(b, ()):
+            prod = row.get(m)
+            if prod:
+                vec_axpy(out, c * x, prod)
     return out
+
+
+def _tensor_sandwich(H: HopfAlgebra, t: Tensor, h: Vec) -> Vec:
+    """sum t[(i,j)] e_i h e_j, as sum_k h_k flatten((id (x) L_k)t) with L_k the
+    left multiplication by e_k: e_i e_k e_j = e_i (e_k e_j) needs H associative,
+    which its callers (the Z_n columns and the Higman map) verify first."""
+    return _summed((m, x * y) for k, x in h.items()
+                   for m, y in _flatten_times(H, t.items(), H.mult.get(k, {})).items())
 
 
 def tensor_swap(t: Tensor) -> Tensor:
@@ -745,7 +758,7 @@ def verify_hopf_axioms(H: HopfAlgebra) -> list[dict]:
             terms = H.comult.get(i, ())
             want = vec_scale(H.unit_vec, H.counit_raw(basis[i]))
             yield i, (tensor_flatten(H, _leg_map(terms, 0, H.antipode)) == want
-                      == tensor_flatten(H, _leg_map(terms, 1, H.antipode)))
+                      == _flatten_times(H, terms, H.antipode))
 
     _check_all("antipode", antipode_axiom(), report)
 
@@ -988,27 +1001,11 @@ def _split_attempt(struct, unit, N, phi, p, k, rng):
             rows[j][j] = 1
         rows[phi][0] = c
         rows[phi][phi] = 1
-        reduced = lll_reduce(rows)
-        best = None
-        best_norm = None
-        for v in reduced:
-            if v[-1] == 0:
-                continue
-            norm = sum(x * x for x in v)
-            if best_norm is None or norm < best_norm:
-                best, best_norm = v, norm
-        if best is None:
-            cache[c] = None
-            return None
-        if best[-1] < 0:
-            best = [-x for x in best]
-        b = best[-1]
-        val = CycNum.rational(Fraction(best[0], b))
-        for j in range(1, phi):
-            if best[j]:
-                val = val + CycNum.rational(Fraction(best[j], b)) * CycNum.zeta(N, j)
-        cache[c] = val
-        return val
+        # the shortest reduced vector with b != 0, the first of them on a tie
+        best = min((v for v in lll_reduce(rows) if v[-1]),
+                   key=lambda v: sum(x * x for x in v), default=None)
+        cache[c] = None if best is None else CycNum(N, [Fraction(x, best[-1]) for x in best[:phi]])
+        return cache[c]
 
     exact = []
     for cur in lifted:
@@ -1049,10 +1046,11 @@ def _sorted_irred(H: HopfAlgebra, entries, points=None) -> list:
     ))
 
 
-def require_irred(H: HopfAlgebra, seed: int = 0) -> IrredData:
-    """The instance's IrredData, computing and caching it if absent."""
+def require_irred(H: HopfAlgebra) -> IrredData:
+    """The instance's IrredData, computing it by ``irreducibles_generic`` at
+    seed 0 and caching it if absent."""
     if H.irred is None:
-        H.irred = irreducibles_generic(H, seed)
+        H.irred = irreducibles_generic(H)
     return H.irred
 
 
@@ -1309,10 +1307,9 @@ def _double_irreducibles(G: FiniteGroup, H: HopfAlgebra, seed: int) -> IrredData
         support = []
         for g in members:
             kg = next(x for x in range(n) if G.conj(rep, x) == g)
-            for h in range(n):
-                if G.mul(h, g) == G.mul(g, h):
-                    u = G.mul(G.mul(G.inverse(kg), h), kg)
-                    support.append((g * n + h, kcls[parent_index[u]]))
+            for h in G.centralizer(g):
+                u = G.mul(G.mul(G.inverse(kg), h), kg)
+                support.append((g * n + h, kcls[parent_index[u]]))
         for kdeg, krow in zip(kdegrees, kvalues):
             entries.append((len(members) * kdeg,
                             {i: krow[c] for i, c in support if krow[c]}))

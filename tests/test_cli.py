@@ -719,6 +719,27 @@ def test_oracle_refuses_a_huge_letter_index_by_its_exponent(word):
     assert f"6^{word[1:]} tuples exceed cap" in proc.stderr and len(proc.stderr) < 200
 
 
+def test_oracle_nested_huge_exponents_cost_log_of_the_order():
+    # twenty nested powers by 10^4000 - 1 = 39 (mod 120): an 80 KB word over
+    # the 120 tuples of S5, counted like x1^81 since 39^20 = 81 (mod 120)
+    nines = "9" * 4000
+    word = "x1"
+    for _ in range(20):
+        word = f"({word})^{nines}"
+
+    def oracle(w):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfcomm.cli", "oracle", str(GOLDEN_SPECS / "S5.json"),
+             "--word", w], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout), time.perf_counter() - start
+
+    doc, wall = oracle(word)
+    assert wall < 2
+    assert doc["counts_by_class"] == oracle("x1^81")[0]["counts_by_class"]
+
+
 def test_oracle_high_power_against_root(specdir, capsys):
     doc = run_json(capsys, ["oracle", str(specdir / "s3.json"),
                             "--word", "x1^3000", "--against", "root:3000"])
@@ -793,9 +814,23 @@ def test_oracle_enum_cap_exit4(specdir, monkeypatch):
     assert main(["oracle", str(specdir / "s3.json"), "--word", "[x1,x2]"]) == 4
 
 
+def test_sec3_root_counts_keep_the_enum_cap(ks3_dump, monkeypatch, capsys):
+    # on kS3, sec3 counts the m-th roots as the word x1^m over 6 tuples
+    monkeypatch.setenv("HOPFCOMM_CAP", "enum=5")
+    assert main(["verify", "--suite", "sec3", "--hopf", str(ks3_dump)]) == 4
+    assert "6^1 tuples exceed cap 5" in capsys.readouterr().err
+
+
 def test_build_dim_cap_exit4(specdir, monkeypatch):
     monkeypatch.setenv("HOPFCOMM_CAP", "dim=8")
     assert main(["build", "double", str(specdir / "s3.json")]) == 4
+
+
+def test_single_integer_cap_sets_both_caps(monkeypatch, capsys):
+    monkeypatch.setenv("HOPFCOMM_CAP", "64")
+    assert caps.enum_cap() == caps.dim_cap() == 64
+    assert main(["build", "group", str(GOLDEN_SPECS / "S5.json")]) == 4
+    assert "exceeds dim cap 64" in capsys.readouterr().err
 
 
 def test_oracle_against_a_functional_keeps_the_dim_cap(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from hopfcomm.commutator import (
     _u_tensor,
     Z_n_map,
     _commutator_table,
-    _flatten_times_u,
     _is_commutative,
     _u_power,
     algebra_closure,
@@ -39,7 +38,9 @@ from hopfcomm.hopf import (
     HElem,
     HopfAlgebra,
     _combination,
+    _flatten_times,
     _tensor_sandwich,
+    adjoint_row,
     build_drinfeld_double,
     build_group_algebra,
     integrals,
@@ -391,7 +392,7 @@ def test_com3_last_level_reads_the_adjoint_table(request, which):
              for _ in range(4)}
         for k in range(H.dim):
             want = tensor_flatten(H, tensor_mult(H, t, _u_tensor(H, {k: ONE})))
-            assert _flatten_times_u(H, t, k) == want
+            assert _flatten_times(H, t.items(), adjoint_row(H, k)) == want
     assert com_span(H, 3) == _com3_by_flattened_products(H)
 
 

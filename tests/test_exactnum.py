@@ -148,6 +148,51 @@ def test_galois_matches_the_fraction_vector_twist():
     assert cases > 2000
 
 
+def _dixon_sum(e, mults):
+    # sum_t mults[t] zeta_e^t one zeta product and one add at a time, as the
+    # Dixon lift once built it: the reference for CycNum(e, mults).
+    val = CycNum.rational(mults[0])
+    for t in range(1, e):
+        if mults[t]:
+            val = val + CycNum.zeta(e, t) * CycNum.rational(mults[t])
+    return val
+
+
+def _lll_sum(n, best):
+    # sum_j (a_j / b) zeta_n^j for the lattice vector (a_0, ..., a_{phi-1}, b),
+    # b != 0, as the split's recognition once built it: the reference for
+    # CycNum(n, [Fraction(a, b) ...]).
+    if best[-1] < 0:
+        best = [-x for x in best]
+    b = best[-1]
+    val = CycNum.rational(Fraction(best[0], b))
+    for j in range(1, euler_phi(n)):
+        if best[j]:
+            val = val + CycNum.rational(Fraction(best[j], b)) * CycNum.zeta(n, j)
+    return val
+
+
+def _same(got, want):
+    assert got == want and str(got) == str(want)
+    assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
+
+
+def test_constructor_matches_the_dixon_and_lll_sums():
+    # random multiplicity vectors (mostly zero, as a character's are) and
+    # random lattice vectors with a nonzero last entry of either sign
+    rng = random.Random(3)
+    for e in range(1, 61):
+        for _ in range(6):
+            mults = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(e)]
+            _same(CycNum(e, mults), _dixon_sum(e, mults))
+    for n in range(1, 97):
+        phi = euler_phi(n)
+        for _ in range(4):
+            best = [rng.choice((0, 0, rng.randint(-40, 40))) for _ in range(phi)]
+            best.append(rng.choice((-1, 1)) * rng.randint(1, 12))
+            _same(CycNum(n, [Fraction(x, best[-1]) for x in best[:phi]]), _lll_sum(n, best))
+
+
 def test_prime_factors_and_euler_phi_against_brute_force():
     for n in range(1, 1001):
         primes = [p for p in range(2, n + 1)

@@ -256,6 +256,20 @@ def test_power_is_square_and_multiply():
             acc = G.mul(acc, g)
 
 
+def test_power_reduces_huge_and_negative_exponents():
+    # against (k mod ord g) products of g, or of g^-1 for k < 0, on S5
+    G = from_perm_generators("S5", [[[1, 2]], [[1, 2, 3, 4, 5]]])
+    ks = (-10**50 - 3, -7, -1, 0, 1, 2, 59, 60, 61, 119, 120, 121, 10**50 + 3)
+    for g in G.elements():
+        o = G.element_order(g)
+        for k in ks:
+            base, reps = (g, k % o) if k >= 0 else (G.inverse(g), -k % o)
+            acc = G.identity
+            for _ in range(reps):
+                acc = G.mul(acc, base)
+            assert G.power(g, k) == acc
+
+
 def test_bracket_nesting_is_bounded():
     # deep nesting is a syntax error, not a RecursionError
     assert parse_word("(" * 100 + "x1" + ")" * 100) == Letter(1)

@@ -469,6 +469,46 @@ def test_coalgebra_kernels_match_their_definitions(which, request):
                                                 for i in dict.fromkeys(i for i, _ in t)]
 
 
+@pytest.mark.parametrize("which", ["ds3", "dual_s3", "repeated"])
+def test_flatten_times_matches_the_flattened_leg_map(which, request):
+    # flatten((id (x) f)t) fused, against tensor_flatten of the mapped tensor
+    # and against sum c e_a f(e_b) by mul_raw, for S, for left multiplication
+    # by e_k and for an image that leaves out every odd key
+    H = request.getfixturevalue("ds3" if which == "repeated" else which)[0]
+    if which == "repeated":
+        H = _with_repeated_keys(H)
+    rng = random.Random(13)
+    images = [H.antipode, H.mult.get(3, {}),
+              {x: terms for x, terms in H.antipode.items() if x % 2 == 0}]
+
+    def tensor_terms():
+        yield from (H.comult[i] for i in (0, 1, 2))
+        for _ in range(4):
+            yield list({(rng.randrange(H.dim), rng.randrange(H.dim)): cyc(rng.choice((-3, 1, 2)))
+                        for _ in range(15)}.items())
+
+    for terms in tensor_terms():
+        for image in images:
+            got = hopf_mod._flatten_times(H, terms, image)
+            assert got == tensor_flatten(H, hopf_mod._leg_map(terms, 1, image))
+            assert got == _summed((c, H.mul_raw({a: ONE}, _summed((y, {m: ONE})
+                                                               for m, y in image.get(b, ()))))
+                                  for (a, b), c in terms)
+
+
+def test_require_irred_splits_an_instance_without_irred(ks3):
+    # a dump's instance carries no irreducible data until it is asked for;
+    # the first call splits the center at seed 0, the second returns that data
+    H = hopf_from_dict(hopf_to_dict(ks3[0]))
+    assert H.irred is None
+    got = hopf_mod.require_irred(H)
+    want = irreducibles_generic(H)
+    assert got.degrees == want.degrees
+    assert [e.vec for e in got.idempotents] == [e.vec for e in want.idempotents]
+    assert [chi.vec for chi in got.characters] == [chi.vec for chi in want.characters]
+    assert hopf_mod.require_irred(H) is got
+
+
 # -- central decomposition identities --
 
 
